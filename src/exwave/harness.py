@@ -141,10 +141,6 @@ def _theory_bound(spec: SweepSpec) -> dict | None:
     return {"form": bound.form.value, "exponent": bound.exponent}
 
 
-def _run_one(config: SolverConfig) -> RunRecord:
-    return run(config)
-
-
 def sweep(spec: SweepSpec) -> SweepResult:
     """One deterministic run per epsilon; per-run failures abort the sweep
     only for configuration errors, never for blow-up/NaN outcomes."""
@@ -186,7 +182,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
     if spec.workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             t0 = time.perf_counter()
-            for i, rec in zip(pending, pool.map(_run_one, [configs[i] for i in pending])):
+            for i, rec in zip(pending, pool.map(run, [configs[i] for i in pending])):
                 records[i] = rec
             wall = time.perf_counter() - t0
             for i in pending:

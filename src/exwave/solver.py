@@ -15,6 +15,17 @@ explicit in space with the damping term solved pointwise for u+ (the damping
 never enters the stability constraint).  Fields are real: the blow-up theory
 concerns sign-definite real data.
 
+``run`` steps on the numerical light cone.  The three-point stencil moves the
+support of compactly supported data out by exactly one node per step (speed
+1/cfl in r, ahead of the unit physical cone), so after step s every field is
+zero beyond node j_data + s, where j_data is the last nonzero node of the
+data.  Each step therefore updates only nodes j < min(n + 1, j_data + s + 2);
+every skipped node has all-zero inputs, and since |0|^p = 0 it would compute
+to exactly 0, so the result is bit-identical to a full-grid step.  A run with
+an external source (nonzero anywhere) steps the full grid.  The three time
+levels live in buffers allocated once per run; ``step`` is the allocating
+one-step reference and runs the same arithmetic on the full grid.
+
 Blow-up is detected by the max norm crossing a large threshold; the crossing
 time is located inside the last step by bisection on the log-linear
 interpolant of the peak norm.  First crossings of a lower and a higher
@@ -25,9 +36,11 @@ estimate.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -66,9 +79,12 @@ class RadialGrid:
     def dr(self) -> float:
         return (self.r_max - 1.0) / self.n
 
-    @property
+    @cached_property
     def r(self) -> np.ndarray:
-        return 1.0 + self.dr * np.arange(self.n + 1)
+        """The nodes, built once per grid and read-only."""
+        r = 1.0 + self.dr * np.arange(self.n + 1)
+        r.flags.writeable = False
+        return r
 
 
 @dataclass
@@ -149,6 +165,44 @@ def validate_data_positivity(
     return weighted_data_integral(r, bump, bump, d, bc)
 
 
+def _laplacian_nodes(
+    u: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+    hi: int,
+    dr: float,
+    radial: np.ndarray,
+    d: int,
+    bc: BoundaryCondition,
+) -> None:
+    """Write the radial Laplacian at nodes [1, hi), and the ghost-node row 0
+    for flux conditions, into ``out``; other columns are left untouched.
+
+    ``radial`` is (d-1)/r[1:-1] and ``scratch`` a work array shaped like u.
+    The in-place ufunc sequence is the operation order of
+    (u+ - 2u + u-)/dr^2 + ((d-1)/r) (u+ - u-)/(2 dr), so any node range gives
+    the same bits as the whole grid.
+    """
+    lap = out[:, 1:hi]
+    grad = scratch[:, : hi - 1]
+    up, mid, down = u[:, 2 : hi + 1], u[:, 1:hi], u[:, : hi - 1]
+    np.multiply(2.0, mid, out=lap)
+    np.subtract(up, lap, out=lap)
+    np.add(lap, down, out=lap)
+    np.divide(lap, dr**2, out=lap)
+    np.subtract(up, down, out=grad)
+    np.multiply(radial[: hi - 1], grad, out=grad)
+    np.divide(grad, 2.0 * dr, out=grad)
+    np.add(lap, grad, out=lap)
+    if bc.kind is not BoundaryKind.DIRICHLET:
+        slope = bc.beta / bc.alpha
+        out[:, 0] = (
+            2.0 * (u[:, 1] - u[:, 0]) / dr**2
+            - 2.0 * slope * u[:, 0] / dr
+            + (d - 1.0) * slope * u[:, 0]
+        )
+
+
 def _laplacian(u: np.ndarray, grid: RadialGrid, d: int, bc: BoundaryCondition) -> np.ndarray:
     """Radial Laplacian u_rr + (d-1)/r u_r, centered differences.
 
@@ -157,20 +211,19 @@ def _laplacian(u: np.ndarray, grid: RadialGrid, d: int, bc: BoundaryCondition) -
     -alpha d_r u(1) ... = 0 written as d_r u(1) = (beta/alpha) u(1) at second
     order.  The outer node is pinned to zero by the caller.
     """
-    dr = grid.dr
-    r = grid.r
     out = np.zeros_like(u)
-    out[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dr**2 + (
-        (d - 1.0) / r[1:-1]
-    ) * (u[:, 2:] - u[:, :-2]) / (2.0 * dr)
-    if bc.kind is not BoundaryKind.DIRICHLET:
-        slope = bc.beta / bc.alpha
-        out[:, 0] = (
-            2.0 * (u[:, 1] - u[:, 0]) / dr**2
-            - 2.0 * slope * u[:, 0] / dr
-            + (d - 1.0) * slope * u[:, 0]
-        )
+    _laplacian_nodes(
+        u, out, np.empty_like(u), grid.n, grid.dr, (d - 1.0) / grid.r[1:-1], d, bc
+    )
     return out
+
+
+def _pin(bc: BoundaryCondition, *fields: np.ndarray) -> None:
+    """Zero the strongly imposed nodes: r = 1 under Dirichlet, and the outer edge."""
+    for a in fields:
+        if bc.kind is BoundaryKind.DIRICHLET:
+            a[:, 0] = 0.0
+        a[:, -1] = 0.0
 
 
 def apply_boundary(state: RadialState, bc: BoundaryCondition) -> RadialState:
@@ -181,35 +234,126 @@ def apply_boundary(state: RadialState, bc: BoundaryCondition) -> RadialState:
     always pinned to zero.
     """
     bc.require_dissipative()
-    u = state.u
-    v = state.v
-    if bc.kind is BoundaryKind.DIRICHLET:
-        u[:, 0] = 0.0
-        v[:, 0] = 0.0
-    u[:, -1] = 0.0
-    v[:, -1] = 0.0
+    _pin(bc, state.u, state.v)
     if state.u_prev is not None:
-        if bc.kind is BoundaryKind.DIRICHLET:
-            state.u_prev[:, 0] = 0.0
-        state.u_prev[:, -1] = 0.0
+        _pin(bc, state.u_prev)
     return state
 
 
 def _forcing(
     u: np.ndarray,
-    p: ExponentVector,
+    rows: np.ndarray,
+    powers: np.ndarray,
     t: float,
     source: Callable[[float], np.ndarray] | None,
     nonlinear: bool,
 ) -> np.ndarray:
+    """|u_{l-1}|^(p_l) (plus source(t)) as a fresh contiguous array.
+
+    ``rows`` is the cyclic row order l-1 and ``powers`` the (k, 1) exponents.
+    The power must run on a contiguous temporary: numpy's vectorized pow and
+    its strided fallback can differ in the last bit (seen at p = 2).
+    """
     if nonlinear:
-        powers = np.array(p.p)[:, None]
-        f = np.abs(np.roll(u, 1, axis=0)) ** powers
+        f = np.abs(u[rows]) ** powers
     else:
-        f = np.zeros_like(u)
+        f = np.zeros(u.shape)
     if source is not None:
         f = f + source(t)
     return f
+
+
+def _velocity(
+    u_new: np.ndarray, u: np.ndarray, u_prev: np.ndarray, dt: float, out: np.ndarray
+) -> None:
+    """Second-order one-sided velocity (3u+ - 4u + u-)/(2 dt) at the new level."""
+    np.multiply(3.0, u_new, out=out)
+    out -= 4.0 * u
+    out += u_prev
+    out /= 2.0 * dt
+
+
+class _Kernel:
+    """One time level of the scheme on the first m nodes.
+
+    Holds the per-trajectory constants and two scratch arrays, so a run
+    allocates them once.  ``step`` and ``run`` both advance through it.
+    """
+
+    def __init__(
+        self,
+        dt: float,
+        p: ExponentVector,
+        d: int,
+        bc: BoundaryCondition,
+        grid: RadialGrid,
+        source: Callable[[float], np.ndarray] | None,
+        nonlinear: bool,
+    ):
+        k = p.k
+        self.dt = dt
+        self.a = 1.0 / dt**2 + 1.0 / (2.0 * dt)
+        self.d = d
+        self.bc = bc
+        self.n = grid.n
+        self.dr = grid.dr
+        self.radial = (d - 1.0) / grid.r[1:-1]
+        self.rows = (np.arange(k) - 1) % k  # the row order of np.roll(u, 1, axis=0)
+        self.powers = np.array(p.p)[:, None]
+        self.source = source
+        self.nonlinear = nonlinear
+        self.lap = np.zeros((k, grid.n + 1))
+        self.scratch = np.empty((k, grid.n + 1))
+
+    def advance(
+        self,
+        u: np.ndarray,
+        u_prev: np.ndarray | None,
+        v: np.ndarray,
+        t: float,
+        m: int,
+        out: np.ndarray,
+        v_out: np.ndarray | None = None,
+    ) -> None:
+        """Write the next level at nodes [0, m) into ``out`` (before the strong
+        boundary values), and its velocity into ``v_out`` when given.
+
+        Without ``u_prev`` (the initial level) this is the second-order Taylor
+        start u + dt v + dt^2/2 (L u + f - v); otherwise the three-level leapfrog
+        with semi-implicit damping.  ``out`` must not share memory with the
+        inputs.
+        """
+        dt = self.dt
+        f = _forcing(u[:, :m], self.rows, self.powers, t, self.source, self.nonlinear)
+        _laplacian_nodes(
+            u, self.lap, self.scratch, min(m, self.n), self.dr, self.radial, self.d, self.bc
+        )
+        lap = self.lap[:, :m]
+        new = out[:, :m]
+        if u_prev is None:
+            drift = lap + f - v[:, :m]
+            new[...] = u[:, :m] + dt * v[:, :m] + 0.5 * dt**2 * drift
+            if v_out is not None:
+                v_out[:, :m] = (new - u[:, :m]) / dt + 0.5 * dt * drift
+            return
+        back = self.scratch[:, :m]
+        np.multiply(2.0, u[:, :m], out=new)
+        np.subtract(new, u_prev[:, :m], out=new)
+        np.divide(new, dt**2, out=new)
+        np.divide(u_prev[:, :m], 2.0 * dt, out=back)
+        np.add(new, back, out=new)
+        np.add(new, lap, out=new)
+        np.add(new, f, out=new)
+        np.divide(new, self.a, out=new)
+        if v_out is not None:
+            _velocity(new, u[:, :m], u_prev[:, :m], dt, v_out[:, :m])
+
+
+def _check_cfl(dt: float, cfl: float, grid: RadialGrid) -> None:
+    if dt > cfl * grid.dr * (1.0 + 1e-12):
+        raise CFLViolationError(
+            f"dt = {dt:.3e} exceeds CFL limit {cfl:.2f} * dr = {cfl * grid.dr:.3e}"
+        )
 
 
 def step(
@@ -223,38 +367,22 @@ def step(
     cfl: float = DEFAULT_CFL,
     nonlinear: bool = True,
 ) -> RadialState:
-    """Advance one time level.
+    """Advance one time level on the full grid.
 
     A state without ``u_prev`` (the initial level) is started with the
     second-order Taylor step u1 = u0 + dt v0 + dt^2/2 (L u0 + f - v0);
     subsequent levels use the three-level leapfrog with semi-implicit damping.
     The same dt must be used along a trajectory.
     """
-    if dt > cfl * grid.dr * (1.0 + 1e-12):
-        raise CFLViolationError(
-            f"dt = {dt:.3e} exceeds CFL limit {cfl:.2f} * dr = {cfl * grid.dr:.3e}"
-        )
+    _check_cfl(dt, cfl, grid)
     if not state.is_finite():
         raise FloatingPointError("non-finite state; blow-up should have been flagged")
-    u = state.u
-    f = _forcing(u, p, state.t, source, nonlinear)
-    L = _laplacian(u, grid, d, bc)
-    if state.u_prev is None:
-        u_new = u + dt * state.v + 0.5 * dt**2 * (L + f - state.v)
-    else:
-        a = 1.0 / dt**2 + 1.0 / (2.0 * dt)
-        u_new = (
-            (2.0 * u - state.u_prev) / dt**2
-            + state.u_prev / (2.0 * dt)
-            + L
-            + f
-        ) / a
-    # second-order one-sided velocity at the new level
-    if state.u_prev is None:
-        v_new = (u_new - u) / dt + 0.5 * dt * (L + f - state.v)
-    else:
-        v_new = (3.0 * u_new - 4.0 * u + state.u_prev) / (2.0 * dt)
-    new = RadialState(t=state.t + dt, u=u_new, v=v_new, u_prev=u.copy())
+    u_new = np.empty_like(state.u)
+    v_new = np.empty_like(state.u)
+    _Kernel(dt, p, d, bc, grid, source, nonlinear).advance(
+        state.u, state.u_prev, state.v, state.t, grid.n + 1, u_new, v_new
+    )
+    new = RadialState(t=state.t + dt, u=u_new, v=v_new, u_prev=state.u.copy())
     return apply_boundary(new, bc)
 
 
@@ -378,10 +506,6 @@ class RunRecord:
     history: SolutionHistory | None = None
 
     @property
-    def blow_up_uncertainty(self) -> float:
-        return self.config.dt
-
-    @property
     def threshold_sensitivity(self) -> float | None:
         """Spread of the crossing times of the lowest and highest recorded
         thresholds; insensitivity to the threshold choice means this stays
@@ -424,10 +548,18 @@ def run(
     integral against Psi is not positive (the blow-up theory's data
     condition).  After the main threshold crossing, stepping continues for a
     short grace period to record the higher sensitivity threshold.
+
+    Steps only the nodes inside the numerical light cone (the full grid when
+    a source is given) and rotates three preallocated time levels; the
+    results are bit-identical to a loop of ``step`` calls.  The velocity is
+    formed only for snapshots and near overflow, where it decides the
+    non-finite verdict just as a full finiteness scan would.
     """
     grid = config.grid
+    bc = config.bc
     k = config.p.k
-    positivity = validate_data_positivity(config.data, grid, config.d, config.bc)
+    n = grid.n
+    positivity = validate_data_positivity(config.data, grid, config.d, bc)
     if config.data.epsilon > 0 and positivity <= 0.0:
         raise DataPositivityError(
             f"int (u0 + u1) Psi dx = {positivity:.3e} must be positive"
@@ -439,29 +571,55 @@ def run(
             stacklevel=2,
         )
     u0, u1 = config.data.build(grid, k)
-    state = apply_boundary(RadialState(t=0.0, u=u0, v=u1), config.bc)
+    apply_boundary(RadialState(t=0.0, u=u0, v=u1), bc)  # checks bc once per run
     dt = config.dt
+    _check_cfl(dt, config.cfl, grid)
     n_steps = max(1, math.ceil(config.T_end / dt))
     stride = (
         max(1, n_steps // config.history_snapshots)
         if config.history_snapshots > 0
         else 0
     )
+    if source is None:
+        live = np.flatnonzero(np.any(u0 != 0.0, axis=0) | np.any(u1 != 0.0, axis=0))
+        front = (int(live[-1]) if live.size else 0) + 2  # m = front + step
+    else:
+        front = n + 1  # a source can be nonzero anywhere
+    # below this peak, (3u+ - 4u + u-)/(2 dt) cannot overflow
+    v_guard = sys.float_info.max / 16.0 * min(1.0, 2.0 * dt)
 
-    times = [0.0]
-    peaks = [state.peak()]
-    hist_t: list[float] = []
-    hist_u: list[np.ndarray] = []
-    hist_v: list[np.ndarray] = []
+    kernel = _Kernel(dt, config.p, config.d, bc, grid, source, nonlinear=True)
+    u_prev, u_cur, u_new, spare = None, u0, np.zeros_like(u0), np.zeros_like(u0)
+    v_new = u1.copy()  # velocity of the newest level; the Taylor start refills it
 
-    def snapshot(s: RadialState):
-        hist_t.append(s.t)
-        hist_u.append(s.u.copy())
-        if config.record_velocity:
-            hist_v.append(s.v.copy())
+    times = np.empty(n_steps + 1)
+    peaks = np.empty((n_steps + 1, k))
+    times[0] = 0.0
+    peaks[0] = np.max(np.abs(u0), axis=1)
+    levels = 1
+
+    cap = n_steps // stride + 3 if stride else 0
+    hist_t = np.empty(cap)
+    hist_u = np.empty((cap, k, n + 1))
+    hist_v = np.empty((cap, k, n + 1)) if stride and config.record_velocity else None
+    n_hist = 0
+
+    def velocity() -> np.ndarray:
+        if u_prev is not None:
+            _velocity(u_new[:, :m], u_cur[:, :m], u_prev[:, :m], dt, v_new[:, :m])
+            _pin(bc, v_new)
+        return v_new
+
+    def snapshot(t: float, u: np.ndarray):
+        nonlocal n_hist
+        hist_t[n_hist] = t
+        hist_u[n_hist] = u
+        if hist_v is not None:
+            hist_v[n_hist] = velocity()
+        n_hist += 1
 
     if stride:
-        snapshot(state)
+        snapshot(0.0, u0)
 
     thresholds = sorted(set(config.sensitivity_thresholds) | {config.blowup_threshold})
     crossings: dict[float, float] = {}
@@ -469,56 +627,67 @@ def run(
     t_blow: float | None = None
     nan_flag = False
     grace_left = -1
+    t = 0.0
+    prev_peak = older_peak = float(np.max(peaks[0]))
 
     for istep in range(1, n_steps + 1):
-        prev_peak = float(np.max(peaks[-1]))
-        state = step(state, dt, config.p, config.d, config.bc, grid,
-                     source=source, cfl=config.cfl)
-        if not state.is_finite():
+        m = min(n + 1, front + istep)
+        starting = u_prev is None
+        kernel.advance(u_cur, u_prev, u1, t, m, u_new, v_new if starting else None)
+        _pin(bc, u_new)
+        if starting:
+            _pin(bc, v_new)
+        t = t + dt
+        pk = peaks[istep]
+        np.abs(u_new[:, :m]).max(axis=1, out=pk)
+        peak_now = float(pk.max())
+        finite = math.isfinite(peak_now)
+        if finite and (starting or max(peak_now, prev_peak, older_peak) > v_guard):
+            finite = bool(np.all(np.isfinite(velocity()[:, :m])))
+        if not finite:
             nan_flag = True
             if t_blow is None:
                 verdict = Verdict.BLEW_UP
-                t_blow = state.t
-                crossings.setdefault(config.blowup_threshold, state.t)
+                t_blow = t
+                crossings.setdefault(config.blowup_threshold, t)
             break
-        pk = state.peak()
-        peak_now = float(np.max(pk))
-        times.append(state.t)
-        peaks.append(pk)
+        times[istep] = t
+        levels += 1
         for M in thresholds:
             if M not in crossings and peak_now > M:
-                crossings[M] = _crossing_time(
-                    state.t - dt, prev_peak, state.t, peak_now, M
-                )
+                crossings[M] = _crossing_time(t - dt, prev_peak, t, peak_now, M)
         if t_blow is None and config.blowup_threshold in crossings:
             verdict = Verdict.BLEW_UP
             t_blow = crossings[config.blowup_threshold]
-            if stride:
-                snapshot(state)  # close the history at the crossing step
+            if stride:  # close the history at the crossing step
+                snapshot(t, u_new)
             grace_left = 200
         elif stride and t_blow is None and (istep % stride == 0 or istep == n_steps):
-            snapshot(state)
+            snapshot(t, u_new)
         if grace_left >= 0:
             if max(thresholds) in crossings or grace_left == 0:
                 break
             grace_left -= 1
+        # rotate the time levels; the recycled buffer is zero beyond the front
+        u_prev, u_cur, u_new = u_cur, u_new, (spare if u_prev is None else u_prev)
+        older_peak, prev_peak = prev_peak, peak_now
 
     history = None
     if stride:
         history = SolutionHistory(
-            times=np.array(hist_t),
+            times=hist_t[:n_hist],
             r=grid.r,
-            u=np.array(hist_u),
-            v=np.array(hist_v) if config.record_velocity else None,
+            u=hist_u[:n_hist],
+            v=hist_v[:n_hist] if hist_v is not None else None,
             horizon=config.T_end,
         )
     return RunRecord(
         config=config,
         verdict=verdict,
         t_blow=t_blow,
-        t_final=state.t,
-        peak_times=np.array(times),
-        peaks=np.array(peaks),
+        t_final=t,
+        peak_times=times[:levels],
+        peaks=peaks[:levels],
         threshold_crossings=crossings,
         nan_encountered=nan_flag,
         data_positivity=positivity,

@@ -62,7 +62,7 @@ def bridge(s):
     inside = (s > 0.0) & (s < 1.0)
     out = np.where(s <= 0.0, 1.0, 0.0)
     # f0 + f1 >= exp(-2) on (0,1), so the quotient is safe there.
-    out = np.where(inside, np.divide(f1, f0 + f1, where=(f0 + f1) > 0.0), out)
+    np.divide(f1, f0 + f1, out=out, where=inside)
     return out
 
 

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from exwave.solver import (
     RadialState,
     SolverConfig,
     Verdict,
+    _crossing_time,
     apply_boundary,
     energy,
     run,
@@ -239,3 +243,206 @@ def test_determinism():
     a, b = run(cfg), run(cfg)
     assert a.t_blow == b.t_blow
     assert np.array_equal(a.peaks, b.peaks)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity gate: the light-cone stepper in run() against plain step() calls
+# ---------------------------------------------------------------------------
+
+
+def _step_loop(config, source=None):
+    """run()'s bookkeeping around full-grid step() calls on fresh states."""
+    grid, bc = config.grid, config.bc
+    u0, u1 = config.data.build(grid, config.p.k)
+    state = apply_boundary(RadialState(t=0.0, u=u0, v=u1), bc)
+    dt = config.dt
+    n_steps = max(1, math.ceil(config.T_end / dt))
+    stride = max(1, n_steps // config.history_snapshots) if config.history_snapshots else 0
+    times, peaks = [0.0], [state.peak()]
+    hist_t, hist_u, hist_v = [], [], []
+
+    def snapshot(s):
+        hist_t.append(s.t)
+        hist_u.append(s.u.copy())
+        if config.record_velocity:
+            hist_v.append(s.v.copy())
+
+    if stride:
+        snapshot(state)
+    thresholds = sorted(set(config.sensitivity_thresholds) | {config.blowup_threshold})
+    crossings, t_blow, nan_flag, grace_left = {}, None, False, -1
+    for istep in range(1, n_steps + 1):
+        prev_peak = float(np.max(peaks[-1]))
+        state = step(state, dt, config.p, config.d, bc, grid, source=source, cfl=config.cfl)
+        if not state.is_finite():
+            nan_flag = True
+            if t_blow is None:
+                t_blow = state.t
+                crossings.setdefault(config.blowup_threshold, state.t)
+            break
+        pk = state.peak()
+        peak_now = float(np.max(pk))
+        times.append(state.t)
+        peaks.append(pk)
+        for M in thresholds:
+            if M not in crossings and peak_now > M:
+                crossings[M] = _crossing_time(state.t - dt, prev_peak, state.t, peak_now, M)
+        if t_blow is None and config.blowup_threshold in crossings:
+            t_blow = crossings[config.blowup_threshold]
+            if stride:
+                snapshot(state)
+            grace_left = 200
+        elif stride and t_blow is None and (istep % stride == 0 or istep == n_steps):
+            snapshot(state)
+        if grace_left >= 0:
+            if max(thresholds) in crossings or grace_left == 0:
+                break
+            grace_left -= 1
+    return {
+        "verdict": Verdict.SURVIVED if t_blow is None else Verdict.BLEW_UP,
+        "t_blow": t_blow,
+        "t_final": state.t,
+        "peak_times": np.array(times),
+        "peaks": np.array(peaks),
+        "threshold_crossings": crossings,
+        "nan_encountered": nan_flag,
+        "history_t": np.array(hist_t) if stride else None,
+        "history_u": np.array(hist_u) if stride else None,
+        "history_v": np.array(hist_v) if stride and config.record_velocity else None,
+    }
+
+
+def _seed_step(state, dt, p, d, bc, grid):
+    """The one-step formulas as first written, whole-array numpy expressions."""
+    dr, r, u = grid.dr, grid.r, state.u
+    f = np.abs(np.roll(u, 1, axis=0)) ** np.array(p.p)[:, None]
+    L = np.zeros_like(u)
+    L[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dr**2 + (
+        (d - 1.0) / r[1:-1]
+    ) * (u[:, 2:] - u[:, :-2]) / (2.0 * dr)
+    if bc.kind.value != "dirichlet":
+        slope = bc.beta / bc.alpha
+        L[:, 0] = (
+            2.0 * (u[:, 1] - u[:, 0]) / dr**2
+            - 2.0 * slope * u[:, 0] / dr
+            + (d - 1.0) * slope * u[:, 0]
+        )
+    if state.u_prev is None:
+        u_new = u + dt * state.v + 0.5 * dt**2 * (L + f - state.v)
+        v_new = (u_new - u) / dt + 0.5 * dt * (L + f - state.v)
+    else:
+        a = 1.0 / dt**2 + 1.0 / (2.0 * dt)
+        u_new = (
+            (2.0 * u - state.u_prev) / dt**2 + state.u_prev / (2.0 * dt) + L + f
+        ) / a
+        v_new = (3.0 * u_new - 4.0 * u + state.u_prev) / (2.0 * dt)
+    return apply_boundary(RadialState(t=state.t + dt, u=u_new, v=v_new, u_prev=u.copy()), bc)
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN, BoundaryCondition.robin(1, 1)])
+def test_step_bit_identical_to_seed_formulas(bc):
+    """The shared kernel keeps the operation order (and the contiguous pow
+    layout) of the original expressions, on both the Taylor start and the
+    leapfrog level, for p = 2 and a non-integer p."""
+    grid = RadialGrid(r_max=41.0, n=2000)
+    p = ExponentVector.of(2.0, 1.4)
+    rng = np.random.default_rng(7)
+    # magnitudes up to 1e8, so that |u|^p dominates the update's last bit
+    u, v, u_prev = rng.standard_normal((3, 2, 2001)) * 10.0 ** rng.uniform(-3, 8, (3, 2, 2001))
+    dt = 0.9 * grid.dr
+    for prev in (None, u_prev):
+        state = apply_boundary(RadialState(t=0.5, u=u, v=v, u_prev=prev), bc)
+        got = step(state, dt, p, 3, bc, grid)
+        want = _seed_step(state, dt, p, 3, bc, grid)
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.v, want.v)
+
+
+def _subcritical(eps):
+    # configs/subcritical_d3.ini at one epsilon
+    return SolverConfig.with_auto_domain(
+        p=P14, d=3, bc=DIRICHLET, n=4000, T_end=180.0,
+        data=InitialData(center=1.3, width=0.25, epsilon=eps), history_snapshots=256,
+    )
+
+
+def _robin(**kw):
+    return SolverConfig.with_auto_domain(
+        p=ExponentVector.of(1.4, 2.0), d=3, bc=BoundaryCondition.robin(1, 1), n=1500,
+        T_end=60.0, data=InitialData(epsilon=0.5), **{"history_snapshots": 64, **kw},
+    )
+
+
+def _source_case():
+    grid = RadialGrid(r_max=5.0, n=400)
+    r = grid.r
+
+    def source(t):
+        return np.exp(-t) * np.exp(-((r - 2.0) ** 2))[None, :] * np.ones((2, 1))
+
+    cfg = SolverConfig(
+        p=ExponentVector.of(2.0, 3.0), d=3, bc=NEUMANN, grid=grid, T_end=2.0,
+        data=InitialData(epsilon=0.3), history_snapshots=16, record_velocity=True,
+    )
+    return cfg, source
+
+
+GATE_CASES = {
+    "subcritical-0.8": lambda: (_subcritical(0.8), None),
+    "subcritical-0.4": lambda: (_subcritical(0.4), None),
+    # configs/critical_d2_neumann.ini at eps = 0.75: p = 2 exercises the
+    # layout-dependent last bit of numpy's pow
+    "neumann-p2": lambda: (
+        SolverConfig.with_auto_domain(
+            p=ExponentVector.of(2.0, 2.0), d=2, bc=NEUMANN, n=4000, T_end=60.0,
+            data=InitialData(epsilon=0.75), history_snapshots=0,
+        ),
+        None,
+    ),
+    "robin": lambda: (_robin(), None),
+    "survived-horizon": lambda: (replace(_robin(), T_end=5.0), None),
+    "record-velocity": lambda: (_robin(record_velocity=True), None),
+    "source": _source_case,
+    # a threshold no finite peak crosses: the run ends on the overflow
+    "overflow": lambda: (_robin(blowup_threshold=1e308, history_snapshots=0), None),
+    # coarse grid, near-linear growth: the state passes through peaks of
+    # 1e306..1e308, where the velocity overflows a step before the
+    # displacement does
+    "velocity-overflow": lambda: (
+        SolverConfig(
+            p=ExponentVector.of(1.001), d=3, bc=DIRICHLET, grid=RadialGrid(r_max=41.0, n=24),
+            T_end=24.0, data=InitialData(center=10.0, width=6.0, epsilon=1e300),
+            blowup_threshold=math.inf, history_snapshots=0,
+        ),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(GATE_CASES))
+def test_run_bit_identical_to_step_loop(case):
+    cfg, source = GATE_CASES[case]()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = run(cfg, source=source)
+        ref = _step_loop(cfg, source=source)
+    assert rec.verdict is ref["verdict"]
+    assert rec.t_blow == ref["t_blow"]
+    assert rec.t_final == ref["t_final"]
+    assert rec.nan_encountered == ref["nan_encountered"]
+    assert rec.threshold_crossings == ref["threshold_crossings"]
+    assert np.array_equal(rec.peak_times, ref["peak_times"])
+    assert np.array_equal(rec.peaks, ref["peaks"])
+    hist = rec.history
+    if ref["history_u"] is None:
+        assert hist is None
+    else:
+        assert np.array_equal(hist.times, ref["history_t"])
+        assert np.array_equal(hist.u, ref["history_u"])
+        if ref["history_v"] is None:
+            assert hist.v is None
+        else:
+            assert np.array_equal(hist.v, ref["history_v"])
+    if case in ("overflow", "velocity-overflow"):
+        assert rec.nan_encountered and rec.verdict is Verdict.BLEW_UP
+    if case == "survived-horizon":
+        assert rec.verdict is Verdict.SURVIVED

@@ -7,7 +7,7 @@ Subcommands:
     simulate      one run from a config file
     sweep         epsilon sweep from a config file, with report files
     fit           scaling-law fit of a sweep.csv
-    report        regenerate report files from a records.json directory
+    report        regenerate sweep.csv and sweep_loglog.dat from records.json
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -33,7 +32,9 @@ from .harness import (
     record_to_dict,
     report,
     sweep,
+    sweep_row,
     verify_cutoff_estimates,
+    write_tables,
 )
 from .config import solver_config_from_ini, sweep_spec_from_ini
 from .solver import run
@@ -146,7 +147,8 @@ def cmd_sweep(args) -> int:
             fit = fit_scaling(pts, FitModel.POWER, b_theory=theory["exponent"])
         elif theory.get("form") == "polynomial-log":
             fit = fit_scaling(pts, FitModel.POWER_LOG, b_theory=theory["exponent"])
-    for row in result.rows():
+    for rec in result.runs:
+        row = sweep_row(record_to_dict(rec))
         print(
             f"eps={row['epsilon']:<10g} verdict={row['verdict']:<17s} "
             f"t_blow={row['t_blow']} horizon={row['horizon']:g}"
@@ -171,46 +173,14 @@ def cmd_fit(args) -> int:
                 pts.append((float(row["epsilon"]), float(row["t_blow"])))
     model = FitModel(args.model)
     fit = fit_scaling(pts, model, b_theory=args.b_theory)
-    print(
-        json.dumps(
-            {
-                "model": fit.model.value,
-                "amplitude": fit.amplitude,
-                "slope": fit.slope,
-                "residual": fit.residual,
-                "b_theory": fit.b_theory,
-                "deviation": fit.deviation,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(fit.to_dict(), indent=2))
     return 0
 
 
 def cmd_report(args) -> int:
-    indir = Path(args.dir)
-    records = json.loads((indir / "records.json").read_text())
-    csv_path = indir / "sweep.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["epsilon", "t_blow", "horizon", "verdict"])
-        writer.writeheader()
-        for rec in records:
-            writer.writerow(
-                {
-                    "epsilon": rec["config"]["data"]["epsilon"],
-                    "t_blow": rec["t_blow"] if rec["t_blow"] is not None else "",
-                    "horizon": rec["config"]["T_end"],
-                    "verdict": rec["verdict"],
-                }
-            )
-    plot_path = indir / "sweep_loglog.dat"
-    lines = ["# log10(1/eps)  log10(t_blow)"]
-    for rec in records:
-        if rec["t_blow"]:
-            e = rec["config"]["data"]["epsilon"]
-            lines.append(f"{math.log10(1 / e):.10g} {math.log10(rec['t_blow']):.10g}")
-    plot_path.write_text("\n".join(lines) + "\n")
-    print(f"wrote: {csv_path}, {plot_path}")
+    records = json.loads((Path(args.dir) / "records.json").read_text())
+    paths = write_tables(records, args.dir)
+    print("wrote:", ", ".join(str(p) for p in paths))
     return 0
 
 

@@ -12,8 +12,8 @@ Plain INI text with nested sections, e.g.::
 
     [grid]
     n = 4000
-    r_max = auto      ; or a number; auto sizes from the propagation cone
-    margin = 1.0
+    r_max = auto      ; or a number
+    margin = 1.0      ; used by auto only
 
     [time]
     t_end = 120.0
@@ -37,6 +37,14 @@ Plain INI text with nested sections, e.g.::
     workers = 1
 
 CLI flags override individual keys.
+
+Grid rule: ``r_max = auto`` sizes the domain from unit-speed propagation,
+``r_max = 1 + (center + width - 1) + t_end + margin``
+(``SolverConfig.with_auto_domain``); a number is used as given and
+``margin`` is ignored.  A sweep keeps ``n`` and this ``r_max`` and, for a run
+whose horizon T_end differs from ``t_end``, extends ``r_max`` by
+``T_end - t_end``, so the margin or explicit ``r_max`` of the file holds for
+every run.
 """
 
 from __future__ import annotations
@@ -90,27 +98,22 @@ def solver_config_from_ini(
         ),
     )
 
-    T_end = cfg.getfloat("time", "t_end")
-    cfl = cfg.getfloat("time", "cfl", fallback=0.9)
-    n = cfg.getint("grid", "n")
-    r_max_raw = cfg.get("grid", "r_max", fallback="auto").strip().lower()
-    margin = cfg.getfloat("grid", "margin", fallback=1.0)
-    if r_max_raw == "auto":
-        r_max = 1.0 + (data.support_outer - 1.0) + T_end + margin
-    else:
-        r_max = float(r_max_raw)
-
-    return SolverConfig(
+    fields = dict(
         p=p,
         d=d,
         bc=bc,
-        grid=RadialGrid(r_max=r_max, n=n),
-        T_end=T_end,
+        T_end=cfg.getfloat("time", "t_end"),
         data=data,
-        cfl=cfl,
+        cfl=cfg.getfloat("time", "cfl", fallback=0.9),
         blowup_threshold=cfg.getfloat("thresholds", "blowup", fallback=1e8),
         history_snapshots=cfg.getint("history", "snapshots", fallback=256),
     )
+    n = cfg.getint("grid", "n")
+    r_max = cfg.get("grid", "r_max", fallback="auto").strip().lower()
+    if r_max == "auto":
+        margin = cfg.getfloat("grid", "margin", fallback=1.0)
+        return SolverConfig.with_auto_domain(n=n, margin=margin, **fields)
+    return SolverConfig(grid=RadialGrid(r_max=float(r_max), n=n), **fields)
 
 
 def sweep_spec_from_ini(path: str | Path, overrides: dict | None = None) -> SweepSpec:

@@ -76,8 +76,6 @@ class SweepSpec:
     epsilons: tuple[float, ...]
     horizon: HorizonRule = HorizonRule()
     workers: int = 1
-    auto_domain: bool = True
-    domain_margin: float = 1.0
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
@@ -86,9 +84,8 @@ class SweepSpec:
             raise ValueError("epsilon list must not be empty")
         if any(e <= 0 for e in eps):
             raise ValueError("epsilons must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])) and len(eps) > 1:
-            if not all(b < a for a, b in zip(eps, eps[1:])):
-                raise ValueError("epsilons must be strictly decreasing")
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            raise ValueError("epsilons must be strictly decreasing")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -100,42 +97,21 @@ class SweepResult:
     theory_bound: dict | None
     timings: tuple[float, ...]
 
-    def points(self) -> list[tuple[float, float]]:
-        """(eps, t_blow) for the runs that blew up."""
-        return [
-            (rec.config.data.epsilon, rec.t_blow)
-            for rec in self.runs
-            if rec.verdict is Verdict.BLEW_UP and rec.t_blow is not None
-        ]
-
-    def rows(self) -> list[dict]:
-        out = []
-        for rec in self.runs:
-            out.append(
-                {
-                    "epsilon": rec.config.data.epsilon,
-                    "t_blow": rec.t_blow if rec.t_blow is not None else "",
-                    "horizon": rec.config.T_end,
-                    "verdict": rec.verdict.value,
-                }
-            )
-        return out
-
 
 def _config_for(spec: SweepSpec, epsilon: float, T_end: float) -> SolverConfig:
+    """The base config at this epsilon and horizon.  The base grid is kept,
+    its r_max shifted by the change of horizon, so the margin (or explicit
+    r_max) the base was built with holds at every horizon."""
     base = spec.base
-    data = replace(base.data, epsilon=epsilon)
-    if spec.auto_domain:
-        r_max = 1.0 + (data.support_outer - 1.0) + T_end + spec.domain_margin
-        grid = RadialGrid(r_max=r_max, n=base.grid.n)
-    else:
-        grid = base.grid
-    return replace(base, data=data, grid=grid, T_end=T_end)
+    grid = base.grid
+    if T_end != base.T_end:
+        grid = RadialGrid(r_max=grid.r_max + (T_end - base.T_end), n=grid.n)
+    return replace(base, data=replace(base.data, epsilon=epsilon), grid=grid, T_end=T_end)
 
 
-def _theory_bound(spec: SweepSpec) -> dict | None:
+def _theory_bound(p: ExponentVector, d: int, bc: BoundaryCondition) -> dict:
     try:
-        bound = classify_regime(spec.base.p, spec.base.d, spec.base.bc)
+        bound = classify_regime(p, d, bc)
     except CriticalUnequalTwoDError:
         return {"form": "open-problem", "exponent": None}
     return {"form": bound.form.value, "exponent": bound.exponent}
@@ -144,11 +120,12 @@ def _theory_bound(spec: SweepSpec) -> dict | None:
 def sweep(spec: SweepSpec) -> SweepResult:
     """One deterministic run per epsilon; per-run failures abort the sweep
     only for configuration errors, never for blow-up/NaN outcomes."""
-    theory = _theory_bound(spec)
+    theory = _theory_bound(spec.base.p, spec.base.d, spec.base.bc)
     horizons: list[float]
     records: dict[int, RunRecord] = {}
     eps = spec.epsilons
     rule = spec.horizon
+    timings = [0.0] * len(eps)
 
     if (
         rule.mode is HorizonMode.BOUND_AWARE
@@ -168,16 +145,15 @@ def sweep(spec: SweepSpec) -> SweepResult:
             ]
             # the largest-epsilon run IS the pilot
             records[0] = pilot
+            timings[0] = pilot_time
             horizons[0] = pilot_cfg.T_end
         else:
             warnings.warn("pilot run did not blow up; falling back to fixed horizons")
             horizons = [rule.T_fixed] * len(eps)
     else:
         horizons = [rule.T_fixed] * len(eps)
-        pilot_time = 0.0
 
     configs = [_config_for(spec, e, h) for e, h in zip(eps, horizons)]
-    timings = [0.0] * len(eps)
     pending = [i for i in range(len(eps)) if i not in records]
     if spec.workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
@@ -192,8 +168,6 @@ def sweep(spec: SweepSpec) -> SweepResult:
             t0 = time.perf_counter()
             records[i] = run(configs[i])
             timings[i] = time.perf_counter() - t0
-    if 0 in records and timings[0] == 0.0:
-        timings[0] = pilot_time
     ordered = tuple(records[i] for i in range(len(eps)))
     return SweepResult(spec=spec, runs=ordered, theory_bound=theory, timings=tuple(timings))
 
@@ -221,6 +195,17 @@ class FitResult:
         if self.b_theory in (None, 0.0):
             return None
         return abs(self.slope - self.b_theory) / abs(self.b_theory)
+
+    def to_dict(self) -> dict:
+        """The fit as written by ``exwave fit`` and into manifest.json."""
+        return {
+            "model": self.model.value,
+            "amplitude": self.amplitude,
+            "slope": self.slope,
+            "residual": self.residual,
+            "b_theory": self.b_theory,
+            "deviation": self.deviation,
+        }
 
 
 def fit_scaling(
@@ -411,70 +396,85 @@ def record_to_dict(rec: RunRecord) -> dict:
     }
 
 
-def report(
-    result: SweepResult,
-    outdir: str | Path,
-    fit: FitResult | None = None,
-) -> list[Path]:
-    """Write sweep.csv, records.json, manifest.json and plot-data files.
+def sweep_row(rec: dict) -> dict:
+    """One sweep.csv row from a ``record_to_dict`` record."""
+    return {
+        "epsilon": rec["config"]["data"]["epsilon"],
+        "t_blow": rec["t_blow"] if rec["t_blow"] is not None else "",
+        "horizon": rec["config"]["T_end"],
+        "verdict": rec["verdict"],
+    }
 
-    The CSV and plot-data contents are deterministic functions of the sweep
-    result; wall-clock metadata is confined to the manifest.  The theoretical
-    slope in the plot data is recomputed from the regime classifier here, not
-    cached from the sweep.
+
+def write_tables(records: Sequence[dict], outdir: str | Path) -> list[Path]:
+    """Write sweep.csv and sweep_loglog.dat from ``record_to_dict`` records.
+
+    Both files are deterministic functions of the records.  The theory line
+    in the plot data has the slope of the regime classifier's exponent for
+    the records' (p, d, alpha, beta), recomputed here, and passes through the
+    first blow-up point.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-
     csv_path = outdir / "sweep.csv"
     with csv_path.open("w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["epsilon", "t_blow", "horizon", "verdict"]
         )
         writer.writeheader()
-        for row in result.rows():
-            writer.writerow(row)
-    written.append(csv_path)
+        for rec in records:
+            writer.writerow(sweep_row(rec))
 
-    records_path = outdir / "records.json"
-    records_path.write_text(
-        json.dumps([record_to_dict(rec) for rec in result.runs], indent=2, sort_keys=True)
-    )
-    written.append(records_path)
-
-    theory = _theory_bound(result.spec)
     plot_path = outdir / "sweep_loglog.dat"
     lines = ["# log10(1/eps)  log10(t_blow)  log10(theory_line)"]
-    pts = result.points()
+    pts = [
+        (rec["config"]["data"]["epsilon"], rec["t_blow"])
+        for rec in records
+        if rec["verdict"] == Verdict.BLEW_UP.value and rec["t_blow"] is not None
+    ]
     if pts:
+        cfg = records[0]["config"]
+        b = _theory_bound(
+            ExponentVector(tuple(cfg["p"])),
+            cfg["d"],
+            BoundaryCondition(cfg["alpha"], cfg["beta"]),
+        )["exponent"]
         anchor_eps, anchor_T = pts[0]
-        b = theory["exponent"] if theory and theory.get("exponent") else None
         for e, T in pts:
             x = math.log10(1.0 / e)
             y = math.log10(T)
-            if b is not None:
+            if b:
                 ytheory = math.log10(anchor_T) + b * (x - math.log10(1.0 / anchor_eps))
                 lines.append(f"{x:.10g} {y:.10g} {ytheory:.10g}")
             else:
                 lines.append(f"{x:.10g} {y:.10g} nan")
     plot_path.write_text("\n".join(lines) + "\n")
-    written.append(plot_path)
+    return [csv_path, plot_path]
 
+
+def report(
+    result: SweepResult,
+    outdir: str | Path,
+    fit: FitResult | None = None,
+) -> list[Path]:
+    """Write sweep.csv, records.json, sweep_loglog.dat and manifest.json.
+
+    The tables come from the records (``write_tables``), so ``exwave report``
+    regenerates them byte for byte from records.json; wall-clock metadata is
+    confined to the manifest.
+    """
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    records = [record_to_dict(rec) for rec in result.runs]
+    records_path = outdir / "records.json"
+    records_path.write_text(json.dumps(records, indent=2, sort_keys=True))
+    csv_path, plot_path = write_tables(records, outdir)
+
+    base = result.spec.base
     manifest = {
-        "config_hash": config_hash(result.spec.base),
+        "config_hash": config_hash(base),
         "epsilons": list(result.spec.epsilons),
-        "theory_bound": theory,
-        "fit": None
-        if fit is None
-        else {
-            "model": fit.model.value,
-            "amplitude": fit.amplitude,
-            "slope": fit.slope,
-            "residual": fit.residual,
-            "b_theory": fit.b_theory,
-            "deviation": fit.deviation,
-        },
+        "theory_bound": _theory_bound(base.p, base.d, base.bc),
+        "fit": None if fit is None else fit.to_dict(),
         "versions": {
             "exwave": __version__,
             "numpy": np.__version__,
@@ -484,8 +484,7 @@ def report(
     }
     manifest_path = outdir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    written.append(manifest_path)
-    return written
+    return [csv_path, records_path, plot_path, manifest_path]
 
 
 def history_to_csv(rec: RunRecord, path: str | Path) -> Path:

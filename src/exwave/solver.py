@@ -434,6 +434,12 @@ class SolutionHistory:
     horizon: float = math.inf    # configured T_end of the producing run
 
 
+def _dependence_radius(data: InitialData, T_end: float) -> float:
+    """The one r_max rule: a unit-speed signal leaving the bump's outer edge
+    reaches r = 1 + (support_outer - 1) + T_end by the horizon."""
+    return 1.0 + (data.support_outer - 1.0) + T_end
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     p: ExponentVector
@@ -468,7 +474,7 @@ class SolverConfig:
     def domain_of_dependence_ok(self) -> bool:
         """Unit propagation speed: the outer edge never influences the run if
         r_max >= 1 + support + T_end."""
-        return self.grid.r_max >= 1.0 + (self.data.support_outer - 1.0) + self.T_end
+        return self.grid.r_max >= _dependence_radius(self.data, self.T_end)
 
     @classmethod
     def with_auto_domain(
@@ -482,8 +488,8 @@ class SolverConfig:
         margin: float = 1.0,
         **kwargs,
     ) -> "SolverConfig":
-        """Size r_max from the domain-of-dependence rule."""
-        r_max = 1.0 + (data.support_outer - 1.0) + T_end + margin
+        """Size r_max from the domain-of-dependence rule plus ``margin``."""
+        r_max = _dependence_radius(data, T_end) + margin
         return cls(
             p=p, d=d, bc=bc, grid=RadialGrid(r_max=r_max, n=n), T_end=T_end,
             data=data, **kwargs,

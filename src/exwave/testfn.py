@@ -166,9 +166,6 @@ class ScaledCutoff:
         val = cutoff_value(self.rho(t, r), star=star) ** (self.profile.lam + 2.0)
         return val
 
-    def in_QR(self, t, r):
-        return self.rho(t, r) < 1.0
-
 
 def psi(r, d: int, bc: BoundaryCondition):
     """Harmonic weight Psi on r >= 1.
@@ -215,11 +212,6 @@ def psi_prime(r, d: int, bc: BoundaryCondition):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def psi_gradient_magnitude(r, d: int, bc: BoundaryCondition):
-    """|grad Psi| = Psi'(r): 1/r (d=2), (d-2)/r^(d-1) (d>=3), 1 (d=1), 0 (Neumann)."""
-    return psi_prime(r, d, bc)
 
 
 @dataclass(frozen=True)

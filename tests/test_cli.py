@@ -127,3 +127,33 @@ def test_cli_sweep_fit_report_pipeline(config_file, tmp_path, capsys):
     code = main(["report", str(out)])
     assert code == 0
     assert (out / "sweep_loglog.dat").exists()
+
+
+def test_cli_report_reproduces_sweep_tables(config_file, tmp_path):
+    out = tmp_path / "sweepdir"
+    assert main(["sweep", str(config_file), "--eps-list", "0.8,0.6", "--out", str(out)]) == 0
+    tables = ("sweep.csv", "sweep_loglog.dat")
+    written = {name: (out / name).read_bytes() for name in tables}
+    for name in tables:
+        (out / name).unlink()
+    assert main(["report", str(out)]) == 0
+    for name in tables:
+        assert (out / name).read_bytes() == written[name], name
+    # the theory column survives the round trip
+    assert written["sweep_loglog.dat"].splitlines()[1].split()[2] != b"nan"
+
+
+@pytest.mark.parametrize(
+    "grid_lines, r_max",
+    [("r_max = auto\nmargin = 3.0", 35.5), ("r_max = 50.0\nmargin = 1.0", 50.0)],
+    ids=["margin", "explicit-r_max"],
+)
+def test_sweep_uses_the_simulate_grid(tmp_path, capsys, grid_lines, r_max):
+    path = tmp_path / "grid.ini"
+    path.write_text(CONFIG_TEXT.replace("r_max = auto\nmargin = 1.0", grid_lines))
+    assert main(["simulate", str(path), "--out", str(tmp_path / "one")]) == 0
+    assert main(["sweep", str(path), "--out", str(tmp_path / "many")]) == 0
+    single = json.loads((tmp_path / "one" / "run.json").read_text())
+    records = json.loads((tmp_path / "many" / "records.json").read_text())
+    assert single["config"]["r_max"] == r_max
+    assert [rec["config"]["r_max"] for rec in records] == [r_max] * len(records)

@@ -168,6 +168,8 @@ def test_sweep_validations():
     with pytest.raises(ValueError):
         SweepSpec(base=base, epsilons=(0.4, 0.8))
     with pytest.raises(ValueError):
+        SweepSpec(base=base, epsilons=(0.8, 0.8))
+    with pytest.raises(ValueError):
         SweepSpec(base=base, epsilons=(0.8, -0.1))
 
 

@@ -14,7 +14,7 @@ from exwave.testfn import (
     phi_R_derivatives,
     phi_R_radial_derivative,
     psi,
-    psi_gradient_magnitude,
+    psi_prime,
 )
 
 BCS = [
@@ -104,10 +104,10 @@ def test_psi_values():
 
 
 def test_psi_gradient_values():
-    assert psi_gradient_magnitude(2.0, 2, BoundaryCondition.dirichlet()) == pytest.approx(0.5)
-    assert psi_gradient_magnitude(3.0, 5, BoundaryCondition.dirichlet()) == pytest.approx(1.0 / 27.0)
-    assert psi_gradient_magnitude(7.3, 4, BoundaryCondition.neumann()) == 0.0
-    assert psi_gradient_magnitude(5.0, 1, BoundaryCondition.robin(1, 2)) == 1.0
+    assert psi_prime(2.0, 2, BoundaryCondition.dirichlet()) == pytest.approx(0.5)
+    assert psi_prime(3.0, 5, BoundaryCondition.dirichlet()) == pytest.approx(1.0 / 27.0)
+    assert psi_prime(7.3, 4, BoundaryCondition.neumann()) == 0.0
+    assert psi_prime(5.0, 1, BoundaryCondition.robin(1, 2)) == 1.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])

@@ -41,7 +41,12 @@ from .exponents import (
     classify_regime,
 )
 from .solver import RadialGrid, RunRecord, SolverConfig, Verdict, run
-from .testfn import CutoffProfile, SupRatioSweep, cutoff_estimate_sup_ratios
+from .testfn import (
+    DEFAULT_RHS_R_POWERS,
+    CutoffProfile,
+    SupRatioSweep,
+    cutoff_estimate_sup_ratios,
+)
 
 
 class HorizonMode(str, Enum):
@@ -302,7 +307,7 @@ def verify_cutoff_estimates(
     grid: tuple[int, int] = (512, 512),
     band_limit: float = 4.0,
     exponents: ExponentVector | None = None,
-    rhs_r_powers: tuple[float, float, float, float] | None = None,
+    rhs_r_powers: tuple[float, float, float, float] = DEFAULT_RHS_R_POWERS,
 ) -> EstimateBatchReport:
     """Sup-ratio matrix over the parameter grid.
 
@@ -316,9 +321,6 @@ def verify_cutoff_estimates(
     rows = []
     failures: list[str] = []
     warns: list[str] = []
-    kwargs = {}
-    if rhs_r_powers is not None:
-        kwargs["rhs_r_powers"] = rhs_r_powers
     for lam in lam_list:
         if exponents is not None and lam < CutoffProfile.floor_for(exponents) - 1e-12:
             warns.append(
@@ -328,7 +330,7 @@ def verify_cutoff_estimates(
         for d in d_list:
             for bc in bc_list:
                 by_R = tuple(
-                    cutoff_estimate_sup_ratios(R, lam, d, bc, grid=grid, **kwargs)
+                    cutoff_estimate_sup_ratios(R, lam, d, bc, grid, rhs_r_powers)
                     for R in R_list
                 )
                 row = EstimateBatchRow(lam=lam, d=d, bc=bc, by_R=by_R)

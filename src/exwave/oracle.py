@@ -65,17 +65,18 @@ class OdeSystem:
     def rhs(self) -> Callable[[np.ndarray], np.ndarray]:
         powers = np.asarray(self.p.p, dtype=float)
         k = self.p.k
+        rows = (np.arange(k) - 1) % k  # the row order of np.roll(u, 1)
         if self.order is OdeOrder.FIRST:
 
             def f(y: np.ndarray) -> np.ndarray:
-                return np.abs(np.roll(y, 1)) ** powers
+                return np.abs(y[rows]) ** powers
 
             return f
 
         def f2(y: np.ndarray) -> np.ndarray:
             u, w = y[:k], y[k:]
             du = w
-            dw = -w + np.abs(np.roll(u, 1)) ** powers
+            dw = -w + np.abs(u[rows]) ** powers
             return np.concatenate([du, dw])
 
         return f2

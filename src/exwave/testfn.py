@@ -146,6 +146,11 @@ class CutoffProfile:
         return self.lam >= self.floor_for(p) - 1e-12
 
 
+def _scaled_argument(t, r, R: float):
+    """rho = (t^2 + (r-1)^4) / R^4, the argument of phi in phi_R."""
+    return (t**2 + (r - 1.0) ** 4) / R**4
+
+
 @dataclass(frozen=True)
 class ScaledCutoff:
     """phi_R and phi*_R at scale R > 0 (space-time argument t^2 + (r-1)^4)."""
@@ -158,9 +163,8 @@ class ScaledCutoff:
             raise ValueError("R must be positive")
 
     def rho(self, t, r):
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        return (t**2 + (r - 1.0) ** 4) / self.R**4
+        t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
+        return _scaled_argument(t, r, self.R)
 
     def phi_R(self, t, r, star: bool = False):
         val = cutoff_value(self.rho(t, r), star=star) ** (self.profile.lam + 2.0)
@@ -255,7 +259,7 @@ class HarmonicWeight:
 # ---------------------------------------------------------------------------
 
 def phi_R_derivatives(t, r, R: float, lam: float, d: int):
-    """(phi_R, d_t phi_R, d_tt phi_R, Lap phi_R, |grad phi_R|) at (t, r).
+    """(phi_R, d_t phi_R, d_tt phi_R, Lap phi_R, signed d_r phi_R <= 0) at (t, r).
 
     With rho = (t^2 + (r-1)^4)/R^4 and c = lam + 2:
 
@@ -278,8 +282,7 @@ def phi_R_derivatives(t, r, R: float, lam: float, d: int):
         raise ValueError("R must be positive")
     c = lam + 2.0
     R4 = R**4
-    rho = (t**2 + (r - 1.0) ** 4) / R4
-    phi, dphi, ddphi = cutoff_profile_derivatives(rho)
+    phi, dphi, ddphi = cutoff_profile_derivatives(_scaled_argument(t, r, R))
     with np.errstate(under="ignore"):
         pc = phi**c
         pcm1 = phi ** (c - 1.0)
@@ -298,26 +301,22 @@ def phi_R_derivatives(t, r, R: float, lam: float, d: int):
             + (16.0 * c / R4**2) * s**6 * pcm1 * ddphi
         )
         lap = d_rr + ((d - 1.0) / r) * d_r
-    return pc, d_t, d_tt, lap, np.abs(d_r)
+    return pc, d_t, d_tt, lap, d_r
+
+
+def _laplacian_psi_times(r, d: int, bc: BoundaryCondition, lap, d_r):
+    """Lap(Psi phi_R) = 2 Psi' d_r phi_R + Psi Lap phi_R (Psi harmonic)."""
+    return 2.0 * psi_prime(r, d, bc) * d_r + psi(r, d, bc) * lap
 
 
 def phi_R_radial_derivative(t, r, R: float, lam: float):
-    """Signed d_r phi_R (needed for grad Psi . grad phi_R; it is <= 0)."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    c = lam + 2.0
-    R4 = R**4
-    rho = (t**2 + (r - 1.0) ** 4) / R4
-    phi, dphi, _ = cutoff_profile_derivatives(rho)
-    with np.errstate(under="ignore"):
-        return (4.0 * c / R4) * (r - 1.0) ** 3 * phi ** (c - 1.0) * dphi
+    """Signed d_r phi_R <= 0; the dimension does not enter it."""
+    return phi_R_derivatives(t, r, R, lam, 1)[4]
 
 
 def laplacian_psi_phi_R(t, r, R: float, lam: float, d: int, bc: BoundaryCondition):
     """Lap(Psi phi_R) = 2 grad Psi . grad phi_R + Psi Lap phi_R (Psi harmonic)."""
-    _, _, _, lap, _ = phi_R_derivatives(t, r, R, lam, d)
-    d_r = phi_R_radial_derivative(t, r, R, lam)
-    return 2.0 * psi_prime(r, d, bc) * d_r + psi(r, d, bc) * lap
+    return _laplacian_psi_times(r, d, bc, *phi_R_derivatives(t, r, R, lam, d)[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,6 @@ def cutoff_estimate_sup_ratios(
     grid: tuple[int, int] = (512, 512),
     rhs_r_powers: tuple[float, float, float, float] = DEFAULT_RHS_R_POWERS,
     rhs_phi_powers: tuple[float, float, float, float] | None = None,
-    ratio_cap: float | None = None,
 ) -> SupRatioSweep:
     """Measure the four derivative-estimate ratios on a dense sample of Q_R.
 
@@ -373,7 +371,7 @@ def cutoff_estimate_sup_ratios(
     t = np.linspace(0.0, R**2, nt)
     r = 1.0 + np.linspace(0.0, R, nr)
     T, Rr = np.meshgrid(t, r, indexing="ij")
-    rho = (T**2 + (Rr - 1.0) ** 4) / R**4
+    rho = _scaled_argument(T, Rr, R)
     inside = rho < 1.0
     T = T[inside]
     Rr = Rr[inside]
@@ -387,8 +385,8 @@ def cutoff_estimate_sup_ratios(
             lam / (lam + 2.0),
         )
 
-    _, d_t, d_tt, lap, _ = phi_R_derivatives(T, Rr, R, lam, d)
-    lap_psi_phi = laplacian_psi_phi_R(T, Rr, R, lam, d, bc)
+    _, d_t, d_tt, lap, d_r = phi_R_derivatives(T, Rr, R, lam, d)
+    lap_psi_phi = _laplacian_psi_times(Rr, d, bc, lap, d_r)
     psi_vals = psi(Rr, d, bc)
 
     # phi*_R^q computed at base-profile level to dodge double underflow:
@@ -413,10 +411,6 @@ def cutoff_estimate_sup_ratios(
                     f"over vanishing right side at (t, r) = ({T[j]:.4g}, {Rr[j]:.4g})"
                 )
             sup = float(np.max(lhs[usable] / rhs[usable])) if np.any(usable) else 0.0
-            if ratio_cap is not None and sup > ratio_cap:
-                violations.append(
-                    f"estimate ({'i' * (i + 1)}): sup ratio {sup:.3e} exceeds cap {ratio_cap:.3e}"
-                )
             ratios.append(sup)
 
     return SupRatioSweep(

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from exwave import testfn
 from exwave.exponents import BoundaryCondition, ExponentVector
 from exwave.testfn import (
     CutoffProfile,
@@ -179,14 +183,14 @@ def test_phi_R_derivatives_match_finite_differences():
         if not 0.55 < rho < 0.95:  # sample the transition shell
             continue
         pts += 1
-        phi, d_t, d_tt, lap, grad = phi_R_derivatives(t, r, R, lam, d)
+        phi, d_t, d_tt, lap, d_r = phi_R_derivatives(t, r, R, lam, d)
         fd1, fd2 = _fd_time(t, r, R, lam, d)
         assert d_t == pytest.approx(fd1, rel=1e-5, abs=1e-9)
         assert d_tt == pytest.approx(fd2, rel=1e-3, abs=1e-7)
         h = 1e-4
         g = lambda rr: phi_R_derivatives(t, rr, R, lam, d)[0]
         fdr = (g(r + h) - g(r - h)) / (2 * h)
-        assert grad == pytest.approx(abs(fdr), rel=1e-5, abs=1e-9)
+        assert d_r == pytest.approx(fdr, rel=1e-5, abs=1e-9)
         fdrr = (g(r + h) - 2 * g(r) + g(r - h)) / h**2
         assert lap == pytest.approx(fdrr + (d - 1) / r * fdr, rel=1e-3, abs=1e-7)
     assert pts > 20
@@ -252,9 +256,36 @@ def test_sup_ratio_rejects_small_R():
         cutoff_estimate_sup_ratios(1.0, 2.0, 3, BoundaryCondition.dirichlet())
 
 
-def test_sup_ratio_ratio_cap_violation_reported():
-    res = cutoff_estimate_sup_ratios(
-        4.0, 2.0, 3, BoundaryCondition.dirichlet(), grid=(64, 64), ratio_cap=1e-6
-    )
-    assert not res.ok
-    assert any("exceeds cap" in v for v in res.violations)
+def test_sup_ratio_evaluates_the_derivatives_once(monkeypatch):
+    calls = {"phi_R_derivatives": 0, "bridge_derivatives": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(testfn, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(testfn, name, counted)
+    cutoff_estimate_sup_ratios(8.0, 2.0, 3, BoundaryCondition.robin(1.0, 1.0), grid=(64, 64))
+    assert calls == {"phi_R_derivatives": 1, "bridge_derivatives": 1}
+
+
+def test_sup_ratios_match_the_benchmark_reference():
+    """Seed 0 of perfbench's lemma_batch is the acceptance-04 batch: rows in
+    the order lam (5, 2) x d (2, 3) x (Dirichlet, Neumann, Robin(1, 1)), each
+    over R = 4, 8, 16, 32 at 512^2, then the R^-3 mutation at R = 4 and 32."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference_seed0.json"
+    ratios = json.loads(reference.read_text())["lemma_batch"]["ratios"]
+    assert len(ratios) == 2 * 2 * 3 * 4 + 2
+    lam5, lam2, grid = 2.0 / (1.4 - 1.0), 2.0 / (2.0 - 1.0), (512, 512)
+    robin_row = 4 * ((1 * 2 + 1) * 3 + 2)  # lam 2, d 3, Robin
+    sweeps = [
+        cutoff_estimate_sup_ratios(R, lam2, 3, BoundaryCondition.robin(1.0, 1.0), grid)
+        for R in (4.0, 8.0, 16.0, 32.0)
+    ] + [
+        cutoff_estimate_sup_ratios(
+            R, lam5, 3, BoundaryCondition.dirichlet(), grid, (-3.0, -4.0, -2.0, -2.0)
+        )
+        for R in (4.0, 32.0)
+    ]
+    expected = ratios[robin_row:robin_row + 4] + ratios[-2:]
+    for res, ref in zip(sweeps, expected, strict=True):
+        assert res.ratios == pytest.approx(ref, rel=1e-12, abs=0.0)

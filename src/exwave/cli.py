@@ -38,6 +38,7 @@ from .harness import (
 )
 from .config import solver_config_from_ini, sweep_spec_from_ini
 from .solver import run
+from .testfn import CutoffProfile
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -88,7 +89,7 @@ def cmd_verify_lemma(args) -> int:
         if exponents is None:
             lams = (2.0,)
         else:
-            lams = (2.0 / (exponents.p_min - 1.0),)
+            lams = (CutoffProfile.floor_for(exponents),)
     rep = verify_cutoff_estimates(
         R_list=_parse_floats(args.R),
         lam_list=lams,

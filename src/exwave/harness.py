@@ -45,7 +45,7 @@ from .testfn import (
     DEFAULT_RHS_R_POWERS,
     CutoffProfile,
     SupRatioSweep,
-    cutoff_estimate_sup_ratios,
+    _sup_ratio_batch,
 )
 
 
@@ -318,21 +318,18 @@ def verify_cutoff_estimates(
     """
     if not (R_list and lam_list and d_list and bc_list):
         raise ValueError("all parameter lists must be nonempty")
+    sweeps = _sup_ratio_batch(R_list, lam_list, d_list, bc_list, grid, rhs_r_powers)
     rows = []
     failures: list[str] = []
     warns: list[str] = []
-    for lam in lam_list:
+    for lam, by_lam in zip(lam_list, sweeps):
         if exponents is not None and lam < CutoffProfile.floor_for(exponents) - 1e-12:
             warns.append(
                 f"lambda = {lam:g} is below the admissibility floor "
                 f"{CutoffProfile.floor_for(exponents):g} for p = {exponents.p}"
             )
-        for d in d_list:
-            for bc in bc_list:
-                by_R = tuple(
-                    cutoff_estimate_sup_ratios(R, lam, d, bc, grid, rhs_r_powers)
-                    for R in R_list
-                )
+        for d, by_d in zip(d_list, by_lam):
+            for bc, by_R in zip(bc_list, by_d):
                 row = EstimateBatchRow(lam=lam, d=d, bc=bc, by_R=by_R)
                 rows.append(row)
                 for res in by_R:

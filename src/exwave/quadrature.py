@@ -162,6 +162,14 @@ def functional_IR(
     min(horizon, R^2) and the grid must reach 1 + R, otherwise the support of
     phi_R is clipped; ``allow_truncated`` waives the time check (used on
     blown-up runs, whose natural life ends before R^2).
+
+    The quadrature runs over the support of phi_R only: the snapshots up to
+    the first one at t >= R^2 and the nodes up to the first one at
+    r >= 1 + R (R of ``cutoff``).  Every sample left out has weight exactly
+    0.0, and the two kept end lines carry weight 0.0 too, so no trapezoid
+    segment with weight is dropped.  A non-finite ``u`` beyond those end
+    lines therefore does not enter the value (on the full grid, 0.0 * inf
+    would turn it into NaN).
     """
     times = np.asarray(history.times, dtype=float)
     r = np.asarray(history.r, dtype=float)
@@ -178,10 +186,16 @@ def functional_IR(
         raise InsufficientCoverageError(
             f"history ends at t = {times[-1]:.3f} < min(horizon, R^2) = {t_needed:.3f}"
         )
+    # past the first snapshot at t >= R^2 and the first node at r >= 1 + R,
+    # rho >= 1 up to rounding, and phi is exactly 0.0 from rho > 0.9994 on
+    # (the bridge underflows there), so the weight is exactly 0.0
+    m = min(int(np.searchsorted(times, cutoff.R**2)) + 1, times.size)
+    n = min(int(np.searchsorted(r, 1.0 + cutoff.R)) + 1, r.size)
+    times, r = times[:m], r[:n]
     star = which is FunctionalKind.I_R_STAR
     w_r = weight.value(r) * sphere_area(weight.d) * r ** (weight.d - 1)
     cut = cutoff.phi_R(times[:, None], r[None, :], star=star)
-    integrand = np.abs(u[:, ell - 1, :]) ** p_next * cut * w_r[None, :]
+    integrand = np.abs(u[:m, ell - 1, :n]) ** p_next * cut * w_r[None, :]
     inner = np.trapezoid(integrand, r, axis=1)
     value = float(np.trapezoid(inner, times))
     return FunctionalValue(value=max(value, 0.0), R=R, ell=ell, which=which)
@@ -259,7 +273,7 @@ def chain_check(
     if len(C0) != k:
         raise ValueError(f"expected {k} data constants, got {len(C0)}")
     if lam is None:
-        lam = 2.0 / (p.p_min - 1.0)
+        lam = CutoffProfile.floor_for(p)
     report = compute_gamma(p, d)
     weight = HarmonicWeight(d, bc)
     times = np.asarray(history.times, dtype=float)

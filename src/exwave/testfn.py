@@ -22,11 +22,17 @@ derivatives are available in closed form, so the sup-ratio bounds
     |Lap(Psi phi_R)| <= C R^-2 Psi (phi*_R)^(lam/(lam+2))
 
 can be verified numerically on dense samples of Q_R (``cutoff_estimate_sup_ratios``).
+phi_R depends on (t, r) only through tau = t/R^2 and sigma = (r-1)/R, so the
+sweep runs on the scaled grid, whose samples are the same for every R: a batch
+over (lam, d, bc, R) evaluates the bridge once per sample.  With the claimed
+powers of R, ratios (i) and (ii) do not depend on R; R enters (iii) and (iv)
+only through (d-1)/r and Psi(r) at r = 1 + R sigma.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -258,21 +264,46 @@ class HarmonicWeight:
 # phi_R derivatives (chain rule on the bridge)
 # ---------------------------------------------------------------------------
 
+def _scaled_chain_rule(tau, sigma, c: float, phi, dphi, ddphi):
+    """(F, G, H, K): the derivatives of phi_R = phi(rho)^c in the scaled
+    coordinates tau = t/R^2, sigma = (r-1)/R, where rho = tau^2 + sigma^4.
+
+        d_t phi_R  = R^-2 F,  F = 2c tau phi^(c-1) phi'
+        d_tt phi_R = R^-4 G,  G = 2c phi^(c-1) phi' + 4c(c-1) tau^2 phi^(c-2) phi'^2
+                                  + 4c tau^2 phi^(c-1) phi''
+        d_r phi_R  = R^-1 H,  H = 4c sigma^3 phi^(c-1) phi'
+        d_rr phi_R = R^-2 K,  K = 12c sigma^2 phi^(c-1) phi'
+                                  + 16c(c-1) sigma^6 phi^(c-2) phi'^2
+                                  + 16c sigma^6 phi^(c-1) phi''
+
+    ``phi``, ``dphi``, ``ddphi`` are the profile and its rho-derivatives at
+    the samples.  Everything vanishes identically where rho >= 1.
+    """
+    with np.errstate(under="ignore"):
+        pcm1 = phi ** (c - 1.0)
+        a = pcm1 * dphi
+        b = phi ** (c - 2.0) * dphi**2
+        e = pcm1 * ddphi
+        tau2 = tau**2
+        sigma2 = sigma**2
+        sigma6 = sigma2**3
+        F = 2.0 * c * tau * a
+        G = 2.0 * c * a + 4.0 * c * (c - 1.0) * tau2 * b + 4.0 * c * tau2 * e
+        H = 4.0 * c * sigma**3 * a
+        K = (
+            12.0 * c * sigma2 * a
+            + 16.0 * c * (c - 1.0) * sigma6 * b
+            + 16.0 * c * sigma6 * e
+        )
+    return F, G, H, K
+
+
 def phi_R_derivatives(t, r, R: float, lam: float, d: int):
     """(phi_R, d_t phi_R, d_tt phi_R, Lap phi_R, signed d_r phi_R <= 0) at (t, r).
 
-    With rho = (t^2 + (r-1)^4)/R^4 and c = lam + 2:
-
-        d_t phi_R   = (2c/R^4) t phi^(c-1) phi'
-        d_tt phi_R  = (2c/R^4) phi^(c-1) phi' + (4c(c-1)/R^8) t^2 phi^(c-2) phi'^2
-                      + (4c/R^8) t^2 phi^(c-1) phi''
-        d_r phi_R   = (4c/R^4) (r-1)^3 phi^(c-1) phi'
-        d_rr phi_R  = (12c/R^4) (r-1)^2 phi^(c-1) phi'
-                      + (16c(c-1)/R^8) (r-1)^6 phi^(c-2) phi'^2
-                      + (16c/R^8) (r-1)^6 phi^(c-1) phi''
-
-    and Lap phi_R = d_rr phi_R + (d-1)/r * d_r phi_R for the radial Laplacian
-    in d dimensions.  Everything vanishes identically where rho >= 1.
+    The R-scaling of ``_scaled_chain_rule`` with c = lam + 2, and
+    Lap phi_R = d_rr phi_R + (d-1)/r * d_r phi_R for the radial Laplacian in
+    d dimensions.  Everything vanishes identically where rho >= 1.
     """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -281,32 +312,17 @@ def phi_R_derivatives(t, r, R: float, lam: float, d: int):
     if R <= 0:
         raise ValueError("R must be positive")
     c = lam + 2.0
-    R4 = R**4
     phi, dphi, ddphi = cutoff_profile_derivatives(_scaled_argument(t, r, R))
+    F, G, H, K = _scaled_chain_rule(t / R**2, (r - 1.0) / R, c, phi, dphi, ddphi)
     with np.errstate(under="ignore"):
-        pc = phi**c
-        pcm1 = phi ** (c - 1.0)
-        pcm2 = phi ** (c - 2.0)
-        s = r - 1.0
-        d_t = (2.0 * c / R4) * t * pcm1 * dphi
-        d_tt = (
-            (2.0 * c / R4) * pcm1 * dphi
-            + (4.0 * c * (c - 1.0) / R4**2) * t**2 * pcm2 * dphi**2
-            + (4.0 * c / R4**2) * t**2 * pcm1 * ddphi
-        )
-        d_r = (4.0 * c / R4) * s**3 * pcm1 * dphi
-        d_rr = (
-            (12.0 * c / R4) * s**2 * pcm1 * dphi
-            + (16.0 * c * (c - 1.0) / R4**2) * s**6 * pcm2 * dphi**2
-            + (16.0 * c / R4**2) * s**6 * pcm1 * ddphi
-        )
-        lap = d_rr + ((d - 1.0) / r) * d_r
-    return pc, d_t, d_tt, lap, d_r
+        d_r = R**-1.0 * H
+        lap = R**-2.0 * K + ((d - 1.0) / r) * d_r
+        return phi**c, R**-2.0 * F, R**-4.0 * G, lap, d_r
 
 
-def _laplacian_psi_times(r, d: int, bc: BoundaryCondition, lap, d_r):
+def _laplacian_psi_times(psi_r, psi_prime_r, lap, d_r):
     """Lap(Psi phi_R) = 2 Psi' d_r phi_R + Psi Lap phi_R (Psi harmonic)."""
-    return 2.0 * psi_prime(r, d, bc) * d_r + psi(r, d, bc) * lap
+    return 2.0 * psi_prime_r * d_r + psi_r * lap
 
 
 def phi_R_radial_derivative(t, r, R: float, lam: float):
@@ -316,7 +332,8 @@ def phi_R_radial_derivative(t, r, R: float, lam: float):
 
 def laplacian_psi_phi_R(t, r, R: float, lam: float, d: int, bc: BoundaryCondition):
     """Lap(Psi phi_R) = 2 grad Psi . grad phi_R + Psi Lap phi_R (Psi harmonic)."""
-    return _laplacian_psi_times(r, d, bc, *phi_R_derivatives(t, r, R, lam, d)[3:])
+    lap, d_r = phi_R_derivatives(t, r, R, lam, d)[3:]
+    return _laplacian_psi_times(psi(r, d, bc), psi_prime(r, d, bc), lap, d_r)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +341,10 @@ def laplacian_psi_phi_R(t, r, R: float, lam: float, d: int, bc: BoundaryConditio
 # ---------------------------------------------------------------------------
 
 DEFAULT_RHS_R_POWERS = (-2.0, -4.0, -2.0, -2.0)
+
+# tau-rows per block of the sup-ratio sweep; bounds the working set to
+# SUP_RATIO_BLOCK_ROWS x nr samples (the maxima run across blocks)
+SUP_RATIO_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -347,6 +368,154 @@ class SupRatioSweep:
         return not self.violations
 
 
+class _RunningSup:
+    """One estimate's sup of lhs/rhs over the usable samples, and its support
+    violations, accumulated block by block (a max of maxima is exact)."""
+
+    def __init__(self):
+        self.sup = 0.0
+        self.bad_lhs = -np.inf  # largest left side over a vanishing right side
+        self.first_bad = None   # (row, col) of the first such sample
+
+    def add(self, lhs, rhs, rows, cols):
+        usable = rhs >= RHS_FLOOR
+        bad = (~usable) & (lhs >= LHS_FLOOR)
+        if np.any(bad):
+            self.bad_lhs = max(self.bad_lhs, float(lhs[bad].max()))
+            if self.first_bad is None:
+                j = int(np.argmax(bad))
+                self.first_bad = (rows[j], cols[j])
+        if np.any(usable):
+            self.sup = max(self.sup, float(np.max(lhs[usable] / rhs[usable])))
+
+
+def _sup_ratio_batch(
+    R_list,
+    lam_list,
+    d_list,
+    bc_list,
+    grid: tuple[int, int],
+    rhs_r_powers: tuple[float, float, float, float],
+    rhs_phi_powers: tuple[float, float, float, float] | None = None,
+):
+    """Sup-ratio sweeps for every (lam, d, bc, R) on one scaled sample grid.
+
+    ``cutoff_estimate_sup_ratios`` samples t in [0, R^2] and r in [1, 1 + R]
+    on a ``grid`` mesh, which is the same (tau, sigma) mesh for every R.  So
+    the bridge derivatives are evaluated once per sample for the whole batch,
+    the phi powers and phi* once per lam, estimates (i) and (ii) per (lam, R),
+    (iii) per (lam, R, d) and (iv) per (lam, R, d, bc); R enters (iii) and
+    (iv) through (d-1)/r and Psi(r) at r = 1 + R sigma.  The sweep runs over
+    blocks of SUP_RATIO_BLOCK_ROWS tau-rows.
+
+    Returns ``sweeps[i_lam][i_d][i_bc]``, a tuple of ``SupRatioSweep`` over
+    ``R_list``.
+    """
+    if any(R < 2 for R in R_list):
+        raise ValueError("R >= 2 required for a meaningful sweep")
+    nt, nr = grid
+    tau = np.linspace(0.0, 1.0, nt)
+    sigma = np.linspace(0.0, 1.0, nr)
+    sigma4 = sigma**4
+    a1, a2, a3, a4 = rhs_r_powers
+    # the mesh columns r = 1 + R sigma; (d-1)/r per (R, d), (Psi, Psi') per
+    # (R, d, bc)
+    r_cols = [1.0 + np.linspace(0.0, R, nr) for R in R_list]
+    by_d = [
+        [
+            ((d - 1.0) / r, [(psi(r, d, bc), psi_prime(r, d, bc)) for bc in bc_list])
+            for d in d_list
+        ]
+        for r in r_cols
+    ]
+    # acc[il, id, ib, iR] = running sups of (i)..(iv); (i) and (ii) are
+    # shared over (d, bc), (iii) over bc
+    acc = {}
+    for il, iR in product(range(len(lam_list)), range(len(R_list))):
+        e1, e2 = _RunningSup(), _RunningSup()
+        for id_ in range(len(d_list)):
+            e3 = _RunningSup()
+            for ib in range(len(bc_list)):
+                acc[il, id_, ib, iR] = (e1, e2, e3, _RunningSup())
+
+    n_samples = 0
+    with np.errstate(under="ignore"):
+        for i0 in range(0, nt, SUP_RATIO_BLOCK_ROWS):
+            rho = tau[i0:i0 + SUP_RATIO_BLOCK_ROWS, None] ** 2 + sigma4[None, :]
+            rows, cols = np.nonzero(rho < 1.0)
+            n_samples += rows.size
+            rho = rho[rows, cols]
+            phi, dphi, ddphi = cutoff_profile_derivatives(rho)
+            # every left side carries a factor phi' or phi'': where both vanish
+            # (rho <= 1/2, and the rim where the bridge underflows to 0) a
+            # sample adds a zero ratio and cannot be a violation
+            live = (dphi != 0.0) | (ddphi != 0.0)
+            rows, cols = rows[live] + i0, cols[live]
+            phi, dphi, ddphi = phi[live], dphi[live], ddphi[live]
+            star = np.where(rho[live] < 0.5, 0.0, phi)  # phi* from the same phi
+            for il, lam in enumerate(lam_list):
+                c = lam + 2.0
+                F, G, H, K = _scaled_chain_rule(
+                    tau[rows], sigma[cols], c, phi, dphi, ddphi
+                )
+                F, G = np.abs(F), np.abs(G)
+                q = rhs_phi_powers
+                if q is None:
+                    q = ((lam + 1.0) / c, lam / c, lam / c, lam / c)
+                # (phi*_R)^q = phi*^((lam+2) q), at profile level against
+                # double underflow
+                exps = [c * qi for qi in q]
+                powers = {x: star**x for x in set(exps)}
+                S1, S2, S3, S4 = (powers[x] for x in exps)
+                for iR, R in enumerate(R_list):
+                    e1, e2 = acc[il, 0, 0, iR][:2]
+                    e1.add(R**-2.0 * F, R**a1 * S1, rows, cols)
+                    e2.add(R**-4.0 * G, R**a2 * S2, rows, cols)
+                    d_r = R**-1.0 * H
+                    d_rr = R**-2.0 * K
+                    for id_, (curv, weights) in enumerate(by_d[iR]):
+                        lap = d_rr + curv[cols] * d_r
+                        acc[il, id_, 0, iR][2].add(np.abs(lap), R**a3 * S3, rows, cols)
+                        for ib, (psi_r, psi_prime_r) in enumerate(weights):
+                            psi_s = psi_r[cols]
+                            lpp = _laplacian_psi_times(psi_s, psi_prime_r[cols], lap, d_r)
+                            acc[il, id_, ib, iR][3].add(
+                                np.abs(lpp), R**a4 * S4 * psi_s, rows, cols
+                            )
+
+    def sweep(il, id_, ib, iR):
+        R = R_list[iR]
+        ests = acc[il, id_, ib, iR]
+        violations = []
+        for i, est in enumerate(ests):
+            if est.first_bad is not None:
+                row, col = est.first_bad
+                t = np.linspace(0.0, R**2, nt)[row]
+                violations.append(
+                    f"estimate ({'i' * (i + 1)}): left side {est.bad_lhs:.3e} "
+                    f"over vanishing right side at (t, r) = "
+                    f"({t:.4g}, {r_cols[iR][col]:.4g})"
+                )
+        return SupRatioSweep(
+            R=R,
+            lam=lam_list[il],
+            d=d_list[id_],
+            bc=bc_list[ib],
+            ratios=tuple(est.sup for est in ests),
+            n_samples=n_samples,
+            violations=tuple(violations),
+        )
+
+    return [
+        [
+            [tuple(sweep(il, id_, ib, iR) for iR in range(len(R_list)))
+             for ib in range(len(bc_list))]
+            for id_ in range(len(d_list))
+        ]
+        for il in range(len(lam_list))
+    ]
+
+
 def cutoff_estimate_sup_ratios(
     R: float,
     lam: float,
@@ -358,67 +527,13 @@ def cutoff_estimate_sup_ratios(
 ) -> SupRatioSweep:
     """Measure the four derivative-estimate ratios on a dense sample of Q_R.
 
-    ``rhs_r_powers`` and ``rhs_phi_powers`` parametrize the right-hand sides
-    R^a (phi*_R)^q (with an extra factor Psi for the fourth estimate); the
-    defaults are the claimed estimate exponents, and overriding them implements
-    mutation tests.  Samples where the right side underflows are skipped only
-    when the left side vanishes as well; otherwise they are reported as
-    support violations.
+    The samples are the points of a ``grid`` mesh of [0, R^2] x [1, 1 + R]
+    with t^2 + (r-1)^4 < R^4.  ``rhs_r_powers`` and ``rhs_phi_powers``
+    parametrize the right-hand sides R^a (phi*_R)^q (with an extra factor Psi
+    for the fourth estimate); the defaults are the claimed estimate exponents,
+    and overriding them implements mutation tests.  Samples where the right
+    side underflows are skipped only when the left side vanishes as well;
+    otherwise they are reported as support violations.
     """
-    if R < 2:
-        raise ValueError("R >= 2 required for a meaningful sweep")
-    nt, nr = grid
-    t = np.linspace(0.0, R**2, nt)
-    r = 1.0 + np.linspace(0.0, R, nr)
-    T, Rr = np.meshgrid(t, r, indexing="ij")
-    rho = _scaled_argument(T, Rr, R)
-    inside = rho < 1.0
-    T = T[inside]
-    Rr = Rr[inside]
-    rho = rho[inside]
-
-    if rhs_phi_powers is None:
-        rhs_phi_powers = (
-            (lam + 1.0) / (lam + 2.0),
-            lam / (lam + 2.0),
-            lam / (lam + 2.0),
-            lam / (lam + 2.0),
-        )
-
-    _, d_t, d_tt, lap, d_r = phi_R_derivatives(T, Rr, R, lam, d)
-    lap_psi_phi = _laplacian_psi_times(Rr, d, bc, lap, d_r)
-    psi_vals = psi(Rr, d, bc)
-
-    # phi*_R^q computed at base-profile level to dodge double underflow:
-    # (phi*^(lam+2))^q = phi*^((lam+2) q).
-    star = np.asarray(cutoff_value(rho, star=True))
-    lhs_list = [np.abs(d_t), np.abs(d_tt), np.abs(lap), np.abs(lap_psi_phi)]
-    ratios = []
-    violations: list[str] = []
-    with np.errstate(under="ignore"):
-        for i, (lhs, rpow, qpow) in enumerate(
-            zip(lhs_list, rhs_r_powers, rhs_phi_powers)
-        ):
-            rhs = R**rpow * star ** ((lam + 2.0) * qpow)
-            if i == 3:
-                rhs = rhs * psi_vals
-            usable = rhs >= RHS_FLOOR
-            bad = (~usable) & (lhs >= LHS_FLOOR)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                violations.append(
-                    f"estimate ({'i' * (i + 1)}): left side {lhs[bad].max():.3e} "
-                    f"over vanishing right side at (t, r) = ({T[j]:.4g}, {Rr[j]:.4g})"
-                )
-            sup = float(np.max(lhs[usable] / rhs[usable])) if np.any(usable) else 0.0
-            ratios.append(sup)
-
-    return SupRatioSweep(
-        R=R,
-        lam=lam,
-        d=d,
-        bc=bc,
-        ratios=tuple(ratios),
-        n_samples=int(T.size),
-        violations=tuple(violations),
-    )
+    batch = _sup_ratio_batch([R], [lam], [d], [bc], grid, rhs_r_powers, rhs_phi_powers)
+    return batch[0][0][0][0]

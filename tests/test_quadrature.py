@@ -171,6 +171,64 @@ def test_functional_grid_self_consistency():
     assert err12 <= 4.0 * 4.0 * err23  # ratio ~4 expected; slack factor 4
 
 
+def _smooth_history(r_end, t_end, dr=2.0**-7, dt=2.0**-4):
+    r = 1.0 + dr * np.arange(round((r_end - 1.0) / dr) + 1)
+    times = dt * np.arange(round(t_end / dt) + 1)
+    u = np.stack([
+        (1.0 + times[:, None]) * np.exp(-((r - 2.0) ** 2)),
+        np.cos(3.0 * r) * np.exp(-times[:, None] / 4.0),
+    ], axis=1)
+    return SolutionHistory(times=times, r=r, u=u, horizon=times[-1])
+
+
+def _full_grid_functional(hist, ell, p_next, weight, cutoff, star):
+    """trapezoid(trapezoid(|u|^p phi_R w_r)) over every snapshot and node."""
+    r, times = hist.r, hist.times
+    w_r = weight.value(r) * sphere_area(weight.d) * r ** (weight.d - 1)
+    cut = cutoff.phi_R(times[:, None], r[None, :], star=star)
+    integrand = np.abs(hist.u[:, ell - 1, :]) ** p_next * cut * w_r[None, :]
+    return np.trapezoid(np.trapezoid(integrand, r, axis=1), times)
+
+
+@pytest.mark.parametrize("steps", [(2.0**-7, 2.0**-4), (0.25, 0.5)], ids=["fine", "coarse"])
+@pytest.mark.parametrize(
+    "R, r_end, t_end",
+    [
+        (2.0, 5.0, 9.0),      # 1 + R on a node, R^2 on a snapshot
+        (2.1, 5.0, 9.0),      # 1 + R between nodes, R^2 between snapshots
+        (2.0, 5.0, 3.0),      # R^2 past the last snapshot
+        (2.0, 3.0, 9.0),      # the grid ends exactly at 1 + R
+    ],
+)
+@pytest.mark.parametrize("which", list(FunctionalKind))
+def test_functional_on_the_support_matches_the_full_grid(R, r_end, t_end, which, steps):
+    """functional_IR integrates only over the support of phi_R, up to the first
+    snapshot at t >= R^2 and the first node at r >= 1 + R; the samples it
+    leaves out have weight 0.0.  A non-finite u beyond those end lines turns
+    the full-grid sum into NaN but does not enter the functional.  On the
+    coarse grid the last node and snapshot inside the support carry weight,
+    so dropping either end line would show."""
+    hist = _smooth_history(r_end, t_end, *steps)
+    w = HarmonicWeight(3, BoundaryCondition.robin(1.0, 1.0))
+    cut = ScaledCutoff(R=R, profile=CutoffProfile(lam=3.0))
+    star = which is FunctionalKind.I_R_STAR
+    for ell in (1, 2):
+        val = functional_IR(hist, R, ell, which, 1.7, w, cut, allow_truncated=True).value
+        full = _full_grid_functional(hist, ell, 1.7, w, cut, star)
+        assert val > 0.0
+        assert val == pytest.approx(full, rel=1e-12, abs=0.0)
+
+        m = np.searchsorted(hist.times, R**2) + 1
+        n = np.searchsorted(hist.r, 1.0 + R) + 1
+        hist.u[m:, ell - 1, :] = np.nan
+        hist.u[:, ell - 1, n:] = np.inf
+        if m < hist.times.size or n < hist.r.size:
+            with np.errstate(invalid="ignore"):  # inf * 0.0
+                assert np.isnan(_full_grid_functional(hist, ell, 1.7, w, cut, star))
+        again = functional_IR(hist, R, ell, which, 1.7, w, cut, allow_truncated=True)
+        assert again.value == val
+
+
 def test_chain_check_zero_solution():
     p = ExponentVector.of(2.0, 2.0)
     hist = _const_history(0.0, k=2, r_max=6.0, t_max=16.0, nr=301, nt=201)

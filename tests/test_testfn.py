@@ -256,16 +256,130 @@ def test_sup_ratio_rejects_small_R():
         cutoff_estimate_sup_ratios(1.0, 2.0, 3, BoundaryCondition.dirichlet())
 
 
-def test_sup_ratio_evaluates_the_derivatives_once(monkeypatch):
-    calls = {"phi_R_derivatives": 0, "bridge_derivatives": 0}
+def _unscaled_sweep(R, lam, d, bc, grid, rhs_r_powers, rhs_phi_powers):
+    """Reference: the sweep on the (t, r) mesh, one (lam, d, bc, R) at a time."""
+    nt, nr = grid
+    t = np.linspace(0.0, R**2, nt)
+    r = 1.0 + np.linspace(0.0, R, nr)
+    T, Rr = np.meshgrid(t, r, indexing="ij")
+    rho = (T**2 + (Rr - 1.0) ** 4) / R**4
+    inside = rho < 1.0
+    T, Rr, rho = T[inside], Rr[inside], rho[inside]
+    _, d_t, d_tt, lap, _ = phi_R_derivatives(T, Rr, R, lam, d)
+    lhs = [d_t, d_tt, lap, laplacian_psi_phi_R(T, Rr, R, lam, d, bc)]
+    star = cutoff_value(rho, star=True)
+    ratios, violations = [], []
+    with np.errstate(under="ignore"):
+        for i, (left, a, q) in enumerate(zip(lhs, rhs_r_powers, rhs_phi_powers)):
+            left = np.abs(left)
+            right = R**a * star ** ((lam + 2.0) * q) * (psi(Rr, d, bc) if i == 3 else 1.0)
+            usable = right >= testfn.RHS_FLOOR
+            bad = ~usable & (left >= testfn.LHS_FLOOR)
+            if np.any(bad):
+                j = int(np.argmax(bad))
+                violations.append(
+                    f"estimate ({'i' * (i + 1)}): left side {left[bad].max():.3e} "
+                    f"over vanishing right side at (t, r) = ({T[j]:.4g}, {Rr[j]:.4g})"
+                )
+            ratios.append(float(np.max(left[usable] / right[usable], initial=0.0)))
+    return ratios, int(T.size), violations
+
+
+CLAIMED = testfn.DEFAULT_RHS_R_POWERS
+
+
+@pytest.mark.parametrize(
+    "R, lam, d, bc, grid, r_powers, phi_powers, rel",
+    [
+        (4.0, 2.0, 3, BCS[2], (64, 48), CLAIMED, None, 1e-12),
+        (6.0, 5.0, 2, BCS[0], (97, 61), CLAIMED, None, 1e-12),
+        (32.0, 5.0, 3, BCS[0], (128, 128), (-3.0, -4.0, -2.0, -2.0), None, 1e-12),
+        (32.0, 3.0, 4, BCS[3], (256, 200), CLAIMED, (40.0, 1.0, 60.0, 80.0), 1e-12),
+        # phi*^x with x up to 400: near the rim rho -> 1 the rounding of rho
+        # is amplified by about x / (1 - rho)^2, so the two meshes differ more
+        (4.0, 3.0, 3, BCS[2], (128, 128), CLAIMED, (80.0,) * 4, 1e-10),
+    ],
+)
+def test_sup_ratio_batch_matches_the_unscaled_sweep(R, lam, d, bc, grid, r_powers, phi_powers, rel):
+    res = cutoff_estimate_sup_ratios(R, lam, d, bc, grid, r_powers, phi_powers)
+    if phi_powers is None:
+        phi_powers = ((lam + 1.0) / (lam + 2.0),) + (lam / (lam + 2.0),) * 3
+    ratios, n_samples, violations = _unscaled_sweep(R, lam, d, bc, grid, r_powers, phi_powers)
+    assert res.ratios == pytest.approx(ratios, rel=rel, abs=0.0)
+    assert res.n_samples == n_samples
+    assert list(res.violations) == violations
+    assert bool(violations) == (phi_powers[0] >= 40.0)
+
+
+def test_sup_ratio_batch_evaluates_the_bridge_once(monkeypatch):
+    """One verify_cutoff_estimates call evaluates the bridge derivatives on
+    one sweep's samples in total, shared by every (lam, d, bc, R), and never
+    re-runs the bridge for phi*."""
+    from exwave.harness import verify_cutoff_estimates
+
+    sizes = []
+    calls = {"bridge": 0, "cutoff_value": 0}
+    bridge_derivatives_ = testfn.bridge_derivatives
+
+    def counted_derivatives(s):
+        sizes.append(np.size(s))
+        return bridge_derivatives_(s)
+
+    monkeypatch.setattr(testfn, "bridge_derivatives", counted_derivatives)
     for name in calls:
-        def counted(*args, _f=getattr(testfn, name), _name=name):
+        def counted(*args, _f=getattr(testfn, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _f(*args)
+            return _f(*args, **kwargs)
 
         monkeypatch.setattr(testfn, name, counted)
-    cutoff_estimate_sup_ratios(8.0, 2.0, 3, BoundaryCondition.robin(1.0, 1.0), grid=(64, 64))
-    assert calls == {"phi_R_derivatives": 1, "bridge_derivatives": 1}
+    rep = verify_cutoff_estimates(
+        [4.0, 8.0, 16.0], [5.0, 2.0], [2, 3], BCS[:3], grid=(160, 48)
+    )
+    n_samples = {res.n_samples for row in rep.rows for res in row.by_R}
+    assert len(rep.rows) == 2 * 2 * 3 and n_samples == {sum(sizes)}
+    assert len(sizes) > 1  # more than one block
+    assert calls == {"bridge": 0, "cutoff_value": 0}
+
+
+@pytest.mark.parametrize("grid", [(512, 512), (256, 256), (128, 128), (64, 64)])
+def test_sup_ratio_samples_are_the_unscaled_grid(grid):
+    """The scaled mesh tau^2 + sigma^4 < 1 keeps exactly the samples of the
+    t, r mesh with t^2 + (r-1)^4 < R^4, for R = 2, ..., 32."""
+    nt, nr = grid
+    n = cutoff_estimate_sup_ratios(2.0, 2.0, 3, BCS[0], grid).n_samples
+    for R in range(2, 33):
+        t = np.linspace(0.0, R**2, nt)[:, None]
+        r = 1.0 + np.linspace(0.0, R, nr)[None, :]
+        assert np.count_nonzero((t**2 + (r - 1.0) ** 4) / R**4 < 1.0) == n
+
+
+@pytest.mark.parametrize(
+    "rhs_phi_powers", [None, (40.0, 1.0, 60.0, 80.0), (200.0, 200.0, 200.0, 200.0)]
+)
+def test_sup_ratio_blocks_do_not_change_the_result(monkeypatch, rhs_phi_powers):
+    """Ratios, sample counts and violation strings are equal for blocks of
+    1, 7 and all tau-rows; the large phi* powers make violations occur."""
+    from exwave.harness import verify_cutoff_estimates
+
+    grid = (61, 45)
+
+    def run():
+        rep = verify_cutoff_estimates([4.0, 11.3], [5.0, 2.0], [2, 3], BCS[:3], grid=grid)
+        sweeps = [res for row in rep.rows for res in row.by_R] + [
+            cutoff_estimate_sup_ratios(
+                R, 3.0, 4, BCS[3], grid, (-2.0, -4.0, -2.0, -2.0), rhs_phi_powers
+            )
+            for R in (4.0, 32.0)
+        ]
+        return [(res.ratios, res.n_samples, res.violations) for res in sweeps]
+
+    results = []
+    for rows in (1, 7, grid[0]):
+        monkeypatch.setattr(testfn, "SUP_RATIO_BLOCK_ROWS", rows)
+        results.append(run())
+    assert results[0] == results[1] == results[2]
+    if rhs_phi_powers is not None:
+        assert all(violations for *_, violations in results[0][-2:])
 
 
 def test_sup_ratios_match_the_benchmark_reference():

@@ -157,7 +157,8 @@ def cmd_sweep(args) -> int:
     if fit is not None:
         shape = "eps^(-b)" if fit.model is FitModel.POWER else "(log(1/eps)/eps)^b"
         print(
-            f"fit: T = {fit.amplitude:.4g} * {shape}, b = {fit.slope:.4g} "
+            f"fit: T = {fit.amplitude:.4g} * {shape}, "
+            f"b = {fit.slope:.4g} ± {fit.slope_stderr:.2g} "
             f"(theory slope {fit.b_theory:g}, deviation {fit.deviation:.2%})"
         )
     if args.out:

@@ -192,6 +192,7 @@ class FitResult:
     model: FitModel
     amplitude: float
     slope: float
+    slope_stderr: float  # standard error of the slope, from the lstsq covariance
     residual: float
     b_theory: float | None = None
 
@@ -207,6 +208,7 @@ class FitResult:
             "model": self.model.value,
             "amplitude": self.amplitude,
             "slope": self.slope,
+            "slope_stderr": self.slope_stderr,
             "residual": self.residual,
             "b_theory": self.b_theory,
             "deviation": self.deviation,
@@ -242,10 +244,15 @@ def fit_scaling(
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
     residual = float(np.linalg.norm(A @ coef - y))
+    # slope entry of s^2 (A^T A)^-1 with s^2 = residual^2 / (n - 2); the
+    # [0, 0] entry of (A^T A)^-1 is 1 / sum (x - mean x)^2
+    s2 = residual**2 / (len(x) - 2)
+    slope_stderr = math.sqrt(s2 / float(np.sum((x - x.mean()) ** 2)))
     return FitResult(
         model=model,
         amplitude=math.exp(intercept),
         slope=slope,
+        slope_stderr=slope_stderr,
         residual=residual,
         b_theory=b_theory,
     )

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -117,12 +118,15 @@ def test_cli_sweep_fit_report_pipeline(config_file, tmp_path, capsys):
     )
     assert code == 0
     assert (out / "sweep.csv").exists() and (out / "manifest.json").exists()
-    capsys.readouterr()
+    fit_line = re.search(r"b = (\S+) ± (\S+) ", capsys.readouterr().out)
+    manifest_fit = json.loads((out / "manifest.json").read_text())["fit"]
+    assert float(fit_line[2]) == pytest.approx(manifest_fit["slope_stderr"], rel=0.05)
 
     code = main(["fit", str(out / "sweep.csv"), "--b-theory", "1.0"])
     assert code == 0
     fit = json.loads(capsys.readouterr().out)
     assert 0.3 < fit["slope"] < 1.5
+    assert fit["slope_stderr"] == pytest.approx(manifest_fit["slope_stderr"], rel=1e-12)
 
     code = main(["report", str(out)])
     assert code == 0

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from exwave.exponents import BoundaryCondition, ExponentVector
@@ -42,6 +43,7 @@ def test_fit_power_law_exact():
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
     assert fit.amplitude == pytest.approx(1.0, rel=1e-12)
     assert fit.residual == pytest.approx(0.0, abs=1e-12)
+    assert fit.slope_stderr == pytest.approx(0.0, abs=1e-12)
     assert fit.deviation == pytest.approx(0.0, abs=1e-12)
 
 
@@ -50,6 +52,19 @@ def test_fit_power_log_law_exact():
     fit = fit_scaling(pts, FitModel.POWER_LOG)
     assert fit.slope == pytest.approx(2.0, abs=1e-12)
     assert fit.residual == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model", list(FitModel))
+def test_fit_slope_stderr_matches_polyfit_covariance(model):
+    eps = np.array([0.8, 0.5, 0.33, 0.2, 0.12, 0.07])
+    T = np.array([3.1, 5.2, 8.9, 13.0, 24.5, 37.0])
+    fit = fit_scaling(list(zip(eps, T)), model)
+    x = np.log(1.0 / eps) if model is FitModel.POWER else np.log(np.log(1.0 / eps) / eps)
+    coef, cov = np.polyfit(x, np.log(T), 1, cov=True)
+    assert fit.slope == pytest.approx(coef[0], rel=1e-12)
+    assert fit.slope_stderr > 0
+    assert fit.slope_stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
+    assert fit.to_dict()["slope_stderr"] == fit.slope_stderr
 
 
 def test_fit_validations():
@@ -210,6 +225,7 @@ def test_report_files_and_determinism(tmp_path):
     manifest = json.loads((tmp_path / "a/manifest.json").read_text())
     assert manifest["config_hash"] == config_hash(spec.base)
     assert manifest["fit"]["slope"] == pytest.approx(fit.slope)
+    assert manifest["fit"]["slope_stderr"] == fit.slope_stderr
     rows = (tmp_path / "a/sweep.csv").read_text().strip().splitlines()
     assert rows[0] == "epsilon,t_blow,horizon,verdict"
     assert len(rows) == 5

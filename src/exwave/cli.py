@@ -36,13 +36,9 @@ from .harness import (
     verify_cutoff_estimates,
     write_tables,
 )
-from .config import solver_config_from_ini, sweep_spec_from_ini
+from .config import parse_floats, solver_config_from_ini, sweep_spec_from_ini
 from .solver import run
 from .testfn import CutoffProfile
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
 def _bc_from_args(args) -> BoundaryCondition:
@@ -58,14 +54,14 @@ def _emit(record: dict, as_json: bool):
 
 
 def cmd_gamma(args) -> int:
-    rec = gamma_record(ExponentVector(_parse_floats(args.p)), args.dim)
+    rec = gamma_record(ExponentVector(parse_floats(args.p)), args.dim)
     _emit(rec, args.json)
     return 0
 
 
 def cmd_classify(args) -> int:
     rec = classify_record(
-        ExponentVector(_parse_floats(args.p)),
+        ExponentVector(parse_floats(args.p)),
         args.dim,
         _bc_from_args(args),
         tol_crit=args.tol,
@@ -83,15 +79,15 @@ _BC_CHOICES = {
 
 def cmd_verify_lemma(args) -> int:
     bcs = [_BC_CHOICES[name] for name in args.bc.split(",")]
-    exponents = ExponentVector(_parse_floats(args.p)) if args.p else None
-    lams = _parse_floats(args.lam) if args.lam else None
+    exponents = ExponentVector(parse_floats(args.p)) if args.p else None
+    lams = parse_floats(args.lam) if args.lam else None
     if lams is None:
         if exponents is None:
             lams = (2.0,)
         else:
             lams = (CutoffProfile.floor_for(exponents),)
     rep = verify_cutoff_estimates(
-        R_list=_parse_floats(args.R),
+        R_list=parse_floats(args.R),
         lam_list=lams,
         d_list=[int(x) for x in args.dim.split(",")],
         bc_list=bcs,
@@ -134,7 +130,7 @@ def cmd_sweep(args) -> int:
         "alpha": args.alpha,
         "beta": args.beta,
         "threads": args.threads,
-        "eps_list": _parse_floats(args.eps_list) if args.eps_list else None,
+        "eps_list": parse_floats(args.eps_list) if args.eps_list else None,
     }
     spec = sweep_spec_from_ini(args.config, overrides)
     result = sweep(spec)

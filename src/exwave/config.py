@@ -57,7 +57,8 @@ from .harness import HorizonMode, HorizonRule, SweepSpec
 from .solver import InitialData, RadialGrid, SolverConfig
 
 
-def _floats(text: str) -> tuple[float, ...]:
+def parse_floats(text: str) -> tuple[float, ...]:
+    """Comma- (or semicolon-) separated floats; empty items are skipped."""
     return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
 
 
@@ -77,7 +78,7 @@ def solver_config_from_ini(
     cfg = load_ini(path)
     overrides = overrides or {}
 
-    p = ExponentVector(_floats(cfg.get("system", "p")))
+    p = ExponentVector(parse_floats(cfg.get("system", "p")))
     d = int(overrides.get("dim") or cfg.getint("system", "dim"))
 
     alpha = overrides.get("alpha")
@@ -124,7 +125,7 @@ def sweep_spec_from_ini(path: str | Path, overrides: dict | None = None) -> Swee
     if overrides.get("eps_list"):
         epsilons = tuple(overrides["eps_list"])
     else:
-        epsilons = _floats(cfg.get("sweep", "epsilons"))
+        epsilons = parse_floats(cfg.get("sweep", "epsilons"))
     mode = cfg.get("sweep", "horizon", fallback="bound-aware").strip().lower()
     rule = HorizonRule(
         mode=HorizonMode(mode),

@@ -122,59 +122,44 @@ def _theory_bound(p: ExponentVector, d: int, bc: BoundaryCondition) -> dict:
     return {"form": bound.form.value, "exponent": bound.exponent}
 
 
+def _timed_run(config: SolverConfig) -> tuple[RunRecord, float]:
+    """One run and its wall time, measured in the process that runs it."""
+    t0 = time.perf_counter()
+    rec = run(config)
+    return rec, time.perf_counter() - t0
+
+
 def sweep(spec: SweepSpec) -> SweepResult:
     """One deterministic run per epsilon; per-run failures abort the sweep
     only for configuration errors, never for blow-up/NaN outcomes."""
     theory = _theory_bound(spec.base.p, spec.base.d, spec.base.bc)
-    horizons: list[float]
-    records: dict[int, RunRecord] = {}
+    done: dict[int, tuple[RunRecord, float]] = {}
     eps = spec.epsilons
     rule = spec.horizon
-    timings = [0.0] * len(eps)
+    horizons = [rule.T_fixed] * len(eps)
 
-    if (
-        rule.mode is HorizonMode.BOUND_AWARE
-        and theory is not None
-        and theory["form"] == BoundForm.POLYNOMIAL.value
-        and theory["exponent"] is not None
-    ):
-        pilot_cfg = _config_for(spec, eps[0], rule.T_fixed)
-        t0 = time.perf_counter()
-        pilot = run(pilot_cfg)
-        pilot_time = time.perf_counter() - t0
+    if rule.mode is HorizonMode.BOUND_AWARE and theory["form"] == BoundForm.POLYNOMIAL.value:
+        # the largest-epsilon run at T_fixed IS the pilot, in either outcome
+        done[0] = _timed_run(_config_for(spec, eps[0], rule.T_fixed))
+        pilot = done[0][0]
         if pilot.verdict is Verdict.BLEW_UP and pilot.t_blow is not None:
             b = theory["exponent"]
-            horizons = [
+            horizons[1:] = [
                 min(rule.factor * (e / eps[0]) ** (-b) * pilot.t_blow, 64 * rule.T_fixed)
-                for e in eps
+                for e in eps[1:]
             ]
-            # the largest-epsilon run IS the pilot
-            records[0] = pilot
-            timings[0] = pilot_time
-            horizons[0] = pilot_cfg.T_end
         else:
             warnings.warn("pilot run did not blow up; falling back to fixed horizons")
-            horizons = [rule.T_fixed] * len(eps)
-    else:
-        horizons = [rule.T_fixed] * len(eps)
 
-    configs = [_config_for(spec, e, h) for e, h in zip(eps, horizons)]
-    pending = [i for i in range(len(eps)) if i not in records]
+    pending = [i for i in range(len(eps)) if i not in done]
+    configs = [_config_for(spec, eps[i], horizons[i]) for i in pending]
     if spec.workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            t0 = time.perf_counter()
-            for i, rec in zip(pending, pool.map(run, [configs[i] for i in pending])):
-                records[i] = rec
-            wall = time.perf_counter() - t0
-            for i in pending:
-                timings[i] = wall / len(pending)
+            done.update(zip(pending, pool.map(_timed_run, configs)))
     else:
-        for i in pending:
-            t0 = time.perf_counter()
-            records[i] = run(configs[i])
-            timings[i] = time.perf_counter() - t0
-    ordered = tuple(records[i] for i in range(len(eps)))
-    return SweepResult(spec=spec, runs=ordered, theory_bound=theory, timings=tuple(timings))
+        done.update(zip(pending, map(_timed_run, configs)))
+    runs, timings = zip(*(done[i] for i in range(len(eps))))
+    return SweepResult(spec=spec, runs=runs, theory_bound=theory, timings=timings)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +479,7 @@ def report(
 
 
 def history_to_csv(rec: RunRecord, path: str | Path) -> Path:
-    """Long-format state dump: one row per (t, r) with u_1..u_k (v_1..v_k when
-    recorded)."""
+    """Long-format state dump: one row per (t, r) with u_1..u_k."""
     if rec.history is None:
         raise ValueError("run was configured without history")
     hist = rec.history
@@ -503,15 +487,10 @@ def history_to_csv(rec: RunRecord, path: str | Path) -> Path:
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["t", "r"] + [f"u_{i + 1}" for i in range(k)]
-        if hist.v is not None and len(hist.v):
-            header += [f"v_{i + 1}" for i in range(k)]
-        writer.writerow(header)
+        writer.writerow(["t", "r"] + [f"u_{i + 1}" for i in range(k)])
         for it, t in enumerate(hist.times):
             for jr, r in enumerate(hist.r):
                 row = [f"{t:.10g}", f"{r:.10g}"]
                 row += [f"{hist.u[it, c, jr]:.10g}" for c in range(k)]
-                if hist.v is not None and len(hist.v):
-                    row += [f"{hist.v[it, c, jr]:.10g}" for c in range(k)]
                 writer.writerow(row)
     return path

@@ -30,13 +30,12 @@ from .exponents import BoundaryCondition, ExponentVector, compute_gamma
 from .testfn import CutoffProfile, HarmonicWeight, ScaledCutoff, psi
 
 
-def sphere_area(d: int, one_sided_1d: bool = False) -> float:
-    """Area of the unit sphere S^(d-1); 2 for d = 1 (both half-lines), or 1
-    when a single ray is requested."""
+def sphere_area(d: int) -> float:
+    """Area of the unit sphere S^(d-1); 2 for d = 1 (both half-lines)."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if d == 1:
-        return 1.0 if one_sided_1d else 2.0
+        return 2.0
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
@@ -45,11 +44,10 @@ class RadialMeasure:
     """Radial reduction of the volume element on the exterior domain."""
 
     d: int
-    one_sided_1d: bool = False
 
     @property
     def omega(self) -> float:
-        return sphere_area(self.d, self.one_sided_1d)
+        return sphere_area(self.d)
 
     def integrate(self, r: np.ndarray, values: np.ndarray) -> float:
         """omega * int values(r) r^(d-1) dr by the trapezoidal rule."""

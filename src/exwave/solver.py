@@ -21,16 +21,16 @@ support of compactly supported data out by exactly one node per step (speed
 zero beyond node j_data + s, where j_data is the last nonzero node of the
 data.  Each step therefore updates only nodes j < min(n + 1, j_data + s + 2);
 every skipped node has all-zero inputs, and since |0|^p = 0 it would compute
-to exactly 0, so the result is bit-identical to a full-grid step.  A run with
-an external source (nonzero anywhere) steps the full grid.  The three time
-levels live in buffers allocated once per run; ``step`` is the allocating
-one-step reference and runs the same arithmetic on the full grid.
+to exactly 0, so the result is bit-identical to a full-grid step.  The three
+time levels live in buffers allocated once per run, and only the displacement
+is stored in the history.  ``step`` is the allocating one-step reference: it
+runs the same arithmetic on the full grid, returns the velocity too, and takes
+an optional external source (the manufactured-solution tests drive it).
 
 Blow-up is detected by the max norm crossing a large threshold; the crossing
 time is located inside the last step by bisection on the log-linear
-interpolant of the peak norm.  First crossings of a lower and a higher
-threshold are recorded in the same run, giving a free threshold-sensitivity
-estimate.
+interpolant of the peak norm.  First crossings of the ``SENSITIVITY_THRESHOLDS``
+are recorded in the same run, giving a free threshold-sensitivity estimate.
 """
 
 from __future__ import annotations
@@ -154,15 +154,6 @@ def weighted_data_integral(
     """omega * int (u0 + u1) Psi r^(d-1) dr for arbitrary data arrays."""
     measure = RadialMeasure(d)
     return measure.integrate(np.asarray(r, float), (u0 + u1) * psi(r, d, bc))
-
-
-def validate_data_positivity(
-    data: InitialData, grid: RadialGrid, d: int, bc: BoundaryCondition
-) -> float:
-    """omega * int (u_0 + u_1) Psi r^(d-1) dr; must be positive for blow-up runs."""
-    r = grid.r
-    bump = data.epsilon * data.profile(r)
-    return weighted_data_integral(r, bump, bump, d, bc)
 
 
 def _laplacian_nodes(
@@ -427,11 +418,10 @@ class Verdict(str, Enum):
 class SolutionHistory:
     """Time-indexed radial snapshots, the quadrature module's input."""
 
-    times: np.ndarray            # (m,)
-    r: np.ndarray                # (n+1,)
-    u: np.ndarray                # (m, k, n+1)
-    v: np.ndarray | None = None  # (m, k, n+1)
-    horizon: float = math.inf    # configured T_end of the producing run
+    times: np.ndarray          # (m,)
+    r: np.ndarray              # (n+1,)
+    u: np.ndarray              # (m, k, n+1)
+    horizon: float = math.inf  # configured T_end of the producing run
 
 
 def _dependence_radius(data: InitialData, T_end: float) -> float:
@@ -450,9 +440,7 @@ class SolverConfig:
     data: InitialData
     cfl: float = DEFAULT_CFL
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
-    sensitivity_thresholds: tuple[float, ...] = SENSITIVITY_THRESHOLDS
     history_snapshots: int = 256  # target number of stored time levels; 0 disables
-    record_velocity: bool = False
 
     def __post_init__(self):
         if self.d < 1:
@@ -544,28 +532,26 @@ def _crossing_time(t0: float, g0: float, t1: float, g1: float, M: float) -> floa
     return 0.5 * (lo + hi)
 
 
-def run(
-    config: SolverConfig,
-    source: Callable[[float], np.ndarray] | None = None,
-) -> RunRecord:
+def run(config: SolverConfig) -> RunRecord:
     """Integrate until blow-up or the horizon.
 
     Deterministic for a given config.  Refuses initial data whose weighted
     integral against Psi is not positive (the blow-up theory's data
     condition).  After the main threshold crossing, stepping continues for a
-    short grace period to record the higher sensitivity threshold.
+    short grace period to record the highest sensitivity threshold.
 
-    Steps only the nodes inside the numerical light cone (the full grid when
-    a source is given) and rotates three preallocated time levels; the
-    results are bit-identical to a loop of ``step`` calls.  The velocity is
-    formed only for snapshots and near overflow, where it decides the
-    non-finite verdict just as a full finiteness scan would.
+    Steps only the nodes inside the numerical light cone and rotates three
+    preallocated time levels; the results are bit-identical to a loop of
+    ``step`` calls.  The velocity is formed only on the Taylor start and near
+    overflow, where it decides the non-finite verdict just as a full
+    finiteness scan would.
     """
     grid = config.grid
     bc = config.bc
     k = config.p.k
     n = grid.n
-    positivity = validate_data_positivity(config.data, grid, config.d, bc)
+    u0, u1 = config.data.build(grid, k)
+    positivity = weighted_data_integral(grid.r, u0[0], u1[0], config.d, bc)
     if config.data.epsilon > 0 and positivity <= 0.0:
         raise DataPositivityError(
             f"int (u0 + u1) Psi dx = {positivity:.3e} must be positive"
@@ -576,7 +562,6 @@ def run(
             "solution before the horizon",
             stacklevel=2,
         )
-    u0, u1 = config.data.build(grid, k)
     apply_boundary(RadialState(t=0.0, u=u0, v=u1), bc)  # checks bc once per run
     dt = config.dt
     _check_cfl(dt, config.cfl, grid)
@@ -586,15 +571,12 @@ def run(
         if config.history_snapshots > 0
         else 0
     )
-    if source is None:
-        live = np.flatnonzero(np.any(u0 != 0.0, axis=0) | np.any(u1 != 0.0, axis=0))
-        front = (int(live[-1]) if live.size else 0) + 2  # m = front + step
-    else:
-        front = n + 1  # a source can be nonzero anywhere
+    live = np.flatnonzero(np.any(u0 != 0.0, axis=0) | np.any(u1 != 0.0, axis=0))
+    front = (int(live[-1]) if live.size else 0) + 2  # m = front + step
     # below this peak, (3u+ - 4u + u-)/(2 dt) cannot overflow
     v_guard = sys.float_info.max / 16.0 * min(1.0, 2.0 * dt)
 
-    kernel = _Kernel(dt, config.p, config.d, bc, grid, source, nonlinear=True)
+    kernel = _Kernel(dt, config.p, config.d, bc, grid, None, nonlinear=True)
     u_prev, u_cur, u_new, spare = None, u0, np.zeros_like(u0), np.zeros_like(u0)
     v_new = u1.copy()  # velocity of the newest level; the Taylor start refills it
 
@@ -607,27 +589,18 @@ def run(
     cap = n_steps // stride + 3 if stride else 0
     hist_t = np.empty(cap)
     hist_u = np.empty((cap, k, n + 1))
-    hist_v = np.empty((cap, k, n + 1)) if stride and config.record_velocity else None
     n_hist = 0
-
-    def velocity() -> np.ndarray:
-        if u_prev is not None:
-            _velocity(u_new[:, :m], u_cur[:, :m], u_prev[:, :m], dt, v_new[:, :m])
-            _pin(bc, v_new)
-        return v_new
 
     def snapshot(t: float, u: np.ndarray):
         nonlocal n_hist
         hist_t[n_hist] = t
         hist_u[n_hist] = u
-        if hist_v is not None:
-            hist_v[n_hist] = velocity()
         n_hist += 1
 
     if stride:
         snapshot(0.0, u0)
 
-    thresholds = sorted(set(config.sensitivity_thresholds) | {config.blowup_threshold})
+    thresholds = sorted(set(SENSITIVITY_THRESHOLDS) | {config.blowup_threshold})
     crossings: dict[float, float] = {}
     verdict = Verdict.SURVIVED
     t_blow: float | None = None
@@ -641,15 +614,16 @@ def run(
         starting = u_prev is None
         kernel.advance(u_cur, u_prev, u1, t, m, u_new, v_new if starting else None)
         _pin(bc, u_new)
-        if starting:
-            _pin(bc, v_new)
         t = t + dt
         pk = peaks[istep]
         np.abs(u_new[:, :m]).max(axis=1, out=pk)
         peak_now = float(pk.max())
         finite = math.isfinite(peak_now)
         if finite and (starting or max(peak_now, prev_peak, older_peak) > v_guard):
-            finite = bool(np.all(np.isfinite(velocity()[:, :m])))
+            # no pin needed: at the pinned nodes every input is 0, so v is 0
+            if not starting:
+                _velocity(u_new[:, :m], u_cur[:, :m], u_prev[:, :m], dt, v_new[:, :m])
+            finite = bool(np.all(np.isfinite(v_new[:, :m])))
         if not finite:
             nan_flag = True
             if t_blow is None:
@@ -684,7 +658,6 @@ def run(
             times=hist_t[:n_hist],
             r=grid.r,
             u=hist_u[:n_hist],
-            v=hist_v[:n_hist] if hist_v is not None else None,
             horizon=config.T_end,
         )
     return RunRecord(

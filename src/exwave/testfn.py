@@ -144,10 +144,6 @@ class CutoffProfile:
     def floor_for(p: ExponentVector) -> float:
         return 2.0 / (p.p_min - 1.0)
 
-    @classmethod
-    def for_exponents(cls, p: ExponentVector) -> "CutoffProfile":
-        return cls(lam=cls.floor_for(p))
-
     def admissible_for(self, p: ExponentVector) -> bool:
         return self.lam >= self.floor_for(p) - 1e-12
 

@@ -5,6 +5,8 @@ import pytest
 
 from exwave.cli import main
 from exwave.config import solver_config_from_ini, sweep_spec_from_ini
+from exwave.harness import record_to_dict
+from exwave.solver import run
 
 CONFIG_TEXT = """
 [system]
@@ -109,6 +111,23 @@ def test_cli_simulate_and_outputs(config_file, tmp_path, capsys):
     rec = json.loads((out / "run.json").read_text())
     assert rec["verdict"] == "blew-up"
     assert rec["t_blow"] > 0
+
+
+def test_cli_simulate_dump_history(tmp_path, capsys):
+    config_file = tmp_path / "hist.ini"
+    config_file.write_text(CONFIG_TEXT.replace("snapshots = 0", "snapshots = 8"))
+    out = tmp_path / "artifacts"
+    code = main(["simulate", str(config_file), "--out", str(out), "--dump-history"])
+    assert code == 0
+    rec = run(solver_config_from_ini(config_file))
+    summary = json.dumps(record_to_dict(rec), indent=2, sort_keys=True)
+    assert (out / "run.json").read_text() == summary
+    assert capsys.readouterr().out == summary + "\n"
+    lines = (out / "history.csv").read_text().splitlines()
+    assert lines[0] == "t,r,u_1,u_2"
+    n_snapshots, n_nodes = len(rec.history.times), 401
+    assert n_snapshots > 1 and len(rec.history.r) == n_nodes
+    assert len(lines) == 1 + n_snapshots * n_nodes
 
 
 def test_cli_sweep_fit_report_pipeline(config_file, tmp_path, capsys):

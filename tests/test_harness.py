@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from exwave import harness
 from exwave.exponents import BoundaryCondition, ExponentVector
 from exwave.harness import (
     FitModel,
@@ -176,6 +177,22 @@ def test_sweep_blow_up_monotone_and_deterministic():
     assert r1.theory_bound["exponent"] == pytest.approx(1.0)
 
 
+def test_pilot_that_survives_is_not_run_twice(monkeypatch):
+    """A pilot that does not blow up falls back to fixed horizons; its own
+    config is then the first run's, so it is kept instead of run again."""
+    calls = []
+    monkeypatch.setattr(harness, "run", lambda cfg: calls.append(cfg) or run(cfg))
+    spec = SweepSpec(
+        base=_base_config(n=400), epsilons=(0.8, 0.6),
+        horizon=HorizonRule(mode=HorizonMode.BOUND_AWARE, T_fixed=2.0),
+    )
+    with pytest.warns(UserWarning, match="pilot run did not blow up"):
+        result = sweep(spec)
+    assert len(calls) == 2
+    assert [r.config.T_end for r in result.runs] == [2.0, 2.0]
+    assert all(r.verdict is Verdict.SURVIVED for r in result.runs)
+
+
 def test_sweep_validations():
     base = _base_config()
     with pytest.raises(ValueError):
@@ -272,12 +289,12 @@ def test_one_run_report_row_matches_record(tmp_path):
 def test_history_csv_dump(tmp_path):
     cfg = SolverConfig.with_auto_domain(
         p=P14, d=3, bc=DIRICHLET, n=64, T_end=1.0,
-        data=InitialData(epsilon=0.1), history_snapshots=4, record_velocity=True,
+        data=InitialData(epsilon=0.1), history_snapshots=4,
     )
     rec = run(cfg)
     path = history_to_csv(rec, tmp_path / "hist.csv")
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,r,u_1,u_2,v_1,v_2"
+    assert lines[0] == "t,r,u_1,u_2"
     assert len(lines) == 1 + len(rec.history.times) * len(rec.history.r)
 
 
@@ -293,3 +310,6 @@ def test_parallel_sweep_matches_serial():
     a = sweep(spec_serial)
     b = sweep(spec_par)
     assert [r.t_blow for r in a.runs] == [r.t_blow for r in b.runs]
+    # each run is timed in the worker that ran it, not as a share of the pool
+    assert all(t > 0.0 for t in b.timings)
+    assert b.timings[0] != b.timings[1]

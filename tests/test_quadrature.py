@@ -27,7 +27,6 @@ def _const_history(value, k=1, r_max=4.0, t_max=4.0, nr=401, nt=161):
 
 def test_sphere_areas():
     assert sphere_area(1) == 2.0
-    assert sphere_area(1, one_sided_1d=True) == 1.0
     assert sphere_area(2) == pytest.approx(2 * math.pi)
     assert sphere_area(3) == pytest.approx(4 * math.pi)
     assert sphere_area(4) == pytest.approx(2 * math.pi**2)

@@ -6,7 +6,9 @@ import pytest
 
 from exwave.exponents import BoundaryCondition, ExponentVector
 from exwave.solver import (
+    SENSITIVITY_THRESHOLDS,
     CFLViolationError,
+    DataPositivityError,
     InitialData,
     RadialGrid,
     RadialState,
@@ -17,7 +19,6 @@ from exwave.solver import (
     energy,
     run,
     step,
-    validate_data_positivity,
     weighted_data_integral,
 )
 from exwave.testfn import cutoff_profile_derivatives, psi
@@ -138,7 +139,7 @@ def test_manufactured_solution_second_order():
 def test_dirichlet_pins_boundary():
     cfg = SolverConfig(
         p=P14, d=3, bc=DIRICHLET, grid=RadialGrid(r_max=8.0, n=256), T_end=1.0,
-        data=InitialData(epsilon=0.5), history_snapshots=16, record_velocity=True,
+        data=InitialData(epsilon=0.5), history_snapshots=16,
     )
     rec = run(cfg)
     assert np.all(rec.history.u[:, :, 0] == 0.0)
@@ -220,19 +221,32 @@ def test_negative_wake_stays_small_sampled():
     assert rec.history.u.max() > 1e6
 
 
+def _built_data_integral(data, grid, d, bc):
+    u0, u1 = data.build(grid, 1)
+    return weighted_data_integral(grid.r, u0[0], u1[0], d, bc)
+
+
 def test_data_positivity_values():
     grid = RadialGrid(r_max=8.0, n=400)
-    val = validate_data_positivity(InitialData(epsilon=0.5), grid, 3, NEUMANN)
-    assert val > 0.0
+    assert _built_data_integral(InitialData(epsilon=0.5), grid, 3, NEUMANN) > 0.0
     # Dirichlet, bump in [2, 3], d = 2: Psi = log r > 0 on the support
-    val = validate_data_positivity(
-        InitialData(center=2.5, width=0.5, epsilon=1.0), grid, 2, DIRICHLET
-    )
-    assert val > 0.0
+    data = InitialData(center=2.5, width=0.5, epsilon=1.0)
+    assert _built_data_integral(data, grid, 2, DIRICHLET) > 0.0
     # exact cancellation u0 = -u1 integrates to zero
     r = grid.r
     bump = InitialData(epsilon=1.0).profile(r)
     assert weighted_data_integral(r, bump, -bump, 3, DIRICHLET) == 0.0
+
+
+def test_run_rejects_data_between_the_nodes():
+    """A bump narrower than a cell that falls between two nodes is zero on
+    the grid, so its data integral is 0.0 and run() refuses it."""
+    grid = RadialGrid(r_max=41.0, n=16)
+    data = InitialData(center=2.2, width=0.1, epsilon=0.5)
+    assert _built_data_integral(data, grid, 3, DIRICHLET) == 0.0
+    cfg = SolverConfig(p=P14, d=3, bc=DIRICHLET, grid=grid, T_end=1.0, data=data)
+    with pytest.raises(DataPositivityError):
+        run(cfg)
 
 
 def test_determinism():
@@ -250,7 +264,7 @@ def test_determinism():
 # ---------------------------------------------------------------------------
 
 
-def _step_loop(config, source=None):
+def _step_loop(config):
     """run()'s bookkeeping around full-grid step() calls on fresh states."""
     grid, bc = config.grid, config.bc
     u0, u1 = config.data.build(grid, config.p.k)
@@ -259,21 +273,19 @@ def _step_loop(config, source=None):
     n_steps = max(1, math.ceil(config.T_end / dt))
     stride = max(1, n_steps // config.history_snapshots) if config.history_snapshots else 0
     times, peaks = [0.0], [state.peak()]
-    hist_t, hist_u, hist_v = [], [], []
+    hist_t, hist_u = [], []
 
     def snapshot(s):
         hist_t.append(s.t)
         hist_u.append(s.u.copy())
-        if config.record_velocity:
-            hist_v.append(s.v.copy())
 
     if stride:
         snapshot(state)
-    thresholds = sorted(set(config.sensitivity_thresholds) | {config.blowup_threshold})
+    thresholds = sorted(set(SENSITIVITY_THRESHOLDS) | {config.blowup_threshold})
     crossings, t_blow, nan_flag, grace_left = {}, None, False, -1
     for istep in range(1, n_steps + 1):
         prev_peak = float(np.max(peaks[-1]))
-        state = step(state, dt, config.p, config.d, bc, grid, source=source, cfl=config.cfl)
+        state = step(state, dt, config.p, config.d, bc, grid, cfl=config.cfl)
         if not state.is_finite():
             nan_flag = True
             if t_blow is None:
@@ -308,7 +320,6 @@ def _step_loop(config, source=None):
         "nan_encountered": nan_flag,
         "history_t": np.array(hist_t) if stride else None,
         "history_u": np.array(hist_u) if stride else None,
-        "history_v": np.array(hist_v) if stride and config.record_velocity else None,
     }
 
 
@@ -373,58 +384,36 @@ def _robin(**kw):
     )
 
 
-def _source_case():
-    grid = RadialGrid(r_max=5.0, n=400)
-    r = grid.r
-
-    def source(t):
-        return np.exp(-t) * np.exp(-((r - 2.0) ** 2))[None, :] * np.ones((2, 1))
-
-    cfg = SolverConfig(
-        p=ExponentVector.of(2.0, 3.0), d=3, bc=NEUMANN, grid=grid, T_end=2.0,
-        data=InitialData(epsilon=0.3), history_snapshots=16, record_velocity=True,
-    )
-    return cfg, source
-
-
 GATE_CASES = {
-    "subcritical-0.8": lambda: (_subcritical(0.8), None),
-    "subcritical-0.4": lambda: (_subcritical(0.4), None),
+    "subcritical-0.8": lambda: _subcritical(0.8),
+    "subcritical-0.4": lambda: _subcritical(0.4),
     # configs/critical_d2_neumann.ini at eps = 0.75: p = 2 exercises the
     # layout-dependent last bit of numpy's pow
-    "neumann-p2": lambda: (
-        SolverConfig.with_auto_domain(
-            p=ExponentVector.of(2.0, 2.0), d=2, bc=NEUMANN, n=4000, T_end=60.0,
-            data=InitialData(epsilon=0.75), history_snapshots=0,
-        ),
-        None,
+    "neumann-p2": lambda: SolverConfig.with_auto_domain(
+        p=ExponentVector.of(2.0, 2.0), d=2, bc=NEUMANN, n=4000, T_end=60.0,
+        data=InitialData(epsilon=0.75), history_snapshots=0,
     ),
-    "robin": lambda: (_robin(), None),
-    "survived-horizon": lambda: (replace(_robin(), T_end=5.0), None),
-    "record-velocity": lambda: (_robin(record_velocity=True), None),
-    "source": _source_case,
+    "robin": lambda: _robin(),
+    "survived-horizon": lambda: replace(_robin(), T_end=5.0),
     # a threshold no finite peak crosses: the run ends on the overflow
-    "overflow": lambda: (_robin(blowup_threshold=1e308, history_snapshots=0), None),
+    "overflow": lambda: _robin(blowup_threshold=1e308, history_snapshots=0),
     # coarse grid, near-linear growth: the state passes through peaks of
     # 1e306..1e308, where the velocity overflows a step before the
     # displacement does
-    "velocity-overflow": lambda: (
-        SolverConfig(
-            p=ExponentVector.of(1.001), d=3, bc=DIRICHLET, grid=RadialGrid(r_max=41.0, n=24),
-            T_end=24.0, data=InitialData(center=10.0, width=6.0, epsilon=1e300),
-            blowup_threshold=math.inf, history_snapshots=0,
-        ),
-        None,
+    "velocity-overflow": lambda: SolverConfig(
+        p=ExponentVector.of(1.001), d=3, bc=DIRICHLET, grid=RadialGrid(r_max=41.0, n=24),
+        T_end=24.0, data=InitialData(center=10.0, width=6.0, epsilon=1e300),
+        blowup_threshold=math.inf, history_snapshots=0,
     ),
 }
 
 
 @pytest.mark.parametrize("case", list(GATE_CASES))
 def test_run_bit_identical_to_step_loop(case):
-    cfg, source = GATE_CASES[case]()
+    cfg = GATE_CASES[case]()
     with np.errstate(over="ignore", invalid="ignore"):
-        rec = run(cfg, source=source)
-        ref = _step_loop(cfg, source=source)
+        rec = run(cfg)
+        ref = _step_loop(cfg)
     assert rec.verdict is ref["verdict"]
     assert rec.t_blow == ref["t_blow"]
     assert rec.t_final == ref["t_final"]
@@ -438,10 +427,6 @@ def test_run_bit_identical_to_step_loop(case):
     else:
         assert np.array_equal(hist.times, ref["history_t"])
         assert np.array_equal(hist.u, ref["history_u"])
-        if ref["history_v"] is None:
-            assert hist.v is None
-        else:
-            assert np.array_equal(hist.v, ref["history_v"])
     if case in ("overflow", "velocity-overflow"):
         assert rec.nan_encountered and rec.verdict is Verdict.BLEW_UP
     if case == "survived-horizon":

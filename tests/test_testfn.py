@@ -84,7 +84,7 @@ def test_cutoff_sandwich():
 def test_lambda_floor_rule():
     p = ExponentVector.of(1.4, 2.0)
     assert CutoffProfile.floor_for(p) == pytest.approx(5.0)
-    prof = CutoffProfile.for_exponents(p)
+    prof = CutoffProfile(lam=CutoffProfile.floor_for(p))
     assert prof.admissible_for(p)
     assert not CutoffProfile(lam=1.0).admissible_for(p)
     # paper's equivalent statement of the rule: min(p) * lam/(lam+2) >= 1

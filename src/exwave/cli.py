@@ -136,13 +136,13 @@ def cmd_sweep(args) -> int:
     result = sweep(spec)
     fit = None
     pts = censor_points(result)
-    theory = result.theory_bound or {}
+    theory = result.theory_bound
     # exponential/double-exponential lifespans are unidentifiable at desk
     # scale; only the polynomial shapes are ever fitted
-    if len(pts) >= 4 and theory.get("exponent"):
-        if theory.get("form") == "polynomial":
+    if len(pts) >= 4 and theory["exponent"]:
+        if theory["form"] == "polynomial":
             fit = fit_scaling(pts, FitModel.POWER, b_theory=theory["exponent"])
-        elif theory.get("form") == "polynomial-log":
+        elif theory["form"] == "polynomial-log":
             fit = fit_scaling(pts, FitModel.POWER_LOG, b_theory=theory["exponent"])
     for rec in result.runs:
         row = sweep_row(record_to_dict(rec))

@@ -32,8 +32,6 @@ Plain INI text with nested sections, e.g.::
 
     [sweep]
     epsilons = 0.8, 0.566, 0.4, 0.283, 0.2
-    horizon = bound-aware   ; or fixed
-    factor = 4.0
     workers = 1
 
 CLI flags override individual keys.
@@ -41,10 +39,8 @@ CLI flags override individual keys.
 Grid rule: ``r_max = auto`` sizes the domain from unit-speed propagation,
 ``r_max = 1 + (center + width - 1) + t_end + margin``
 (``SolverConfig.with_auto_domain``); a number is used as given and
-``margin`` is ignored.  A sweep keeps ``n`` and this ``r_max`` and, for a run
-whose horizon T_end differs from ``t_end``, extends ``r_max`` by
-``T_end - t_end``, so the margin or explicit ``r_max`` of the file holds for
-every run.
+``margin`` is ignored.  A sweep runs every epsilon on this grid and horizon,
+so the margin or explicit ``r_max`` of the file holds for every run.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ import configparser
 from pathlib import Path
 
 from .exponents import BoundaryCondition, ExponentVector
-from .harness import HorizonMode, HorizonRule, SweepSpec
+from .harness import SweepSpec
 from .solver import InitialData, RadialGrid, SolverConfig
 
 
@@ -117,20 +113,28 @@ def solver_config_from_ini(
     return SolverConfig(grid=RadialGrid(r_max=float(r_max), n=n), **fields)
 
 
+SWEEP_KEYS = ("epsilons", "workers")
+
+
 def sweep_spec_from_ini(path: str | Path, overrides: dict | None = None) -> SweepSpec:
-    """SweepSpec from the [sweep] section on top of the solver config."""
+    """SweepSpec from the [sweep] section on top of the solver config.
+
+    Every run of the sweep uses the file's grid and ``[time] t_end``, so a
+    [sweep] key other than SWEEP_KEYS is rejected, not ignored."""
     overrides = overrides or {}
     base = solver_config_from_ini(path, overrides)
     cfg = load_ini(path)
+    if cfg.has_section("sweep"):
+        for key in cfg.options("sweep"):
+            if key not in SWEEP_KEYS:
+                raise ValueError(
+                    f"{path}: unknown [sweep] key {key!r} (allowed: "
+                    f"{', '.join(SWEEP_KEYS)}); every run of a sweep uses the "
+                    "[grid] and the [time] t_end of the file"
+                )
     if overrides.get("eps_list"):
         epsilons = tuple(overrides["eps_list"])
     else:
         epsilons = parse_floats(cfg.get("sweep", "epsilons"))
-    mode = cfg.get("sweep", "horizon", fallback="bound-aware").strip().lower()
-    rule = HorizonRule(
-        mode=HorizonMode(mode),
-        T_fixed=cfg.getfloat("sweep", "t_fixed", fallback=base.T_end),
-        factor=cfg.getfloat("sweep", "factor", fallback=4.0),
-    )
     workers = int(overrides.get("threads") or cfg.getint("sweep", "workers", fallback=1))
-    return SweepSpec(base=base, epsilons=epsilons, horizon=rule, workers=workers)
+    return SweepSpec(base=base, epsilons=epsilons, workers=workers)

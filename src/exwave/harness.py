@@ -2,9 +2,9 @@
 reporting.
 
 A sweep runs one simulation per epsilon (independently, optionally in a
-process pool), with horizons either fixed or derived from the theoretical
-polynomial bound via a pilot run.  Measured blow-up times are fitted against
-the predicted lifespan shapes
+process pool), each on the base config's grid and horizon with only epsilon
+changed, so dr, dt and T_end are shared by the whole ladder.  Measured
+blow-up times are fitted against the predicted lifespan shapes
 
     T = A eps^(-b)                    (power law)
     T = A (eps^-1 log(eps^-1))^b      (power-log law, the d = 2 shape)
@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -35,12 +34,11 @@ import numpy as np
 from . import __version__
 from .exponents import (
     BoundaryCondition,
-    BoundForm,
     CriticalUnequalTwoDError,
     ExponentVector,
     classify_regime,
 )
-from .solver import RadialGrid, RunRecord, SolverConfig, Verdict, run
+from .solver import RunRecord, SolverConfig, Verdict, run
 from .testfn import (
     DEFAULT_RHS_R_POWERS,
     CutoffProfile,
@@ -49,37 +47,13 @@ from .testfn import (
 )
 
 
-class HorizonMode(str, Enum):
-    FIXED = "fixed"
-    BOUND_AWARE = "bound-aware"
-
-
-@dataclass(frozen=True)
-class HorizonRule:
-    """T_end(eps) policy.
-
-    FIXED uses T_fixed everywhere.  BOUND_AWARE runs a pilot at the largest
-    epsilon (horizon T_fixed) and then sets
-    T_end(eps) = factor * (eps/eps_ref)^(-b_theory) * T_ref; regimes without a
-    polynomial prediction fall back to FIXED.
-    """
-
-    mode: HorizonMode = HorizonMode.FIXED
-    T_fixed: float = 100.0
-    factor: float = 4.0
-
-    def __post_init__(self):
-        if self.T_fixed <= 0 or self.factor <= 0:
-            raise ValueError("horizon parameters must be positive")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
-    """Base configuration plus the epsilon schedule."""
+    """Base configuration plus the epsilon schedule; every run is the base
+    config with only the epsilon changed."""
 
     base: SolverConfig
     epsilons: tuple[float, ...]
-    horizon: HorizonRule = HorizonRule()
     workers: int = 1
 
     def __post_init__(self):
@@ -99,19 +73,8 @@ class SweepSpec:
 class SweepResult:
     spec: SweepSpec
     runs: tuple[RunRecord, ...]
-    theory_bound: dict | None
+    theory_bound: dict
     timings: tuple[float, ...]
-
-
-def _config_for(spec: SweepSpec, epsilon: float, T_end: float) -> SolverConfig:
-    """The base config at this epsilon and horizon.  The base grid is kept,
-    its r_max shifted by the change of horizon, so the margin (or explicit
-    r_max) the base was built with holds at every horizon."""
-    base = spec.base
-    grid = base.grid
-    if T_end != base.T_end:
-        grid = RadialGrid(r_max=grid.r_max + (T_end - base.T_end), n=grid.n)
-    return replace(base, data=replace(base.data, epsilon=epsilon), grid=grid, T_end=T_end)
 
 
 def _theory_bound(p: ExponentVector, d: int, bc: BoundaryCondition) -> dict:
@@ -132,33 +95,14 @@ def _timed_run(config: SolverConfig) -> tuple[RunRecord, float]:
 def sweep(spec: SweepSpec) -> SweepResult:
     """One deterministic run per epsilon; per-run failures abort the sweep
     only for configuration errors, never for blow-up/NaN outcomes."""
-    theory = _theory_bound(spec.base.p, spec.base.d, spec.base.bc)
-    done: dict[int, tuple[RunRecord, float]] = {}
-    eps = spec.epsilons
-    rule = spec.horizon
-    horizons = [rule.T_fixed] * len(eps)
-
-    if rule.mode is HorizonMode.BOUND_AWARE and theory["form"] == BoundForm.POLYNOMIAL.value:
-        # the largest-epsilon run at T_fixed IS the pilot, in either outcome
-        done[0] = _timed_run(_config_for(spec, eps[0], rule.T_fixed))
-        pilot = done[0][0]
-        if pilot.verdict is Verdict.BLEW_UP and pilot.t_blow is not None:
-            b = theory["exponent"]
-            horizons[1:] = [
-                min(rule.factor * (e / eps[0]) ** (-b) * pilot.t_blow, 64 * rule.T_fixed)
-                for e in eps[1:]
-            ]
-        else:
-            warnings.warn("pilot run did not blow up; falling back to fixed horizons")
-
-    pending = [i for i in range(len(eps)) if i not in done]
-    configs = [_config_for(spec, eps[i], horizons[i]) for i in pending]
-    if spec.workers > 1 and len(pending) > 1:
+    base = spec.base
+    configs = [replace(base, data=replace(base.data, epsilon=e)) for e in spec.epsilons]
+    if spec.workers > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            done.update(zip(pending, pool.map(_timed_run, configs)))
+            runs, timings = zip(*pool.map(_timed_run, configs))
     else:
-        done.update(zip(pending, map(_timed_run, configs)))
-    runs, timings = zip(*(done[i] for i in range(len(eps))))
+        runs, timings = zip(*map(_timed_run, configs))
+    theory = _theory_bound(base.p, base.d, base.bc)
     return SweepResult(spec=spec, runs=runs, theory_bound=theory, timings=timings)
 
 
@@ -464,7 +408,7 @@ def report(
     manifest = {
         "config_hash": config_hash(base),
         "epsilons": list(result.spec.epsilons),
-        "theory_bound": _theory_bound(base.p, base.d, base.bc),
+        "theory_bound": result.theory_bound,
         "fit": None if fit is None else fit.to_dict(),
         "versions": {
             "exwave": __version__,

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from exwave.cli import main
 from exwave.config import solver_config_from_ini, sweep_spec_from_ini
 from exwave.harness import record_to_dict
 from exwave.solver import run
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
 CONFIG_TEXT = """
 [system]
@@ -39,8 +42,6 @@ snapshots = 0
 
 [sweep]
 epsilons = 0.8, 0.6
-horizon = fixed
-t_fixed = 30.0
 workers = 1
 """
 
@@ -61,7 +62,24 @@ def test_config_loading(config_file):
     assert cfg.data.epsilon == 0.8
     spec = sweep_spec_from_ini(config_file)
     assert spec.epsilons == (0.8, 0.6)
-    assert spec.horizon.mode.value == "fixed"
+
+
+@pytest.mark.parametrize(
+    "key, value", [("horizon", "bound-aware"), ("t_fixed", "500.0"), ("factor", "4.0")],
+    ids=["horizon", "t_fixed", "factor"],
+)
+def test_stale_sweep_key_is_rejected(tmp_path, key, value):
+    path = tmp_path / "stale.ini"
+    path.write_text(CONFIG_TEXT.replace("workers = 1", f"workers = 1\n{key} = {value}"))
+    with pytest.raises(ValueError, match=rf"'{key}'.*\[time\] t_end"):
+        sweep_spec_from_ini(path)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+def test_shipped_config_loads(path):
+    base = sweep_spec_from_ini(path).base
+    assert base.domain_of_dependence_ok()
+    assert base.data.width / base.grid.dr >= 5  # cells across the bump half-width
 
 
 def test_config_overrides(config_file):

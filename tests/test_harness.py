@@ -1,15 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from exwave import harness
 from exwave.exponents import BoundaryCondition, ExponentVector
 from exwave.harness import (
     FitModel,
-    HorizonMode,
-    HorizonRule,
     SweepResult,
     SweepSpec,
     censor_points,
@@ -150,10 +148,7 @@ def test_verify_cutoff_estimates_lambda_floor_warning():
 
 def test_sweep_single_epsilon_matches_run():
     base = _base_config()
-    spec = SweepSpec(
-        base=base, epsilons=(0.8,),
-        horizon=HorizonRule(mode=HorizonMode.FIXED, T_fixed=40.0),
-    )
+    spec = SweepSpec(base=base, epsilons=(0.8,))
     result = sweep(spec)
     assert len(result.runs) == 1
     direct = run(result.runs[0].config)
@@ -162,35 +157,20 @@ def test_sweep_single_epsilon_matches_run():
 
 
 def test_sweep_blow_up_monotone_and_deterministic():
-    spec = SweepSpec(
-        base=_base_config(),
-        epsilons=(0.8, 0.57, 0.4),
-        horizon=HorizonRule(mode=HorizonMode.BOUND_AWARE, T_fixed=40.0),
-    )
+    """Every run is the base config at its epsilon: one grid, dt and horizon
+    for the whole ladder."""
+    base = _base_config()
+    spec = SweepSpec(base=base, epsilons=(0.8, 0.57, 0.4))
     r1 = sweep(spec)
     r2 = sweep(spec)
+    for rec, e in zip(r1.runs, spec.epsilons):
+        assert rec.config == replace(base, data=replace(base.data, epsilon=e))
     ts1 = [rec.t_blow for rec in r1.runs]
     ts2 = [rec.t_blow for rec in r2.runs]
     assert ts1 == ts2
     assert all(rec.verdict is Verdict.BLEW_UP for rec in r1.runs)
     assert ts1 == sorted(ts1)
     assert r1.theory_bound["exponent"] == pytest.approx(1.0)
-
-
-def test_pilot_that_survives_is_not_run_twice(monkeypatch):
-    """A pilot that does not blow up falls back to fixed horizons; its own
-    config is then the first run's, so it is kept instead of run again."""
-    calls = []
-    monkeypatch.setattr(harness, "run", lambda cfg: calls.append(cfg) or run(cfg))
-    spec = SweepSpec(
-        base=_base_config(n=400), epsilons=(0.8, 0.6),
-        horizon=HorizonRule(mode=HorizonMode.BOUND_AWARE, T_fixed=2.0),
-    )
-    with pytest.warns(UserWarning, match="pilot run did not blow up"):
-        result = sweep(spec)
-    assert len(calls) == 2
-    assert [r.config.T_end for r in result.runs] == [2.0, 2.0]
-    assert all(r.verdict is Verdict.SURVIVED for r in result.runs)
 
 
 def test_sweep_validations():
@@ -207,10 +187,7 @@ def test_sweep_validations():
 
 def test_censor_points_guards_horizon():
     base = _base_config(T_end=10.0)
-    spec = SweepSpec(
-        base=base, epsilons=(0.8, 0.6),
-        horizon=HorizonRule(mode=HorizonMode.FIXED, T_fixed=10.0),
-    )
+    spec = SweepSpec(base=base, epsilons=(0.8, 0.6))
     result = sweep(spec)
     pts = censor_points(result)
     for eps, t in pts:
@@ -226,7 +203,6 @@ def test_report_files_and_determinism(tmp_path):
     spec = SweepSpec(
         base=_base_config(n=400),
         epsilons=(0.8, 0.57, 0.4, 0.28),
-        horizon=HorizonRule(mode=HorizonMode.FIXED, T_fixed=40.0),
     )
     result = sweep(spec)
     fit = fit_scaling(censor_points(result), FitModel.POWER, b_theory=1.0)
@@ -259,22 +235,18 @@ def test_report_files_and_determinism(tmp_path):
 
 
 def test_report_empty_runs(tmp_path):
-    spec = SweepSpec(
-        base=_base_config(n=400), epsilons=(0.5,),
-        horizon=HorizonRule(mode=HorizonMode.FIXED, T_fixed=1.0),
-    )
-    empty = SweepResult(spec=spec, runs=(), theory_bound=None, timings=())
+    spec = SweepSpec(base=_base_config(n=400), epsilons=(0.5,))
+    theory = {"form": "polynomial", "exponent": 1.0}
+    empty = SweepResult(spec=spec, runs=(), theory_bound=theory, timings=())
     paths = report(empty, tmp_path)
     rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert rows == ["epsilon,t_blow,horizon,verdict"]
-    json.loads((tmp_path / "manifest.json").read_text())  # valid JSON
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["theory_bound"] == theory
 
 
 def test_one_run_report_row_matches_record(tmp_path):
-    spec = SweepSpec(
-        base=_base_config(n=400), epsilons=(0.8,),
-        horizon=HorizonRule(mode=HorizonMode.FIXED, T_fixed=40.0),
-    )
+    spec = SweepSpec(base=_base_config(n=400), epsilons=(0.8,))
     result = sweep(spec)
     report(result, tmp_path)
     rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
@@ -299,14 +271,9 @@ def test_history_csv_dump(tmp_path):
 
 
 def test_parallel_sweep_matches_serial():
-    spec_serial = SweepSpec(
-        base=_base_config(n=400), epsilons=(0.8, 0.6),
-        horizon=HorizonRule(mode=HorizonMode.FIXED, T_fixed=30.0), workers=1,
-    )
-    spec_par = SweepSpec(
-        base=_base_config(n=400), epsilons=(0.8, 0.6),
-        horizon=HorizonRule(mode=HorizonMode.FIXED, T_fixed=30.0), workers=2,
-    )
+    base = _base_config(n=400, T_end=30.0)
+    spec_serial = SweepSpec(base=base, epsilons=(0.8, 0.6), workers=1)
+    spec_par = SweepSpec(base=base, epsilons=(0.8, 0.6), workers=2)
     a = sweep(spec_serial)
     b = sweep(spec_par)
     assert [r.t_blow for r in a.runs] == [r.t_blow for r in b.runs]

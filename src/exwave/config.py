@@ -28,13 +28,15 @@ Plain INI text with nested sections, e.g.::
     blowup = 1e8
 
     [history]
-    snapshots = 256
+    snapshots = 256   ; simulate only
 
     [sweep]
     epsilons = 0.8, 0.566, 0.4, 0.283, 0.2
     workers = 1
 
-CLI flags override individual keys.
+CLI flags override individual keys.  ``[history] snapshots`` applies to
+``simulate``: a sweep stores no histories, so its records.json shows
+``history_snapshots`` 0.
 
 Grid rule: ``r_max = auto`` sizes the domain from unit-speed propagation,
 ``r_max = 1 + (center + width - 1) + t_end + margin``
@@ -71,11 +73,15 @@ def solver_config_from_ini(
 ) -> SolverConfig:
     """Build a SolverConfig from an INI file plus optional flag overrides
     (keys: dim, alpha, beta, epsilon)."""
-    cfg = load_ini(path)
-    overrides = overrides or {}
+    return _solver_config(load_ini(path), overrides or {})
 
+
+def _solver_config(cfg: configparser.ConfigParser, overrides: dict) -> SolverConfig:
+    # a flag given as 0 is a value to validate, not "not given"
     p = ExponentVector(parse_floats(cfg.get("system", "p")))
-    d = int(overrides.get("dim") or cfg.getint("system", "dim"))
+    d = overrides.get("dim")
+    if d is None:
+        d = cfg.getint("system", "dim")
 
     alpha = overrides.get("alpha")
     beta = overrides.get("beta")
@@ -97,7 +103,7 @@ def solver_config_from_ini(
 
     fields = dict(
         p=p,
-        d=d,
+        d=int(d),
         bc=bc,
         T_end=cfg.getfloat("time", "t_end"),
         data=data,
@@ -122,8 +128,8 @@ def sweep_spec_from_ini(path: str | Path, overrides: dict | None = None) -> Swee
     Every run of the sweep uses the file's grid and ``[time] t_end``, so a
     [sweep] key other than SWEEP_KEYS is rejected, not ignored."""
     overrides = overrides or {}
-    base = solver_config_from_ini(path, overrides)
     cfg = load_ini(path)
+    base = _solver_config(cfg, overrides)
     if cfg.has_section("sweep"):
         for key in cfg.options("sweep"):
             if key not in SWEEP_KEYS:
@@ -132,9 +138,10 @@ def sweep_spec_from_ini(path: str | Path, overrides: dict | None = None) -> Swee
                     f"{', '.join(SWEEP_KEYS)}); every run of a sweep uses the "
                     "[grid] and the [time] t_end of the file"
                 )
-    if overrides.get("eps_list"):
-        epsilons = tuple(overrides["eps_list"])
-    else:
+    epsilons = overrides.get("eps_list")
+    if epsilons is None:
         epsilons = parse_floats(cfg.get("sweep", "epsilons"))
-    workers = int(overrides.get("threads") or cfg.getint("sweep", "workers", fallback=1))
-    return SweepSpec(base=base, epsilons=epsilons, workers=workers)
+    workers = overrides.get("threads")
+    if workers is None:
+        workers = cfg.getint("sweep", "workers", fallback=1)
+    return SweepSpec(base=base, epsilons=epsilons, workers=int(workers))

@@ -3,7 +3,9 @@ reporting.
 
 A sweep runs one simulation per epsilon (independently, optionally in a
 process pool), each on the base config's grid and horizon with only epsilon
-changed, so dr, dt and T_end are shared by the whole ladder.  Measured
+changed, so dr, dt and T_end are shared by the whole ladder.  The
+``[history] snapshots`` setting applies to ``simulate``: a sweep stores no
+histories, so its records.json shows ``history_snapshots`` 0.  Measured
 blow-up times are fitted against the predicted lifespan shapes
 
     T = A eps^(-b)                    (power law)
@@ -94,9 +96,16 @@ def _timed_run(config: SolverConfig) -> tuple[RunRecord, float]:
 
 def sweep(spec: SweepSpec) -> SweepResult:
     """One deterministic run per epsilon; per-run failures abort the sweep
-    only for configuration errors, never for blow-up/NaN outcomes."""
+    only for configuration errors, never for blow-up/NaN outcomes.
+
+    No run stores a history: nothing in a sweep reads one, and snapshots
+    never feed back into the step, so the blow-up times are those of the
+    base config at each epsilon."""
     base = spec.base
-    configs = [replace(base, data=replace(base.data, epsilon=e)) for e in spec.epsilons]
+    configs = [
+        replace(base, data=replace(base.data, epsilon=e), history_snapshots=0)
+        for e in spec.epsilons
+    ]
     if spec.workers > 1 and len(configs) > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             runs, timings = zip(*pool.map(_timed_run, configs))

@@ -92,6 +92,16 @@ def test_config_overrides(config_file):
     assert spec.epsilons == (0.5, 0.25) and spec.workers == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [({"dim": 0}, "d must be >= 1"), ({"threads": 0}, "workers must be >= 1")],
+    ids=["dim", "threads"],
+)
+def test_zero_override_is_validated_not_ignored(config_file, overrides, message):
+    with pytest.raises(ValueError, match=message):
+        sweep_spec_from_ini(config_file, overrides)
+
+
 def test_cli_gamma_json(capsys):
     assert main(["gamma", "--p", "2,3", "--dim", "3", "--json"]) == 0
     rec = json.loads(capsys.readouterr().out)

@@ -164,13 +164,25 @@ def test_sweep_blow_up_monotone_and_deterministic():
     r1 = sweep(spec)
     r2 = sweep(spec)
     for rec, e in zip(r1.runs, spec.epsilons):
-        assert rec.config == replace(base, data=replace(base.data, epsilon=e))
+        assert rec.config == replace(
+            base, data=replace(base.data, epsilon=e), history_snapshots=0
+        )
     ts1 = [rec.t_blow for rec in r1.runs]
     ts2 = [rec.t_blow for rec in r2.runs]
     assert ts1 == ts2
     assert all(rec.verdict is Verdict.BLEW_UP for rec in r1.runs)
     assert ts1 == sorted(ts1)
     assert r1.theory_bound["exponent"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+def test_sweep_runs_store_no_history(workers):
+    base = replace(_base_config(n=400, T_end=30.0), history_snapshots=64)
+    assert run(base).history is not None
+    result = sweep(SweepSpec(base=base, epsilons=(0.8, 0.6), workers=workers))
+    for rec in result.runs:
+        assert rec.history is None
+        assert rec.config.history_snapshots == 0
 
 
 def test_sweep_validations():

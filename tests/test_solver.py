@@ -431,3 +431,18 @@ def test_run_bit_identical_to_step_loop(case):
         assert rec.nan_encountered and rec.verdict is Verdict.BLEW_UP
     if case == "survived-horizon":
         assert rec.verdict is Verdict.SURVIVED
+
+
+@pytest.mark.parametrize("case", ["subcritical-0.8", "robin", "survived-horizon"])
+def test_snapshots_never_perturb_the_trajectory(case):
+    """Storing a history only copies levels out: sweeps rely on this when
+    they run with history_snapshots = 0."""
+    cfg = replace(GATE_CASES[case](), history_snapshots=256)
+    with_history = run(cfg)
+    without = run(replace(cfg, history_snapshots=0))
+    assert with_history.history is not None and without.history is None
+    assert with_history.t_blow == without.t_blow
+    assert with_history.t_final == without.t_final
+    assert np.array_equal(with_history.peaks, without.peaks)
+    assert np.array_equal(with_history.peak_times, without.peak_times)
+    assert with_history.threshold_crossings == without.threshold_crossings

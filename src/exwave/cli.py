@@ -112,6 +112,12 @@ def cmd_simulate(args) -> int:
         "epsilon": args.eps,
     }
     config = solver_config_from_ini(args.config, overrides)
+    if args.dump_history and config.history_snapshots == 0:
+        print(
+            "--dump-history needs [history] snapshots > 0 in the config",
+            file=sys.stderr,
+        )
+        return 2
     rec = run(config)
     summary = record_to_dict(rec)
     print(json.dumps(summary, indent=2, sort_keys=True))

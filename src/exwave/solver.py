@@ -27,6 +27,14 @@ is stored in the history.  ``step`` is the allocating one-step reference: it
 runs the same arithmetic on the full grid, returns the velocity too, and takes
 an optional external source (the manufactured-solution tests drive it).
 
+``run`` also steps one row instead of k when all exponents are equal.
+``InitialData`` gives every component the same data, and with p_1 = ... = p_k
+each row is forced by a copy of itself through the same power, so the rows
+stay bit-for-bit copies of one solution of u_tt - Lu + u_t = |u|^p.  The run
+returns that row as k identical columns of the peaks and the history.  This
+relies on ``_forcing`` taking the same array pow for one row as for k (see
+its docstring); ``step`` always advances all k rows and is the reference.
+
 Blow-up is detected by the max norm crossing a large threshold; the crossing
 time is located inside the last step by bisection on the log-linear
 interpolant of the peak norm.  First crossings of the ``SENSITIVITY_THRESHOLDS``
@@ -241,12 +249,17 @@ def _forcing(
 ) -> np.ndarray:
     """|u_{l-1}|^(p_l) (plus source(t)) as a fresh contiguous array.
 
-    ``rows`` is the cyclic row order l-1 and ``powers`` the (k, 1) exponents.
+    ``rows`` is the cyclic row order l-1 and ``powers`` the exponents as a
+    full-width (k, n+1) array, of which the first u.shape[1] columns are used.
     The power must run on a contiguous temporary: numpy's vectorized pow and
-    its strided fallback can differ in the last bit (seen at p = 2).
+    its strided fallback can differ in the last bit (seen at p = 2).  The
+    exponents are full width so that every k, including k = 1, takes the same
+    array pow: ``**`` with a size-1 exponent takes numpy's scalar fast path,
+    which squares at p = 2 and differs in the last bit from the array pow, and
+    ``run`` relies on one row giving the bits of each row of k.
     """
     if nonlinear:
-        f = np.abs(u[rows]) ** powers
+        f = np.power(np.abs(u[rows]), powers[:, : u.shape[1]])
     else:
         f = np.zeros(u.shape)
     if source is not None:
@@ -290,7 +303,7 @@ class _Kernel:
         self.dr = grid.dr
         self.radial = (d - 1.0) / grid.r[1:-1]
         self.rows = (np.arange(k) - 1) % k  # the row order of np.roll(u, 1, axis=0)
-        self.powers = np.array(p.p)[:, None]
+        self.powers = np.repeat(np.array(p.p)[:, None], grid.n + 1, axis=1)
         self.source = source
         self.nonlinear = nonlinear
         self.lap = np.zeros((k, grid.n + 1))
@@ -544,13 +557,17 @@ def run(config: SolverConfig) -> RunRecord:
     preallocated time levels; the results are bit-identical to a loop of
     ``step`` calls.  The velocity is formed only on the Taylor start and near
     overflow, where it decides the non-finite verdict just as a full
-    finiteness scan would.
+    finiteness scan would.  With equal exponents it steps one row and copies
+    it into the k columns (see the module docstring).
     """
     grid = config.grid
     bc = config.bc
     k = config.p.k
+    # equal exponents keep the k rows bit-for-bit copies: step one of them
+    stepped = ExponentVector.of(config.p.p[0]) if config.p.all_equal else config.p
+    k_stepped = stepped.k
     n = grid.n
-    u0, u1 = config.data.build(grid, k)
+    u0, u1 = config.data.build(grid, k_stepped)
     positivity = weighted_data_integral(grid.r, u0[0], u1[0], config.d, bc)
     if config.data.epsilon > 0 and positivity <= 0.0:
         raise DataPositivityError(
@@ -576,19 +593,19 @@ def run(config: SolverConfig) -> RunRecord:
     # below this peak, (3u+ - 4u + u-)/(2 dt) cannot overflow
     v_guard = sys.float_info.max / 16.0 * min(1.0, 2.0 * dt)
 
-    kernel = _Kernel(dt, config.p, config.d, bc, grid, None, nonlinear=True)
+    kernel = _Kernel(dt, stepped, config.d, bc, grid, None, nonlinear=True)
     u_prev, u_cur, u_new, spare = None, u0, np.zeros_like(u0), np.zeros_like(u0)
     v_new = u1.copy()  # velocity of the newest level; the Taylor start refills it
 
     times = np.empty(n_steps + 1)
-    peaks = np.empty((n_steps + 1, k))
+    peaks = np.empty((n_steps + 1, k_stepped))
     times[0] = 0.0
     peaks[0] = np.max(np.abs(u0), axis=1)
     levels = 1
 
     cap = n_steps // stride + 3 if stride else 0
     hist_t = np.empty(cap)
-    hist_u = np.empty((cap, k, n + 1))
+    hist_u = np.empty((cap, k_stepped, n + 1))
     n_hist = 0
 
     def snapshot(t: float, u: np.ndarray):
@@ -652,12 +669,16 @@ def run(config: SolverConfig) -> RunRecord:
         u_prev, u_cur, u_new = u_cur, u_new, (spare if u_prev is None else u_prev)
         older_peak, prev_peak = prev_peak, peak_now
 
+    peaks, hist_u = peaks[:levels], hist_u[:n_hist]
+    if k_stepped < k:  # every component is a copy of the stepped row
+        peaks = np.repeat(peaks, k, axis=1)
+        hist_u = np.repeat(hist_u, k, axis=1)
     history = None
     if stride:
         history = SolutionHistory(
             times=hist_t[:n_hist],
             r=grid.r,
-            u=hist_u[:n_hist],
+            u=hist_u,
             horizon=config.T_end,
         )
     return RunRecord(
@@ -666,7 +687,7 @@ def run(config: SolverConfig) -> RunRecord:
         t_blow=t_blow,
         t_final=t,
         peak_times=times[:levels],
-        peaks=peaks[:levels],
+        peaks=peaks,
         threshold_crossings=crossings,
         nan_encountered=nan_flag,
         data_positivity=positivity,

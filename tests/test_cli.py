@@ -158,6 +158,17 @@ def test_cli_simulate_dump_history(tmp_path, capsys):
     assert len(lines) == 1 + n_snapshots * n_nodes
 
 
+def test_cli_simulate_refuses_dump_history_without_snapshots(tmp_path, capsys):
+    config_file = SHIPPED_CONFIGS[0].parent / "critical_d2_neumann.ini"
+    assert solver_config_from_ini(config_file).history_snapshots == 0
+    out = tmp_path / "artifacts"
+    code = main(["simulate", str(config_file), "--out", str(out), "--dump-history"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "[history] snapshots" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_sweep_fit_report_pipeline(config_file, tmp_path, capsys):
     out = tmp_path / "sweepdir"
     code = main(

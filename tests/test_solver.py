@@ -15,6 +15,8 @@ from exwave.solver import (
     SolverConfig,
     Verdict,
     _crossing_time,
+    _forcing,
+    _Kernel,
     apply_boundary,
     energy,
     run,
@@ -405,6 +407,11 @@ GATE_CASES = {
         T_end=24.0, data=InitialData(center=10.0, width=6.0, epsilon=1e300),
         blowup_threshold=math.inf, history_snapshots=0,
     ),
+    # run steps one row and copies it into three columns, history included
+    "equal-k3": lambda: SolverConfig.with_auto_domain(
+        p=ExponentVector.of(1.5, 1.5, 1.5), d=3, bc=DIRICHLET, n=600, T_end=40.0,
+        data=InitialData(epsilon=0.5), history_snapshots=64,
+    ),
 }
 
 
@@ -431,6 +438,23 @@ def test_run_bit_identical_to_step_loop(case):
         assert rec.nan_encountered and rec.verdict is Verdict.BLEW_UP
     if case == "survived-horizon":
         assert rec.verdict is Verdict.SURVIVED
+
+
+def test_one_row_forcing_matches_each_row_of_two():
+    """run steps one row when the exponents are equal, so at p = 2 the
+    one-row forcing must give the bits of every row of the two-row one
+    (numpy's ``**`` with a size-1 exponent squares, which differs in the last
+    bit from the array pow)."""
+    cfg = GATE_CASES["neumann-p2"]()
+    u0, _ = cfg.data.build(cfg.grid, 2)
+
+    def forcing(p, u):
+        kernel = _Kernel(cfg.dt, p, cfg.d, cfg.bc, cfg.grid, None, nonlinear=True)
+        return _forcing(u, kernel.rows, kernel.powers, 0.0, None, nonlinear=True)
+
+    one = forcing(ExponentVector.of(2.0), u0[:1])
+    two = forcing(cfg.p, u0)
+    assert np.array_equal(one[0], two[0]) and np.array_equal(one[0], two[1])
 
 
 @pytest.mark.parametrize("case", ["subcritical-0.8", "robin", "survived-horizon"])

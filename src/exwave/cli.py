@@ -41,10 +41,6 @@ from .solver import run
 from .testfn import CutoffProfile
 
 
-def _bc_from_args(args) -> BoundaryCondition:
-    return BoundaryCondition(args.alpha, args.beta)
-
-
 def _emit(record: dict, as_json: bool):
     if as_json:
         print(json.dumps(record, indent=2, sort_keys=True))
@@ -63,7 +59,7 @@ def cmd_classify(args) -> int:
     rec = classify_record(
         ExponentVector(parse_floats(args.p)),
         args.dim,
-        _bc_from_args(args),
+        BoundaryCondition(args.alpha, args.beta),
         tol_crit=args.tol,
     )
     _emit(rec, args.json)
@@ -80,12 +76,10 @@ _BC_CHOICES = {
 def cmd_verify_lemma(args) -> int:
     bcs = [_BC_CHOICES[name] for name in args.bc.split(",")]
     exponents = ExponentVector(parse_floats(args.p)) if args.p else None
-    lams = parse_floats(args.lam) if args.lam else None
-    if lams is None:
-        if exponents is None:
-            lams = (2.0,)
-        else:
-            lams = (CutoffProfile.floor_for(exponents),)
+    if args.lam:
+        lams = parse_floats(args.lam)
+    else:
+        lams = (2.0 if exponents is None else CutoffProfile.floor_for(exponents),)
     rep = verify_cutoff_estimates(
         R_list=parse_floats(args.R),
         lam_list=lams,
@@ -112,11 +106,9 @@ def cmd_simulate(args) -> int:
         "epsilon": args.eps,
     }
     config = solver_config_from_ini(args.config, overrides)
-    if args.dump_history and config.history_snapshots == 0:
-        print(
-            "--dump-history needs [history] snapshots > 0 in the config",
-            file=sys.stderr,
-        )
+    if args.dump_history and (not args.out or config.history_snapshots == 0):
+        need = "[history] snapshots > 0 in the config" if args.out else "--out <dir>"
+        print(f"--dump-history needs {need}", file=sys.stderr)
         return 2
     rec = run(config)
     summary = record_to_dict(rec)
@@ -125,7 +117,7 @@ def cmd_simulate(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "run.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-        if args.dump_history and rec.history is not None:
+        if args.dump_history:
             history_to_csv(rec, outdir / "history.csv")
     return 0
 

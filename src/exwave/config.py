@@ -34,9 +34,10 @@ Plain INI text with nested sections, e.g.::
     epsilons = 0.8, 0.566, 0.4, 0.283, 0.2
     workers = 1
 
-CLI flags override individual keys.  ``[history] snapshots`` applies to
-``simulate``: a sweep stores no histories, so its records.json shows
-``history_snapshots`` 0.
+CLI flags override individual keys.  A section or key outside ``INI_KEYS``
+is rejected, not ignored, so a typo such as ``cfl_`` fails the load.
+``[history] snapshots`` applies to ``simulate``: a sweep stores no
+histories, so its records.json shows ``history_snapshots`` 0.
 
 Grid rule: ``r_max = auto`` sizes the domain from unit-speed propagation,
 ``r_max = 1 + (center + width - 1) + t_end + margin``
@@ -60,11 +61,40 @@ def parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
 
 
+# the allowed keys of every section; both loaders read through load_ini
+INI_KEYS = {
+    "system": ("p", "dim"),
+    "bc": ("alpha", "beta"),
+    "grid": ("n", "r_max", "margin"),
+    "time": ("t_end", "cfl"),
+    "data": ("center", "width", "epsilon"),
+    "thresholds": ("blowup",),
+    "history": ("snapshots",),
+    "sweep": ("epsilons", "workers"),
+}
+
+# stale sweep keys once set a per-run grid or horizon
+_SWEEP_NOTE = "; every run of a sweep uses the [grid] and the [time] t_end of the file"
+
+
 def load_ini(path: str | Path) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
+    for section in parser.sections():
+        if section not in INI_KEYS:
+            raise ValueError(
+                f"{path}: unknown section [{section}] (allowed: {', '.join(INI_KEYS)})"
+            )
+        allowed = INI_KEYS[section]
+        for key in parser.options(section):
+            if key not in allowed:
+                note = _SWEEP_NOTE if section == "sweep" else ""
+                raise ValueError(
+                    f"{path}: unknown [{section}] key {key!r} "
+                    f"(allowed: {', '.join(allowed)}){note}"
+                )
     return parser
 
 
@@ -119,25 +149,13 @@ def _solver_config(cfg: configparser.ConfigParser, overrides: dict) -> SolverCon
     return SolverConfig(grid=RadialGrid(r_max=float(r_max), n=n), **fields)
 
 
-SWEEP_KEYS = ("epsilons", "workers")
-
-
 def sweep_spec_from_ini(path: str | Path, overrides: dict | None = None) -> SweepSpec:
     """SweepSpec from the [sweep] section on top of the solver config.
 
-    Every run of the sweep uses the file's grid and ``[time] t_end``, so a
-    [sweep] key other than SWEEP_KEYS is rejected, not ignored."""
+    Every run of the sweep uses the file's grid and ``[time] t_end``."""
     overrides = overrides or {}
     cfg = load_ini(path)
     base = _solver_config(cfg, overrides)
-    if cfg.has_section("sweep"):
-        for key in cfg.options("sweep"):
-            if key not in SWEEP_KEYS:
-                raise ValueError(
-                    f"{path}: unknown [sweep] key {key!r} (allowed: "
-                    f"{', '.join(SWEEP_KEYS)}); every run of a sweep uses the "
-                    "[grid] and the [time] t_end of the file"
-                )
     epsilons = overrides.get("eps_list")
     if epsilons is None:
         epsilons = parse_floats(cfg.get("sweep", "epsilons"))

@@ -231,7 +231,6 @@ class EstimateBatchRow:
 @dataclass(frozen=True)
 class EstimateBatchReport:
     rows: tuple[EstimateBatchRow, ...]
-    band_limit: float
     passed: bool
     failures: tuple[str, ...]
     warnings: tuple[str, ...]
@@ -290,7 +289,6 @@ def verify_cutoff_estimates(
                         )
     return EstimateBatchReport(
         rows=tuple(rows),
-        band_limit=band_limit,
         passed=not failures,
         failures=tuple(failures),
         warnings=tuple(warns),

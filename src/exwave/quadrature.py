@@ -12,19 +12,21 @@ half-lines).  Three consumers:
 * ``measure_QRstar_psi``: adaptive quadrature of Psi over the transition
   shell Q*_R, whose growth rate in R the theory pins down;
 * ``functional_IR`` / ``chain_check``: trapezoidal functionals of simulation
-  output against the weights Psi phi_R, and the link-by-link diagnostic of
-  the inequality chain leading to the lifespan bound.
+  output against the weights Psi phi_R (``star=True``: Psi phi*_R), each a
+  plain float with R read from the ``ScaledCutoff``, and the link-by-link
+  diagnostic of the inequality chain leading to the lifespan bound.
+
+Only ``measure_QRstar_psi`` imports scipy, inside the function, so importing
+the CLI does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .exponents import BoundaryCondition, ExponentVector, compute_gamma
 from .testfn import CutoffProfile, HarmonicWeight, ScaledCutoff, psi
@@ -39,19 +41,9 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-@dataclass(frozen=True)
-class RadialMeasure:
-    """Radial reduction of the volume element on the exterior domain."""
-
-    d: int
-
-    @property
-    def omega(self) -> float:
-        return sphere_area(self.d)
-
-    def integrate(self, r: np.ndarray, values: np.ndarray) -> float:
-        """omega * int values(r) r^(d-1) dr by the trapezoidal rule."""
-        return float(self.omega * np.trapezoid(values * r ** (self.d - 1), r))
+def radial_integral(r: np.ndarray, values: np.ndarray, d: int) -> float:
+    """omega_{d-1} * int values(r) r^(d-1) dr by the trapezoidal rule."""
+    return float(sphere_area(d) * np.trapezoid(values * r ** (d - 1), r))
 
 
 def theta(R: float, d: int, bc: BoundaryCondition, p: float) -> float:
@@ -83,7 +75,6 @@ def measure_QRstar_psi(
     d: int,
     bc: BoundaryCondition,
     T_horizon: float,
-    rel_tol: float = 1e-6,
 ) -> float:
     """int over Q*_R of Psi(x) d(t, x), reduced to a radial integral.
 
@@ -93,9 +84,11 @@ def measure_QRstar_psi(
 
         [t_hi(r) - t_lo(r)] * Psi(r) * omega_{d-1} r^(d-1)
 
-    over r in (1, 1 + R).  The expected growth rates are R^4 log R for d = 2
-    with beta != 0 and R^(d+2) otherwise.
+    over r in (1, 1 + R), to a relative error of 1e-6.  The expected growth
+    rates are R^4 log R for d = 2 with beta != 0 and R^(d+2) otherwise.
     """
+    from scipy import integrate
+
     if R < 2:
         raise ValueError("R >= 2 required")
     if T_horizon < R**2:
@@ -115,28 +108,11 @@ def measure_QRstar_psi(
     value, abserr = integrate.quad(
         integrand, 1.0, 1.0 + R, points=[kink], limit=200, epsabs=0.0, epsrel=1e-9
     )
-    if value <= 0.0 or abserr > rel_tol * value:
+    if value <= 0.0 or abserr > 1e-6 * value:
         raise QuadratureConvergenceError(
             f"shell integral did not converge: value={value:.6e}, abserr={abserr:.2e}"
         )
     return float(value)
-
-
-class FunctionalKind(str, Enum):
-    I_R = "I_R"            # weight phi_R
-    I_R_STAR = "I_R_star"  # weight phi*_R
-
-
-@dataclass(frozen=True)
-class FunctionalValue:
-    value: float
-    R: float
-    ell: int
-    which: FunctionalKind
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("functional of |u|^p against a nonnegative weight")
 
 
 class InsufficientCoverageError(ValueError):
@@ -145,30 +121,30 @@ class InsufficientCoverageError(ValueError):
 
 def functional_IR(
     history,
-    R: float,
-    ell: int,
-    which: FunctionalKind,
-    p_next: float,
-    weight: HarmonicWeight,
     cutoff: ScaledCutoff,
+    weight: HarmonicWeight,
+    ell: int,
+    p_next: float,
+    star: bool = False,
     allow_truncated: bool = False,
-) -> FunctionalValue:
-    """Tensor-product trapezoidal quadrature of |u_ell|^p_next Psi phi_R over Q_R.
+) -> float:
+    """Tensor-product trapezoidal quadrature of |u_ell|^p_next Psi phi_R over
+    Q_R, with R = ``cutoff.R``; ``star=True`` takes phi*_R instead (I*_R).
 
-    ``history`` provides ``times`` (m,), ``r`` (n+1,) and ``u`` (m, k, n+1).
-    ``ell`` is the 1-based component index.  The time window must reach
-    min(horizon, R^2) and the grid must reach 1 + R, otherwise the support of
-    phi_R is clipped; ``allow_truncated`` waives the time check (used on
-    blown-up runs, whose natural life ends before R^2).
+    ``history`` provides ``times`` (m,), ``r`` (n+1,), ``u`` (m, k, n+1) and
+    ``horizon``.  ``ell`` is the 1-based component index.  The time window
+    must reach min(horizon, R^2) and the grid must reach 1 + R, otherwise the
+    support of phi_R is clipped; ``allow_truncated`` waives the time check
+    (used on blown-up runs, whose natural life ends before R^2).
 
     The quadrature runs over the support of phi_R only: the snapshots up to
     the first one at t >= R^2 and the nodes up to the first one at
-    r >= 1 + R (R of ``cutoff``).  Every sample left out has weight exactly
-    0.0, and the two kept end lines carry weight 0.0 too, so no trapezoid
-    segment with weight is dropped.  A non-finite ``u`` beyond those end
-    lines therefore does not enter the value (on the full grid, 0.0 * inf
-    would turn it into NaN).
+    r >= 1 + R.  Every sample left out has weight exactly 0.0, and the two
+    kept end lines carry weight 0.0 too, so no trapezoid segment with weight
+    is dropped.  A non-finite ``u`` beyond those end lines therefore does not
+    enter the value (on the full grid, 0.0 * inf would turn it into NaN).
     """
+    R = cutoff.R
     times = np.asarray(history.times, dtype=float)
     r = np.asarray(history.r, dtype=float)
     u = np.asarray(history.u, dtype=float)
@@ -179,7 +155,7 @@ def functional_IR(
         raise InsufficientCoverageError(
             f"grid reaches r = {r[-1]:.3f} < 1 + R = {1.0 + R:.3f}"
         )
-    t_needed = min(R**2, getattr(history, "horizon", math.inf))
+    t_needed = min(R**2, history.horizon)
     if times[-1] < t_needed * (1.0 - 1e-12) and not allow_truncated:
         raise InsufficientCoverageError(
             f"history ends at t = {times[-1]:.3f} < min(horizon, R^2) = {t_needed:.3f}"
@@ -187,16 +163,14 @@ def functional_IR(
     # past the first snapshot at t >= R^2 and the first node at r >= 1 + R,
     # rho >= 1 up to rounding, and phi is exactly 0.0 from rho > 0.9994 on
     # (the bridge underflows there), so the weight is exactly 0.0
-    m = min(int(np.searchsorted(times, cutoff.R**2)) + 1, times.size)
-    n = min(int(np.searchsorted(r, 1.0 + cutoff.R)) + 1, r.size)
+    m = min(int(np.searchsorted(times, R**2)) + 1, times.size)
+    n = min(int(np.searchsorted(r, 1.0 + R)) + 1, r.size)
     times, r = times[:m], r[:n]
-    star = which is FunctionalKind.I_R_STAR
     w_r = weight.value(r) * sphere_area(weight.d) * r ** (weight.d - 1)
     cut = cutoff.phi_R(times[:, None], r[None, :], star=star)
     integrand = np.abs(u[:m, ell - 1, :n]) ** p_next * cut * w_r[None, :]
     inner = np.trapezoid(integrand, r, axis=1)
-    value = float(np.trapezoid(inner, times))
-    return FunctionalValue(value=max(value, 0.0), R=R, ell=ell, which=which)
+    return max(float(np.trapezoid(inner, times)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +203,6 @@ class ChainRow:
     R: float
     links: tuple[LinkCheck, ...]
     final_ratio: float        # eps * R^(2 gamma_max - d)
-    final_ratio_data: float   # C0_k * eps * R^(2 gamma_max - d)
     in_theory_window: bool    # R^2 <= covered time span
 
 
@@ -237,17 +210,6 @@ class ChainRow:
 class ChainReport:
     rows: tuple[ChainRow, ...]
     gamma_max: float
-    epsilon: float
-
-    def table(self) -> str:
-        lines = ["    R   window  final_ratio  link ratios"]
-        for row in self.rows:
-            marks = " ".join(f"{link.ratio:.3e}" for link in row.links)
-            lines.append(
-                f"{row.R:7.3f}  {'in ' if row.in_theory_window else 'out'}  "
-                f"{row.final_ratio:.4e}  {marks}"
-            )
-        return "\n".join(lines)
 
 
 def chain_check(
@@ -258,63 +220,44 @@ def chain_check(
     R_values: Sequence[float],
     epsilon: float,
     C0: Sequence[float],
-    lam: float | None = None,
 ) -> ChainReport:
     """Evaluate both sides of every link of the inequality chain on a run.
 
-    Purely diagnostic: hidden constants are reported as measured ratios and
-    nothing is asserted.  The final ratio eps * R^(2 gamma_max - d) realizes
+    For each R and link ell, two ``functional_IR`` calls on one
+    ``ScaledCutoff(R)``: I_R of |u_(ell-1)|^p_ell (cyclic index) and I*_R of
+    |u_ell|^p_(ell+1), 2k per R.  Purely diagnostic: hidden constants are
+    reported as measured ratios and nothing is asserted.  The final ratio eps * R^(2 gamma_max - d) realizes
     the closing inequality (data term <= C R^(-2 gamma_max + d)); it is only
-    meaningful inside the theory window R <= sqrt(covered time).
+    meaningful inside the theory window R <= sqrt(covered time).  The cutoff
+    profile is the lambda floor of ``p``.
     """
     k = p.k
     if len(C0) != k:
         raise ValueError(f"expected {k} data constants, got {len(C0)}")
-    if lam is None:
-        lam = CutoffProfile.floor_for(p)
     report = compute_gamma(p, d)
     weight = HarmonicWeight(d, bc)
-    times = np.asarray(history.times, dtype=float)
-    t_covered = float(times[-1])
+    t_covered = float(history.times[-1])
+    power = 2.0 * report.gamma_max - d
+    profile = CutoffProfile(lam=CutoffProfile.floor_for(p))
 
     rows = []
-    for R in R_values:
-        cutoff = ScaledCutoff(R=float(R), profile=CutoffProfile(lam=lam))
+    for R in map(float, R_values):
+        cutoff = ScaledCutoff(R=R, profile=profile)
         links = []
         for j in range(k):  # j = ell - 1
             prev = (j - 1) % k
-            i_prev = functional_IR(
-                history,
-                R,
-                prev + 1,
-                FunctionalKind.I_R,
-                p.p[j],
-                weight,
-                cutoff,
-                allow_truncated=True,
-            ).value
             p_next = p.p[(j + 1) % k]
-            star = functional_IR(
-                history,
-                R,
-                j + 1,
-                FunctionalKind.I_R_STAR,
-                p_next,
-                weight,
-                cutoff,
-                allow_truncated=True,
-            ).value
-            lhs = i_prev + C0[j] * epsilon
-            rhs = theta(R, d, bc, p_next) * star ** (1.0 / p_next)
-            links.append(LinkCheck(ell=j + 1, lhs=lhs, rhs=rhs))
-        power = 2.0 * report.gamma_max - d
-        rows.append(
-            ChainRow(
-                R=float(R),
-                links=tuple(links),
-                final_ratio=epsilon * float(R) ** power,
-                final_ratio_data=C0[-1] * epsilon * float(R) ** power,
-                in_theory_window=float(R) ** 2 <= t_covered * (1.0 + 1e-12),
+            i_prev = functional_IR(
+                history, cutoff, weight, prev + 1, p.p[j], allow_truncated=True
             )
-        )
-    return ChainReport(rows=tuple(rows), gamma_max=report.gamma_max, epsilon=epsilon)
+            i_star = functional_IR(
+                history, cutoff, weight, j + 1, p_next, star=True, allow_truncated=True
+            )
+            lhs = i_prev + C0[j] * epsilon
+            rhs = theta(R, d, bc, p_next) * i_star ** (1.0 / p_next)
+            links.append(LinkCheck(ell=j + 1, lhs=lhs, rhs=rhs))
+        rows.append(ChainRow(
+            R=R, links=tuple(links), final_ratio=epsilon * R**power,
+            in_theory_window=R**2 <= t_covered * (1.0 + 1e-12),
+        ))
+    return ChainReport(rows=tuple(rows), gamma_max=report.gamma_max)

@@ -54,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from .exponents import BoundaryCondition, BoundaryKind, ExponentVector
-from .quadrature import RadialMeasure
+from .quadrature import radial_integral
 from .testfn import cutoff_value, psi
 
 DEFAULT_CFL = 0.9
@@ -160,8 +160,7 @@ def weighted_data_integral(
     r: np.ndarray, u0: np.ndarray, u1: np.ndarray, d: int, bc: BoundaryCondition
 ) -> float:
     """omega * int (u0 + u1) Psi r^(d-1) dr for arbitrary data arrays."""
-    measure = RadialMeasure(d)
-    return measure.integrate(np.asarray(r, float), (u0 + u1) * psi(r, d, bc))
+    return radial_integral(np.asarray(r, float), (u0 + u1) * psi(r, d, bc), d)
 
 
 def _laplacian_nodes(

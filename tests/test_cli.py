@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import exwave
 from exwave.cli import main
 from exwave.config import solver_config_from_ini, sweep_spec_from_ini
 from exwave.harness import record_to_dict
@@ -75,6 +79,24 @@ def test_stale_sweep_key_is_rejected(tmp_path, key, value):
         sweep_spec_from_ini(path)
 
 
+@pytest.mark.parametrize("loader", [solver_config_from_ini, sweep_spec_from_ini])
+@pytest.mark.parametrize(
+    "old, new, section, key",
+    [
+        ("cfl = 0.9", "cfl_ = 0.9", "time", "cfl_"),
+        ("n = 400", "n = 400\nnn = 800", "grid", "nn"),
+        ("[thresholds]", "[threshold]", "threshold", None),
+    ],
+    ids=["time-typo", "grid-typo", "unknown-section"],
+)
+def test_unknown_ini_key_or_section_is_rejected(tmp_path, loader, old, new, section, key):
+    path = tmp_path / "typo.ini"
+    path.write_text(CONFIG_TEXT.replace(old, new))
+    found = rf"\[{section}\] key '{key}'" if key else rf"section \[{section}\]"
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + found):
+        loader(path)
+
+
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
 def test_shipped_config_loads(path):
     base = sweep_spec_from_ini(path).base
@@ -100,6 +122,15 @@ def test_config_overrides(config_file):
 def test_zero_override_is_validated_not_ignored(config_file, overrides, message):
     with pytest.raises(ValueError, match=message):
         sweep_spec_from_ini(config_file, overrides)
+
+
+def test_cli_import_does_not_load_scipy():
+    """Only measure_QRstar_psi needs scipy; it imports it when called."""
+    src = Path(exwave.__file__).resolve().parents[1]
+    code = "import sys, exwave.cli; assert 'scipy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_gamma_json(capsys):
@@ -167,6 +198,17 @@ def test_cli_simulate_refuses_dump_history_without_snapshots(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[history] snapshots" in captured.err and captured.out == ""
     assert not out.exists()
+
+
+def test_cli_simulate_refuses_dump_history_without_out(tmp_path, monkeypatch, capsys):
+    config_file = tmp_path / "hist.ini"
+    config_file.write_text(CONFIG_TEXT.replace("snapshots = 0", "snapshots = 8"))
+    monkeypatch.chdir(tmp_path)
+    code = main(["simulate", str(config_file), "--dump-history"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hist.ini"]
 
 
 def test_cli_sweep_fit_report_pipeline(config_file, tmp_path, capsys):

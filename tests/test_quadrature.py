@@ -5,12 +5,11 @@ import pytest
 
 from exwave.exponents import BoundaryCondition, ExponentVector
 from exwave.quadrature import (
-    FunctionalKind,
     InsufficientCoverageError,
-    RadialMeasure,
     chain_check,
     functional_IR,
     measure_QRstar_psi,
+    radial_integral,
     sphere_area,
     theta,
 )
@@ -35,7 +34,7 @@ def test_sphere_areas():
 def test_radial_measure_against_closed_form():
     # int_1^2 r^2 dr * 4pi = 4pi * 7/3
     r = np.linspace(1.0, 2.0, 20001)
-    val = RadialMeasure(3).integrate(r, np.ones_like(r))
+    val = radial_integral(r, np.ones_like(r), 3)
     assert val == pytest.approx(4 * math.pi * 7 / 3, rel=1e-8)
 
 
@@ -102,8 +101,8 @@ def test_functional_zero_solution():
     hist = _const_history(0.0)
     w = HarmonicWeight(3, BoundaryCondition.neumann())
     cut = ScaledCutoff(R=1.5, profile=CutoffProfile(lam=2.0))
-    val = functional_IR(hist, 1.5, 1, FunctionalKind.I_R, 2.0, w, cut)
-    assert val.value == 0.0
+    val = functional_IR(hist, cut, w, 1, 2.0)
+    assert val == 0.0
 
 
 def test_functional_constant_against_dense_oracle():
@@ -112,7 +111,7 @@ def test_functional_constant_against_dense_oracle():
     hist = _const_history(1.0)
     w = HarmonicWeight(d, bc)
     cut = ScaledCutoff(R=R, profile=CutoffProfile(lam=lam))
-    val = functional_IR(hist, R, 1, FunctionalKind.I_R, 2.0, w, cut).value
+    val = functional_IR(hist, cut, w, 1, 2.0)
     rd = np.linspace(1.0, 4.0, 4001)
     td = np.linspace(0.0, 4.0, 3201)
     dense = np.trapezoid(
@@ -131,8 +130,8 @@ def test_functional_star_below_plain_and_monotone_in_R():
     prev = 0.0
     for R in (1.2, 1.6, 2.0):
         cut = ScaledCutoff(R=R, profile=prof)
-        plain = functional_IR(hist, R, 1, FunctionalKind.I_R, 2.0, w, cut).value
-        star = functional_IR(hist, R, 1, FunctionalKind.I_R_STAR, 2.0, w, cut).value
+        plain = functional_IR(hist, cut, w, 1, 2.0)
+        star = functional_IR(hist, cut, w, 1, 2.0, star=True)
         assert 0.0 <= star <= plain
         assert plain >= prev  # Q_R nested and phi_R nondecreasing in R
         prev = plain
@@ -143,12 +142,12 @@ def test_functional_coverage_errors():
     cut = ScaledCutoff(R=2.0, profile=CutoffProfile(lam=2.0))
     clipped_r = _const_history(1.0, r_max=2.5)
     with pytest.raises(InsufficientCoverageError):
-        functional_IR(clipped_r, 2.0, 1, FunctionalKind.I_R, 2.0, w, cut)
+        functional_IR(clipped_r, cut, w, 1, 2.0)
     clipped_t = _const_history(1.0, t_max=2.0)
     clipped_t.horizon = 10.0  # run was meant to reach t = 10 but stopped at 2
     with pytest.raises(InsufficientCoverageError):
-        functional_IR(clipped_t, 2.0, 1, FunctionalKind.I_R, 2.0, w, cut)
-    functional_IR(clipped_t, 2.0, 1, FunctionalKind.I_R, 2.0, w, cut, allow_truncated=True)
+        functional_IR(clipped_t, cut, w, 1, 2.0)
+    functional_IR(clipped_t, cut, w, 1, 2.0, allow_truncated=True)
 
 
 def test_functional_grid_self_consistency():
@@ -162,7 +161,7 @@ def test_functional_grid_self_consistency():
         times = np.linspace(0.0, 4.0, nt)
         u = (np.exp(-times)[:, None] * np.exp(-((r - 2.0) ** 2)))[:, None, :]
         hist = SolutionHistory(times=times, r=r, u=u, horizon=4.0)
-        return functional_IR(hist, R, 1, FunctionalKind.I_R, 2.0, w, cut).value
+        return functional_IR(hist, cut, w, 1, 2.0)
 
     v1, v2, v3 = value(101, 81), value(201, 161), value(401, 321)
     err12 = abs(v1 - v2)
@@ -199,8 +198,8 @@ def _full_grid_functional(hist, ell, p_next, weight, cutoff, star):
         (2.0, 3.0, 9.0),      # the grid ends exactly at 1 + R
     ],
 )
-@pytest.mark.parametrize("which", list(FunctionalKind))
-def test_functional_on_the_support_matches_the_full_grid(R, r_end, t_end, which, steps):
+@pytest.mark.parametrize("star", [False, True], ids=["I_R", "I_R_star"])
+def test_functional_on_the_support_matches_the_full_grid(R, r_end, t_end, star, steps):
     """functional_IR integrates only over the support of phi_R, up to the first
     snapshot at t >= R^2 and the first node at r >= 1 + R; the samples it
     leaves out have weight 0.0.  A non-finite u beyond those end lines turns
@@ -210,9 +209,8 @@ def test_functional_on_the_support_matches_the_full_grid(R, r_end, t_end, which,
     hist = _smooth_history(r_end, t_end, *steps)
     w = HarmonicWeight(3, BoundaryCondition.robin(1.0, 1.0))
     cut = ScaledCutoff(R=R, profile=CutoffProfile(lam=3.0))
-    star = which is FunctionalKind.I_R_STAR
     for ell in (1, 2):
-        val = functional_IR(hist, R, ell, which, 1.7, w, cut, allow_truncated=True).value
+        val = functional_IR(hist, cut, w, ell, 1.7, star=star, allow_truncated=True)
         full = _full_grid_functional(hist, ell, 1.7, w, cut, star)
         assert val > 0.0
         assert val == pytest.approx(full, rel=1e-12, abs=0.0)
@@ -224,8 +222,33 @@ def test_functional_on_the_support_matches_the_full_grid(R, r_end, t_end, which,
         if m < hist.times.size or n < hist.r.size:
             with np.errstate(invalid="ignore"):  # inf * 0.0
                 assert np.isnan(_full_grid_functional(hist, ell, 1.7, w, cut, star))
-        again = functional_IR(hist, R, ell, which, 1.7, w, cut, allow_truncated=True)
-        assert again.value == val
+        again = functional_IR(hist, cut, w, ell, 1.7, star=star, allow_truncated=True)
+        assert again == val
+
+
+@pytest.mark.parametrize("R", [2.0, 2.1])
+def test_chain_links_pair_each_component_with_its_power(R):
+    """Link ell is I_R[|u_(ell-1)|^p_ell] + C0_ell eps on the left and
+    Theta_p(ell+1)(R) (I*_R[|u_ell|^p_(ell+1)])^(1/p_(ell+1)) on the right,
+    indices cyclic.  The two components differ and so do the exponents, so
+    a link that pairs the wrong component or power shows."""
+    hist = _smooth_history(5.0, 9.0, 0.25, 0.5)
+    p = ExponentVector.of(1.5, 2.5)
+    d, bc, eps, C0 = 3, BoundaryCondition.robin(1.0, 1.0), 0.1, [0.7, 1.3]
+    rep = chain_check(hist, p, d, bc, [R], epsilon=eps, C0=C0)
+    w = HarmonicWeight(d, bc)
+    cut = ScaledCutoff(R=R, profile=CutoffProfile(lam=CutoffProfile.floor_for(p)))
+    # ell: (component of I_R, its power, component of I*_R, its power)
+    pairing = {1: (2, 1.5, 1, 2.5), 2: (1, 2.5, 2, 1.5)}
+    (row,) = rep.rows
+    assert [link.ell for link in row.links] == [1, 2]
+    for link in row.links:
+        prev, p_ell, comp, p_next = pairing[link.ell]
+        lhs = _full_grid_functional(hist, prev, p_ell, w, cut, False) + C0[link.ell - 1] * eps
+        star = _full_grid_functional(hist, comp, p_next, w, cut, True)
+        rhs = theta(R, d, bc, p_next) * star ** (1.0 / p_next)
+        assert link.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+        assert link.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_chain_check_zero_solution():

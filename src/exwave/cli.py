@@ -25,6 +25,7 @@ from .exponents import (
     gamma_record,
 )
 from .harness import (
+    FORM_MODELS,
     FitModel,
     censor_points,
     fit_scaling,
@@ -132,16 +133,12 @@ def cmd_sweep(args) -> int:
     }
     spec = sweep_spec_from_ini(args.config, overrides)
     result = sweep(spec)
-    fit = None
-    pts = censor_points(result)
     theory = result.theory_bound
-    # exponential/double-exponential lifespans are unidentifiable at desk
-    # scale; only the polynomial shapes are ever fitted
-    if len(pts) >= 4 and theory["exponent"]:
-        if theory["form"] == "polynomial":
-            fit = fit_scaling(pts, FitModel.POWER, b_theory=theory["exponent"])
-        elif theory["form"] == "polynomial-log":
-            fit = fit_scaling(pts, FitModel.POWER_LOG, b_theory=theory["exponent"])
+    model = FORM_MODELS.get(theory["form"])
+    pts = [(e, T) for e, T in censor_points(result) if model is not None and model.defined_at(e)]
+    fit = None
+    if len(pts) >= 4:
+        fit = fit_scaling(pts, model, b_theory=theory["exponent"])
     for rec in result.runs:
         row = sweep_row(record_to_dict(rec))
         print(

@@ -138,13 +138,8 @@ class GammaReport:
     gamma_max: float
     product_p: float
     equal_exponents: bool
-    dimension: int
     Gamma_excess: float
     residual: float = field(default=0.0, compare=False)
-
-    @property
-    def k(self) -> int:
-        return len(self.gamma)
 
 
 def compute_gamma(p: ExponentVector, d: int) -> GammaReport:
@@ -173,7 +168,6 @@ def compute_gamma(p: ExponentVector, d: int) -> GammaReport:
         gamma_max=gamma_max,
         product_p=p.product,
         equal_exponents=p.all_equal,
-        dimension=d,
         Gamma_excess=gamma_max - d / 2.0,
         residual=residual,
     )

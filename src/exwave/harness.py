@@ -14,8 +14,8 @@ blow-up times are fitted against the predicted lifespan shapes
 by least squares in log coordinates, and the fitted slope is compared with
 the exponent recomputed from the regime classifier at report time.
 Critical-regime predictions (exponential or double-exponential lifespans) are
-never fitted: at desk scale only "blow-up observed at every tested epsilon"
-is meaningful there.
+never fitted, nor drawn: at desk scale only "blow-up observed at every tested
+epsilon" is meaningful there.  ``FORM_MODELS`` lists the forms that are.
 """
 
 from __future__ import annotations
@@ -41,12 +41,7 @@ from .exponents import (
     classify_regime,
 )
 from .solver import RunRecord, SolverConfig, Verdict, run
-from .testfn import (
-    DEFAULT_RHS_R_POWERS,
-    CutoffProfile,
-    SupRatioSweep,
-    _sup_ratio_batch,
-)
+from .testfn import DEFAULT_RHS_R_POWERS, CutoffProfile, SupRatioRow, sup_ratio_rows
 
 
 @dataclass(frozen=True)
@@ -123,6 +118,22 @@ def sweep(spec: SweepSpec) -> SweepResult:
 class FitModel(str, Enum):
     POWER = "power"          # T = A eps^-b
     POWER_LOG = "power-log"  # T = A (eps^-1 log eps^-1)^b
+
+    def defined_at(self, eps: float) -> bool:
+        """Whether the law's abscissa exists at eps (POWER_LOG needs eps < 1)."""
+        return self is FitModel.POWER or eps < 1.0
+
+    def log10_abscissa(self, eps: float) -> float:
+        """log10 of eps^-1 (POWER) or of eps^-1 log eps^-1 (POWER_LOG)."""
+        if self is FitModel.POWER:
+            return math.log10(1.0 / eps)
+        return math.log10(math.log(1.0 / eps) / eps)
+
+
+# The law each theory form is fitted and drawn against.  The exponential and
+# double-exponential forms are unidentifiable at desk scale, and the no-claim
+# and open-problem forms carry no exponent: none of them has a law here.
+FORM_MODELS = {"polynomial": FitModel.POWER, "polynomial-log": FitModel.POWER_LOG}
 
 
 @dataclass(frozen=True)
@@ -215,22 +226,8 @@ def censor_points(result: SweepResult, guard_steps: float = 10.0) -> list[tuple[
 
 
 @dataclass(frozen=True)
-class EstimateBatchRow:
-    lam: float
-    d: int
-    bc: BoundaryCondition
-    by_R: tuple[SupRatioSweep, ...]
-
-    def bands(self) -> tuple[float, ...]:
-        mat = np.array([res.ratios for res in self.by_R])
-        lo = mat.min(axis=0)
-        hi = mat.max(axis=0)
-        return tuple(float(h / l) if l > 0 else math.inf for h, l in zip(hi, lo))
-
-
-@dataclass(frozen=True)
 class EstimateBatchReport:
-    rows: tuple[EstimateBatchRow, ...]
+    rows: tuple[SupRatioRow, ...]
     passed: bool
     failures: tuple[str, ...]
     warnings: tuple[str, ...]
@@ -255,38 +252,35 @@ def verify_cutoff_estimates(
 ) -> EstimateBatchReport:
     """Sup-ratio matrix over the parameter grid.
 
-    PASS means every estimate's ratios stay within ``band_limit`` across R (a
+    The report's rows are the batch's rows (``testfn.sup_ratio_rows``), one
+    per (lam, d, bc) in that order, each over ``R_list``.  PASS means every
+    estimate's ratios stay within ``band_limit`` across R (a
     uniform-boundedness proxy) and no support violation occurred.  When
     ``exponents`` is given, lambdas below the admissibility floor
     2/(min p - 1) are flagged as warnings.
     """
     if not (R_list and lam_list and d_list and bc_list):
         raise ValueError("all parameter lists must be nonempty")
-    sweeps = _sup_ratio_batch(R_list, lam_list, d_list, bc_list, grid, rhs_r_powers)
-    rows = []
-    failures: list[str] = []
     warns: list[str] = []
-    for lam, by_lam in zip(lam_list, sweeps):
-        if exponents is not None and lam < CutoffProfile.floor_for(exponents) - 1e-12:
-            warns.append(
-                f"lambda = {lam:g} is below the admissibility floor "
-                f"{CutoffProfile.floor_for(exponents):g} for p = {exponents.p}"
-            )
-        for d, by_d in zip(d_list, by_lam):
-            for bc, by_R in zip(bc_list, by_d):
-                row = EstimateBatchRow(lam=lam, d=d, bc=bc, by_R=by_R)
-                rows.append(row)
-                for res in by_R:
-                    for v in res.violations:
-                        failures.append(
-                            f"lam={lam:g} d={d} bc={bc.kind.value} R={res.R:g}: {v}"
-                        )
-                for i, b in enumerate(row.bands()):
-                    if b > band_limit:
-                        failures.append(
-                            f"lam={lam:g} d={d} bc={bc.kind.value}: estimate "
-                            f"({'i' * (i + 1)}) band {b:.2f} exceeds {band_limit:g}"
-                        )
+    if exponents is not None:
+        floor = CutoffProfile.floor_for(exponents)
+        warns = [
+            f"lambda = {lam:g} is below the admissibility floor "
+            f"{floor:g} for p = {exponents.p}"
+            for lam in lam_list
+            if lam < floor - 1e-12
+        ]
+    rows = sup_ratio_rows(R_list, lam_list, d_list, bc_list, grid, rhs_r_powers)
+    failures: list[str] = []
+    for row in rows:
+        where = f"lam={row.lam:g} d={row.d} bc={row.bc.kind.value}"
+        for res in row.by_R:
+            failures.extend(f"{where} R={res.R:g}: {v}" for v in res.violations)
+        for i, b in enumerate(row.bands()):
+            if b > band_limit:
+                failures.append(
+                    f"{where}: estimate ({'i' * (i + 1)}) band {b:.2f} exceeds {band_limit:g}"
+                )
     return EstimateBatchReport(
         rows=tuple(rows),
         passed=not failures,
@@ -352,9 +346,11 @@ def write_tables(records: Sequence[dict], outdir: str | Path) -> list[Path]:
     """Write sweep.csv and sweep_loglog.dat from ``record_to_dict`` records.
 
     Both files are deterministic functions of the records.  The theory line
-    in the plot data has the slope of the regime classifier's exponent for
-    the records' (p, d, alpha, beta), recomputed here, and passes through the
-    first blow-up point.
+    in the plot data follows the ``FORM_MODELS`` law of the regime
+    classifier's form for the records' (p, d, alpha, beta), recomputed here,
+    with the classifier's exponent, through the first blow-up point where
+    the law is defined.  It is nan for the forms without a law and at the
+    points where the abscissa is undefined.
     """
     outdir = Path(outdir)
     csv_path = outdir / "sweep.csv"
@@ -375,20 +371,21 @@ def write_tables(records: Sequence[dict], outdir: str | Path) -> list[Path]:
     ]
     if pts:
         cfg = records[0]["config"]
-        b = _theory_bound(
+        theory = _theory_bound(
             ExponentVector(tuple(cfg["p"])),
             cfg["d"],
             BoundaryCondition(cfg["alpha"], cfg["beta"]),
-        )["exponent"]
-        anchor_eps, anchor_T = pts[0]
+        )
+        model = FORM_MODELS.get(theory["form"])
+        anchor = next((pt for pt in pts if model is not None and model.defined_at(pt[0])), None)
         for e, T in pts:
             x = math.log10(1.0 / e)
             y = math.log10(T)
-            if b:
-                ytheory = math.log10(anchor_T) + b * (x - math.log10(1.0 / anchor_eps))
-                lines.append(f"{x:.10g} {y:.10g} {ytheory:.10g}")
-            else:
-                lines.append(f"{x:.10g} {y:.10g} nan")
+            ytheory = math.nan
+            if anchor is not None and model.defined_at(e):
+                shift = model.log10_abscissa(e) - model.log10_abscissa(anchor[0])
+                ytheory = math.log10(anchor[1]) + theory["exponent"] * shift
+            lines.append(f"{x:.10g} {y:.10g} {ytheory:.10g}")
     plot_path.write_text("\n".join(lines) + "\n")
     return [csv_path, plot_path]
 

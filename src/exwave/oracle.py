@@ -67,17 +67,13 @@ class OdeSystem:
 
 
 def solve_first_order_exact(p: float, y0: float) -> float:
-    """Blow-up time of y' = y^p, y(0) = y0 > 0: T = y0^(1-p) / (p-1)."""
+    """Blow-up time of y' = y^p, y(0) = y0 > 0: T = y0^(1-p) / (p-1), which
+    is also the remaining time from any amplitude y0 on the trajectory."""
     if y0 <= 0:
         raise ValueError("y0 must be positive")
     if p <= 1:
         raise ValueError("p must exceed 1")
     return y0 ** (1.0 - p) / (p - 1.0)
-
-
-def first_order_tail(p: float, y: float) -> float:
-    """Remaining time from amplitude y to infinity for y' = y^p."""
-    return y ** (1.0 - p) / (p - 1.0)
 
 
 class Outcome(str, Enum):
@@ -216,7 +212,7 @@ def integrate_adaptive(
             t_cross = t + hi
             if tail_applies:
                 amp = amplitude(y_lo)
-                t_blow = t_cross + first_order_tail(sys.p.p[0], max(amp, M * 0.5))
+                t_blow = t_cross + solve_first_order_exact(sys.p.p[0], max(amp, M * 0.5))
             else:
                 t_blow = t_cross
             return OdeBlowupResult(

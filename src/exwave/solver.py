@@ -566,7 +566,7 @@ def run(config: SolverConfig) -> RunRecord:
     stepped = ExponentVector.of(config.p.p[0]) if config.p.all_equal else config.p
     k_stepped = stepped.k
     n = grid.n
-    u0, u1 = config.data.build(grid, k_stepped)
+    u0, u1 = config.data.build(grid, k_stepped)  # zero on both pinned nodes
     positivity = weighted_data_integral(grid.r, u0[0], u1[0], config.d, bc)
     if config.data.epsilon > 0 and positivity <= 0.0:
         raise DataPositivityError(
@@ -578,7 +578,6 @@ def run(config: SolverConfig) -> RunRecord:
             "solution before the horizon",
             stacklevel=2,
         )
-    apply_boundary(RadialState(t=0.0, u=u0, v=u1), bc)  # checks bc once per run
     dt = config.dt
     _check_cfl(dt, config.cfl, grid)
     n_steps = max(1, math.ceil(config.T_end / dt))

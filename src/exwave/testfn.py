@@ -24,13 +24,15 @@ derivatives are available in closed form, so the sup-ratio bounds
 can be verified numerically on dense samples of Q_R (``cutoff_estimate_sup_ratios``).
 phi_R depends on (t, r) only through tau = t/R^2 and sigma = (r-1)/R, so the
 sweep runs on the scaled grid, whose samples are the same for every R: a batch
-over (lam, d, bc, R) evaluates the bridge once per sample.  With the claimed
-powers of R, ratios (i) and (ii) do not depend on R; R enters (iii) and (iv)
-only through (d-1)/r and Psi(r) at r = 1 + R sigma.
+over (lam, d, bc, R) (``sup_ratio_rows``) evaluates the bridge once per sample
+and returns one row per (lam, d, bc) holding the sweeps for every R.  With the
+claimed powers of R, ratios (i) and (ii) do not depend on R; R enters (iii)
+and (iv) only through (d-1)/r and Psi(r) at r = 1 + R sigma.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -49,27 +51,19 @@ LHS_FLOOR = 1e-12
 # smooth bridge
 # ---------------------------------------------------------------------------
 
-def _f(s):
-    """f(s) = exp(-1/s) for s > 0, 0 otherwise; C-infinity on the real line."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    pos = s > 0
-    with np.errstate(over="ignore", divide="ignore"):
-        out[pos] = np.exp(-1.0 / s[pos])
-    return out
-
-
 def bridge(s):
-    """g(s) = f(1-s) / (f(s) + f(1-s)): 1 for s <= 0, 0 for s >= 1, strictly
-    decreasing in between, all derivatives vanishing at the endpoints."""
+    """g(s) = f(1-s) / (f(s) + f(1-s)) with f(s) = exp(-1/s): 1 for s <= 0,
+    0 for s >= 1, strictly decreasing in between, all derivatives vanishing
+    at the endpoints."""
     s = np.asarray(s, dtype=float)
-    f0 = _f(s)
-    f1 = _f(1.0 - s)
     inside = (s > 0.0) & (s < 1.0)
-    out = np.where(s <= 0.0, 1.0, 0.0)
-    # f0 + f1 >= exp(-2) on (0,1), so the quotient is safe there.
-    np.divide(f1, f0 + f1, out=out, where=inside)
-    return out
+    g = np.where(s <= 0.0, 1.0, 0.0)
+    si = s[inside]
+    with np.errstate(over="ignore"):  # -1/si overflows for subnormal si
+        f0 = np.exp(-1.0 / si)
+    f1 = np.exp(-1.0 / (1.0 - si))
+    g[inside] = f1 / (f0 + f1)
+    return g
 
 
 def bridge_derivatives(s):
@@ -352,9 +346,6 @@ class SupRatioSweep:
     """
 
     R: float
-    lam: float
-    d: int
-    bc: BoundaryCondition
     ratios: tuple[float, float, float, float]
     n_samples: int
     violations: tuple[str, ...] = field(default=())
@@ -362,6 +353,23 @@ class SupRatioSweep:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+@dataclass(frozen=True)
+class SupRatioRow:
+    """The sup-ratio sweeps of one (lam, d, bc), one per R of the batch."""
+
+    lam: float
+    d: int
+    bc: BoundaryCondition
+    by_R: tuple[SupRatioSweep, ...]
+
+    def bands(self) -> tuple[float, ...]:
+        """Per estimate, the largest ratio over R divided by the smallest."""
+        mat = np.array([res.ratios for res in self.by_R])
+        lo = mat.min(axis=0)
+        hi = mat.max(axis=0)
+        return tuple(float(h / l) if l > 0 else math.inf for h, l in zip(hi, lo))
 
 
 class _RunningSup:
@@ -385,7 +393,26 @@ class _RunningSup:
             self.sup = max(self.sup, float(np.max(lhs[usable] / rhs[usable])))
 
 
-def _sup_ratio_batch(
+def _finished_sweep(R, sups, t, r, n_samples) -> SupRatioSweep:
+    """The ``SupRatioSweep`` of the running sups of (i)..(iv) at scale R; the
+    mesh axes ``t`` and ``r`` locate the first sample of each violation."""
+    violations = []
+    for i, est in enumerate(sups):
+        if est.first_bad is not None:
+            row, col = est.first_bad
+            violations.append(
+                f"estimate ({'i' * (i + 1)}): left side {est.bad_lhs:.3e} "
+                f"over vanishing right side at (t, r) = ({t[row]:.4g}, {r[col]:.4g})"
+            )
+    return SupRatioSweep(
+        R=R,
+        ratios=tuple(est.sup for est in sups),
+        n_samples=n_samples,
+        violations=tuple(violations),
+    )
+
+
+def sup_ratio_rows(
     R_list,
     lam_list,
     d_list,
@@ -393,7 +420,7 @@ def _sup_ratio_batch(
     grid: tuple[int, int],
     rhs_r_powers: tuple[float, float, float, float],
     rhs_phi_powers: tuple[float, float, float, float] | None = None,
-):
+) -> list[SupRatioRow]:
     """Sup-ratio sweeps for every (lam, d, bc, R) on one scaled sample grid.
 
     ``cutoff_estimate_sup_ratios`` samples t in [0, R^2] and r in [1, 1 + R]
@@ -404,8 +431,8 @@ def _sup_ratio_batch(
     (iv) through (d-1)/r and Psi(r) at r = 1 + R sigma.  The sweep runs over
     blocks of SUP_RATIO_BLOCK_ROWS tau-rows.
 
-    Returns ``sweeps[i_lam][i_d][i_bc]``, a tuple of ``SupRatioSweep`` over
-    ``R_list``.
+    Returns one ``SupRatioRow`` per (lam, d, bc), lam slowest and bc fastest,
+    each holding its ``SupRatioSweep`` for every R of ``R_list``.
     """
     if any(R < 2 for R in R_list):
         raise ValueError("R >= 2 required for a meaningful sweep")
@@ -424,15 +451,18 @@ def _sup_ratio_batch(
         ]
         for r in r_cols
     ]
-    # acc[il, id, ib, iR] = running sups of (i)..(iv); (i) and (ii) are
-    # shared over (d, bc), (iii) over bc
-    acc = {}
-    for il, iR in product(range(len(lam_list)), range(len(R_list))):
-        e1, e2 = _RunningSup(), _RunningSup()
-        for id_ in range(len(d_list)):
-            e3 = _RunningSup()
-            for ib in range(len(bc_list)):
-                acc[il, id_, ib, iR] = (e1, e2, e3, _RunningSup())
+    # sups[lam][R] = (sup (i), sup (ii), [(sup (iii), [sup (iv) per bc]) per d])
+    sups = [
+        [
+            (
+                _RunningSup(),
+                _RunningSup(),
+                [(_RunningSup(), [_RunningSup() for _ in bc_list]) for _ in d_list],
+            )
+            for _ in R_list
+        ]
+        for _ in lam_list
+    ]
 
     n_samples = 0
     with np.errstate(under="ignore"):
@@ -449,7 +479,7 @@ def _sup_ratio_batch(
             rows, cols = rows[live] + i0, cols[live]
             phi, dphi, ddphi = phi[live], dphi[live], ddphi[live]
             star = np.where(rho[live] < 0.5, 0.0, phi)  # phi* from the same phi
-            for il, lam in enumerate(lam_list):
+            for lam, sups_lam in zip(lam_list, sups):
                 c = lam + 2.0
                 F, G, H, K = _scaled_chain_rule(
                     tau[rows], sigma[cols], c, phi, dphi, ddphi
@@ -463,53 +493,29 @@ def _sup_ratio_batch(
                 exps = [c * qi for qi in q]
                 powers = {x: star**x for x in set(exps)}
                 S1, S2, S3, S4 = (powers[x] for x in exps)
-                for iR, R in enumerate(R_list):
-                    e1, e2 = acc[il, 0, 0, iR][:2]
+                for R, cols_d, (e1, e2, sups_d) in zip(R_list, by_d, sups_lam):
                     e1.add(R**-2.0 * F, R**a1 * S1, rows, cols)
                     e2.add(R**-4.0 * G, R**a2 * S2, rows, cols)
                     d_r = R**-1.0 * H
                     d_rr = R**-2.0 * K
-                    for id_, (curv, weights) in enumerate(by_d[iR]):
+                    for (curv, weights), (e3, sups_bc) in zip(cols_d, sups_d):
                         lap = d_rr + curv[cols] * d_r
-                        acc[il, id_, 0, iR][2].add(np.abs(lap), R**a3 * S3, rows, cols)
-                        for ib, (psi_r, psi_prime_r) in enumerate(weights):
+                        e3.add(np.abs(lap), R**a3 * S3, rows, cols)
+                        for (psi_r, psi_prime_r), e4 in zip(weights, sups_bc):
                             psi_s = psi_r[cols]
                             lpp = _laplacian_psi_times(psi_s, psi_prime_r[cols], lap, d_r)
-                            acc[il, id_, ib, iR][3].add(
-                                np.abs(lpp), R**a4 * S4 * psi_s, rows, cols
-                            )
+                            e4.add(np.abs(lpp), R**a4 * S4 * psi_s, rows, cols)
 
-    def sweep(il, id_, ib, iR):
-        R = R_list[iR]
-        ests = acc[il, id_, ib, iR]
-        violations = []
-        for i, est in enumerate(ests):
-            if est.first_bad is not None:
-                row, col = est.first_bad
-                t = np.linspace(0.0, R**2, nt)[row]
-                violations.append(
-                    f"estimate ({'i' * (i + 1)}): left side {est.bad_lhs:.3e} "
-                    f"over vanishing right side at (t, r) = "
-                    f"({t:.4g}, {r_cols[iR][col]:.4g})"
-                )
-        return SupRatioSweep(
-            R=R,
-            lam=lam_list[il],
-            d=d_list[id_],
-            bc=bc_list[ib],
-            ratios=tuple(est.sup for est in ests),
-            n_samples=n_samples,
-            violations=tuple(violations),
-        )
-
-    return [
-        [
-            [tuple(sweep(il, id_, ib, iR) for iR in range(len(R_list)))
-             for ib in range(len(bc_list))]
-            for id_ in range(len(d_list))
-        ]
-        for il in range(len(lam_list))
-    ]
+    t_axes = [np.linspace(0.0, R**2, nt) for R in R_list]
+    rows_out = []
+    for lam, sups_lam in zip(lam_list, sups):
+        for (i_d, d), (i_bc, bc) in product(enumerate(d_list), enumerate(bc_list)):
+            by_R = []
+            for R, t, r, (e1, e2, sups_d) in zip(R_list, t_axes, r_cols, sups_lam):
+                e3, sups_bc = sups_d[i_d]
+                by_R.append(_finished_sweep(R, (e1, e2, e3, sups_bc[i_bc]), t, r, n_samples))
+            rows_out.append(SupRatioRow(lam=lam, d=d, bc=bc, by_R=tuple(by_R)))
+    return rows_out
 
 
 def cutoff_estimate_sup_ratios(
@@ -531,5 +537,6 @@ def cutoff_estimate_sup_ratios(
     side underflows are skipped only when the left side vanishes as well;
     otherwise they are reported as support violations.
     """
-    batch = _sup_ratio_batch([R], [lam], [d], [bc], grid, rhs_r_powers, rhs_phi_powers)
-    return batch[0][0][0][0]
+    (row,) = sup_ratio_rows([R], [lam], [d], [bc], grid, rhs_r_powers, rhs_phi_powers)
+    (res,) = row.by_R
+    return res

@@ -233,6 +233,33 @@ def test_cli_sweep_fit_report_pipeline(config_file, tmp_path, capsys):
     assert (out / "sweep_loglog.dat").exists()
 
 
+@pytest.mark.parametrize(
+    "eps_list, model",
+    [("1.2,0.9,0.7,0.5", None), ("1.2,0.9,0.7,0.5,0.4", "power-log")],
+    ids=["three-below-one", "four-below-one"],
+)
+def test_cli_sweep_power_log_fits_only_eps_below_one(tmp_path, capsys, eps_list, model):
+    """A beta != 0, d = 2 sweep is fitted against the power-log law on its
+    points with eps < 1, and only when at least 4 of them blew up."""
+    path = tmp_path / "d2.ini"
+    path.write_text(
+        CONFIG_TEXT.replace("dim = 3", "dim = 2").replace("t_end = 30.0", "t_end = 60.0")
+    )
+    out = tmp_path / "sweepdir"
+    assert main(["sweep", str(path), "--eps-list", eps_list, "--out", str(out)]) == 0
+    names = ("sweep.csv", "records.json", "sweep_loglog.dat", "manifest.json")
+    assert all((out / name).exists() for name in names)
+    records = json.loads((out / "records.json").read_text())
+    assert [rec["verdict"] for rec in records] == ["blew-up"] * len(records)
+    fit = json.loads((out / "manifest.json").read_text())["fit"]
+    assert (fit["model"] if fit else None) == model
+    if model is not None:
+        assert "(log(1/eps)/eps)^b" in capsys.readouterr().out
+    rows = (out / "sweep_loglog.dat").read_text().splitlines()[1:]
+    assert rows[0].split()[2] == "nan"  # eps = 1.2: no power-log abscissa
+    assert all(row.split()[2] != "nan" for row in rows[1:])
+
+
 def test_cli_report_reproduces_sweep_tables(config_file, tmp_path):
     out = tmp_path / "sweepdir"
     assert main(["sweep", str(config_file), "--eps-list", "0.8,0.6", "--out", str(out)]) == 0

@@ -17,6 +17,7 @@ from exwave.harness import (
     report,
     sweep,
     verify_cutoff_estimates,
+    write_tables,
 )
 from exwave.oracle import OdeOrder, OdeSystem, integrate_adaptive
 from exwave.solver import InitialData, SolverConfig, Verdict, run
@@ -244,6 +245,28 @@ def test_report_files_and_determinism(tmp_path):
     th = [float(r[2]) for r in data_rows]
     slope = (th[-1] - th[0]) / (xs[-1] - xs[0])
     assert slope == pytest.approx(1.0, abs=1e-6)  # file stores 10 significant digits
+
+
+@pytest.mark.parametrize(
+    "p, d, alpha, beta",
+    [
+        ((2.0, 2.0), 2, 1.0, 0.0),
+        ((2.0, 2.0), 2, 0.0, 1.0),
+        ((3.0, 3.0), 3, 0.0, 1.0),
+        ((1.6666666666666667, 3.0), 2, 0.0, 1.0),
+    ],
+    ids=["exponential", "double-exponential", "no-blowup-claim", "open-problem"],
+)
+def test_theory_line_is_drawn_only_for_fitted_forms(tmp_path, p, d, alpha, beta):
+    config = {"p": list(p), "d": d, "alpha": alpha, "beta": beta, "T_end": 60.0}
+    records = [
+        {"config": {**config, "data": {"epsilon": e}}, "verdict": "blew-up", "t_blow": t}
+        for e, t in [(1.0, 4.7), (0.75, 6.3), (0.5, 10.4)]
+    ]
+    write_tables(records, tmp_path)
+    lines = (tmp_path / "sweep_loglog.dat").read_text().splitlines()[1:]
+    assert len(lines) == 3
+    assert all(line.split()[2] == "nan" for line in lines)
 
 
 def test_report_empty_runs(tmp_path):

@@ -11,7 +11,6 @@ from exwave.oracle import (
     Outcome,
     _list_step,
     _scalar_step,
-    first_order_tail,
     integrate_adaptive,
     solve_first_order_exact,
 )
@@ -34,7 +33,7 @@ def test_tail_consistency():
     # time to reach y from y0: int_{y0}^{y} dy/y^p
     y = 2 * y0
     t_reach = (y0 ** (1 - p) - y ** (1 - p)) / (p - 1)
-    assert t_reach + first_order_tail(p, y) == pytest.approx(T, rel=1e-14)
+    assert t_reach + solve_first_order_exact(p, y) == pytest.approx(T, rel=1e-14)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -46,6 +46,16 @@ def test_bridge_endpoints_and_midpoint():
     assert np.all(np.diff(g[core]) < 0.0)
 
 
+def test_bridge_is_the_value_of_bridge_derivatives():
+    s = np.concatenate(
+        [np.linspace(-0.5, 1.5, 200_001), [-0.0, 0.0, 1e-20, 0.5, 1.0 - 2**-53, 1.0]]
+    )
+    g = bridge(s)
+    assert np.array_equal(g.view(np.uint64), bridge_derivatives(s)[0].view(np.uint64))
+    for x in (0.0, 1.0, 0.3, -0.2, 0.999):
+        assert bridge(x).tobytes() == bridge_derivatives(x)[0].tobytes()
+
+
 def test_bridge_derivatives_match_finite_differences():
     s = np.linspace(0.05, 0.95, 19)
     h = 1e-5

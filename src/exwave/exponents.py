@@ -116,17 +116,19 @@ class ExponentVector:
     def p_min(self) -> float:
         return min(self.p)
 
+    @property
+    def sources(self) -> tuple[int, ...]:
+        """The cyclic coupling: component l is forced by |u_sources[l]|^p_l,
+        with sources[l] = (l - 1) mod k (0-based; component 1 by component k)."""
+        k = self.k
+        return tuple((l - 1) % k for l in range(k))
+
 
 def build_matrix_P(p: ExponentVector) -> np.ndarray:
-    """Cyclic coupling matrix: p_1 in the top-right corner, p_2,...,p_k on the
-    subdiagonal.  For k = 1 the scalar convention P = [[p_1]] applies."""
-    k = p.k
-    if k == 1:
-        return np.array([[p.p[0]]])
-    P = np.zeros((k, k))
-    P[0, k - 1] = p.p[0]
-    for row in range(1, k):
-        P[row, row - 1] = p.p[row]
+    """Cyclic coupling matrix P[l, sources[l]] = p_l: p_1 in the top-right
+    corner, p_2,...,p_k on the subdiagonal, and P = [[p_1]] for k = 1."""
+    P = np.zeros((p.k, p.k))
+    P[range(p.k), p.sources] = p.p
     return P
 
 

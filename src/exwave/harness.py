@@ -41,7 +41,13 @@ from .exponents import (
     classify_regime,
 )
 from .solver import RunRecord, SolverConfig, Verdict, run
-from .testfn import DEFAULT_RHS_R_POWERS, CutoffProfile, SupRatioRow, sup_ratio_rows
+from .testfn import (
+    DEFAULT_RHS_R_POWERS,
+    ESTIMATE_LABELS,
+    CutoffProfile,
+    SupRatioRow,
+    sup_ratio_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -276,10 +282,10 @@ def verify_cutoff_estimates(
         where = f"lam={row.lam:g} d={row.d} bc={row.bc.kind.value}"
         for res in row.by_R:
             failures.extend(f"{where} R={res.R:g}: {v}" for v in res.violations)
-        for i, b in enumerate(row.bands()):
+        for label, b in zip(ESTIMATE_LABELS, row.bands()):
             if b > band_limit:
                 failures.append(
-                    f"{where}: estimate ({'i' * (i + 1)}) band {b:.2f} exceeds {band_limit:g}"
+                    f"{where}: estimate ({label}) band {b:.2f} exceeds {band_limit:g}"
                 )
     return EstimateBatchReport(
         rows=tuple(rows),

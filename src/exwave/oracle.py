@@ -121,9 +121,9 @@ def _scalar_step(p: float) -> Step:
 
 def _list_step(sys: OdeSystem) -> Step:
     """RK4 for any system; component l is driven by |u_{l-1}|^(p_l),
-    gathered cyclically like the solver's (j - 1) % k rows."""
+    gathered cyclically by ``ExponentVector.sources`` like the solver's rows."""
     k = sys.p.k
-    gather = [((j - 1) % k, q) for j, q in enumerate(sys.p.p)]
+    gather = list(zip(sys.p.sources, sys.p.p))
     if sys.order is OdeOrder.FIRST:
 
         def f(y: list) -> list:

@@ -244,8 +244,7 @@ def chain_check(
     for R in map(float, R_values):
         cutoff = ScaledCutoff(R=R, profile=profile)
         links = []
-        for j in range(k):  # j = ell - 1
-            prev = (j - 1) % k
+        for j, prev in enumerate(p.sources):  # j = ell - 1
             p_next = p.p[(j + 1) % k]
             i_prev = functional_IR(
                 history, cutoff, weight, prev + 1, p.p[j], allow_truncated=True

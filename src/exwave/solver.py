@@ -23,9 +23,12 @@ data.  Each step therefore updates only nodes j < min(n + 1, j_data + s + 2);
 every skipped node has all-zero inputs, and since |0|^p = 0 it would compute
 to exactly 0, so the result is bit-identical to a full-grid step.  The three
 time levels live in buffers allocated once per run, and only the displacement
-is stored in the history.  ``step`` is the allocating one-step reference: it
-runs the same arithmetic on the full grid, returns the velocity too, and takes
-an optional external source (the manufactured-solution tests drive it).
+is stored in the history.  ``step`` is the allocating full-grid reference
+that the bit-identity gates compare ``run`` against: it forms its own forcing
+(optionally linear, plus an optional external source for the
+manufactured-solution tests) and returns the velocity too.  ``step``,
+``apply_boundary`` and ``_laplacian`` stay in this module because
+``perfbench/tracer.py`` traces them by name (``TRACED``).
 
 ``run`` also steps one row instead of k when all exponents are equal.
 ``InitialData`` gives every component the same data, and with p_1 = ... = p_k
@@ -107,10 +110,6 @@ class RadialState:
     u: np.ndarray  # (k, n+1)
     v: np.ndarray  # (k, n+1)
     u_prev: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def k(self) -> int:
-        return self.u.shape[0]
 
     def peak(self) -> np.ndarray:
         """Per-component max norm."""
@@ -238,17 +237,10 @@ def apply_boundary(state: RadialState, bc: BoundaryCondition) -> RadialState:
     return state
 
 
-def _forcing(
-    u: np.ndarray,
-    rows: np.ndarray,
-    powers: np.ndarray,
-    t: float,
-    source: Callable[[float], np.ndarray] | None,
-    nonlinear: bool,
-) -> np.ndarray:
-    """|u_{l-1}|^(p_l) (plus source(t)) as a fresh contiguous array.
+def _forcing(u: np.ndarray, rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """|u_{l-1}|^(p_l) as a fresh contiguous array.
 
-    ``rows`` is the cyclic row order l-1 and ``powers`` the exponents as a
+    ``rows`` is ``ExponentVector.sources`` and ``powers`` the exponents as a
     full-width (k, n+1) array, of which the first u.shape[1] columns are used.
     The power must run on a contiguous temporary: numpy's vectorized pow and
     its strided fallback can differ in the last bit (seen at p = 2).  The
@@ -257,13 +249,7 @@ def _forcing(
     which squares at p = 2 and differs in the last bit from the array pow, and
     ``run`` relies on one row giving the bits of each row of k.
     """
-    if nonlinear:
-        f = np.power(np.abs(u[rows]), powers[:, : u.shape[1]])
-    else:
-        f = np.zeros(u.shape)
-    if source is not None:
-        f = f + source(t)
-    return f
+    return np.power(np.abs(u[rows]), powers[:, : u.shape[1]])
 
 
 def _velocity(
@@ -277,21 +263,15 @@ def _velocity(
 
 
 class _Kernel:
-    """One time level of the scheme on the first m nodes.
+    """One time level of the scheme on the first m nodes, for a given forcing.
 
     Holds the per-trajectory constants and two scratch arrays, so a run
-    allocates them once.  ``step`` and ``run`` both advance through it.
+    allocates them once.  ``run`` passes ``_forcing`` of its current level;
+    ``step`` forms its own forcing and advances through the same kernel.
     """
 
     def __init__(
-        self,
-        dt: float,
-        p: ExponentVector,
-        d: int,
-        bc: BoundaryCondition,
-        grid: RadialGrid,
-        source: Callable[[float], np.ndarray] | None,
-        nonlinear: bool,
+        self, dt: float, p: ExponentVector, d: int, bc: BoundaryCondition, grid: RadialGrid
     ):
         k = p.k
         self.dt = dt
@@ -301,10 +281,8 @@ class _Kernel:
         self.n = grid.n
         self.dr = grid.dr
         self.radial = (d - 1.0) / grid.r[1:-1]
-        self.rows = (np.arange(k) - 1) % k  # the row order of np.roll(u, 1, axis=0)
+        self.rows = np.array(p.sources)  # the row order of np.roll(u, 1, axis=0)
         self.powers = np.repeat(np.array(p.p)[:, None], grid.n + 1, axis=1)
-        self.source = source
-        self.nonlinear = nonlinear
         self.lap = np.zeros((k, grid.n + 1))
         self.scratch = np.empty((k, grid.n + 1))
 
@@ -313,13 +291,14 @@ class _Kernel:
         u: np.ndarray,
         u_prev: np.ndarray | None,
         v: np.ndarray,
-        t: float,
+        f: np.ndarray,
         m: int,
         out: np.ndarray,
         v_out: np.ndarray | None = None,
     ) -> None:
         """Write the next level at nodes [0, m) into ``out`` (before the strong
-        boundary values), and its velocity into ``v_out`` when given.
+        boundary values), and its velocity into ``v_out`` when given; ``f`` is
+        the forcing on nodes [0, m).
 
         Without ``u_prev`` (the initial level) this is the second-order Taylor
         start u + dt v + dt^2/2 (L u + f - v); otherwise the three-level leapfrog
@@ -327,7 +306,6 @@ class _Kernel:
         inputs.
         """
         dt = self.dt
-        f = _forcing(u[:, :m], self.rows, self.powers, t, self.source, self.nonlinear)
         _laplacian_nodes(
             u, self.lap, self.scratch, min(m, self.n), self.dr, self.radial, self.d, self.bc
         )
@@ -370,53 +348,52 @@ def step(
     cfl: float = DEFAULT_CFL,
     nonlinear: bool = True,
 ) -> RadialState:
-    """Advance one time level on the full grid.
+    """Advance one time level on the full grid (the reference for ``run``).
 
-    A state without ``u_prev`` (the initial level) is started with the
-    second-order Taylor step u1 = u0 + dt v0 + dt^2/2 (L u0 + f - v0);
-    subsequent levels use the three-level leapfrog with semi-implicit damping.
-    The same dt must be used along a trajectory.
+    The forcing f is ``_forcing`` of the state, or zeros when not
+    ``nonlinear``, plus ``source(t)`` when given.  A state without ``u_prev``
+    (the initial level) is started with the second-order Taylor step
+    u1 = u0 + dt v0 + dt^2/2 (L u0 + f - v0); subsequent levels use the
+    three-level leapfrog with semi-implicit damping.  The same dt must be used
+    along a trajectory.
     """
     _check_cfl(dt, cfl, grid)
     if not state.is_finite():
         raise FloatingPointError("non-finite state; blow-up should have been flagged")
+    kernel = _Kernel(dt, p, d, bc, grid)
+    if nonlinear:
+        f = _forcing(state.u, kernel.rows, kernel.powers)
+    else:
+        f = np.zeros(state.u.shape)
+    if source is not None:
+        f = f + source(state.t)
     u_new = np.empty_like(state.u)
     v_new = np.empty_like(state.u)
-    _Kernel(dt, p, d, bc, grid, source, nonlinear).advance(
-        state.u, state.u_prev, state.v, state.t, grid.n + 1, u_new, v_new
-    )
+    kernel.advance(state.u, state.u_prev, state.v, f, grid.n + 1, u_new, v_new)
     new = RadialState(t=state.t + dt, u=u_new, v=v_new, u_prev=state.u.copy())
     return apply_boundary(new, bc)
 
 
 def energy(
-    state: RadialState, grid: RadialGrid, d: int, dt: float | None = None,
-    bc: BoundaryCondition | None = None,
+    state: RadialState, grid: RadialGrid, d: int, dt: float, bc: BoundaryCondition
 ) -> float:
-    """Discrete energy sum (v^2 + |grad u|^2) r^(d-1) dr over all components.
-
-    Mid-trajectory (``u_prev`` present and dt given) the leapfrog half-level
-    form is used: ||(u - u_prev)/dt||^2 + <grad u, grad u_prev>, which is the
-    quantity the damped scheme dissipates; the nodal form with the one-sided
-    velocity oscillates at O((dt/dr)^2) per mode and is kept only for initial
-    states.  A Robin condition contributes the boundary energy
+    """Discrete leapfrog energy of a mid-trajectory state (``u_prev`` present),
+    summed over all components: ||(u - u_prev)/dt||^2 + <grad u, grad u_prev>
+    weighted by r^(d-1) dr, which is the quantity the damped scheme dissipates
+    (the nodal form with the one-sided velocity oscillates at O((dt/dr)^2) per
+    mode).  A Robin condition contributes the boundary energy
     (beta/alpha) u(1)^2 per component.
     """
     r = grid.r
     dr = grid.dr
     rmid = 0.5 * (r[1:] + r[:-1])
-    if state.u_prev is not None and dt is not None:
-        du = (state.u - state.u_prev) / dt
-        g1 = (state.u[:, 1:] - state.u[:, :-1]) / dr
-        g2 = (state.u_prev[:, 1:] - state.u_prev[:, :-1]) / dr
-        kin = np.sum(du**2 * r ** (d - 1.0)) * dr
-        pot = np.sum(g1 * g2 * rmid ** (d - 1.0)) * dr
-    else:
-        gmid = (state.u[:, 1:] - state.u[:, :-1]) / dr
-        kin = np.sum(state.v**2 * r ** (d - 1.0)) * dr
-        pot = np.sum(gmid**2 * rmid ** (d - 1.0)) * dr
+    du = (state.u - state.u_prev) / dt
+    g1 = (state.u[:, 1:] - state.u[:, :-1]) / dr
+    g2 = (state.u_prev[:, 1:] - state.u_prev[:, :-1]) / dr
+    kin = np.sum(du**2 * r ** (d - 1.0)) * dr
+    pot = np.sum(g1 * g2 * rmid ** (d - 1.0)) * dr
     boundary = 0.0
-    if bc is not None and bc.kind is BoundaryKind.ROBIN:
+    if bc.kind is BoundaryKind.ROBIN:
         boundary = (bc.beta / bc.alpha) * float(np.sum(state.u[:, 0] ** 2))
     return float(kin + pot + boundary)
 
@@ -591,7 +568,7 @@ def run(config: SolverConfig) -> RunRecord:
     # below this peak, (3u+ - 4u + u-)/(2 dt) cannot overflow
     v_guard = sys.float_info.max / 16.0 * min(1.0, 2.0 * dt)
 
-    kernel = _Kernel(dt, stepped, config.d, bc, grid, None, nonlinear=True)
+    kernel = _Kernel(dt, stepped, config.d, bc, grid)
     u_prev, u_cur, u_new, spare = None, u0, np.zeros_like(u0), np.zeros_like(u0)
     v_new = u1.copy()  # velocity of the newest level; the Taylor start refills it
 
@@ -627,7 +604,8 @@ def run(config: SolverConfig) -> RunRecord:
     for istep in range(1, n_steps + 1):
         m = min(n + 1, front + istep)
         starting = u_prev is None
-        kernel.advance(u_cur, u_prev, u1, t, m, u_new, v_new if starting else None)
+        f = _forcing(u_cur[:, :m], kernel.rows, kernel.powers)
+        kernel.advance(u_cur, u_prev, u1, f, m, u_new, v_new if starting else None)
         _pin(bc, u_new)
         t = t + dt
         pk = peaks[istep]

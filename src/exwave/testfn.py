@@ -46,6 +46,9 @@ from .exponents import BoundaryCondition, ExponentVector
 RHS_FLOOR = 1e-300
 LHS_FLOOR = 1e-12
 
+# Roman labels of the four cutoff estimates, as the paper numbers them.
+ESTIMATE_LABELS = ("i", "ii", "iii", "iv")
+
 
 # ---------------------------------------------------------------------------
 # smooth bridge
@@ -75,11 +78,13 @@ def bridge_derivatives(s):
     g2 = np.zeros_like(s)
     if np.any(inside):
         si = s[inside]
-        f0 = np.exp(-1.0 / si)
+        with np.errstate(over="ignore"):  # -1/si overflows for subnormal si
+            f0 = np.exp(-1.0 / si)
         f1 = np.exp(-1.0 / (1.0 - si))
-        d0 = f0 / si**2                        # f'(s)
+        live = f0 > 0.0  # f'(s), f''(s) are 0 elsewhere, even where si**2, si**4 underflow
+        d0 = np.divide(f0, si**2, out=np.zeros_like(si), where=live)
         d1 = -f1 / (1.0 - si) ** 2             # d/ds f(1-s)
-        dd0 = f0 * (1.0 - 2.0 * si) / si**4    # f''(s)
+        dd0 = np.divide(f0 * (1.0 - 2.0 * si), si**4, out=np.zeros_like(si), where=live)
         dd1 = f1 * (2.0 * si - 1.0) / (1.0 - si) ** 4
         den = f0 + f1
         gi = f1 / den
@@ -397,11 +402,11 @@ def _finished_sweep(R, sups, t, r, n_samples) -> SupRatioSweep:
     """The ``SupRatioSweep`` of the running sups of (i)..(iv) at scale R; the
     mesh axes ``t`` and ``r`` locate the first sample of each violation."""
     violations = []
-    for i, est in enumerate(sups):
+    for label, est in zip(ESTIMATE_LABELS, sups):
         if est.first_bad is not None:
             row, col = est.first_bad
             violations.append(
-                f"estimate ({'i' * (i + 1)}): left side {est.bad_lhs:.3e} "
+                f"estimate ({label}): left side {est.bad_lhs:.3e} "
                 f"over vanishing right side at (t, r) = ({t[row]:.4g}, {r[col]:.4g})"
             )
     return SupRatioSweep(

@@ -45,11 +45,23 @@ def test_exponent_vector_validation():
 def test_matrix_layout():
     assert build_matrix_P(ExponentVector.of(2, 3)).tolist() == [[0, 2], [3, 0]]
     assert build_matrix_P(ExponentVector.of(5)).tolist() == [[5]]
+    # component l is forced by component l - 1: p_1 by u_3, p_2 by u_1, p_3 by u_2
+    assert build_matrix_P(ExponentVector.of(2, 3, 4)).tolist() == [
+        [0, 0, 2],
+        [3, 0, 0],
+        [0, 4, 0],
+    ]
     assert build_matrix_P(ExponentVector.of(2, 2, 2)).tolist() == [
         [0, 0, 2],
         [2, 0, 0],
         [0, 2, 0],
     ]
+
+
+def test_sources_are_the_cyclic_predecessors():
+    assert ExponentVector.of(5).sources == (0,)
+    assert ExponentVector.of(2, 3).sources == (1, 0)
+    assert ExponentVector.of(2, 3, 4).sources == (2, 0, 1)
 
 
 def test_gamma_hand_solved_cases():

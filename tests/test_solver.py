@@ -356,19 +356,21 @@ def _seed_step(state, dt, p, d, bc, grid):
 def test_step_bit_identical_to_seed_formulas(bc):
     """The shared kernel keeps the operation order (and the contiguous pow
     layout) of the original expressions, on both the Taylor start and the
-    leapfrog level, for p = 2 and a non-integer p."""
+    leapfrog level, for p = 2 and a non-integer p.  At k = 3 the cycle's
+    direction shows: (l - 1) mod k and (l + 1) mod k differ, unlike at k = 2."""
     grid = RadialGrid(r_max=41.0, n=2000)
-    p = ExponentVector.of(2.0, 1.4)
     rng = np.random.default_rng(7)
-    # magnitudes up to 1e8, so that |u|^p dominates the update's last bit
-    u, v, u_prev = rng.standard_normal((3, 2, 2001)) * 10.0 ** rng.uniform(-3, 8, (3, 2, 2001))
     dt = 0.9 * grid.dr
-    for prev in (None, u_prev):
-        state = apply_boundary(RadialState(t=0.5, u=u, v=v, u_prev=prev), bc)
-        got = step(state, dt, p, 3, bc, grid)
-        want = _seed_step(state, dt, p, 3, bc, grid)
-        assert np.array_equal(got.u, want.u)
-        assert np.array_equal(got.v, want.v)
+    for p in (ExponentVector.of(2.0, 1.4), ExponentVector.of(1.5, 2.0, 1.2)):
+        # magnitudes up to 1e8, so that |u|^p dominates the update's last bit
+        shape = (3, p.k, 2001)
+        u, v, u_prev = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 8, shape)
+        for prev in (None, u_prev):
+            state = apply_boundary(RadialState(t=0.5, u=u, v=v, u_prev=prev), bc)
+            got = step(state, dt, p, 3, bc, grid)
+            want = _seed_step(state, dt, p, 3, bc, grid)
+            assert np.array_equal(got.u, want.u)
+            assert np.array_equal(got.v, want.v)
 
 
 def _subcritical(eps):
@@ -412,6 +414,11 @@ GATE_CASES = {
         p=ExponentVector.of(1.5, 1.5, 1.5), d=3, bc=DIRICHLET, n=600, T_end=40.0,
         data=InitialData(epsilon=0.5), history_snapshots=64,
     ),
+    # three rows that drift apart: the gather follows the cycle's direction
+    "unequal-k3": lambda: SolverConfig.with_auto_domain(
+        p=ExponentVector.of(1.5, 2.0, 1.2), d=3, bc=DIRICHLET, n=600, T_end=40.0,
+        data=InitialData(epsilon=0.5), history_snapshots=64,
+    ),
 }
 
 
@@ -449,8 +456,8 @@ def test_one_row_forcing_matches_each_row_of_two():
     u0, _ = cfg.data.build(cfg.grid, 2)
 
     def forcing(p, u):
-        kernel = _Kernel(cfg.dt, p, cfg.d, cfg.bc, cfg.grid, None, nonlinear=True)
-        return _forcing(u, kernel.rows, kernel.powers, 0.0, None, nonlinear=True)
+        kernel = _Kernel(cfg.dt, p, cfg.d, cfg.bc, cfg.grid)
+        return _forcing(u, kernel.rows, kernel.powers)
 
     one = forcing(ExponentVector.of(2.0), u0[:1])
     two = forcing(cfg.p, u0)

@@ -66,6 +66,14 @@ def test_bridge_derivatives_match_finite_differences():
     assert np.max(np.abs(g2 - fd2)) < 1e-4
 
 
+def test_bridge_derivatives_vanish_for_tiny_positive_s():
+    """-1/s overflows for subnormal s, and s**2, s**4 underflow far earlier:
+    the derivatives stay exactly 0 there, without a floating-point warning."""
+    g, g1, g2 = bridge_derivatives(np.array([5e-324, 1e-200, 1e-100]))
+    assert g.tolist() == [1.0] * 3
+    assert g1.tolist() == [0.0] * 3 and g2.tolist() == [0.0] * 3
+
+
 def test_cutoff_piecewise_values():
     assert cutoff_value(0.3) == 1.0
     assert cutoff_value(0.3, star=True) == 0.0
@@ -280,7 +288,9 @@ def _unscaled_sweep(R, lam, d, bc, grid, rhs_r_powers, rhs_phi_powers):
     star = cutoff_value(rho, star=True)
     ratios, violations = [], []
     with np.errstate(under="ignore"):
-        for i, (left, a, q) in enumerate(zip(lhs, rhs_r_powers, rhs_phi_powers)):
+        for i, (label, left, a, q) in enumerate(
+            zip(testfn.ESTIMATE_LABELS, lhs, rhs_r_powers, rhs_phi_powers)
+        ):
             left = np.abs(left)
             right = R**a * star ** ((lam + 2.0) * q) * (psi(Rr, d, bc) if i == 3 else 1.0)
             usable = right >= testfn.RHS_FLOOR
@@ -288,7 +298,7 @@ def _unscaled_sweep(R, lam, d, bc, grid, rhs_r_powers, rhs_phi_powers):
             if np.any(bad):
                 j = int(np.argmax(bad))
                 violations.append(
-                    f"estimate ({'i' * (i + 1)}): left side {left[bad].max():.3e} "
+                    f"estimate ({label}): left side {left[bad].max():.3e} "
                     f"over vanishing right side at (t, r) = ({T[j]:.4g}, {Rr[j]:.4g})"
                 )
             ratios.append(float(np.max(left[usable] / right[usable], initial=0.0)))
@@ -390,6 +400,9 @@ def test_sup_ratio_blocks_do_not_change_the_result(monkeypatch, rhs_phi_powers):
     assert results[0] == results[1] == results[2]
     if rhs_phi_powers is not None:
         assert all(violations for *_, violations in results[0][-2:])
+    if rhs_phi_powers == (200.0,) * 4:
+        text = "\n".join(v for *_, violations in results[0] for v in violations)
+        assert "estimate (iv)" in text and "(iiii)" not in text
 
 
 def test_sup_ratios_match_the_benchmark_reference():

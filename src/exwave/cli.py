@@ -25,9 +25,7 @@ from .exponents import (
     gamma_record,
 )
 from .harness import (
-    FORM_MODELS,
     FitModel,
-    censor_points,
     fit_scaling,
     history_to_csv,
     record_to_dict,
@@ -133,39 +131,39 @@ def cmd_sweep(args) -> int:
     }
     spec = sweep_spec_from_ini(args.config, overrides)
     result = sweep(spec)
-    theory = result.theory_bound
-    model = FORM_MODELS.get(theory["form"])
-    pts = [(e, T) for e, T in censor_points(result) if model is not None and model.defined_at(e)]
-    fit = None
-    if len(pts) >= 4:
-        fit = fit_scaling(pts, model, b_theory=theory["exponent"])
     for rec in result.runs:
         row = sweep_row(record_to_dict(rec))
         print(
             f"eps={row['epsilon']:<10g} verdict={row['verdict']:<17s} "
             f"t_blow={row['t_blow']} horizon={row['horizon']:g}"
         )
+    fit = result.fit
     if fit is not None:
-        shape = "eps^(-b)" if fit.model is FitModel.POWER else "(log(1/eps)/eps)^b"
         print(
-            f"fit: T = {fit.amplitude:.4g} * {shape}, "
+            f"fit: T = {fit.amplitude:.4g} * {fit.model.shape}, "
             f"b = {fit.slope:.4g} ± {fit.slope_stderr:.2g} "
             f"(theory slope {fit.b_theory:g}, deviation {fit.deviation:.2%})"
         )
     if args.out:
-        paths = report(result, args.out, fit=fit)
+        paths = report(result, args.out)
         print("wrote:", ", ".join(str(p) for p in paths))
     return 0
 
 
 def cmd_fit(args) -> int:
-    pts = []
-    with open(args.csv, newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row.get("t_blow"):
-                pts.append((float(row["epsilon"]), float(row["t_blow"])))
+    """Fit the rows with a t_blow where the law is defined, as a sweep does."""
     model = FitModel(args.model)
-    fit = fit_scaling(pts, model, b_theory=args.b_theory)
+    with open(args.csv, newline="") as fh:
+        pts = [
+            (float(row["epsilon"]), float(row["t_blow"]))
+            for row in csv.DictReader(fh)
+            if row.get("t_blow") and model.defined_at(float(row["epsilon"]))
+        ]
+    try:
+        fit = fit_scaling(pts, model, b_theory=args.b_theory)
+    except ValueError as exc:
+        print(f"fit: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(fit.to_dict(), indent=2))
     return 0
 

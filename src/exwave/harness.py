@@ -11,11 +11,14 @@ blow-up times are fitted against the predicted lifespan shapes
     T = A eps^(-b)                    (power law)
     T = A (eps^-1 log(eps^-1))^b      (power-log law, the d = 2 shape)
 
-by least squares in log coordinates, and the fitted slope is compared with
-the exponent recomputed from the regime classifier at report time.
-Critical-regime predictions (exponential or double-exponential lifespans) are
-never fitted, nor drawn: at desk scale only "blow-up observed at every tested
-epsilon" is meaningful there.  ``FORM_MODELS`` lists the forms that are.
+by least squares in log coordinates (``FitModel`` owns each law), and the
+fitted slope is compared with the classifier's exponent.  ``sweep`` returns
+that fit with its runs: the ``FORM_MODELS`` law of the classifier's form,
+fitted to the runs that blew up clear of the horizon where the law is
+defined, when at least 4 are left.  Critical-regime predictions
+(exponential or double-exponential lifespans) are never fitted, nor drawn:
+at desk scale only "blow-up observed at every tested epsilon" is meaningful
+there.  ``FORM_MODELS`` lists the forms that are.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ class SweepResult:
     runs: tuple[RunRecord, ...]
     theory_bound: dict
     timings: tuple[float, ...]
+    fit: FitResult | None = None
 
 
 def _theory_bound(p: ExponentVector, d: int, bc: BoundaryCondition) -> dict:
@@ -96,12 +100,14 @@ def _timed_run(config: SolverConfig) -> tuple[RunRecord, float]:
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
-    """One deterministic run per epsilon; per-run failures abort the sweep
-    only for configuration errors, never for blow-up/NaN outcomes.
+    """One deterministic run per epsilon, and the fit they are judged by;
+    per-run failures abort the sweep only for configuration errors, never
+    for blow-up/NaN outcomes.
 
     No run stores a history: nothing in a sweep reads one, and snapshots
     never feed back into the step, so the blow-up times are those of the
-    base config at each epsilon."""
+    base config at each epsilon.  The fit is ``None`` when the form has no
+    law or fewer than 4 points are left to fit."""
     base = spec.base
     configs = [
         replace(base, data=replace(base.data, epsilon=e), history_snapshots=0)
@@ -113,7 +119,13 @@ def sweep(spec: SweepSpec) -> SweepResult:
     else:
         runs, timings = zip(*map(_timed_run, configs))
     theory = _theory_bound(base.p, base.d, base.bc)
-    return SweepResult(spec=spec, runs=runs, theory_bound=theory, timings=timings)
+    result = SweepResult(spec=spec, runs=runs, theory_bound=theory, timings=timings)
+    model = FORM_MODELS.get(theory["form"])
+    if model is not None:
+        pts = [(e, T) for e, T in censor_points(result) if model.defined_at(e)]
+        if len(pts) >= _MIN_FIT_POINTS:
+            result.fit = fit_scaling(pts, model, b_theory=theory["exponent"])
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +134,34 @@ def sweep(spec: SweepSpec) -> SweepResult:
 
 
 class FitModel(str, Enum):
-    POWER = "power"          # T = A eps^-b
-    POWER_LOG = "power-log"  # T = A (eps^-1 log eps^-1)^b
+    """A lifespan law T = A * shape, fitted as log T = b * abscissa + log A."""
+
+    POWER = "power"
+    POWER_LOG = "power-log"
+
+    @property
+    def shape(self) -> str:
+        return "eps^(-b)" if self is FitModel.POWER else "(log(1/eps)/eps)^b"
 
     def defined_at(self, eps: float) -> bool:
         """Whether the law's abscissa exists at eps (POWER_LOG needs eps < 1)."""
         return self is FitModel.POWER or eps < 1.0
 
-    def log10_abscissa(self, eps: float) -> float:
-        """log10 of eps^-1 (POWER) or of eps^-1 log eps^-1 (POWER_LOG)."""
+    def abscissa(self, eps):
+        """ln(1/eps) (POWER) or ln(ln(1/eps)/eps) (POWER_LOG), elementwise on
+        an array of eps or on one float."""
         if self is FitModel.POWER:
-            return math.log10(1.0 / eps)
-        return math.log10(math.log(1.0 / eps) / eps)
+            return np.log(1.0 / eps)
+        return np.log(np.log(1.0 / eps) / eps)
 
 
 # The law each theory form is fitted and drawn against.  The exponential and
 # double-exponential forms are unidentifiable at desk scale, and the no-claim
 # and open-problem forms carry no exponent: none of them has a law here.
 FORM_MODELS = {"polynomial": FitModel.POWER, "polynomial-log": FitModel.POWER_LOG}
+_MIN_FIT_POINTS = 4
+# runs whose t_blow lies within this many steps of the horizon are censored
+_GUARD_STEPS = 10.0
 
 
 @dataclass(frozen=True)
@@ -175,23 +197,17 @@ def fit_scaling(
     model: FitModel = FitModel.POWER,
     b_theory: float | None = None,
 ) -> FitResult:
-    """Least squares of log T against the model abscissa.
-
-    POWER uses x = log(1/eps); POWER_LOG uses x = log(eps^-1 log eps^-1)
-    (requires eps < 1 so the abscissa is defined).
-    """
-    if len(points) < 4:
-        raise ValueError("need at least 4 blow-up points to fit")
+    """Least squares of log T against ``model.abscissa(eps)``; every eps must
+    lie where the law is defined."""
+    if len(points) < _MIN_FIT_POINTS:
+        raise ValueError(f"need at least {_MIN_FIT_POINTS} blow-up points to fit")
     eps = np.array([q[0] for q in points], dtype=float)
     T = np.array([q[1] for q in points], dtype=float)
     if np.any(~np.isfinite(T)) or np.any(T <= 0):
         raise ValueError("all blow-up times must be finite and positive")
-    if model is FitModel.POWER:
-        x = np.log(1.0 / eps)
-    else:
-        if np.any(eps >= 1.0):
-            raise ValueError("power-log abscissa needs eps < 1")
-        x = np.log(np.log(1.0 / eps) / eps)
+    if not all(map(model.defined_at, eps)):
+        raise ValueError(f"the {model.value} law is undefined at some eps")
+    x = model.abscissa(eps)
     if np.ptp(x) < 1e-12:
         raise ValueError("degenerate abscissa spread")
     y = np.log(T)
@@ -213,17 +229,15 @@ def fit_scaling(
     )
 
 
-def censor_points(result: SweepResult, guard_steps: float = 10.0) -> list[tuple[float, float]]:
+def censor_points(result: SweepResult) -> list[tuple[float, float]]:
     """Blow-up points safe to fit: drop survived runs and runs whose t_blow
-    sits within guard_steps * dt of the horizon (censoring suspicion)."""
-    pts = []
-    for rec in result.runs:
-        if rec.verdict is not Verdict.BLEW_UP or rec.t_blow is None:
-            continue
-        if rec.t_blow >= rec.config.T_end - guard_steps * rec.config.dt:
-            continue
-        pts.append((rec.config.data.epsilon, rec.t_blow))
-    return pts
+    sits within ``_GUARD_STEPS`` steps of the horizon (censoring suspicion)."""
+    return [
+        (rec.config.data.epsilon, rec.t_blow)
+        for rec in result.runs
+        if rec.verdict is Verdict.BLEW_UP
+        and rec.t_blow < rec.config.T_end - _GUARD_STEPS * rec.config.dt
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +403,16 @@ def write_tables(records: Sequence[dict], outdir: str | Path) -> list[Path]:
             y = math.log10(T)
             ytheory = math.nan
             if anchor is not None and model.defined_at(e):
-                shift = model.log10_abscissa(e) - model.log10_abscissa(anchor[0])
+                shift = (model.abscissa(e) - model.abscissa(anchor[0])) / math.log(10.0)
                 ytheory = math.log10(anchor[1]) + theory["exponent"] * shift
             lines.append(f"{x:.10g} {y:.10g} {ytheory:.10g}")
     plot_path.write_text("\n".join(lines) + "\n")
     return [csv_path, plot_path]
 
 
-def report(
-    result: SweepResult,
-    outdir: str | Path,
-    fit: FitResult | None = None,
-) -> list[Path]:
-    """Write sweep.csv, records.json, sweep_loglog.dat and manifest.json.
+def report(result: SweepResult, outdir: str | Path) -> list[Path]:
+    """Write sweep.csv, records.json, sweep_loglog.dat and manifest.json
+    (with ``result.fit``).
 
     The tables come from the records (``write_tables``), so ``exwave report``
     regenerates them byte for byte from records.json; wall-clock metadata is
@@ -419,7 +430,7 @@ def report(
         "config_hash": config_hash(base),
         "epsilons": list(result.spec.epsilons),
         "theory_bound": result.theory_bound,
-        "fit": None if fit is None else fit.to_dict(),
+        "fit": None if result.fit is None else result.fit.to_dict(),
         "versions": {
             "exwave": __version__,
             "numpy": np.__version__,

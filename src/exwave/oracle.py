@@ -39,31 +39,19 @@ class OdeOrder(str, Enum):
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """Spatially homogeneous companion system with data eps*(a_l, b_l)."""
+    """Spatially homogeneous companion system; every component starts at eps
+    (and, at second order, with velocity eps)."""
 
     order: OdeOrder
     p: ExponentVector
     epsilon: float = 1.0
-    a: tuple[float, ...] | None = None  # initial amplitudes, default all 1
-    b: tuple[float, ...] | None = None  # initial velocities (second order only)
-    watch: int | None = None            # threshold on one component (default: max)
+    watch: int | None = None  # threshold on one component (default: max)
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        k = self.p.k
-        object.__setattr__(self, "a", tuple(self.a) if self.a else (1.0,) * k)
-        object.__setattr__(self, "b", tuple(self.b) if self.b else (1.0,) * k)
-        if len(self.a) != k or len(self.b) != k:
-            raise ValueError("amplitude tuples must have one entry per component")
-        if self.watch is not None and not 0 <= self.watch < k:
+        if self.watch is not None and not 0 <= self.watch < self.p.k:
             raise ValueError("watch component out of range")
-
-    def initial_state(self) -> list[float]:
-        y0 = [self.epsilon * a for a in self.a]
-        if self.order is OdeOrder.FIRST:
-            return y0
-        return y0 + [self.epsilon * b for b in self.b]
 
 
 def solve_first_order_exact(p: float, y0: float) -> float:
@@ -76,23 +64,16 @@ def solve_first_order_exact(p: float, y0: float) -> float:
     return y0 ** (1.0 - p) / (p - 1.0)
 
 
-class Outcome(str, Enum):
-    BLEW_UP = "blew-up"
-    NO_BLOWUP_AT_HORIZON = "no-blowup-at-horizon"
-
-
 @dataclass(frozen=True)
 class OdeBlowupResult:
-    outcome: Outcome
-    t_blow: float | None
+    t_blow: float | None  # None: no blow-up before the horizon
     uncertainty: float
     t_final: float
     steps: int
-    threshold: float
 
     @property
     def blew_up(self) -> bool:
-        return self.outcome is Outcome.BLEW_UP
+        return self.t_blow is not None
 
 
 # A step map advances the state by one RK4 step of length h, or returns None
@@ -180,7 +161,7 @@ def integrate_adaptive(
     def amplitude(y: list) -> float:
         return abs(y[watch]) if watch is not None else max(map(abs, y[:k]))
 
-    y = sys.initial_state()
+    y = [sys.epsilon] * (k if sys.order is OdeOrder.FIRST else 2 * k)
     t = 0.0
     h = 1e-3 * (1.0 + amplitude(y)) ** (1.0 - max(sys.p.p))
     steps = 0
@@ -215,14 +196,7 @@ def integrate_adaptive(
                 t_blow = t_cross + solve_first_order_exact(sys.p.p[0], max(amp, M * 0.5))
             else:
                 t_blow = t_cross
-            return OdeBlowupResult(
-                outcome=Outcome.BLEW_UP,
-                t_blow=t_blow,
-                uncertainty=h,
-                t_final=t_cross,
-                steps=steps,
-                threshold=M,
-            )
+            return OdeBlowupResult(t_blow=t_blow, uncertainty=h, t_final=t_cross, steps=steps)
         t += h
         y = y_new
         if err < 0.1 * tol:
@@ -232,11 +206,4 @@ def integrate_adaptive(
             f"integrate_adaptive hit max_steps={steps} before the horizon "
             f"at t={t!r} with h={h!r}"
         )
-    return OdeBlowupResult(
-        outcome=Outcome.NO_BLOWUP_AT_HORIZON,
-        t_blow=None,
-        uncertainty=h,
-        t_final=t,
-        steps=steps,
-        threshold=M,
-    )
+    return OdeBlowupResult(t_blow=None, uncertainty=h, t_final=t, steps=steps)

@@ -240,12 +240,13 @@ def chain_check(
     power = 2.0 * report.gamma_max - d
     profile = CutoffProfile(lam=CutoffProfile.floor_for(p))
 
+    forced_power = dict(zip(p.sources, p.p))  # u_j forces a component of this power
     rows = []
     for R in map(float, R_values):
         cutoff = ScaledCutoff(R=R, profile=profile)
         links = []
         for j, prev in enumerate(p.sources):  # j = ell - 1
-            p_next = p.p[(j + 1) % k]
+            p_next = forced_power[j]
             i_prev = functional_IR(
                 history, cutoff, weight, prev + 1, p.p[j], allow_truncated=True
             )

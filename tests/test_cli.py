@@ -260,6 +260,39 @@ def test_cli_sweep_power_log_fits_only_eps_below_one(tmp_path, capsys, eps_list,
     assert all(row.split()[2] != "nan" for row in rows[1:])
 
 
+def test_cli_fit_keeps_the_sweep_fit_points(tmp_path, capsys):
+    """``exwave fit --model power-log`` on the sweep.csv of a beta != 0, d = 2
+    sweep with a row at eps >= 1 fits the points the sweep fitted."""
+    path = tmp_path / "d2.ini"
+    path.write_text(
+        CONFIG_TEXT.replace("dim = 3", "dim = 2").replace("t_end = 30.0", "t_end = 60.0")
+    )
+    out = tmp_path / "sweepdir"
+    eps_list = "1.2,0.9,0.7,0.5,0.4"
+    assert main(["sweep", str(path), "--eps-list", eps_list, "--out", str(out)]) == 0
+    manifest_fit = json.loads((out / "manifest.json").read_text())["fit"]
+    capsys.readouterr()
+    assert main(["fit", str(out / "sweep.csv"), "--model", "power-log"]) == 0
+    fit = json.loads(capsys.readouterr().out)
+    assert fit["slope"] == pytest.approx(manifest_fit["slope"], rel=1e-12, abs=0)
+    assert fit["slope_stderr"] == pytest.approx(manifest_fit["slope_stderr"], rel=1e-12, abs=0)
+
+
+def test_cli_fit_with_too_few_points_exits_2(tmp_path, capsys):
+    """Three rows with a t_blow below eps = 1 (one above, one survived) are
+    too few for the power-log law: a one-line reason, no traceback."""
+    path = tmp_path / "sweep.csv"
+    path.write_text(
+        "epsilon,t_blow,horizon,verdict\n"
+        "1.2,5.0,60,blew-up\n0.9,7.0,60,blew-up\n0.7,9.0,60,blew-up\n"
+        "0.5,14.0,60,blew-up\n0.4,,60,survived-horizon\n"
+    )
+    assert main(["fit", str(path), "--model", "power-log"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fit: need at least 4 blow-up points to fit\n"
+
+
 def test_cli_report_reproduces_sweep_tables(config_file, tmp_path):
     out = tmp_path / "sweepdir"
     assert main(["sweep", str(config_file), "--eps-list", "0.8,0.6", "--out", str(out)]) == 0

@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from exwave.exponents import BoundaryCondition, ExponentVector
+from exwave.exponents import BoundaryCondition, ExponentVector, classify_regime
 from exwave.harness import (
+    FORM_MODELS,
     FitModel,
     SweepResult,
     SweepSpec,
@@ -218,9 +219,11 @@ def test_report_files_and_determinism(tmp_path):
         epsilons=(0.8, 0.57, 0.4, 0.28),
     )
     result = sweep(spec)
-    fit = fit_scaling(censor_points(result), FitModel.POWER, b_theory=1.0)
-    out1 = report(result, tmp_path / "a", fit=fit)
-    out2 = report(result, tmp_path / "b", fit=fit)
+    fit = result.fit
+    b_theory = result.theory_bound["exponent"]
+    assert fit == fit_scaling(censor_points(result), FitModel.POWER, b_theory=b_theory)
+    out1 = report(result, tmp_path / "a")
+    out2 = report(result, tmp_path / "b")
     names = {p.name for p in out1}
     assert names == {"sweep.csv", "records.json", "sweep_loglog.dat", "manifest.json"}
     assert (tmp_path / "a/sweep.csv").read_bytes() == (tmp_path / "b/sweep.csv").read_bytes()
@@ -245,6 +248,33 @@ def test_report_files_and_determinism(tmp_path):
     th = [float(r[2]) for r in data_rows]
     slope = (th[-1] - th[0]) / (xs[-1] - xs[0])
     assert slope == pytest.approx(1.0, abs=1e-6)  # file stores 10 significant digits
+
+
+@pytest.mark.parametrize("model, d", [(FitModel.POWER, 3), (FitModel.POWER_LOG, 2)])
+def test_theory_line_and_fit_share_the_abscissa(tmp_path, model, d):
+    """On T = X(eps)^b exactly, with b the classifier's exponent, the theory
+    column retraces log10(t_blow) wherever the law is defined, and the fit
+    returns b."""
+    form = classify_regime(P14, d, DIRICHLET)
+    assert FORM_MODELS[form.form.value] is model
+    b = form.exponent
+    eps = (1.2, 1.0, 0.8, 0.5, 0.3, 0.2, 0.125)
+    T = [float(np.exp(b * model.abscissa(e))) if model.defined_at(e) else 5.0 for e in eps]
+    config = {"p": list(P14.p), "d": d, "alpha": 0.0, "beta": 1.0, "T_end": 60.0}
+    records = [
+        {"config": {**config, "data": {"epsilon": e}}, "verdict": "blew-up", "t_blow": t}
+        for e, t in zip(eps, T)
+    ]
+    write_tables(records, tmp_path)
+    rows = [line.split() for line in (tmp_path / "sweep_loglog.dat").read_text().splitlines()[1:]]
+    assert len(rows) == len(eps)
+    undefined = [model is FitModel.POWER_LOG and e >= 1.0 for e in eps]
+    assert [y_theory == "nan" for *_, y_theory in rows] == undefined
+    for (_, y, y_theory), skip in zip(rows, undefined):
+        if not skip:
+            assert float(y_theory) == pytest.approx(float(y), rel=0, abs=1e-9)
+    pts = [(e, t) for e, t in zip(eps, T) if model.defined_at(e)]
+    assert fit_scaling(pts, model).slope == pytest.approx(b, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize(

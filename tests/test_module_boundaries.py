@@ -24,13 +24,14 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
-def _is_cyclic_predecessor(node):
-    """``(x - 1) % k``: the cyclic coupling's index rule."""
+def _is_cyclic_neighbour(node):
+    """``(x - 1) % k`` or ``(x + 1) % k``: the cyclic coupling's index rule,
+    read in either direction."""
     return (
         isinstance(node, ast.BinOp)
         and isinstance(node.op, ast.Mod)
         and isinstance(node.left, ast.BinOp)
-        and isinstance(node.left.op, ast.Sub)
+        and isinstance(node.left.op, (ast.Sub, ast.Add))
         and isinstance(node.left.right, ast.Constant)
         and node.left.right.value == 1
     )
@@ -38,12 +39,13 @@ def _is_cyclic_predecessor(node):
 
 def test_only_exponents_writes_the_cyclic_coupling():
     """Component l is forced by component (l - 1) mod k; every other module
-    reads that order from ``ExponentVector.sources``."""
+    reads that order, or the component l forces, from
+    ``ExponentVector.sources``."""
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         if path.name != "exponents.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if _is_cyclic_predecessor(node)
+        if _is_cyclic_neighbour(node)
     ]
     assert found == []

@@ -8,7 +8,6 @@ from exwave.exponents import ExponentVector
 from exwave.oracle import (
     OdeOrder,
     OdeSystem,
-    Outcome,
     _list_step,
     _scalar_step,
     integrate_adaptive,
@@ -58,7 +57,7 @@ def test_threshold_insensitivity():
 def test_no_blowup_at_horizon():
     sys = OdeSystem(OdeOrder.FIRST, ExponentVector.of(2.0), epsilon=1.0)
     res = integrate_adaptive(sys, M=1e8, t_horizon=0.5)
-    assert res.outcome is Outcome.NO_BLOWUP_AT_HORIZON
+    assert not res.blew_up
     assert res.t_blow is None and res.t_final <= 0.5 + 1e-12
 
 
@@ -102,8 +101,6 @@ def test_system_validation():
     with pytest.raises(ValueError):
         OdeSystem(OdeOrder.FIRST, ExponentVector.of(2.0), epsilon=-1.0)
     with pytest.raises(ValueError):
-        OdeSystem(OdeOrder.FIRST, ExponentVector.of(2.0), a=(1.0, 2.0))
-    with pytest.raises(ValueError):
         OdeSystem(OdeOrder.FIRST, ExponentVector.of(2.0, 2.0), watch=5)
 
 
@@ -119,11 +116,11 @@ def test_results_are_python_floats():
         OdeSystem(OdeOrder.SECOND_DAMPED, ExponentVector.of(2.0, 3.0), epsilon=0.1),
         t_horizon=0.5,
     )
-    assert held.outcome is Outcome.NO_BLOWUP_AT_HORIZON
+    assert not held.blew_up
     for res in (blew, held):
         for value in (res.t_final, res.uncertainty) + ((res.t_blow,) if res.blew_up else ()):
             assert type(value) is float
-        row = dataclasses.asdict(res) | {"outcome": res.outcome.value}
+        row = dataclasses.asdict(res)
         assert json.loads(json.dumps(row)) == row
 
 
@@ -193,7 +190,7 @@ def test_pinned_against_array_integrator(case, expected):
     order, p, eps, watch, M = case
     outcome, t_blow, t_final, steps = expected
     res = integrate_adaptive(OdeSystem(order, ExponentVector(p), epsilon=eps, watch=watch), M=M)
-    assert res.outcome.value == outcome
+    assert res.blew_up is (outcome == "blew-up")
     assert res.steps == steps
     assert res.t_blow == pytest.approx(t_blow, rel=PINNED_REL, abs=0)
     assert res.t_final == pytest.approx(t_final, rel=PINNED_REL, abs=0)

@@ -169,13 +169,14 @@ def test_functional_grid_self_consistency():
     assert err12 <= 4.0 * 4.0 * err23  # ratio ~4 expected; slack factor 4
 
 
-def _smooth_history(r_end, t_end, dr=2.0**-7, dt=2.0**-4):
+def _smooth_history(r_end, t_end, dr=2.0**-7, dt=2.0**-4, k=2):
     r = 1.0 + dr * np.arange(round((r_end - 1.0) / dr) + 1)
     times = dt * np.arange(round(t_end / dt) + 1)
     u = np.stack([
         (1.0 + times[:, None]) * np.exp(-((r - 2.0) ** 2)),
         np.cos(3.0 * r) * np.exp(-times[:, None] / 4.0),
-    ], axis=1)
+        np.sin(2.0 * r) / (1.0 + times[:, None]),
+    ][:k], axis=1)
     return SolutionHistory(times=times, r=r, u=u, horizon=times[-1])
 
 
@@ -226,29 +227,40 @@ def test_functional_on_the_support_matches_the_full_grid(R, r_end, t_end, star, 
         assert again == val
 
 
+# p, C0 and, per ell: (component of I_R, its power, component of I*_R, its power)
 @pytest.mark.parametrize("R", [2.0, 2.1])
 def test_chain_links_pair_each_component_with_its_power(R):
     """Link ell is I_R[|u_(ell-1)|^p_ell] + C0_ell eps on the left and
     Theta_p(ell+1)(R) (I*_R[|u_ell|^p_(ell+1)])^(1/p_(ell+1)) on the right,
-    indices cyclic.  The two components differ and so do the exponents, so
-    a link that pairs the wrong component or power shows."""
-    hist = _smooth_history(5.0, 9.0, 0.25, 0.5)
-    p = ExponentVector.of(1.5, 2.5)
-    d, bc, eps, C0 = 3, BoundaryCondition.robin(1.0, 1.0), 0.1, [0.7, 1.3]
-    rep = chain_check(hist, p, d, bc, [R], epsilon=eps, C0=C0)
+    indices cyclic.  The components differ and so do the exponents, so a
+    link that pairs the wrong component or power shows; with k = 3 the
+    predecessor and the successor differ, so a reversed cycle shows too."""
+    d, bc, eps = 3, BoundaryCondition.robin(1.0, 1.0), 0.1
     w = HarmonicWeight(d, bc)
-    cut = ScaledCutoff(R=R, profile=CutoffProfile(lam=CutoffProfile.floor_for(p)))
-    # ell: (component of I_R, its power, component of I*_R, its power)
-    pairing = {1: (2, 1.5, 1, 2.5), 2: (1, 2.5, 2, 1.5)}
-    (row,) = rep.rows
-    assert [link.ell for link in row.links] == [1, 2]
-    for link in row.links:
-        prev, p_ell, comp, p_next = pairing[link.ell]
-        lhs = _full_grid_functional(hist, prev, p_ell, w, cut, False) + C0[link.ell - 1] * eps
-        star = _full_grid_functional(hist, comp, p_next, w, cut, True)
-        rhs = theta(R, d, bc, p_next) * star ** (1.0 / p_next)
-        assert link.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
-        assert link.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+    # p, C0 and, per ell: (component of I_R, its power, component of I*_R, its power)
+    cases = [
+        ((1.5, 2.5), [0.7, 1.3], {1: (2, 1.5, 1, 2.5), 2: (1, 2.5, 2, 1.5)}),
+        (
+            (1.5, 2.5, 1.2),
+            [0.7, 1.3, 0.9],
+            {1: (3, 1.5, 1, 2.5), 2: (1, 2.5, 2, 1.2), 3: (2, 1.2, 3, 1.5)},
+        ),
+    ]
+    for p, C0, pairing in cases:
+        hist = _smooth_history(5.0, 9.0, 0.25, 0.5, k=len(p))
+        p = ExponentVector(p)
+        rep = chain_check(hist, p, d, bc, [R], epsilon=eps, C0=C0)
+        cut = ScaledCutoff(R=R, profile=CutoffProfile(lam=CutoffProfile.floor_for(p)))
+        (row,) = rep.rows
+        assert [link.ell for link in row.links] == list(pairing)
+        for link in row.links:
+            prev, p_ell, comp, p_next = pairing[link.ell]
+            lhs = _full_grid_functional(hist, prev, p_ell, w, cut, False)
+            lhs += C0[link.ell - 1] * eps
+            star = _full_grid_functional(hist, comp, p_next, w, cut, True)
+            rhs = theta(R, d, bc, p_next) * star ** (1.0 / p_next)
+            assert link.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+            assert link.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
 def test_chain_check_zero_solution():

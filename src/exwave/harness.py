@@ -1,9 +1,10 @@
 """Experiment orchestration: epsilon sweeps, scaling fits, estimate batches,
 reporting.
 
-A sweep runs one simulation per epsilon (independently, optionally in a
-process pool), each on the base config's grid and horizon with only epsilon
-changed, so dr, dt and T_end are shared by the whole ladder.  The
+A sweep runs one simulation per epsilon, each on the base config's grid and
+horizon with only epsilon changed, so dr, dt and T_end are shared by the whole
+ladder: serially it steps them in lockstep (``solver.run_ladder``), with
+``workers > 1`` it maps ``solver.run`` over a process pool.  The
 ``[history] snapshots`` setting applies to ``simulate``: a sweep stores no
 histories, so its records.json shows ``history_snapshots`` 0.  Measured
 blow-up times are fitted against the predicted lifespan shapes
@@ -43,7 +44,7 @@ from .exponents import (
     ExponentVector,
     classify_regime,
 )
-from .solver import RunRecord, SolverConfig, Verdict, run
+from .solver import RunRecord, SolverConfig, Verdict, run, run_ladder
 from .testfn import (
     DEFAULT_RHS_R_POWERS,
     ESTIMATE_LABELS,
@@ -92,13 +93,6 @@ def _theory_bound(p: ExponentVector, d: int, bc: BoundaryCondition) -> dict:
     return {"form": bound.form.value, "exponent": bound.exponent}
 
 
-def _timed_run(config: SolverConfig) -> tuple[RunRecord, float]:
-    """One run and its wall time, measured in the process that runs it."""
-    t0 = time.perf_counter()
-    rec = run(config)
-    return rec, time.perf_counter() - t0
-
-
 def sweep(spec: SweepSpec) -> SweepResult:
     """One deterministic run per epsilon, and the fit they are judged by;
     per-run failures abort the sweep only for configuration errors, never
@@ -106,18 +100,19 @@ def sweep(spec: SweepSpec) -> SweepResult:
 
     No run stores a history: nothing in a sweep reads one, and snapshots
     never feed back into the step, so the blow-up times are those of the
-    base config at each epsilon.  The fit is ``None`` when the form has no
-    law or fewer than 4 points are left to fit."""
-    base = spec.base
-    configs = [
-        replace(base, data=replace(base.data, epsilon=e), history_snapshots=0)
-        for e in spec.epsilons
-    ]
-    if spec.workers > 1 and len(configs) > 1:
+    base config at each epsilon.  A run's timing is its record's ``wall_s``,
+    measured in the process that steps it: in the lockstep ladder, the time
+    from the ladder's start to the step at which the run left it.  The fit
+    is ``None`` when the form has no law or fewer than 4 points are left to
+    fit."""
+    base = replace(spec.base, history_snapshots=0)
+    if spec.workers > 1 and len(spec.epsilons) > 1:
+        configs = [replace(base, data=replace(base.data, epsilon=e)) for e in spec.epsilons]
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            runs, timings = zip(*pool.map(_timed_run, configs))
+            runs = tuple(pool.map(run, configs))
     else:
-        runs, timings = zip(*map(_timed_run, configs))
+        runs = run_ladder(base, spec.epsilons)
+    timings = tuple(rec.wall_s for rec in runs)
     theory = _theory_bound(base.p, base.d, base.bc)
     result = SweepResult(spec=spec, runs=runs, theory_bound=theory, timings=timings)
     model = FORM_MODELS.get(theory["form"])

@@ -15,28 +15,38 @@ explicit in space with the damping term solved pointwise for u+ (the damping
 never enters the stability constraint).  Fields are real: the blow-up theory
 concerns sign-definite real data.
 
-``run`` steps on the numerical light cone.  The three-point stencil moves the
-support of compactly supported data out by exactly one node per step (speed
-1/cfl in r, ahead of the unit physical cone), so after step s every field is
-zero beyond node j_data + s, where j_data is the last nonzero node of the
-data.  Each step therefore updates only nodes j < min(n + 1, j_data + s + 2);
-every skipped node has all-zero inputs, and since |0|^p = 0 it would compute
-to exactly 0, so the result is bit-identical to a full-grid step.  The three
-time levels live in buffers allocated once per run, and only the displacement
+``run_ladder`` steps on the numerical light cone.  The three-point stencil
+moves the support of compactly supported data out by exactly one node per
+step (speed 1/cfl in r, ahead of the unit physical cone), so after step s
+every field is zero beyond node j_data + s, where j_data is the last nonzero
+node of the data.  Each step therefore updates only nodes
+j < min(n + 1, j_data + s + 2); every skipped node has all-zero inputs, and
+since |0|^p = 0 it would compute to exactly +0.0, so the result is
+bit-identical to a full-grid step.  For the same reason the strongly imposed
+nodes (r = 1 under Dirichlet, and the outer edge) stay +0.0 without a pin.
+The three time levels and |u| of the newest level live in buffers allocated
+once per ladder (2u is formed in the new level's), and only the displacement
 is stored in the history.  ``step`` is the allocating full-grid reference
-that the bit-identity gates compare ``run`` against: it forms its own forcing
+that the bit-identity gates compare against: it forms its own forcing
 (optionally linear, plus an optional external source for the
-manufactured-solution tests) and returns the velocity too.  ``step``,
+manufactured-solution tests), pins the boundary and returns the velocity
+too.  ``step``,
 ``apply_boundary`` and ``_laplacian`` stay in this module because
 ``perfbench/tracer.py`` traces them by name (``TRACED``).
 
-``run`` also steps one row instead of k when all exponents are equal.
-``InitialData`` gives every component the same data, and with p_1 = ... = p_k
-each row is forced by a copy of itself through the same power, so the rows
-stay bit-for-bit copies of one solution of u_tt - Lu + u_t = |u|^p.  The run
-returns that row as k identical columns of the peaks and the history.  This
-relies on ``_forcing`` taking the same array pow for one row as for k (see
-its docstring); ``step`` always advances all k rows and is the reference.
+A ladder is one config at several epsilons, which share the grid, ``dt`` and
+horizon, so ``run_ladder`` steps them in lockstep as row blocks of one array,
+and ``run`` is its one-epsilon case.  With unequal exponents a block holds the
+k components and the cyclic gather stays inside it; with equal exponents a
+block is one row.  ``InitialData`` gives every component the same data, and
+with p_1 = ... = p_k each row is forced by a copy of itself through the same
+power, so the k rows would stay bit-for-bit copies of one solution of
+u_tt - Lu + u_t = |u|^p: the record repeats that row as k identical columns
+of the peaks and the history.  This relies on ``_forcing`` taking the same
+array pow for any number of rows (see its docstring).  A run that blows up
+(after its grace steps), goes non-finite or reaches the horizon leaves the
+batch, and the remaining rows move up unchanged, so the run-time contract is
+that each run of a ladder is bit-identical to its own loop of ``step`` calls.
 
 Blow-up is detected by the max norm crossing a large threshold; the crossing
 time is located inside the last step by bisection on the log-linear
@@ -48,11 +58,12 @@ from __future__ import annotations
 
 import math
 import sys
+import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -162,37 +173,42 @@ def weighted_data_integral(
     return radial_integral(np.asarray(r, float), (u0 + u1) * psi(r, d, bc), d)
 
 
+def _ghost_slope(bc: BoundaryCondition) -> float | None:
+    """beta/alpha of the flux conditions' ghost node; None under Dirichlet."""
+    return None if bc.kind is BoundaryKind.DIRICHLET else bc.beta / bc.alpha
+
+
 def _laplacian_nodes(
     u: np.ndarray,
+    twice: np.ndarray,
     out: np.ndarray,
     scratch: np.ndarray,
     hi: int,
     dr: float,
     radial: np.ndarray,
     d: int,
-    bc: BoundaryCondition,
+    slope: float | None,
 ) -> None:
     """Write the radial Laplacian at nodes [1, hi), and the ghost-node row 0
-    for flux conditions, into ``out``; other columns are left untouched.
+    for flux conditions (``slope`` not None), into ``out``; other columns are
+    left untouched.
 
-    ``radial`` is (d-1)/r[1:-1] and ``scratch`` a work array shaped like u.
-    The in-place ufunc sequence is the operation order of
-    (u+ - 2u + u-)/dr^2 + ((d-1)/r) (u+ - u-)/(2 dr), so any node range gives
-    the same bits as the whole grid.
+    ``twice`` is 2u on at least nodes [0, hi), ``radial`` is (d-1)/r[1:-1]
+    and ``scratch`` a work array shaped like u.  The in-place ufunc sequence
+    is the operation order of (u+ - 2u + u-)/dr^2 + ((d-1)/r) (u+ - u-)/(2 dr),
+    so any node range gives the same bits as the whole grid.
     """
     lap = out[:, 1:hi]
     grad = scratch[:, : hi - 1]
-    up, mid, down = u[:, 2 : hi + 1], u[:, 1:hi], u[:, : hi - 1]
-    np.multiply(2.0, mid, out=lap)
-    np.subtract(up, lap, out=lap)
+    up, down = u[:, 2 : hi + 1], u[:, : hi - 1]
+    np.subtract(up, twice[:, 1:hi], out=lap)
     np.add(lap, down, out=lap)
     np.divide(lap, dr**2, out=lap)
     np.subtract(up, down, out=grad)
     np.multiply(radial[: hi - 1], grad, out=grad)
     np.divide(grad, 2.0 * dr, out=grad)
     np.add(lap, grad, out=lap)
-    if bc.kind is not BoundaryKind.DIRICHLET:
-        slope = bc.beta / bc.alpha
+    if slope is not None:
         out[:, 0] = (
             2.0 * (u[:, 1] - u[:, 0]) / dr**2
             - 2.0 * slope * u[:, 0] / dr
@@ -210,7 +226,8 @@ def _laplacian(u: np.ndarray, grid: RadialGrid, d: int, bc: BoundaryCondition) -
     """
     out = np.zeros_like(u)
     _laplacian_nodes(
-        u, out, np.empty_like(u), grid.n, grid.dr, (d - 1.0) / grid.r[1:-1], d, bc
+        u, 2.0 * u, out, np.empty_like(u), grid.n, grid.dr, (d - 1.0) / grid.r[1:-1], d,
+        _ghost_slope(bc),
     )
     return out
 
@@ -237,19 +254,22 @@ def apply_boundary(state: RadialState, bc: BoundaryCondition) -> RadialState:
     return state
 
 
-def _forcing(u: np.ndarray, rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """|u_{l-1}|^(p_l) as a fresh contiguous array.
+def _forcing(absu: np.ndarray, rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """|u_{l-1}|^(p_l) from ``absu`` = |u|, as a fresh contiguous array.
 
-    ``rows`` is ``ExponentVector.sources`` and ``powers`` the exponents as a
-    full-width (k, n+1) array, of which the first u.shape[1] columns are used.
-    The power must run on a contiguous temporary: numpy's vectorized pow and
-    its strided fallback can differ in the last bit (seen at p = 2).  The
-    exponents are full width so that every k, including k = 1, takes the same
-    array pow: ``**`` with a size-1 exponent takes numpy's scalar fast path,
-    which squares at p = 2 and differs in the last bit from the array pow, and
-    ``run`` relies on one row giving the bits of each row of k.
+    ``rows`` is ``_Kernel.rows`` (the gather of ``ExponentVector.sources`` in
+    each block) and ``powers`` the exponents as a full-width array, of which
+    the first absu.shape[1] columns are used.  The power must run on a
+    contiguous temporary: numpy's vectorized pow and its strided fallback can
+    differ in the last bit (seen at p = 2).  The exponents are full width so
+    that every row count, including one, takes the same array pow: ``**``
+    with a size-1 exponent takes numpy's scalar fast path, which squares at
+    p = 2 and differs in the last bit from the array pow, and ``run_ladder``
+    relies on one row giving the bits of each row of k.  The gather is that
+    temporary, and the power overwrites it.
     """
-    return np.power(np.abs(u[rows]), powers[:, : u.shape[1]])
+    f = absu[rows]
+    return np.power(f, powers[:, : absu.shape[1]], out=f)
 
 
 def _velocity(
@@ -265,26 +285,42 @@ def _velocity(
 class _Kernel:
     """One time level of the scheme on the first m nodes, for a given forcing.
 
-    Holds the per-trajectory constants and two scratch arrays, so a run
-    allocates them once.  ``run`` passes ``_forcing`` of its current level;
+    Holds the per-trajectory constants and two scratch arrays for
+    ``copies`` blocks of the k rows, so a ladder allocates them once.
+    ``run_ladder`` passes ``_forcing`` of its current level;
     ``step`` forms its own forcing and advances through the same kernel.
     """
 
     def __init__(
-        self, dt: float, p: ExponentVector, d: int, bc: BoundaryCondition, grid: RadialGrid
+        self,
+        dt: float,
+        p: ExponentVector,
+        d: int,
+        bc: BoundaryCondition,
+        grid: RadialGrid,
+        copies: int = 1,
     ):
-        k = p.k
+        k = self.k = p.k
         self.dt = dt
         self.a = 1.0 / dt**2 + 1.0 / (2.0 * dt)
         self.d = d
-        self.bc = bc
+        self.slope = _ghost_slope(bc)
         self.n = grid.n
         self.dr = grid.dr
         self.radial = (d - 1.0) / grid.r[1:-1]
-        self.rows = np.array(p.sources)  # the row order of np.roll(u, 1, axis=0)
-        self.powers = np.repeat(np.array(p.p)[:, None], grid.n + 1, axis=1)
-        self.lap = np.zeros((k, grid.n + 1))
-        self.scratch = np.empty((k, grid.n + 1))
+        # each block's rows in the order of np.roll(u, 1, axis=0)
+        self.rows = (k * np.arange(copies)[:, None] + np.array(p.sources)).ravel()
+        self.powers = np.repeat(np.tile(p.p, copies)[:, None], grid.n + 1, axis=1)
+        shape = (copies * k, grid.n + 1)
+        self.lap = np.zeros(shape)  # columns 0 (Dirichlet) and n stay zero
+        self.scratch = np.empty(shape)
+
+    def keep_blocks(self, copies: int) -> None:
+        """Step only the first ``copies`` blocks from now on."""
+        count = copies * self.k
+        self.rows, self.powers, self.lap, self.scratch = (
+            a[:count] for a in (self.rows, self.powers, self.lap, self.scratch)
+        )
 
     def advance(
         self,
@@ -302,15 +338,18 @@ class _Kernel:
 
         Without ``u_prev`` (the initial level) this is the second-order Taylor
         start u + dt v + dt^2/2 (L u + f - v); otherwise the three-level leapfrog
-        with semi-implicit damping.  ``out`` must not share memory with the
-        inputs.
+        with semi-implicit damping.  2u is formed once, in ``out``, for the
+        Laplacian and the leapfrog.  ``out`` must not share memory with ``u``,
+        ``u_prev`` or ``f``; ``v_out`` may be ``v``.
         """
         dt = self.dt
+        new = out[:, :m]
+        np.multiply(2.0, u[:, :m], out=new)
         _laplacian_nodes(
-            u, self.lap, self.scratch, min(m, self.n), self.dr, self.radial, self.d, self.bc
+            u, new, self.lap, self.scratch, min(m, self.n), self.dr, self.radial,
+            self.d, self.slope,
         )
         lap = self.lap[:, :m]
-        new = out[:, :m]
         if u_prev is None:
             drift = lap + f - v[:, :m]
             new[...] = u[:, :m] + dt * v[:, :m] + 0.5 * dt**2 * drift
@@ -318,7 +357,6 @@ class _Kernel:
                 v_out[:, :m] = (new - u[:, :m]) / dt + 0.5 * dt * drift
             return
         back = self.scratch[:, :m]
-        np.multiply(2.0, u[:, :m], out=new)
         np.subtract(new, u_prev[:, :m], out=new)
         np.divide(new, dt**2, out=new)
         np.divide(u_prev[:, :m], 2.0 * dt, out=back)
@@ -362,7 +400,7 @@ def step(
         raise FloatingPointError("non-finite state; blow-up should have been flagged")
     kernel = _Kernel(dt, p, d, bc, grid)
     if nonlinear:
-        f = _forcing(state.u, kernel.rows, kernel.powers)
+        f = _forcing(np.abs(state.u), kernel.rows, kernel.powers)
     else:
         f = np.zeros(state.u.shape)
     if source is not None:
@@ -487,6 +525,7 @@ class RunRecord:
     nan_encountered: bool = False
     data_positivity: float = 0.0
     history: SolutionHistory | None = None
+    wall_s: float = 0.0  # from the ladder's start to the step this run left it
 
     @property
     def threshold_sensitivity(self) -> float | None:
@@ -522,150 +561,230 @@ def _crossing_time(t0: float, g0: float, t1: float, g1: float, M: float) -> floa
 
 
 def run(config: SolverConfig) -> RunRecord:
-    """Integrate until blow-up or the horizon.
+    """Integrate one config until blow-up or the horizon: the one-epsilon
+    case of ``run_ladder``."""
+    return run_ladder(config, (config.data.epsilon,))[0]
+
+
+# steps a run keeps going after its blow-up crossing, to record the highest
+# sensitivity threshold
+_GRACE_STEPS = 200
+
+
+@dataclass
+class _Rung:
+    """One epsilon's bookkeeping while its block is in a ladder's batch."""
+
+    config: SolverConfig
+    col: int  # its first column in the ladder's peaks
+    positivity: float
+    history: list | None  # (t, u) snapshots, None when the ladder stores none
+    crossings: dict[float, float] = field(default_factory=dict)
+    t_blow: float | None = None
+    nan_flag: bool = False
+    deadline: int | None = None  # its last grace step
+    levels: int = 0
+    t_final: float = 0.0
+    wall_s: float = 0.0
+
+    def leave(self, levels: int, t: float, wall_s: float) -> None:
+        self.levels, self.t_final, self.wall_s = levels, t, wall_s
+
+
+def _front_rows(a: np.ndarray, sel: np.ndarray, m: int) -> np.ndarray:
+    """Move rows ``sel`` (ascending) of ``a``, which is zero beyond column m,
+    to its first rows and return those."""
+    a[: sel.size, :m] = a[sel, :m]
+    return a[: sel.size]
+
+
+def _next_event(batch: list[_Rung], istep: int, stride: int, n_steps: int) -> int:
+    """The first step after ``istep`` at which a rung's grace ends or a
+    history snapshot is due."""
+    events = [rung.deadline for rung in batch if rung.deadline is not None]
+    if stride and any(rung.t_blow is None for rung in batch):
+        events.append(min((istep // stride + 1) * stride, n_steps))
+    return min(events, default=n_steps + 1)
+
+
+def run_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunRecord, ...]:
+    """Integrate ``base`` at each epsilon until blow-up or the horizon, all
+    in one stepping loop; record i is that of ``base`` with epsilon
+    ``epsilons[i]``.
 
     Deterministic for a given config.  Refuses initial data whose weighted
     integral against Psi is not positive (the blow-up theory's data
-    condition).  After the main threshold crossing, stepping continues for a
-    short grace period to record the highest sensitivity threshold.
+    condition).  After the main threshold crossing, a run continues for
+    ``_GRACE_STEPS`` steps to record the highest sensitivity threshold.
 
-    Steps only the nodes inside the numerical light cone and rotates three
-    preallocated time levels; the results are bit-identical to a loop of
-    ``step`` calls.  The velocity is formed only on the Taylor start and near
-    overflow, where it decides the non-finite verdict just as a full
-    finiteness scan would.  With equal exponents it steps one row and copies
-    it into the k columns (see the module docstring).
+    Steps each epsilon as a block of rows (see the module docstring) on the
+    nodes inside the numerical light cone and rotates three preallocated
+    time levels; every run is bit-identical to a loop of ``step`` calls.
+    |u| of the new level is formed once per step: its row maxima are the
+    peaks and it is the next step's forcing base.  The per-rung Python
+    bookkeeping runs only on the steps where the batch's peak passes the
+    lowest uncrossed threshold or the velocity guard, or a snapshot or a
+    grace end is due.  The velocity is formed only on the Taylor start and
+    near overflow, where it decides the non-finite verdict just as a full
+    finiteness scan would.  A record's ``wall_s`` is the time from this
+    call to the step at which its run left the batch.
     """
-    grid = config.grid
-    bc = config.bc
-    k = config.p.k
+    t_start = time.perf_counter()
+    configs = [replace(base, data=replace(base.data, epsilon=e)) for e in epsilons]
+    grid = base.grid
+    bc = base.bc
+    k = base.p.k
     # equal exponents keep the k rows bit-for-bit copies: step one of them
-    stepped = ExponentVector.of(config.p.p[0]) if config.p.all_equal else config.p
-    k_stepped = stepped.k
+    stepped = ExponentVector.of(base.p.p[0]) if base.p.all_equal else base.p
+    ks = stepped.k
     n = grid.n
-    u0, u1 = config.data.build(grid, k_stepped)  # zero on both pinned nodes
-    positivity = weighted_data_integral(grid.r, u0[0], u1[0], config.d, bc)
-    if config.data.epsilon > 0 and positivity <= 0.0:
-        raise DataPositivityError(
-            f"int (u0 + u1) Psi dx = {positivity:.3e} must be positive"
-        )
-    if not config.domain_of_dependence_ok():
+    # (u0, u1) of every epsilon as blocks of ks rows; zero on both pinned nodes
+    u_cur, v = (np.concatenate(a) for a in zip(*(c.data.build(grid, ks) for c in configs)))
+    positivity = [
+        weighted_data_integral(grid.r, u_cur[i], v[i], base.d, bc)
+        for i in range(0, u_cur.shape[0], ks)
+    ]
+    for c, pos in zip(configs, positivity):
+        if c.data.epsilon > 0 and pos <= 0.0:
+            raise DataPositivityError(f"int (u0 + u1) Psi dx = {pos:.3e} must be positive")
+    if not base.domain_of_dependence_ok():
         warnings.warn(
             "r_max < 1 + support + T_end: the outer wall can influence the "
             "solution before the horizon",
             stacklevel=2,
         )
-    dt = config.dt
-    _check_cfl(dt, config.cfl, grid)
-    n_steps = max(1, math.ceil(config.T_end / dt))
-    stride = (
-        max(1, n_steps // config.history_snapshots)
-        if config.history_snapshots > 0
-        else 0
-    )
-    live = np.flatnonzero(np.any(u0 != 0.0, axis=0) | np.any(u1 != 0.0, axis=0))
+    dt = base.dt
+    _check_cfl(dt, base.cfl, grid)
+    n_steps = max(1, math.ceil(base.T_end / dt))
+    stride = max(1, n_steps // base.history_snapshots) if base.history_snapshots > 0 else 0
+    live = np.flatnonzero(np.any(u_cur != 0.0, axis=0) | np.any(v != 0.0, axis=0))
     front = (int(live[-1]) if live.size else 0) + 2  # m = front + step
     # below this peak, (3u+ - 4u + u-)/(2 dt) cannot overflow
     v_guard = sys.float_info.max / 16.0 * min(1.0, 2.0 * dt)
 
-    kernel = _Kernel(dt, stepped, config.d, bc, grid)
-    u_prev, u_cur, u_new, spare = None, u0, np.zeros_like(u0), np.zeros_like(u0)
-    v_new = u1.copy()  # velocity of the newest level; the Taylor start refills it
+    rungs = [
+        _Rung(c, i * ks, pos, [(0.0, u_cur[i * ks : (i + 1) * ks].copy())] if stride else None)
+        for i, (c, pos) in enumerate(zip(configs, positivity))
+    ]
+    batch = list(rungs)
+    kernel = _Kernel(dt, stepped, base.d, bc, grid, copies=len(batch))
+    u_prev, u_new = None, np.zeros_like(u_cur)
+    absu = np.abs(u_cur)  # |u| of the newest level, zero beyond the front
+    cols = np.arange(u_cur.shape[0])  # the peaks columns of the batch's rows
 
     times = np.empty(n_steps + 1)
-    peaks = np.empty((n_steps + 1, k_stepped))
+    peaks = np.empty((n_steps + 1, u_cur.shape[0]))
     times[0] = 0.0
-    peaks[0] = np.max(np.abs(u0), axis=1)
-    levels = 1
+    peaks[0] = absu.max(axis=1)
 
-    cap = n_steps // stride + 3 if stride else 0
-    hist_t = np.empty(cap)
-    hist_u = np.empty((cap, k_stepped, n + 1))
-    n_hist = 0
-
-    def snapshot(t: float, u: np.ndarray):
-        nonlocal n_hist
-        hist_t[n_hist] = t
-        hist_u[n_hist] = u
-        n_hist += 1
-
-    if stride:
-        snapshot(0.0, u0)
-
-    thresholds = sorted(set(SENSITIVITY_THRESHOLDS) | {config.blowup_threshold})
-    crossings: dict[float, float] = {}
-    verdict = Verdict.SURVIVED
-    t_blow: float | None = None
-    nan_flag = False
-    grace_left = -1
+    thresholds = sorted(set(SENSITIVITY_THRESHOLDS) | {base.blowup_threshold})
+    watch = min(thresholds[0], v_guard)
+    next_event = _next_event(batch, 0, stride, n_steps)
     t = 0.0
-    prev_peak = older_peak = float(np.max(peaks[0]))
+    prev_top = older_top = float(peaks[0].max())
 
     for istep in range(1, n_steps + 1):
         m = min(n + 1, front + istep)
         starting = u_prev is None
-        f = _forcing(u_cur[:, :m], kernel.rows, kernel.powers)
-        kernel.advance(u_cur, u_prev, u1, f, m, u_new, v_new if starting else None)
-        _pin(bc, u_new)
+        f = _forcing(absu[:, :m], kernel.rows, kernel.powers)
+        # the Taylor start writes the velocity over the data's, which only it reads
+        kernel.advance(u_cur, u_prev, v, f, m, u_new, v)
         t = t + dt
-        pk = peaks[istep]
-        np.abs(u_new[:, :m]).max(axis=1, out=pk)
-        peak_now = float(pk.max())
-        finite = math.isfinite(peak_now)
-        if finite and (starting or max(peak_now, prev_peak, older_peak) > v_guard):
-            # no pin needed: at the pinned nodes every input is 0, so v is 0
-            if not starting:
-                _velocity(u_new[:, :m], u_cur[:, :m], u_prev[:, :m], dt, v_new[:, :m])
-            finite = bool(np.all(np.isfinite(v_new[:, :m])))
-        if not finite:
-            nan_flag = True
-            if t_blow is None:
-                verdict = Verdict.BLEW_UP
-                t_blow = t
-                crossings.setdefault(config.blowup_threshold, t)
-            break
         times[istep] = t
-        levels += 1
-        for M in thresholds:
-            if M not in crossings and peak_now > M:
-                crossings[M] = _crossing_time(t - dt, prev_peak, t, peak_now, M)
-        if t_blow is None and config.blowup_threshold in crossings:
-            verdict = Verdict.BLEW_UP
-            t_blow = crossings[config.blowup_threshold]
-            if stride:  # close the history at the crossing step
-                snapshot(t, u_new)
-            grace_left = 200
-        elif stride and t_blow is None and (istep % stride == 0 or istep == n_steps):
-            snapshot(t, u_new)
-        if grace_left >= 0:
-            if max(thresholds) in crossings or grace_left == 0:
-                break
-            grace_left -= 1
+        np.abs(u_new[:, :m], out=absu[:, :m])
+        pk = absu[:, :m].max(axis=1)
+        peaks[istep, cols] = pk
+        top = float(pk.max())
+        left = []
+        if (
+            starting
+            or istep >= next_event
+            or not (top <= watch and prev_top <= v_guard and older_top <= v_guard)
+        ):
+            for slot, rung in enumerate(batch):
+                rows = slice(slot * ks, (slot + 1) * ks)
+                own = slice(rung.col, rung.col + ks)
+                peak_now = float(peaks[istep, own].max())
+                prev_peak = float(peaks[istep - 1, own].max())
+                older_peak = float(peaks[max(istep - 2, 0), own].max())
+                finite = math.isfinite(peak_now)
+                if finite and (starting or max(peak_now, prev_peak, older_peak) > v_guard):
+                    # no pin needed: at the pinned nodes every input is 0, so v is 0
+                    vel = v[rows, :m] if starting else np.empty((ks, m))
+                    if not starting:
+                        _velocity(u_new[rows, :m], u_cur[rows, :m], u_prev[rows, :m], dt, vel)
+                    finite = bool(np.all(np.isfinite(vel)))
+                if not finite:
+                    rung.nan_flag = True
+                    if rung.t_blow is None:
+                        rung.t_blow = t
+                        rung.crossings.setdefault(base.blowup_threshold, t)
+                    rung.leave(istep, t, time.perf_counter() - t_start)
+                    left.append(slot)
+                    continue
+                for M in thresholds:
+                    if M not in rung.crossings and peak_now > M:
+                        rung.crossings[M] = _crossing_time(t - dt, prev_peak, t, peak_now, M)
+                if rung.t_blow is None and base.blowup_threshold in rung.crossings:
+                    rung.t_blow = rung.crossings[base.blowup_threshold]
+                    if stride:  # close the history at the crossing step
+                        rung.history.append((t, u_new[rows].copy()))
+                    rung.deadline = istep + _GRACE_STEPS
+                elif stride and rung.t_blow is None and (istep % stride == 0 or istep == n_steps):
+                    rung.history.append((t, u_new[rows].copy()))
+                if rung.deadline is not None and (
+                    thresholds[-1] in rung.crossings or istep == rung.deadline
+                ):
+                    rung.leave(istep + 1, t, time.perf_counter() - t_start)
+                    left.append(slot)
+            keep = [slot for slot in range(len(batch)) if slot not in left]
+            batch = [batch[slot] for slot in keep]
+            uncrossed = [M for rung in batch for M in thresholds if M not in rung.crossings]
+            watch = min(min(uncrossed, default=math.inf), v_guard)
+            next_event = _next_event(batch, istep, stride, n_steps)
+        if not batch:
+            break
+        if starting:  # nothing reads the data's velocity again: recycle it
+            u_prev, v = v, None
         # rotate the time levels; the recycled buffer is zero beyond the front
-        u_prev, u_cur, u_new = u_cur, u_new, (spare if u_prev is None else u_prev)
-        older_peak, prev_peak = prev_peak, peak_now
+        u_prev, u_cur, u_new = u_cur, u_new, u_prev
+        older_top, prev_top = prev_top, top
+        if left:  # move the remaining blocks to the front, bits unchanged
+            sel = (ks * np.array(keep)[:, None] + np.arange(ks)).ravel()
+            u_prev, u_cur, u_new, absu = (
+                _front_rows(a, sel, m) for a in (u_prev, u_cur, u_new, absu)
+            )
+            cols = cols[sel]
+            kernel.keep_blocks(len(batch))
+    wall_s = time.perf_counter() - t_start
+    for rung in batch:  # the runs that reached the horizon
+        rung.leave(n_steps + 1, t, wall_s)
 
-    peaks, hist_u = peaks[:levels], hist_u[:n_hist]
-    if k_stepped < k:  # every component is a copy of the stepped row
-        peaks = np.repeat(peaks, k, axis=1)
-        hist_u = np.repeat(hist_u, k, axis=1)
+    return tuple(_ladder_record(rung, k, ks, times, peaks, grid) for rung in rungs)
+
+
+def _ladder_record(rung: _Rung, k: int, ks: int, times, peaks, grid) -> RunRecord:
+    """A rung's record; its stepped rows are repeated into the k columns."""
+    config = rung.config
     history = None
-    if stride:
+    if rung.history is not None:
+        hist_t, hist_u = zip(*rung.history)
         history = SolutionHistory(
-            times=hist_t[:n_hist],
+            times=np.array(hist_t),
             r=grid.r,
-            u=hist_u,
+            u=np.repeat(np.array(hist_u), k // ks, axis=1),
             horizon=config.T_end,
         )
     return RunRecord(
         config=config,
-        verdict=verdict,
-        t_blow=t_blow,
-        t_final=t,
-        peak_times=times[:levels],
-        peaks=peaks,
-        threshold_crossings=crossings,
-        nan_encountered=nan_flag,
-        data_positivity=positivity,
+        verdict=Verdict.SURVIVED if rung.t_blow is None else Verdict.BLEW_UP,
+        t_blow=rung.t_blow,
+        t_final=rung.t_final,
+        peak_times=times[: rung.levels].copy(),
+        peaks=np.repeat(peaks[: rung.levels, rung.col : rung.col + ks], k // ks, axis=1),
+        threshold_crossings=rung.crossings,
+        nan_encountered=rung.nan_flag,
+        data_positivity=rung.positivity,
         history=history,
+        wall_s=rung.wall_s,
     )

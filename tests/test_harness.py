@@ -345,3 +345,16 @@ def test_parallel_sweep_matches_serial():
     # each run is timed in the worker that ran it, not as a share of the pool
     assert all(t > 0.0 for t in b.timings)
     assert b.timings[0] != b.timings[1]
+
+
+def test_serial_timings_grow_along_a_blow_up_ladder():
+    """The serial sweep steps its runs in one loop, and a run's timing is the
+    time from the loop's start to the step at which the run left it, so the
+    timings grow with the blow-up step."""
+    result = sweep(SweepSpec(base=_base_config(n=400, T_end=30.0), epsilons=(0.8, 0.6, 0.5)))
+    assert all(rec.verdict is Verdict.BLEW_UP for rec in result.runs)
+    finals = [rec.t_final for rec in result.runs]
+    assert finals == sorted(finals) and len(set(finals)) == len(finals)
+    assert result.timings == tuple(rec.wall_s for rec in result.runs)
+    assert all(t > 0.0 for t in result.timings)
+    assert list(result.timings) == sorted(result.timings)

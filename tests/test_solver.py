@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -20,6 +21,7 @@ from exwave.solver import (
     apply_boundary,
     energy,
     run,
+    run_ladder,
     step,
     weighted_data_integral,
 )
@@ -422,12 +424,19 @@ GATE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(GATE_CASES))
-def test_run_bit_identical_to_step_loop(case):
+def _at(case, eps):
     cfg = GATE_CASES[case]()
+    return replace(cfg, data=replace(cfg.data, epsilon=eps))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(config):
+    """``_step_loop`` of a config, computed once per test process."""
     with np.errstate(over="ignore", invalid="ignore"):
-        rec = run(cfg)
-        ref = _step_loop(cfg)
+        return _step_loop(config)
+
+
+def _assert_matches_step_loop(rec, ref):
     assert rec.verdict is ref["verdict"]
     assert rec.t_blow == ref["t_blow"]
     assert rec.t_final == ref["t_final"]
@@ -441,10 +450,59 @@ def test_run_bit_identical_to_step_loop(case):
     else:
         assert np.array_equal(hist.times, ref["history_t"])
         assert np.array_equal(hist.u, ref["history_u"])
+
+
+@pytest.mark.parametrize("case", list(GATE_CASES))
+def test_run_bit_identical_to_step_loop(case):
+    cfg = GATE_CASES[case]()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = run(cfg)
+    _assert_matches_step_loop(rec, _reference(cfg))
     if case in ("overflow", "velocity-overflow"):
         assert rec.nan_encountered and rec.verdict is Verdict.BLEW_UP
     if case == "survived-horizon":
         assert rec.verdict is Verdict.SURVIVED
+
+
+# ladders of a gate case: the epsilons of each are stepped in lockstep
+LADDERS = {
+    # rows leave the batch at different steps; 256-snapshot histories
+    "subcritical": ("subcritical-0.8", (0.8, 0.4)),
+    # p = 2, the layout-sensitive last bit of numpy's pow, on two rows
+    "neumann-p2": ("neumann-p2", (0.75, 0.6)),
+    # the first row blows up and leaves while the other two survive
+    "robin-survived": ("survived-horizon", (3.0, 2.0, 0.5)),
+    # both rows end on the overflow, at different steps
+    "overflow": ("overflow", (0.5, 0.4)),
+    # two blocks of three rows: the cyclic gather stays inside each block
+    "unequal-k3": ("unequal-k3", (0.5, 0.35)),
+}
+
+
+@pytest.mark.parametrize("ladder", list(LADDERS))
+def test_ladder_rows_bit_identical_to_step_loop(ladder):
+    case, epsilons = LADDERS[ladder]
+    with np.errstate(over="ignore", invalid="ignore"):
+        recs = run_ladder(GATE_CASES[case](), epsilons)
+    configs = [_at(case, e) for e in epsilons]
+    assert [rec.config for rec in recs] == configs
+    for rec, config in zip(recs, configs):
+        _assert_matches_step_loop(rec, _reference(config))
+    if ladder == "robin-survived":
+        assert [rec.verdict for rec in recs] == [Verdict.BLEW_UP] + [Verdict.SURVIVED] * 2
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in GATE_CASES if GATE_CASES[c]().bc.kind.value == "dirichlet"]
+)
+def test_dirichlet_history_keeps_positive_zero_on_the_pinned_nodes(case):
+    """run pins nothing: the nodes r = 1 and r_max stay +0.0 because every
+    input there is +0.0, so history.csv can never print -0."""
+    cfg = GATE_CASES[case]()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = run(replace(cfg, history_snapshots=max(cfg.history_snapshots, 64)))
+    for edge in (rec.history.u[..., 0], rec.history.u[..., -1]):
+        assert np.all(edge == 0.0) and not np.any(np.signbit(edge))
 
 
 def test_one_row_forcing_matches_each_row_of_two():
@@ -457,7 +515,7 @@ def test_one_row_forcing_matches_each_row_of_two():
 
     def forcing(p, u):
         kernel = _Kernel(cfg.dt, p, cfg.d, cfg.bc, cfg.grid)
-        return _forcing(u, kernel.rows, kernel.powers)
+        return _forcing(np.abs(u), kernel.rows, kernel.powers)
 
     one = forcing(ExponentVector.of(2.0), u0[:1])
     two = forcing(cfg.p, u0)

@@ -15,11 +15,12 @@ last accepted step, and for single first-order problems removes the threshold
 bias by adding the analytic tail integral from the crossing value to
 infinity.
 
-The integrator runs on Python floats: the state is a list of at most 2k
-numbers, and numpy's per-call overhead on arrays that small made each step
-about 20 times slower.  Each system gets one RK4 step map (a scalar one for
-y' = |y|^p, a list one otherwise); a step that overflows returns None and
-the adaptive loop shrinks the step.
+The integrator runs on Python floats: numpy's per-call overhead on states
+of at most 2k numbers made each step about 20 times slower.  The state of
+y' = |y|^p is a bare float, that of any other system a list.  Each state
+type has its RK4 step map, its Richardson step (error estimate and
+extrapolation) and its amplitude, and one adaptive loop drives either; a
+step that overflows returns None and the loop shrinks the step.
 """
 
 from __future__ import annotations
@@ -76,17 +77,17 @@ class OdeBlowupResult:
         return self.t_blow is not None
 
 
-# A step map advances the state by one RK4 step of length h, or returns None
-# when the step leaves the floats (a stage overflows or the result is not
-# finite); the caller then shrinks h.
-Step = Callable[[list, float], list | None]
+# A step map advances the state (a float for the scalar map, a list
+# otherwise) by one RK4 step of length h, or returns None when the step
+# leaves the floats (a stage overflows or the result is not finite); the
+# caller then shrinks h.
+Step = Callable[[float | list, float], float | list | None]
 
 
 def _scalar_step(p: float) -> Step:
-    """RK4 for the single first-order equation y' = |y|^p."""
+    """RK4 for the single first-order equation y' = |y|^p, on a float."""
 
-    def step(y: list, h: float) -> list | None:
-        (y0,) = y
+    def step(y0: float, h: float) -> float | None:
         try:
             k1 = abs(y0) ** p
             k2 = abs(y0 + 0.5 * h * k1) ** p
@@ -95,7 +96,7 @@ def _scalar_step(p: float) -> Step:
         except OverflowError:
             return None
         y1 = y0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return [y1] if math.isfinite(y1) else None
+        return y1 if math.isfinite(y1) else None
 
     return step
 
@@ -134,6 +135,20 @@ def _list_step(sys: OdeSystem) -> Step:
     return step
 
 
+def _richardson_scalar(y_half: float, y_full: float) -> tuple[float, float]:
+    """(error estimate, extrapolated value) of a full step against two half
+    steps, on a float state."""
+    err = abs(y_half - y_full) / (1.0 + abs(y_half)) / 15.0
+    return err, y_half + (y_half - y_full) / 15.0
+
+
+def _richardson_list(y_half: list, y_full: list) -> tuple[float, list]:
+    """``_richardson_scalar`` on a list state: the largest componentwise
+    error and the componentwise extrapolation."""
+    err = max(abs(a - b) / (1.0 + abs(a)) for a, b in zip(y_half, y_full)) / 15.0
+    return err, [a + (a - b) / 15.0 for a, b in zip(y_half, y_full)]
+
+
 def integrate_adaptive(
     sys: OdeSystem,
     M: float = 1e8,
@@ -155,13 +170,17 @@ def integrate_adaptive(
         raise ValueError("threshold must be at least 1e6")
     k = sys.p.k
     tail_applies = sys.order is OdeOrder.FIRST and k == 1
-    step = _scalar_step(sys.p.p[0]) if tail_applies else _list_step(sys)
-    watch = sys.watch if k > 1 else 0
+    if tail_applies:
+        step, richardson, amplitude = _scalar_step(sys.p.p[0]), _richardson_scalar, abs
+        y = sys.epsilon
+    else:
+        step, richardson = _list_step(sys), _richardson_list
+        watch = sys.watch if k > 1 else 0
 
-    def amplitude(y: list) -> float:
-        return abs(y[watch]) if watch is not None else max(map(abs, y[:k]))
+        def amplitude(y: list) -> float:
+            return abs(y[watch]) if watch is not None else max(map(abs, y[:k]))
 
-    y = [sys.epsilon] * (k if sys.order is OdeOrder.FIRST else 2 * k)
+        y = [sys.epsilon] * (k if sys.order is OdeOrder.FIRST else 2 * k)
     t = 0.0
     h = 1e-3 * (1.0 + amplitude(y)) ** (1.0 - max(sys.p.p))
     steps = 0
@@ -174,11 +193,10 @@ def integrate_adaptive(
         if y_full is None or y_half is None:
             h *= 0.25
             continue
-        err = max(abs(a - b) / (1.0 + abs(a)) for a, b in zip(y_half, y_full)) / 15.0
+        err, y_new = richardson(y_half, y_full)
         if err > tol:
             h *= max(0.2, 0.9 * (tol / err) ** 0.2)
             continue
-        y_new = [a + (a - b) / 15.0 for a, b in zip(y_half, y_full)]
         if amplitude(y_new) >= M:
             # bisect the step length for the crossing
             lo, hi = 0.0, h

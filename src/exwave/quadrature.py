@@ -119,6 +119,42 @@ class InsufficientCoverageError(ValueError):
     """Grid or recorded history clips the support of phi_R."""
 
 
+def _support_window(history, R: float, allow_truncated: bool):
+    """(times, r, u) of ``history`` cut to the support of phi_R, after
+    checking that the grid reaches 1 + R and (unless ``allow_truncated``)
+    that the snapshots reach min(horizon, R^2)."""
+    times = np.asarray(history.times, dtype=float)
+    r = np.asarray(history.r, dtype=float)
+    u = np.asarray(history.u, dtype=float)
+    if r[-1] < 1.0 + R:
+        raise InsufficientCoverageError(
+            f"grid reaches r = {r[-1]:.3f} < 1 + R = {1.0 + R:.3f}"
+        )
+    t_needed = min(R**2, history.horizon)
+    if times[-1] < t_needed * (1.0 - 1e-12) and not allow_truncated:
+        raise InsufficientCoverageError(
+            f"history ends at t = {times[-1]:.3f} < min(horizon, R^2) = {t_needed:.3f}"
+        )
+    # past the first snapshot at t >= R^2 and the first node at r >= 1 + R,
+    # rho >= 1 up to rounding, and phi is exactly 0.0 from rho > 0.9994 on
+    # (the bridge underflows there), so the weight is exactly 0.0
+    m = min(int(np.searchsorted(times, R**2)) + 1, times.size)
+    n = min(int(np.searchsorted(r, 1.0 + R)) + 1, r.size)
+    return times[:m], r[:n], u[:m, :, :n]
+
+
+def _radial_weight(weight: HarmonicWeight, r: np.ndarray) -> np.ndarray:
+    """Psi(r) omega_{d-1} r^(d-1), the radial measure against Psi."""
+    return weight.value(r) * sphere_area(weight.d) * r ** (weight.d - 1)
+
+
+def _weighted_trapezoid(powered, cut, w_r, r, times) -> float:
+    """Trapezoids in r, then in t, of (|u|^p * cut) * w_r, clipped at 0."""
+    integrand = powered * cut * w_r[None, :]
+    inner = np.trapezoid(integrand, r, axis=1)
+    return max(float(np.trapezoid(inner, times)), 0.0)
+
+
 def functional_IR(
     history,
     cutoff: ScaledCutoff,
@@ -144,33 +180,13 @@ def functional_IR(
     is dropped.  A non-finite ``u`` beyond those end lines therefore does not
     enter the value (on the full grid, 0.0 * inf would turn it into NaN).
     """
-    R = cutoff.R
-    times = np.asarray(history.times, dtype=float)
-    r = np.asarray(history.r, dtype=float)
-    u = np.asarray(history.u, dtype=float)
-    k = u.shape[1]
+    k = np.shape(history.u)[1]
     if not 1 <= ell <= k:
         raise ValueError(f"component index must lie in [1, {k}]")
-    if r[-1] < 1.0 + R:
-        raise InsufficientCoverageError(
-            f"grid reaches r = {r[-1]:.3f} < 1 + R = {1.0 + R:.3f}"
-        )
-    t_needed = min(R**2, history.horizon)
-    if times[-1] < t_needed * (1.0 - 1e-12) and not allow_truncated:
-        raise InsufficientCoverageError(
-            f"history ends at t = {times[-1]:.3f} < min(horizon, R^2) = {t_needed:.3f}"
-        )
-    # past the first snapshot at t >= R^2 and the first node at r >= 1 + R,
-    # rho >= 1 up to rounding, and phi is exactly 0.0 from rho > 0.9994 on
-    # (the bridge underflows there), so the weight is exactly 0.0
-    m = min(int(np.searchsorted(times, R**2)) + 1, times.size)
-    n = min(int(np.searchsorted(r, 1.0 + R)) + 1, r.size)
-    times, r = times[:m], r[:n]
-    w_r = weight.value(r) * sphere_area(weight.d) * r ** (weight.d - 1)
+    times, r, u = _support_window(history, cutoff.R, allow_truncated)
     cut = cutoff.phi_R(times[:, None], r[None, :], star=star)
-    integrand = np.abs(u[:m, ell - 1, :n]) ** p_next * cut * w_r[None, :]
-    inner = np.trapezoid(integrand, r, axis=1)
-    return max(float(np.trapezoid(inner, times)), 0.0)
+    powered = np.abs(u[:, ell - 1]) ** p_next
+    return _weighted_trapezoid(powered, cut, _radial_weight(weight, r), r, times)
 
 
 # ---------------------------------------------------------------------------
@@ -223,38 +239,47 @@ def chain_check(
 ) -> ChainReport:
     """Evaluate both sides of every link of the inequality chain on a run.
 
-    For each R and link ell, two ``functional_IR`` calls on one
-    ``ScaledCutoff(R)``: I_R of |u_(ell-1)|^p_ell (cyclic index) and I*_R of
-    |u_ell|^p_(ell+1), 2k per R.  Purely diagnostic: hidden constants are
-    reported as measured ratios and nothing is asserted.  The final ratio eps * R^(2 gamma_max - d) realizes
-    the closing inequality (data term <= C R^(-2 gamma_max + d)); it is only
-    meaningful inside the theory window R <= sqrt(covered time).  The cutoff
-    profile is the lambda floor of ``p``.
+    Link ell pairs I_R of |u_(ell-1)|^p_ell (cyclic index) with I*_R of
+    |u_ell|^p_(ell+1), the quadrature of ``functional_IR``.  Both sides take
+    |u_c|^p with p the power of the component that c forces, so per R the
+    window, Psi and one bridge (phi_R and phi*_R) are formed once and |u|^p
+    k times, for k trapezoids against each cutoff.  Purely diagnostic:
+    hidden constants are reported as measured ratios and nothing is asserted.
+    The final ratio eps * R^(2 gamma_max - d) realizes the closing inequality
+    (data term <= C R^(-2 gamma_max + d)); it is only meaningful inside the
+    theory window R <= sqrt(covered time).  The cutoff profile is the lambda
+    floor of ``p``.
     """
     k = p.k
     if len(C0) != k:
         raise ValueError(f"expected {k} data constants, got {len(C0)}")
+    if np.shape(history.u)[1] < k:
+        raise ValueError(f"history holds {np.shape(history.u)[1]} components, p has {k}")
     report = compute_gamma(p, d)
     weight = HarmonicWeight(d, bc)
     t_covered = float(history.times[-1])
     power = 2.0 * report.gamma_max - d
     profile = CutoffProfile(lam=CutoffProfile.floor_for(p))
 
-    forced_power = dict(zip(p.sources, p.p))  # u_j forces a component of this power
+    forced_power = dict(zip(p.sources, p.p))  # u_c forces a component of this power
     rows = []
     for R in map(float, R_values):
         cutoff = ScaledCutoff(R=R, profile=profile)
+        times, r, u = _support_window(history, R, allow_truncated=True)
+        w_r = _radial_weight(weight, r)
+        phi, phi_star = cutoff.phi_R_pair(times[:, None], r[None, :])
+        # I_R and I*_R take the same (component, power) pairs: |u_c|^p with
+        # the power of the component c forces
+        i_cut, i_star = [], []
+        for c in range(k):
+            powered = np.abs(u[:, c]) ** forced_power[c]
+            i_cut.append(_weighted_trapezoid(powered, phi, w_r, r, times))
+            i_star.append(_weighted_trapezoid(powered, phi_star, w_r, r, times))
         links = []
         for j, prev in enumerate(p.sources):  # j = ell - 1
             p_next = forced_power[j]
-            i_prev = functional_IR(
-                history, cutoff, weight, prev + 1, p.p[j], allow_truncated=True
-            )
-            i_star = functional_IR(
-                history, cutoff, weight, j + 1, p_next, star=True, allow_truncated=True
-            )
-            lhs = i_prev + C0[j] * epsilon
-            rhs = theta(R, d, bc, p_next) * i_star ** (1.0 / p_next)
+            lhs = i_cut[prev] + C0[j] * epsilon
+            rhs = theta(R, d, bc, p_next) * i_star[j] ** (1.0 / p_next)
             links.append(LinkCheck(ell=j + 1, lhs=lhs, rhs=rhs))
         rows.append(ChainRow(
             R=R, links=tuple(links), final_ratio=epsilon * R**power,

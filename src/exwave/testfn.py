@@ -171,6 +171,13 @@ class ScaledCutoff:
         val = cutoff_value(self.rho(t, r), star=star) ** (self.profile.lam + 2.0)
         return val
 
+    def phi_R_pair(self, t, r):
+        """(phi_R, phi*_R) from one bridge evaluation: phi*_R is phi_R with
+        the samples at rho < 1/2 set to 0.0."""
+        rho = self.rho(t, r)
+        phi = cutoff_value(rho) ** (self.profile.lam + 2.0)
+        return phi, np.where(rho < 0.5, 0.0, phi)
+
 
 def psi(r, d: int, bc: BoundaryCondition):
     """Harmonic weight Psi on r >= 1.
@@ -315,9 +322,10 @@ def phi_R_derivatives(t, r, R: float, lam: float, d: int):
         return phi**c, R**-2.0 * F, R**-4.0 * G, lap, d_r
 
 
-def _laplacian_psi_times(psi_r, psi_prime_r, lap, d_r):
-    """Lap(Psi phi_R) = 2 Psi' d_r phi_R + Psi Lap phi_R (Psi harmonic)."""
-    return 2.0 * psi_prime_r * d_r + psi_r * lap
+def _laplacian_psi_times(psi_r, two_psi_prime_r, lap, d_r):
+    """Lap(Psi phi_R) = 2 Psi' d_r phi_R + Psi Lap phi_R (Psi harmonic), from
+    Psi and 2 Psi'."""
+    return two_psi_prime_r * d_r + psi_r * lap
 
 
 def phi_R_radial_derivative(t, r, R: float, lam: float):
@@ -328,7 +336,7 @@ def phi_R_radial_derivative(t, r, R: float, lam: float):
 def laplacian_psi_phi_R(t, r, R: float, lam: float, d: int, bc: BoundaryCondition):
     """Lap(Psi phi_R) = 2 grad Psi . grad phi_R + Psi Lap phi_R (Psi harmonic)."""
     lap, d_r = phi_R_derivatives(t, r, R, lam, d)[3:]
-    return _laplacian_psi_times(psi(r, d, bc), psi_prime(r, d, bc), lap, d_r)
+    return _laplacian_psi_times(psi(r, d, bc), 2.0 * psi_prime(r, d, bc), lap, d_r)
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +396,15 @@ class _RunningSup:
 
     def add(self, lhs, rhs, rows, cols):
         usable = rhs >= RHS_FLOOR
-        bad = (~usable) & (lhs >= LHS_FLOOR)
-        if np.any(bad):
-            self.bad_lhs = max(self.bad_lhs, float(lhs[bad].max()))
+        vanishing = ~usable
+        worst = float(lhs.max(where=vanishing, initial=-np.inf))
+        if worst >= LHS_FLOOR:
+            self.bad_lhs = max(self.bad_lhs, worst)
             if self.first_bad is None:
-                j = int(np.argmax(bad))
+                j = int(np.argmax(vanishing & (lhs >= LHS_FLOOR)))
                 self.first_bad = (rows[j], cols[j])
-        if np.any(usable):
-            self.sup = max(self.sup, float(np.max(lhs[usable] / rhs[usable])))
+        ratios = np.divide(lhs, rhs, out=None, where=usable)  # unread where not usable
+        self.sup = max(self.sup, float(ratios.max(where=usable, initial=0.0)))
 
 
 def _finished_sweep(R, sups, t, r, n_samples) -> SupRatioSweep:
@@ -434,7 +443,11 @@ def sup_ratio_rows(
     the phi powers and phi* once per lam, estimates (i) and (ii) per (lam, R),
     (iii) per (lam, R, d) and (iv) per (lam, R, d, bc); R enters (iii) and
     (iv) through (d-1)/r and Psi(r) at r = 1 + R sigma.  The sweep runs over
-    blocks of SUP_RATIO_BLOCK_ROWS tau-rows.
+    blocks of SUP_RATIO_BLOCK_ROWS tau-rows.  Per block, each lam's chain-rule
+    arrays and phi* powers are formed first, with (i) and (ii) for every R;
+    then (iii) and (iv) loop over R, d, bc with lam innermost, so the column
+    gathers of (d-1)/r, Psi and 2 Psi' are formed once per (R, d, bc) and
+    R^a (phi*)^q once per (lam, R).
 
     Returns one ``SupRatioRow`` per (lam, d, bc), lam slowest and bc fastest,
     each holding its ``SupRatioSweep`` for every R of ``R_list``.
@@ -456,17 +469,19 @@ def sup_ratio_rows(
         ]
         for r in r_cols
     ]
-    # sups[lam][R] = (sup (i), sup (ii), [(sup (iii), [sup (iv) per bc]) per d])
+
+    # the running sups in loop order, lam innermost:
+    # sups[R] = ([(sup (i), sup (ii)) per lam],
+    #            [([sup (iii) per lam], [[sup (iv) per lam] per bc]) per d])
+    def per_lam():
+        return [_RunningSup() for _ in lam_list]
+
     sups = [
-        [
-            (
-                _RunningSup(),
-                _RunningSup(),
-                [(_RunningSup(), [_RunningSup() for _ in bc_list]) for _ in d_list],
-            )
-            for _ in R_list
-        ]
-        for _ in lam_list
+        (
+            list(zip(per_lam(), per_lam())),
+            [(per_lam(), [per_lam() for _ in bc_list]) for _ in d_list],
+        )
+        for _ in R_list
     ]
 
     n_samples = 0
@@ -484,7 +499,10 @@ def sup_ratio_rows(
             rows, cols = rows[live] + i0, cols[live]
             phi, dphi, ddphi = phi[live], dphi[live], ddphi[live]
             star = np.where(rho[live] < 0.5, 0.0, phi)  # phi* from the same phi
-            for lam, sups_lam in zip(lam_list, sups):
+            # per lam: estimates (i) and (ii) for every R, and H, K and the
+            # phi* powers of (iii) and (iv)
+            by_lam = []
+            for i_lam, lam in enumerate(lam_list):
                 c = lam + 2.0
                 F, G, H, K = _scaled_chain_rule(
                     tau[rows], sigma[cols], c, phi, dphi, ddphi
@@ -498,27 +516,42 @@ def sup_ratio_rows(
                 exps = [c * qi for qi in q]
                 powers = {x: star**x for x in set(exps)}
                 S1, S2, S3, S4 = (powers[x] for x in exps)
-                for R, cols_d, (e1, e2, sups_d) in zip(R_list, by_d, sups_lam):
+                for R, (sups_12, _) in zip(R_list, sups):
+                    e1, e2 = sups_12[i_lam]
                     e1.add(R**-2.0 * F, R**a1 * S1, rows, cols)
                     e2.add(R**-4.0 * G, R**a2 * S2, rows, cols)
-                    d_r = R**-1.0 * H
-                    d_rr = R**-2.0 * K
-                    for (curv, weights), (e3, sups_bc) in zip(cols_d, sups_d):
-                        lap = d_rr + curv[cols] * d_r
-                        e3.add(np.abs(lap), R**a3 * S3, rows, cols)
-                        for (psi_r, psi_prime_r), e4 in zip(weights, sups_bc):
-                            psi_s = psi_r[cols]
-                            lpp = _laplacian_psi_times(psi_s, psi_prime_r[cols], lap, d_r)
-                            e4.add(np.abs(lpp), R**a4 * S4 * psi_s, rows, cols)
+                by_lam.append((H, K, S3, S4))
+            for R, cols_d, (_, sups_d) in zip(R_list, by_d, sups):
+                # per lam: d_r phi_R, d_rr phi_R and the right sides of (iii)
+                # and (iv) before the factor Psi (one array when they agree)
+                scaled = []
+                for H, K, S3, S4 in by_lam:
+                    rhs3 = R**a3 * S3
+                    rhs4 = rhs3 if a4 == a3 and S4 is S3 else R**a4 * S4
+                    scaled.append((R**-1.0 * H, R**-2.0 * K, rhs3, rhs4))
+                for (curv, weights), (sups_3, sups_bc) in zip(cols_d, sups_d):
+                    curv_s = curv[cols]
+                    laps = []
+                    for (d_r, d_rr, rhs3, _), e3 in zip(scaled, sups_3):
+                        lap = d_rr + curv_s * d_r
+                        e3.add(np.abs(lap), rhs3, rows, cols)
+                        laps.append(lap)
+                    for (psi_r, psi_prime_r), sups_4 in zip(weights, sups_bc):
+                        psi_s = psi_r[cols]
+                        two_psi_prime_s = 2.0 * psi_prime_r[cols]
+                        for (d_r, _, _, rhs4), lap, e4 in zip(scaled, laps, sups_4):
+                            lpp = _laplacian_psi_times(psi_s, two_psi_prime_s, lap, d_r)
+                            e4.add(np.abs(lpp), rhs4 * psi_s, rows, cols)
 
     t_axes = [np.linspace(0.0, R**2, nt) for R in R_list]
     rows_out = []
-    for lam, sups_lam in zip(lam_list, sups):
+    for i_lam, lam in enumerate(lam_list):
         for (i_d, d), (i_bc, bc) in product(enumerate(d_list), enumerate(bc_list)):
             by_R = []
-            for R, t, r, (e1, e2, sups_d) in zip(R_list, t_axes, r_cols, sups_lam):
-                e3, sups_bc = sups_d[i_d]
-                by_R.append(_finished_sweep(R, (e1, e2, e3, sups_bc[i_bc]), t, r, n_samples))
+            for R, t, r, (sups_12, sups_d) in zip(R_list, t_axes, r_cols, sups):
+                sups_3, sups_bc = sups_d[i_d]
+                ests = (*sups_12[i_lam], sups_3[i_lam], sups_bc[i_bc][i_lam])
+                by_R.append(_finished_sweep(R, ests, t, r, n_samples))
             rows_out.append(SupRatioRow(lam=lam, d=d, bc=bc, by_R=tuple(by_R)))
     return rows_out
 

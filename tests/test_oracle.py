@@ -9,6 +9,8 @@ from exwave.oracle import (
     OdeOrder,
     OdeSystem,
     _list_step,
+    _richardson_list,
+    _richardson_scalar,
     _scalar_step,
     integrate_adaptive,
     solve_first_order_exact,
@@ -125,8 +127,8 @@ def test_results_are_python_floats():
 
 
 def test_step_maps_return_none_on_overflow():
-    assert _scalar_step(2.0)([1e200], 1e-3) is None
-    assert _scalar_step(2.0)([1e150], 1e10) is None  # stage overflows to inf
+    assert _scalar_step(2.0)(1e200, 1e-3) is None
+    assert _scalar_step(2.0)(1e150, 1e10) is None  # stage overflows to inf
     second = _list_step(OdeSystem(OdeOrder.SECOND_DAMPED, ExponentVector.of(2.0)))
     assert second([1e200, 1.0], 1e-3) is None
     coupled = _list_step(OdeSystem(OdeOrder.FIRST, ExponentVector.of(2.0, 3.0)))
@@ -150,13 +152,23 @@ def test_list_step_drives_each_component_by_its_predecessor():
 
 
 def test_list_step_matches_scalar_step_on_one_equation():
+    """On y' = |y|^p the float-state step and Richardson helper give the
+    bits of the list-state ones on the 1-element list."""
     p = 1.4
     scalar = _scalar_step(p)
     listed = _list_step(OdeSystem(OdeOrder.FIRST, ExponentVector.of(p)))
-    y_s = y_l = [0.3]
+    y_s, y_l = 0.3, [0.3]
+    errors = []
     for h in (1e-3, 0.05, 0.4, 1.0):
+        half_s = scalar(scalar(y_s, 0.5 * h), 0.5 * h)
+        half_l = listed(listed(y_l, 0.5 * h), 0.5 * h)
         y_s, y_l = scalar(y_s, h), listed(y_l, h)
-        assert y_s == y_l
+        assert type(y_s) is float and [y_s] == y_l and [half_s] == half_l
+        err_s, new_s = _richardson_scalar(half_s, y_s)
+        err_l, new_l = _richardson_list(half_l, y_l)
+        assert err_s == err_l and [new_s] == new_l
+        errors.append(err_s)
+    assert max(errors) > 0.0
 
 
 # (outcome, t_blow, t_final, steps) from the numpy-array integrator this one

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from exwave import testfn
 from exwave.exponents import BoundaryCondition, ExponentVector
 from exwave.quadrature import (
     InsufficientCoverageError,
@@ -263,6 +264,49 @@ def test_chain_links_pair_each_component_with_its_power(R):
             assert link.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("p", [(1.5, 2.5), (1.5, 2.5, 1.2)], ids=["k2", "k3"])
+def test_chain_check_evaluates_the_bridge_once_per_R(p, monkeypatch):
+    """Per R, phi_R and phi*_R come from one bridge evaluation, shared by
+    every link (2k functional_IR calls would evaluate it 2k times)."""
+    calls = []
+    bridge_ = testfn.bridge
+
+    def counted(s):
+        calls.append(np.shape(s))
+        return bridge_(s)
+
+    monkeypatch.setattr(testfn, "bridge", counted)
+    hist = _smooth_history(5.0, 9.0, 0.25, 0.5, k=len(p))
+    R_values = [2.0, 2.1, 3.0]
+    chain_check(
+        hist, ExponentVector(p), 3, BoundaryCondition.robin(1.0, 1.0), R_values,
+        epsilon=0.1, C0=[1.0] * len(p),
+    )
+    assert len(calls) == len(R_values)
+
+
+def test_chain_links_equal_separate_functionals():
+    """On a k = 3 history with unequal exponents, every link's lhs and rhs
+    are bit for bit those built from separate functional_IR calls."""
+    d, bc, eps = 3, BoundaryCondition.robin(1.0, 1.0), 0.1
+    p, C0 = ExponentVector((1.5, 2.5, 1.2)), [0.7, 1.3, 0.9]
+    hist = _smooth_history(5.0, 9.0, 0.25, 0.5, k=3)
+    w = HarmonicWeight(d, bc)
+    R_values = [2.0, 2.1, 3.0]
+    rep = chain_check(hist, p, d, bc, R_values, epsilon=eps, C0=C0)
+    profile = CutoffProfile(lam=CutoffProfile.floor_for(p))
+    for R, row in zip(R_values, rep.rows):
+        cut = ScaledCutoff(R=R, profile=profile)
+        for j, (link, prev) in enumerate(zip(row.links, p.sources)):
+            p_next = p.p[(j + 1) % 3]
+            i_prev = functional_IR(hist, cut, w, prev + 1, p.p[j], allow_truncated=True)
+            i_star = functional_IR(
+                hist, cut, w, j + 1, p_next, star=True, allow_truncated=True
+            )
+            assert link.lhs == i_prev + C0[j] * eps
+            assert link.rhs == theta(R, d, bc, p_next) * i_star ** (1.0 / p_next)
+
+
 def test_chain_check_zero_solution():
     p = ExponentVector.of(2.0, 2.0)
     hist = _const_history(0.0, k=2, r_max=6.0, t_max=16.0, nr=301, nt=201)
@@ -303,4 +347,13 @@ def test_chain_check_validates_c0_length():
         chain_check(
             hist, ExponentVector.of(2, 2), 3, BoundaryCondition.neumann(),
             [2.0], epsilon=0.1, C0=[1.0],
+        )
+
+
+def test_chain_check_rejects_a_history_with_too_few_components():
+    hist = _const_history(0.0, k=2, r_max=6.0, t_max=16.0, nr=101, nt=51)
+    with pytest.raises(ValueError, match="history holds 2 components"):
+        chain_check(
+            hist, ExponentVector.of(2, 2, 2), 3, BoundaryCondition.neumann(),
+            [2.0], epsilon=0.1, C0=[1.0] * 3,
         )

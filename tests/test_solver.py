@@ -209,6 +209,21 @@ def test_domain_of_dependence():
     assert np.max(np.abs(recs[0].peaks[:k] - recs[1].peaks[:k])) <= 1e-10
 
 
+def test_domain_warning_names_the_caller():
+    """run() and run_ladder() point the domain-of-dependence warning at the
+    line that called them."""
+    cfg = SolverConfig(
+        p=P14, d=3, bc=DIRICHLET, grid=RadialGrid(r_max=6.0, n=250), T_end=8.0,
+        data=InitialData(center=2.0, width=0.5, epsilon=0.3), history_snapshots=0,
+    )
+    assert not cfg.domain_of_dependence_ok()
+    for entry in (run, lambda c: run_ladder(c, (0.3, 0.2))):
+        with pytest.warns(UserWarning, match="outer wall") as record:
+            entry(cfg)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+
 def test_negative_wake_stays_small_sampled():
     """The wave operator is not order-preserving: nonnegative data develops a
     small negative wake (a genuine hyperbolic feature, not an instability).

@@ -563,7 +563,7 @@ def _crossing_time(t0: float, g0: float, t1: float, g1: float, M: float) -> floa
 def run(config: SolverConfig) -> RunRecord:
     """Integrate one config until blow-up or the horizon: the one-epsilon
     case of ``run_ladder``."""
-    return _step_ladder(config, (config.data.epsilon,), stacklevel=3)[0]
+    return _step_ladder(config, (config.data.epsilon,))[0]
 
 
 # steps a run keeps going after its blow-up crossing, to record the highest
@@ -629,14 +629,11 @@ def run_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunRecord
     finiteness scan would.  A record's ``wall_s`` is the time from this
     call to the step at which its run left the batch.
     """
-    return _step_ladder(base, epsilons, stacklevel=3)
+    return _step_ladder(base, epsilons)
 
 
-def _step_ladder(
-    base: SolverConfig, epsilons: Sequence[float], stacklevel: int
-) -> tuple[RunRecord, ...]:
-    """The body of ``run_ladder``; ``stacklevel`` points the domain warning
-    at the line that called ``run`` or ``run_ladder``."""
+def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunRecord, ...]:
+    """The body of ``run_ladder``."""
     t_start = time.perf_counter()
     configs = [replace(base, data=replace(base.data, epsilon=e)) for e in epsilons]
     grid = base.grid
@@ -659,7 +656,8 @@ def _step_ladder(
         warnings.warn(
             "r_max < 1 + support + T_end: the outer wall can influence the "
             "solution before the horizon",
-            stacklevel=stacklevel,
+            # run and run_ladder both call this directly: name their caller
+            stacklevel=3,
         )
     dt = base.dt
     _check_cfl(dt, base.cfl, grid)

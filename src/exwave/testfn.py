@@ -168,8 +168,9 @@ class ScaledCutoff:
         return _scaled_argument(t, r, self.R)
 
     def phi_R(self, t, r, star: bool = False):
-        val = cutoff_value(self.rho(t, r), star=star) ** (self.profile.lam + 2.0)
-        return val
+        """phi_R, or phi*_R when ``star``."""
+        phi, phi_star = self.phi_R_pair(t, r)
+        return phi_star if star else phi
 
     def phi_R_pair(self, t, r):
         """(phi_R, phi*_R) from one bridge evaluation: phi*_R is phi_R with

@@ -235,7 +235,9 @@ def test_chain_links_pair_each_component_with_its_power(R):
     Theta_p(ell+1)(R) (I*_R[|u_ell|^p_(ell+1)])^(1/p_(ell+1)) on the right,
     indices cyclic.  The components differ and so do the exponents, so a
     link that pairs the wrong component or power shows; with k = 3 the
-    predecessor and the successor differ, so a reversed cycle shows too."""
+    predecessor and the successor differ, so a reversed cycle shows too.
+    Each side is also bit for bit the one built from separate functional_IR
+    calls."""
     d, bc, eps = 3, BoundaryCondition.robin(1.0, 1.0), 0.1
     w = HarmonicWeight(d, bc)
     # p, C0 and, per ell: (component of I_R, its power, component of I*_R, its power)
@@ -262,6 +264,10 @@ def test_chain_links_pair_each_component_with_its_power(R):
             rhs = theta(R, d, bc, p_next) * star ** (1.0 / p_next)
             assert link.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
             assert link.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+            i_prev = functional_IR(hist, cut, w, prev, p_ell, allow_truncated=True)
+            i_star = functional_IR(hist, cut, w, comp, p_next, star=True, allow_truncated=True)
+            assert link.lhs == i_prev + C0[link.ell - 1] * eps
+            assert link.rhs == theta(R, d, bc, p_next) * i_star ** (1.0 / p_next)
 
 
 @pytest.mark.parametrize("p", [(1.5, 2.5), (1.5, 2.5, 1.2)], ids=["k2", "k3"])
@@ -283,28 +289,6 @@ def test_chain_check_evaluates_the_bridge_once_per_R(p, monkeypatch):
         epsilon=0.1, C0=[1.0] * len(p),
     )
     assert len(calls) == len(R_values)
-
-
-def test_chain_links_equal_separate_functionals():
-    """On a k = 3 history with unequal exponents, every link's lhs and rhs
-    are bit for bit those built from separate functional_IR calls."""
-    d, bc, eps = 3, BoundaryCondition.robin(1.0, 1.0), 0.1
-    p, C0 = ExponentVector((1.5, 2.5, 1.2)), [0.7, 1.3, 0.9]
-    hist = _smooth_history(5.0, 9.0, 0.25, 0.5, k=3)
-    w = HarmonicWeight(d, bc)
-    R_values = [2.0, 2.1, 3.0]
-    rep = chain_check(hist, p, d, bc, R_values, epsilon=eps, C0=C0)
-    profile = CutoffProfile(lam=CutoffProfile.floor_for(p))
-    for R, row in zip(R_values, rep.rows):
-        cut = ScaledCutoff(R=R, profile=profile)
-        for j, (link, prev) in enumerate(zip(row.links, p.sources)):
-            p_next = p.p[(j + 1) % 3]
-            i_prev = functional_IR(hist, cut, w, prev + 1, p.p[j], allow_truncated=True)
-            i_star = functional_IR(
-                hist, cut, w, j + 1, p_next, star=True, allow_truncated=True
-            )
-            assert link.lhs == i_prev + C0[j] * eps
-            assert link.rhs == theta(R, d, bc, p_next) * i_star ** (1.0 / p_next)
 
 
 def test_chain_check_zero_solution():

@@ -72,8 +72,16 @@ _BC_CHOICES = {
 }
 
 
+def _bc_list(text: str) -> list[BoundaryCondition]:
+    """The ``--bc`` names as boundary conditions; argparse reports a bad one."""
+    try:
+        return [_BC_CHOICES[name] for name in text.split(",")]
+    except KeyError as exc:
+        msg = f"unknown boundary condition {exc} (choose from {', '.join(_BC_CHOICES)})"
+        raise argparse.ArgumentTypeError(msg) from None
+
+
 def cmd_verify_lemma(args) -> int:
-    bcs = [_BC_CHOICES[name] for name in args.bc.split(",")]
     exponents = ExponentVector(parse_floats(args.p)) if args.p else None
     if args.lam:
         lams = parse_floats(args.lam)
@@ -83,7 +91,7 @@ def cmd_verify_lemma(args) -> int:
         R_list=parse_floats(args.R),
         lam_list=lams,
         d_list=[int(x) for x in args.dim.split(",")],
-        bc_list=bcs,
+        bc_list=args.bc,
         grid=(args.grid, args.grid),
         band_limit=args.band,
         exponents=exponents,
@@ -206,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lam", default=None, help="comma-separated lambdas")
     sp.add_argument("--p", default=None, help="exponents fixing the lambda floor")
     sp.add_argument("--dim", default="2,3")
-    sp.add_argument("--bc", default="dirichlet,neumann,robin")
+    sp.add_argument("--bc", type=_bc_list, default="dirichlet,neumann,robin")
     sp.add_argument("--grid", type=int, default=512)
     sp.add_argument("--band", type=float, default=4.0)
     sp.set_defaults(func=cmd_verify_lemma)

@@ -38,12 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .exponents import (
-    BoundaryCondition,
-    CriticalUnequalTwoDError,
-    ExponentVector,
-    classify_regime,
-)
+from .exponents import BoundaryCondition, ExponentVector, classify_record
 from .solver import RunRecord, SolverConfig, Verdict, run, run_ladder
 from .testfn import (
     DEFAULT_RHS_R_POWERS,
@@ -81,16 +76,12 @@ class SweepResult:
     spec: SweepSpec
     runs: tuple[RunRecord, ...]
     theory_bound: dict
-    timings: tuple[float, ...]
     fit: FitResult | None = None
 
 
 def _theory_bound(p: ExponentVector, d: int, bc: BoundaryCondition) -> dict:
-    try:
-        bound = classify_regime(p, d, bc)
-    except CriticalUnequalTwoDError:
-        return {"form": "open-problem", "exponent": None}
-    return {"form": bound.form.value, "exponent": bound.exponent}
+    rec = classify_record(p, d, bc)
+    return {"form": rec["regime"], "exponent": rec["bound"] and rec["bound"]["exponent"]}
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
@@ -112,9 +103,8 @@ def sweep(spec: SweepSpec) -> SweepResult:
             runs = tuple(pool.map(run, configs))
     else:
         runs = run_ladder(base, spec.epsilons)
-    timings = tuple(rec.wall_s for rec in runs)
     theory = _theory_bound(base.p, base.d, base.bc)
-    result = SweepResult(spec=spec, runs=runs, theory_bound=theory, timings=timings)
+    result = SweepResult(spec=spec, runs=runs, theory_bound=theory)
     model = FORM_MODELS.get(theory["form"])
     if model is not None:
         pts = [(e, T) for e, T in censor_points(result) if model.defined_at(e)]
@@ -430,7 +420,7 @@ def report(result: SweepResult, outdir: str | Path) -> list[Path]:
             "exwave": __version__,
             "numpy": np.__version__,
         },
-        "timings_s": list(result.timings),
+        "timings_s": [rec.wall_s for rec in result.runs],
         "generated_unix": time.time(),
     }
     manifest_path = outdir / "manifest.json"

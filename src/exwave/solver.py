@@ -49,9 +49,10 @@ batch, and the remaining rows move up unchanged, so the run-time contract is
 that each run of a ladder is bit-identical to its own loop of ``step`` calls.
 
 Blow-up is detected by the max norm crossing a large threshold; the crossing
-time is located inside the last step by bisection on the log-linear
-interpolant of the peak norm.  First crossings of the ``SENSITIVITY_THRESHOLDS``
-are recorded in the same run, giving a free threshold-sensitivity estimate.
+time inside the last step is where the log-linear interpolant of the peak
+norm reaches the threshold, in closed form.  First crossings of the
+``SENSITIVITY_THRESHOLDS`` are recorded in the same run, giving a free
+threshold-sensitivity estimate.
 """
 
 from __future__ import annotations
@@ -368,13 +369,6 @@ class _Kernel:
             _velocity(new, u[:, :m], u_prev[:, :m], dt, v_out[:, :m])
 
 
-def _check_cfl(dt: float, cfl: float, grid: RadialGrid) -> None:
-    if dt > cfl * grid.dr * (1.0 + 1e-12):
-        raise CFLViolationError(
-            f"dt = {dt:.3e} exceeds CFL limit {cfl:.2f} * dr = {cfl * grid.dr:.3e}"
-        )
-
-
 def step(
     state: RadialState,
     dt: float,
@@ -395,7 +389,10 @@ def step(
     three-level leapfrog with semi-implicit damping.  The same dt must be used
     along a trajectory.
     """
-    _check_cfl(dt, cfl, grid)
+    if dt > cfl * grid.dr * (1.0 + 1e-12):
+        raise CFLViolationError(
+            f"dt = {dt:.3e} exceeds CFL limit {cfl:.2f} * dr = {cfl * grid.dr:.3e}"
+        )
     if not state.is_finite():
         raise FloatingPointError("non-finite state; blow-up should have been flagged")
     kernel = _Kernel(dt, p, d, bc, grid)
@@ -540,24 +537,14 @@ class RunRecord:
 
 
 def _crossing_time(t0: float, g0: float, t1: float, g1: float, M: float) -> float:
-    """Bisect the log-linear interpolant of the peak norm for the M-crossing."""
+    """Where the log-linear interpolant of the peak norm, which is linear in t,
+    reaches M: t1 when g0 <= 0, t0 when g0 already reaches M."""
     if g0 <= 0.0:
         return t1
-    a, b = math.log(max(g0, 1e-300)), math.log(g1)
-    target = math.log(M)
-
-    def val(t: float) -> float:
-        w = (t - t0) / (t1 - t0)
-        return a + w * (b - a)
-
-    lo, hi = t0, t1
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if val(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    a, target = math.log(max(g0, 1e-300)), math.log(M)
+    if a >= target:
+        return t0
+    return t0 + (target - a) / (math.log(g1) - a) * (t1 - t0)
 
 
 def run(config: SolverConfig) -> RunRecord:
@@ -660,7 +647,6 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
             stacklevel=3,
         )
     dt = base.dt
-    _check_cfl(dt, base.cfl, grid)
     n_steps = max(1, math.ceil(base.T_end / dt))
     stride = max(1, n_steps // base.history_snapshots) if base.history_snapshots > 0 else 0
     live = np.flatnonzero(np.any(u_cur != 0.0, axis=0) | np.any(v != 0.0, axis=0))
@@ -707,6 +693,7 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
             or istep >= next_event
             or not (top <= watch and prev_top <= v_guard and older_top <= v_guard)
         ):
+            due = stride and (istep % stride == 0 or istep == n_steps)  # snapshot step
             for slot, rung in enumerate(batch):
                 rows = slice(slot * ks, (slot + 1) * ks)
                 own = slice(rung.col, rung.col + ks)
@@ -731,13 +718,12 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
                 for M in thresholds:
                     if M not in rung.crossings and peak_now > M:
                         rung.crossings[M] = _crossing_time(t - dt, prev_peak, t, peak_now, M)
-                if rung.t_blow is None and base.blowup_threshold in rung.crossings:
-                    rung.t_blow = rung.crossings[base.blowup_threshold]
-                    if stride:  # close the history at the crossing step
-                        rung.history.append((t, u_new[rows].copy()))
-                    rung.deadline = istep + _GRACE_STEPS
-                elif stride and rung.t_blow is None and (istep % stride == 0 or istep == n_steps):
+                crossed = rung.t_blow is None and base.blowup_threshold in rung.crossings
+                if stride and rung.t_blow is None and (due or crossed):  # last one at crossing
                     rung.history.append((t, u_new[rows].copy()))
+                if crossed:
+                    rung.t_blow = rung.crossings[base.blowup_threshold]
+                    rung.deadline = istep + _GRACE_STEPS
                 if rung.deadline is not None and (
                     thresholds[-1] in rung.crossings or istep == rung.deadline
                 ):

@@ -33,6 +33,7 @@ and (iv) only through (d-1)/r and Psi(r) at r = 1 + R sigma.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -54,10 +55,10 @@ ESTIMATE_LABELS = ("i", "ii", "iii", "iv")
 # smooth bridge
 # ---------------------------------------------------------------------------
 
-def bridge(s):
-    """g(s) = f(1-s) / (f(s) + f(1-s)) with f(s) = exp(-1/s): 1 for s <= 0,
-    0 for s >= 1, strictly decreasing in between, all derivatives vanishing
-    at the endpoints."""
+def _bridge_kernel(s):
+    """What both bridge functions start from: g with its ends filled in (1 for
+    s <= 0, 0 for s >= 1), the mask of 0 < s < 1, the samples si there and
+    f(si), f(1 - si)."""
     s = np.asarray(s, dtype=float)
     inside = (s > 0.0) & (s < 1.0)
     g = np.where(s <= 0.0, 1.0, 0.0)
@@ -65,35 +66,33 @@ def bridge(s):
     with np.errstate(over="ignore"):  # -1/si overflows for subnormal si
         f0 = np.exp(-1.0 / si)
     f1 = np.exp(-1.0 / (1.0 - si))
+    return g, inside, si, f0, f1
+
+
+def bridge(s):
+    """g(s) = f(1-s) / (f(s) + f(1-s)) with f(s) = exp(-1/s): 1 for s <= 0,
+    0 for s >= 1, strictly decreasing in between, all derivatives vanishing
+    at the endpoints."""
+    g, inside, _, f0, f1 = _bridge_kernel(s)
     g[inside] = f1 / (f0 + f1)
     return g
 
 
 def bridge_derivatives(s):
     """(g, g', g'') of the bridge, in closed form."""
-    s = np.asarray(s, dtype=float)
-    inside = (s > 0.0) & (s < 1.0)
-    g = np.where(s <= 0.0, 1.0, 0.0)
-    g1 = np.zeros_like(s)
-    g2 = np.zeros_like(s)
-    if np.any(inside):
-        si = s[inside]
-        with np.errstate(over="ignore"):  # -1/si overflows for subnormal si
-            f0 = np.exp(-1.0 / si)
-        f1 = np.exp(-1.0 / (1.0 - si))
-        live = f0 > 0.0  # f'(s), f''(s) are 0 elsewhere, even where si**2, si**4 underflow
-        d0 = np.divide(f0, si**2, out=np.zeros_like(si), where=live)
-        d1 = -f1 / (1.0 - si) ** 2             # d/ds f(1-s)
-        dd0 = np.divide(f0 * (1.0 - 2.0 * si), si**4, out=np.zeros_like(si), where=live)
-        dd1 = f1 * (2.0 * si - 1.0) / (1.0 - si) ** 4
-        den = f0 + f1
-        gi = f1 / den
-        num1 = d1 * f0 - f1 * d0
-        g1i = num1 / den**2
-        g2i = ((dd1 * f0 - f1 * dd0) * den - 2.0 * num1 * (d0 + d1)) / den**3
-        g[inside] = gi
-        g1[inside] = g1i
-        g2[inside] = g2i
+    g, inside, si, f0, f1 = _bridge_kernel(s)
+    g1 = np.zeros_like(g)
+    g2 = np.zeros_like(g)
+    live = f0 > 0.0  # f'(s), f''(s) are 0 elsewhere, even where si**2, si**4 underflow
+    d0 = np.divide(f0, si**2, out=np.zeros_like(si), where=live)
+    d1 = -f1 / (1.0 - si) ** 2             # d/ds f(1-s)
+    dd0 = np.divide(f0 * (1.0 - 2.0 * si), si**4, out=np.zeros_like(si), where=live)
+    dd1 = f1 * (2.0 * si - 1.0) / (1.0 - si) ** 4
+    den = f0 + f1
+    num1 = d1 * f0 - f1 * d0
+    g[inside] = f1 / den
+    g1[inside] = num1 / den**2
+    g2[inside] = ((dd1 * f0 - f1 * dd0) * den - 2.0 * num1 * (d0 + d1)) / den**3
     return g, g1, g2
 
 
@@ -163,10 +162,6 @@ class ScaledCutoff:
         if self.R <= 0:
             raise ValueError("R must be positive")
 
-    def rho(self, t, r):
-        t, r = np.asarray(t, dtype=float), np.asarray(r, dtype=float)
-        return _scaled_argument(t, r, self.R)
-
     def phi_R(self, t, r, star: bool = False):
         """phi_R, or phi*_R when ``star``."""
         phi, phi_star = self.phi_R_pair(t, r)
@@ -175,7 +170,7 @@ class ScaledCutoff:
     def phi_R_pair(self, t, r):
         """(phi_R, phi*_R) from one bridge evaluation: phi*_R is phi_R with
         the samples at rho < 1/2 set to 0.0."""
-        rho = self.rho(t, r)
+        rho = _scaled_argument(np.asarray(t, dtype=float), np.asarray(r, dtype=float), self.R)
         phi = cutoff_value(rho) ** (self.profile.lam + 2.0)
         return phi, np.where(rho < 0.5, 0.0, phi)
 
@@ -471,19 +466,9 @@ def sup_ratio_rows(
         for r in r_cols
     ]
 
-    # the running sups in loop order, lam innermost:
-    # sups[R] = ([(sup (i), sup (ii)) per lam],
-    #            [([sup (iii) per lam], [[sup (iv) per lam] per bc]) per d])
-    def per_lam():
-        return [_RunningSup() for _ in lam_list]
-
-    sups = [
-        (
-            list(zip(per_lam(), per_lam())),
-            [(per_lam(), [per_lam() for _ in bc_list]) for _ in d_list],
-        )
-        for _ in R_list
-    ]
+    # the running sups, keyed by list positions: (estimate, R, lam), plus d
+    # for (iii), plus d and bc for (iv)
+    sups = defaultdict(_RunningSup)
 
     n_samples = 0
     with np.errstate(under="ignore"):
@@ -517,12 +502,11 @@ def sup_ratio_rows(
                 exps = [c * qi for qi in q]
                 powers = {x: star**x for x in set(exps)}
                 S1, S2, S3, S4 = (powers[x] for x in exps)
-                for R, (sups_12, _) in zip(R_list, sups):
-                    e1, e2 = sups_12[i_lam]
-                    e1.add(R**-2.0 * F, R**a1 * S1, rows, cols)
-                    e2.add(R**-4.0 * G, R**a2 * S2, rows, cols)
+                for i_R, R in enumerate(R_list):
+                    sups[0, i_R, i_lam].add(R**-2.0 * F, R**a1 * S1, rows, cols)
+                    sups[1, i_R, i_lam].add(R**-4.0 * G, R**a2 * S2, rows, cols)
                 by_lam.append((H, K, S3, S4))
-            for R, cols_d, (_, sups_d) in zip(R_list, by_d, sups):
+            for i_R, (R, cols_d) in enumerate(zip(R_list, by_d)):
                 # per lam: d_r phi_R, d_rr phi_R and the right sides of (iii)
                 # and (iv) before the factor Psi (one array when they agree)
                 scaled = []
@@ -530,30 +514,32 @@ def sup_ratio_rows(
                     rhs3 = R**a3 * S3
                     rhs4 = rhs3 if a4 == a3 and S4 is S3 else R**a4 * S4
                     scaled.append((R**-1.0 * H, R**-2.0 * K, rhs3, rhs4))
-                for (curv, weights), (sups_3, sups_bc) in zip(cols_d, sups_d):
+                for i_d, (curv, weights) in enumerate(cols_d):
                     curv_s = curv[cols]
                     laps = []
-                    for (d_r, d_rr, rhs3, _), e3 in zip(scaled, sups_3):
+                    for i_lam, (d_r, d_rr, rhs3, _) in enumerate(scaled):
                         lap = d_rr + curv_s * d_r
-                        e3.add(np.abs(lap), rhs3, rows, cols)
+                        sups[2, i_R, i_lam, i_d].add(np.abs(lap), rhs3, rows, cols)
                         laps.append(lap)
-                    for (psi_r, psi_prime_r), sups_4 in zip(weights, sups_bc):
+                    for i_bc, (psi_r, psi_prime_r) in enumerate(weights):
                         psi_s = psi_r[cols]
                         two_psi_prime_s = 2.0 * psi_prime_r[cols]
-                        for (d_r, _, _, rhs4), lap, e4 in zip(scaled, laps, sups_4):
+                        for i_lam, ((d_r, _, _, rhs4), lap) in enumerate(zip(scaled, laps)):
                             lpp = _laplacian_psi_times(psi_s, two_psi_prime_s, lap, d_r)
+                            e4 = sups[3, i_R, i_lam, i_d, i_bc]
                             e4.add(np.abs(lpp), rhs4 * psi_s, rows, cols)
 
     t_axes = [np.linspace(0.0, R**2, nt) for R in R_list]
     rows_out = []
-    for i_lam, lam in enumerate(lam_list):
-        for (i_d, d), (i_bc, bc) in product(enumerate(d_list), enumerate(bc_list)):
-            by_R = []
-            for R, t, r, (sups_12, sups_d) in zip(R_list, t_axes, r_cols, sups):
-                sups_3, sups_bc = sups_d[i_d]
-                ests = (*sups_12[i_lam], sups_3[i_lam], sups_bc[i_bc][i_lam])
-                by_R.append(_finished_sweep(R, ests, t, r, n_samples))
-            rows_out.append(SupRatioRow(lam=lam, d=d, bc=bc, by_R=tuple(by_R)))
+    for (i_lam, lam), (i_d, d), (i_bc, bc) in product(
+        enumerate(lam_list), enumerate(d_list), enumerate(bc_list)
+    ):
+        by_R = []
+        for i_R, (R, t, r) in enumerate(zip(R_list, t_axes, r_cols)):
+            keys = ((0, i_R, i_lam), (1, i_R, i_lam), (2, i_R, i_lam, i_d),
+                    (3, i_R, i_lam, i_d, i_bc))
+            by_R.append(_finished_sweep(R, [sups[key] for key in keys], t, r, n_samples))
+        rows_out.append(SupRatioRow(lam=lam, d=d, bc=bc, by_R=tuple(by_R)))
     return rows_out
 
 

@@ -163,6 +163,14 @@ def test_cli_verify_lemma(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_cli_verify_lemma_rejects_an_unknown_bc(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemma", "--bc", "dirichlet,nuemann"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'nuemann'" in err and "dirichlet, neumann, robin" in err
+
+
 def test_cli_simulate_and_outputs(config_file, tmp_path, capsys):
     out = tmp_path / "artifacts"
     code = main(["simulate", str(config_file), "--eps", "0.8", "--out", str(out)])

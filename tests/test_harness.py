@@ -302,12 +302,13 @@ def test_theory_line_is_drawn_only_for_fitted_forms(tmp_path, p, d, alpha, beta)
 def test_report_empty_runs(tmp_path):
     spec = SweepSpec(base=_base_config(n=400), epsilons=(0.5,))
     theory = {"form": "polynomial", "exponent": 1.0}
-    empty = SweepResult(spec=spec, runs=(), theory_bound=theory, timings=())
+    empty = SweepResult(spec=spec, runs=(), theory_bound=theory)
     paths = report(empty, tmp_path)
     rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert rows == ["epsilon,t_blow,horizon,verdict"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["theory_bound"] == theory
+    assert manifest["timings_s"] == []
 
 
 def test_one_run_report_row_matches_record(tmp_path):
@@ -335,7 +336,7 @@ def test_history_csv_dump(tmp_path):
     assert len(lines) == 1 + len(rec.history.times) * len(rec.history.r)
 
 
-def test_parallel_sweep_matches_serial():
+def test_parallel_sweep_matches_serial(tmp_path):
     base = _base_config(n=400, T_end=30.0)
     spec_serial = SweepSpec(base=base, epsilons=(0.8, 0.6), workers=1)
     spec_par = SweepSpec(base=base, epsilons=(0.8, 0.6), workers=2)
@@ -343,8 +344,14 @@ def test_parallel_sweep_matches_serial():
     b = sweep(spec_par)
     assert [r.t_blow for r in a.runs] == [r.t_blow for r in b.runs]
     # each run is timed in the worker that ran it, not as a share of the pool
-    assert all(t > 0.0 for t in b.timings)
-    assert b.timings[0] != b.timings[1]
+    timings = [rec.wall_s for rec in b.runs]
+    assert all(t > 0.0 for t in timings)
+    assert timings[0] != timings[1]
+    # the manifest's timings are the records' own, on both paths
+    for name, result in (("serial", a), ("pool", b)):
+        report(result, tmp_path / name)
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["timings_s"] == [rec.wall_s for rec in result.runs]
 
 
 def test_serial_timings_grow_along_a_blow_up_ladder():
@@ -355,6 +362,6 @@ def test_serial_timings_grow_along_a_blow_up_ladder():
     assert all(rec.verdict is Verdict.BLEW_UP for rec in result.runs)
     finals = [rec.t_final for rec in result.runs]
     assert finals == sorted(finals) and len(set(finals)) == len(finals)
-    assert result.timings == tuple(rec.wall_s for rec in result.runs)
-    assert all(t > 0.0 for t in result.timings)
-    assert list(result.timings) == sorted(result.timings)
+    timings = [rec.wall_s for rec in result.runs]
+    assert all(t > 0.0 for t in timings)
+    assert timings == sorted(timings)

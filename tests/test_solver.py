@@ -268,6 +268,66 @@ def test_run_rejects_data_between_the_nodes():
         run(cfg)
 
 
+def _bisected_crossing_time(t0, g0, t1, g1, M):
+    """The crossing as first written, by 60 bisections of the log-linear
+    interpolant of the peak norm: the reference for the closed form."""
+    if g0 <= 0.0:
+        return t1
+    a, b = math.log(max(g0, 1e-300)), math.log(g1)
+    target = math.log(M)
+    lo, hi = t0, t1
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if a + (mid - t0) / (t1 - t0) * (b - a) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_crossing_time_matches_bisection():
+    """The closed-form crossing agrees with the bisection it replaced, on
+    random brackets and on the edges of the bracket.
+
+    Each answer rounds t, and reads the interpolant in log space, where an
+    ulp of the largest log is worth (t1 - t0) / (log g1 - log g0) of it in t.
+    The tolerance is two of each.  Far from t = 0 the first term rules and
+    the two agree to 2 ulp of t1; at t0 = 0 the second does (there the
+    answers can be hundreds of ulp of t1 apart, and neither is the more exact).
+    """
+    rng = np.random.default_rng(0)
+    brackets = []
+    for M in SENSITIVITY_THRESHOLDS:
+        for _ in range(1000):
+            t0 = float(rng.uniform(0.0, 500.0))
+            t1 = t0 + float(rng.uniform(1e-3, 0.1))
+            g0 = M * 10.0 ** float(rng.uniform(-3.0, 0.0))
+            g1 = M * 10.0 ** float(rng.uniform(1e-12, 3.0))
+            brackets.append((t0, g0, t1, g1, M))
+    M, t1 = 1e8, 41.8
+    brackets += [
+        (t1 - 0.04, 0.0, t1, 2 * M, M),  # g0 <= 0 gives t1
+        (t1 - 0.04, -1.0, t1, 2 * M, M),
+        (t1 - 0.04, M, t1, 2 * M, M),  # g0 >= M gives t0
+        (t1 - 0.04, 3 * M, t1, 4 * M, M),
+        (t1 - 0.04, 0.5 * M, t1, math.nextafter(M, math.inf), M),  # g1 one ulp above M
+        (t1 - 0.04, 1e-310, t1, math.nextafter(M, math.inf), M),
+        (0.0, 0.5 * M, 0.04, 2 * M, M),  # t0 = 0
+        (0.0, 2 * M, 0.04, 4 * M, M),
+    ]
+    for t0, g0, t1, g1, M in brackets:
+        new = _crossing_time(t0, g0, t1, g1, M)
+        old = _bisected_crossing_time(t0, g0, t1, g1, M)
+        a, b = math.log(max(g0, 1e-300)), math.log(g1)
+        log_ulp_in_t = (t1 - t0) * math.ulp(max(abs(a), abs(b))) / (b - a)
+        assert t0 <= new <= t1
+        assert abs(new - old) <= 2 * (math.ulp(t1) + log_ulp_in_t), (t0, g0, t1, g1, M)
+        if t0 >= 100.0:
+            assert abs(new - old) <= 2 * math.ulp(t1), (t0, g0, t1, g1, M)
+    assert _crossing_time(1.0, 0.0, 2.0, 2 * M, M) == 2.0
+    assert _crossing_time(1.0, M, 2.0, 2 * M, M) == 1.0
+
+
 def test_determinism():
     cfg = SolverConfig.with_auto_domain(
         p=P14, d=3, bc=DIRICHLET, n=600, T_end=20.0,

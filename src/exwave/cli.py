@@ -105,18 +105,27 @@ def cmd_verify_lemma(args) -> int:
     return 0 if rep.passed else 1
 
 
+# the INI (section, key) each config flag sets
+_FLAG_KEYS = {
+    "dim": ("system", "dim"),
+    "alpha": ("bc", "alpha"),
+    "beta": ("bc", "beta"),
+    "eps": ("data", "epsilon"),
+    "eps_list": ("sweep", "epsilons"),
+    "threads": ("sweep", "workers"),
+}
+
+
+def _ini_overrides(args) -> dict:
+    """Each flag's INI key with the flag's value; None where not given."""
+    return {key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
+
+
 def cmd_simulate(args) -> int:
-    overrides = {
-        "dim": args.dim,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "epsilon": args.eps,
-    }
-    config = solver_config_from_ini(args.config, overrides)
+    config = solver_config_from_ini(args.config, _ini_overrides(args))
     if args.dump_history and (not args.out or config.history_snapshots == 0):
         need = "[history] snapshots > 0 in the config" if args.out else "--out <dir>"
-        print(f"--dump-history needs {need}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--dump-history needs {need}")
     rec = run(config)
     summary = record_to_dict(rec)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -130,14 +139,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    overrides = {
-        "dim": args.dim,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "threads": args.threads,
-        "eps_list": parse_floats(args.eps_list) if args.eps_list else None,
-    }
-    spec = sweep_spec_from_ini(args.config, overrides)
+    spec = sweep_spec_from_ini(args.config, _ini_overrides(args))
     result = sweep(spec)
     for rec in result.runs:
         row = sweep_row(record_to_dict(rec))
@@ -167,11 +169,7 @@ def cmd_fit(args) -> int:
             for row in csv.DictReader(fh)
             if row.get("t_blow") and model.defined_at(float(row["epsilon"]))
         ]
-    try:
-        fit = fit_scaling(pts, model, b_theory=args.b_theory)
-    except ValueError as exc:
-        print(f"fit: {exc}", file=sys.stderr)
-        return 2
+    fit = fit_scaling(pts, model, b_theory=args.b_theory)
     print(json.dumps(fit.to_dict(), indent=2))
     return 0
 
@@ -252,8 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Input a command refuses (a ValueError or a missing file) prints
+    ``<command>: <reason>`` to stderr and exits 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,8 +34,12 @@ Plain INI text with nested sections, e.g.::
     epsilons = 0.8, 0.566, 0.4, 0.283, 0.2
     workers = 1
 
-CLI flags override individual keys.  A section or key outside ``INI_KEYS``
-is rejected, not ignored, so a typo such as ``cfl_`` fails the load.
+Overrides are ``{(section, key): value}``; ``load_ini`` writes each value
+that is not None into the parser (adding a section the file lacks) before
+it checks the keys, so an override is read, cast and validated exactly as
+the file's own value would be, and 0 is a value, not "not given".  The CLI
+flags are such overrides.  A section or key outside ``INI_KEYS`` is
+rejected, not ignored, so a typo such as ``cfl_`` fails the load.
 ``[history] snapshots`` applies to ``simulate``: a sweep stores no
 histories, so its records.json shows ``history_snapshots`` 0.
 
@@ -77,11 +81,16 @@ INI_KEYS = {
 _SWEEP_NOTE = "; every run of a sweep uses the [grid] and the [time] t_end of the file"
 
 
-def load_ini(path: str | Path) -> configparser.ConfigParser:
+def load_ini(path: str | Path, overrides: dict | None = None) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
+    for (section, key), value in (overrides or {}).items():
+        if value is not None:
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser.set(section, key, str(value))
     for section in parser.sections():
         if section not in INI_KEYS:
             raise ValueError(
@@ -101,42 +110,24 @@ def load_ini(path: str | Path) -> configparser.ConfigParser:
 def solver_config_from_ini(
     path: str | Path, overrides: dict | None = None
 ) -> SolverConfig:
-    """Build a SolverConfig from an INI file plus optional flag overrides
-    (keys: dim, alpha, beta, epsilon)."""
-    return _solver_config(load_ini(path), overrides or {})
+    """Build a SolverConfig from an INI file plus optional
+    ``{(section, key): value}`` overrides."""
+    return _solver_config(load_ini(path, overrides))
 
 
-def _solver_config(cfg: configparser.ConfigParser, overrides: dict) -> SolverConfig:
-    # a flag given as 0 is a value to validate, not "not given"
-    p = ExponentVector(parse_floats(cfg.get("system", "p")))
-    d = overrides.get("dim")
-    if d is None:
-        d = cfg.getint("system", "dim")
-
-    alpha = overrides.get("alpha")
-    beta = overrides.get("beta")
-    if alpha is None:
-        alpha = cfg.getfloat("bc", "alpha", fallback=0.0)
-    if beta is None:
-        beta = cfg.getfloat("bc", "beta", fallback=1.0)
-    bc = BoundaryCondition(float(alpha), float(beta))
-
-    data = InitialData(
-        center=cfg.getfloat("data", "center", fallback=2.0),
-        width=cfg.getfloat("data", "width", fallback=0.5),
-        epsilon=float(
-            overrides.get("epsilon")
-            if overrides.get("epsilon") is not None
-            else cfg.getfloat("data", "epsilon", fallback=1.0)
-        ),
-    )
-
+def _solver_config(cfg: configparser.ConfigParser) -> SolverConfig:
     fields = dict(
-        p=p,
-        d=int(d),
-        bc=bc,
+        p=ExponentVector(parse_floats(cfg.get("system", "p"))),
+        d=cfg.getint("system", "dim"),
+        bc=BoundaryCondition(
+            cfg.getfloat("bc", "alpha", fallback=0.0), cfg.getfloat("bc", "beta", fallback=1.0)
+        ),
         T_end=cfg.getfloat("time", "t_end"),
-        data=data,
+        data=InitialData(
+            center=cfg.getfloat("data", "center", fallback=2.0),
+            width=cfg.getfloat("data", "width", fallback=0.5),
+            epsilon=cfg.getfloat("data", "epsilon", fallback=1.0),
+        ),
         cfl=cfg.getfloat("time", "cfl", fallback=0.9),
         blowup_threshold=cfg.getfloat("thresholds", "blowup", fallback=1e8),
         history_snapshots=cfg.getint("history", "snapshots", fallback=256),
@@ -153,13 +144,9 @@ def sweep_spec_from_ini(path: str | Path, overrides: dict | None = None) -> Swee
     """SweepSpec from the [sweep] section on top of the solver config.
 
     Every run of the sweep uses the file's grid and ``[time] t_end``."""
-    overrides = overrides or {}
-    cfg = load_ini(path)
-    base = _solver_config(cfg, overrides)
-    epsilons = overrides.get("eps_list")
-    if epsilons is None:
-        epsilons = parse_floats(cfg.get("sweep", "epsilons"))
-    workers = overrides.get("threads")
-    if workers is None:
-        workers = cfg.getint("sweep", "workers", fallback=1)
-    return SweepSpec(base=base, epsilons=epsilons, workers=int(workers))
+    cfg = load_ini(path, overrides)
+    return SweepSpec(
+        base=_solver_config(cfg),
+        epsilons=parse_floats(cfg.get("sweep", "epsilons")),
+        workers=cfg.getint("sweep", "workers", fallback=1),
+    )

@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import re
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import exwave
-from exwave.cli import main
+from exwave import cli
+from exwave.cli import build_parser, main
 from exwave.config import solver_config_from_ini, sweep_spec_from_ini
 from exwave.harness import record_to_dict
 from exwave.solver import run
@@ -106,22 +108,132 @@ def test_shipped_config_loads(path):
 
 def test_config_overrides(config_file):
     cfg = solver_config_from_ini(
-        config_file, {"dim": 2, "alpha": 1.0, "beta": 0.0, "epsilon": 0.3}
+        config_file,
+        {("system", "dim"): 2, ("bc", "alpha"): 1.0, ("bc", "beta"): 0.0,
+         ("data", "epsilon"): 0.3},
     )
     assert cfg.d == 2 and cfg.bc.kind.value == "neumann"
     assert cfg.data.epsilon == 0.3
-    spec = sweep_spec_from_ini(config_file, {"eps_list": (0.5, 0.25), "threads": 2})
+    spec = sweep_spec_from_ini(
+        config_file, {("sweep", "epsilons"): "0.5, 0.25", ("sweep", "workers"): 2}
+    )
     assert spec.epsilons == (0.5, 0.25) and spec.workers == 2
 
 
 @pytest.mark.parametrize(
     "overrides, message",
-    [({"dim": 0}, "d must be >= 1"), ({"threads": 0}, "workers must be >= 1")],
+    [
+        ({("system", "dim"): 0}, "d must be >= 1"),
+        ({("sweep", "workers"): 0}, "workers must be >= 1"),
+    ],
     ids=["dim", "threads"],
 )
 def test_zero_override_is_validated_not_ignored(config_file, overrides, message):
     with pytest.raises(ValueError, match=message):
         sweep_spec_from_ini(config_file, overrides)
+
+
+LOADERS = {"simulate": solver_config_from_ini, "sweep": sweep_spec_from_ini}
+
+
+def _flag_loaded(command, config_file, *flag_args):
+    """The config ``command`` runs with these flags: parsed by the CLI's own
+    parser, then loaded with the INI overrides the flags name."""
+    args = build_parser().parse_args([command, str(config_file), *flag_args])
+    return LOADERS[command](config_file, cli._ini_overrides(args))
+
+
+FLAG_CASES = [
+    ("simulate", "--dim", "2", "system", "dim"),
+    ("simulate", "--alpha", "1.0", "bc", "alpha"),
+    ("simulate", "--beta", "2.5", "bc", "beta"),
+    ("simulate", "--eps", "0.3", "data", "epsilon"),
+    ("sweep", "--dim", "2", "system", "dim"),
+    ("sweep", "--alpha", "1.0", "bc", "alpha"),
+    ("sweep", "--beta", "2.5", "bc", "beta"),
+    ("sweep", "--eps-list", "0.5,0.25", "sweep", "epsilons"),
+    ("sweep", "--threads", "2", "sweep", "workers"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, section, key",
+    FLAG_CASES,
+    ids=[f"{command}{flag}" for command, flag, *_ in FLAG_CASES],
+)
+def test_each_flag_sets_the_ini_key_it_names(
+    tmp_path, config_file, command, flag, value, section, key
+):
+    ini = configparser.ConfigParser()
+    ini.read_string(CONFIG_TEXT)
+    ini.set(section, key, value)
+    edited = tmp_path / "edited.ini"
+    with open(edited, "w") as fh:
+        ini.write(fh)
+    from_flag = _flag_loaded(command, config_file, flag, value)
+    assert from_flag == LOADERS[command](edited)
+    assert from_flag != LOADERS[command](config_file)
+
+
+def test_eps_list_adds_the_sweep_section_a_file_lacks(tmp_path):
+    path = tmp_path / "no_sweep.ini"
+    path.write_text(CONFIG_TEXT.split("[sweep]")[0])
+    spec = _flag_loaded("sweep", path, "--eps-list", "0.5,0.25")
+    assert spec.epsilons == (0.5, 0.25) and spec.workers == 1
+
+
+def test_an_empty_eps_list_is_refused_not_ignored(config_file):
+    with pytest.raises(ValueError, match="epsilon list must not be empty"):
+        _flag_loaded("sweep", config_file, "--eps-list", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify-lemma --dim 2,x",
+        "verify-lemma --R 4,abc",
+        "verify-lemma --R 1,4",
+        "verify-lemma --lam x",
+        "gamma --p 1.4,x --dim 3",
+        "gamma --p 0.5 --dim 3",
+        "classify --p 1.4,1.4 --dim 3 --alpha 0 --beta 0",
+        "classify --p 1.4,1.4 --dim 0",
+        "classify --p 1.4,1.4 --dim 3 --tol 0",
+        "simulate run.ini --eps -1 --out out",
+        "simulate run.ini --dim 0 --out out",
+        "sweep run.ini --eps-list 0.5,0.6 --out out",
+        "sweep run.ini --eps-list 0.5,x --out out",
+        "sweep run.ini --threads 0 --out out",
+        "sweep missing.ini --out out",
+        "report empty",
+    ],
+)
+def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, argv):
+    """Refused input leaves by one path: a one-line ``<command>: <reason>``
+    on stderr, exit 2, nothing on stdout and no output directory."""
+    monkeypatch.chdir(config_file.parent)
+    (config_file.parent / "empty").mkdir()
+    argv = argv.split()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{argv[0]}: ") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in config_file.parent.iterdir()) == ["empty", "run.ini"]
+    assert not any((config_file.parent / "empty").iterdir())
+
+
+def test_refused_input_exits_2_without_a_traceback_from_the_console_entry():
+    """``python -m exwave.cli`` leaves through ``sys.exit(main())``, as the
+    console script does."""
+    src = Path(exwave.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "exwave.cli", "verify-lemma", "--R", "4,abc"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "verify-lemma: could not convert string to float: 'abc'\n"
 
 
 def test_cli_import_does_not_load_scipy():

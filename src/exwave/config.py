@@ -39,7 +39,10 @@ that is not None into the parser (adding a section the file lacks) before
 it checks the keys, so an override is read, cast and validated exactly as
 the file's own value would be, and 0 is a value, not "not given".  The CLI
 flags are such overrides.  A section or key outside ``INI_KEYS`` is
-rejected, not ignored, so a typo such as ``cfl_`` fails the load.
+rejected, not ignored, so a typo such as ``cfl_`` fails the load, and a
+read of a key without a default that the file lacks (``[time] t_end``, or
+``[sweep] epsilons`` of a sweep) raises ``MissingKeyError``, a
+``ValueError`` that names the section and key.
 ``[history] snapshots`` applies to ``simulate``: a sweep stores no
 histories, so its records.json shows ``history_snapshots`` 0.
 
@@ -81,8 +84,28 @@ INI_KEYS = {
 _SWEEP_NOTE = "; every run of a sweep uses the [grid] and the [time] t_end of the file"
 
 
+class MissingKeyError(configparser.NoOptionError, ValueError):
+    """A section or key that a loader reads without a default is absent.
+
+    As a ``NoOptionError`` it still lets a read with a fallback take the
+    fallback; as a ``ValueError`` it is refused input, like a bad value."""
+
+    def __str__(self) -> str:
+        return f"missing [{self.section}] key {self.option!r}"
+
+
+class _Parser(configparser.ConfigParser):
+    """A parser whose reads report an absent section or key by name."""
+
+    def get(self, section, option, **kwargs):
+        try:
+            return super().get(section, option, **kwargs)
+        except (configparser.NoSectionError, configparser.NoOptionError):
+            raise MissingKeyError(option, section) from None
+
+
 def load_ini(path: str | Path, overrides: dict | None = None) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = _Parser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")

@@ -355,8 +355,16 @@ def write_tables(records: Sequence[dict], outdir: str | Path) -> list[Path]:
     classifier's form for the records' (p, d, alpha, beta), recomputed here,
     with the classifier's exponent, through the first blow-up point where
     the law is defined.  It is nan for the forms without a law and at the
-    points where the abscissa is undefined.
+    points where the abscissa is undefined.  Records that lack a field the
+    tables read are refused with a ValueError before any file is opened.
     """
+    try:
+        rows = [sweep_row(rec) for rec in records]
+        lines = _loglog_lines(records)
+    except KeyError as exc:
+        raise ValueError(f"a record has no {exc} field") from None
+    except TypeError as exc:
+        raise ValueError(f"not a list of run records ({exc})") from None
     outdir = Path(outdir)
     csv_path = outdir / "sweep.csv"
     with csv_path.open("w", newline="") as fh:
@@ -364,10 +372,14 @@ def write_tables(records: Sequence[dict], outdir: str | Path) -> list[Path]:
             fh, fieldnames=["epsilon", "t_blow", "horizon", "verdict"]
         )
         writer.writeheader()
-        for rec in records:
-            writer.writerow(sweep_row(rec))
-
+        writer.writerows(rows)
     plot_path = outdir / "sweep_loglog.dat"
+    plot_path.write_text("\n".join(lines) + "\n")
+    return [csv_path, plot_path]
+
+
+def _loglog_lines(records: Sequence[dict]) -> list[str]:
+    """The lines of sweep_loglog.dat (see ``write_tables``)."""
     lines = ["# log10(1/eps)  log10(t_blow)  log10(theory_line)"]
     pts = [
         (rec["config"]["data"]["epsilon"], rec["t_blow"])
@@ -391,8 +403,7 @@ def write_tables(records: Sequence[dict], outdir: str | Path) -> list[Path]:
                 shift = (model.abscissa(e) - model.abscissa(anchor[0])) / math.log(10.0)
                 ytheory = math.log10(anchor[1]) + theory["exponent"] * shift
             lines.append(f"{x:.10g} {y:.10g} {ytheory:.10g}")
-    plot_path.write_text("\n".join(lines) + "\n")
-    return [csv_path, plot_path]
+    return lines
 
 
 def report(result: SweepResult, outdir: str | Path) -> list[Path]:

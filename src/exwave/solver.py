@@ -35,18 +35,24 @@ too.  ``step``,
 ``perfbench/tracer.py`` traces them by name (``TRACED``).
 
 A ladder is one config at several epsilons, which share the grid, ``dt`` and
-horizon, so ``run_ladder`` steps them in lockstep as row blocks of one array,
-and ``run`` is its one-epsilon case.  With unequal exponents a block holds the
-k components and the cyclic gather stays inside it; with equal exponents a
-block is one row.  ``InitialData`` gives every component the same data, and
-with p_1 = ... = p_k each row is forced by a copy of itself through the same
-power, so the k rows would stay bit-for-bit copies of one solution of
-u_tt - Lu + u_t = |u|^p: the record repeats that row as k identical columns
-of the peaks and the history.  This relies on ``_forcing`` taking the same
-array pow for any number of rows (see its docstring).  A run that blows up
-(after its grace steps), goes non-finite or reaches the horizon leaves the
-batch, and the remaining rows move up unchanged, so the run-time contract is
-that each run of a ladder is bit-identical to its own loop of ``step`` calls.
+horizon, so ``run_ladder`` steps them in lockstep as column blocks of one
+array, and ``run`` is its one-epsilon case.  The ladder's arrays are
+node-major, shape (n+1, columns): a step's light-cone prefix ``a[:m]`` is
+then one contiguous block, as is every stencil shift of it, and each ufunc
+runs as one flat loop instead of one short loop per row.  ``step`` and
+``_laplacian`` keep the public (k, n+1) layout and pass transposed views
+through the same kernel.  With unequal exponents a block holds the k
+components and the cyclic gather stays inside it; with equal exponents a
+block is one column.  ``InitialData`` gives every component the same data,
+and with p_1 = ... = p_k each component is forced by a copy of itself
+through the same power, so the k components would stay bit-for-bit copies
+of one solution of u_tt - Lu + u_t = |u|^p: the record repeats that column
+as k identical columns of the peaks and the history.  This relies on
+``_forcing`` taking the same array pow for any number of columns (see its
+docstring).  A run that blows up (after its grace steps), goes non-finite or
+reaches the horizon leaves the batch, and the remaining columns close up
+unchanged, so the run-time contract is that each run of a ladder is
+bit-identical to its own loop of ``step`` calls.
 
 Blow-up is detected by the max norm crossing a large threshold; the crossing
 time inside the last step is where the log-linear interpolant of the peak
@@ -190,19 +196,21 @@ def _laplacian_nodes(
     d: int,
     slope: float | None,
 ) -> None:
-    """Write the radial Laplacian at nodes [1, hi), and the ghost-node row 0
-    for flux conditions (``slope`` not None), into ``out``; other columns are
-    left untouched.
+    """Write the radial Laplacian at nodes [1, hi), and the ghost node 0 for
+    flux conditions (``slope`` not None), into ``out``; other nodes are left
+    untouched.
 
-    ``twice`` is 2u on at least nodes [0, hi), ``radial`` is (d-1)/r[1:-1]
-    and ``scratch`` a work array shaped like u.  The in-place ufunc sequence
-    is the operation order of (u+ - 2u + u-)/dr^2 + ((d-1)/r) (u+ - u-)/(2 dr),
-    so any node range gives the same bits as the whole grid.
+    Node-major: every array is indexed [node, column].  ``twice`` is 2u on at
+    least nodes [0, hi), ``radial`` is (d-1)/r[1:-1] as one column or tiled
+    to u's columns, and ``scratch`` a work array shaped like u.  The in-place
+    ufunc sequence is the operation order of
+    (u+ - 2u + u-)/dr^2 + ((d-1)/r) (u+ - u-)/(2 dr), so any node range gives
+    the same bits as the whole grid.
     """
-    lap = out[:, 1:hi]
-    grad = scratch[:, : hi - 1]
-    up, down = u[:, 2 : hi + 1], u[:, : hi - 1]
-    np.subtract(up, twice[:, 1:hi], out=lap)
+    lap = out[1:hi]
+    grad = scratch[: hi - 1]
+    up, down = u[2 : hi + 1], u[: hi - 1]
+    np.subtract(up, twice[1:hi], out=lap)
     np.add(lap, down, out=lap)
     np.divide(lap, dr**2, out=lap)
     np.subtract(up, down, out=grad)
@@ -210,25 +218,25 @@ def _laplacian_nodes(
     np.divide(grad, 2.0 * dr, out=grad)
     np.add(lap, grad, out=lap)
     if slope is not None:
-        out[:, 0] = (
-            2.0 * (u[:, 1] - u[:, 0]) / dr**2
-            - 2.0 * slope * u[:, 0] / dr
-            + (d - 1.0) * slope * u[:, 0]
+        out[0] = (
+            2.0 * (u[1] - u[0]) / dr**2
+            - 2.0 * slope * u[0] / dr
+            + (d - 1.0) * slope * u[0]
         )
 
 
 def _laplacian(u: np.ndarray, grid: RadialGrid, d: int, bc: BoundaryCondition) -> np.ndarray:
     """Radial Laplacian u_rr + (d-1)/r u_r, centered differences.
 
-    r = 1: Dirichlet rows are overwritten by the boundary anyway; for
+    r = 1: Dirichlet values are overwritten by the boundary anyway; for
     alpha != 0 the ghost node u_{-1} = u_1 - 2 dr (beta/alpha) u_0 realizes
     -alpha d_r u(1) ... = 0 written as d_r u(1) = (beta/alpha) u(1) at second
     order.  The outer node is pinned to zero by the caller.
     """
     out = np.zeros_like(u)
     _laplacian_nodes(
-        u, 2.0 * u, out, np.empty_like(u), grid.n, grid.dr, (d - 1.0) / grid.r[1:-1], d,
-        _ghost_slope(bc),
+        u.T, 2.0 * u.T, out.T, np.empty_like(u).T, grid.n, grid.dr,
+        ((d - 1.0) / grid.r[1:-1])[:, None], d, _ghost_slope(bc),
     )
     return out
 
@@ -255,22 +263,36 @@ def apply_boundary(state: RadialState, bc: BoundaryCondition) -> RadialState:
     return state
 
 
-def _forcing(absu: np.ndarray, rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """|u_{l-1}|^(p_l) from ``absu`` = |u|, as a fresh contiguous array.
+def _forcing(
+    absu: np.ndarray,
+    sources: tuple[int, ...] | None,
+    powers: np.ndarray,
+    out: np.ndarray | None,
+) -> np.ndarray:
+    """|u_{l-1}|^(p_l) on the first m nodes, from ``absu`` = |u| on those
+    nodes (node-major, (m, columns)), returned.
 
-    ``rows`` is ``_Kernel.rows`` (the gather of ``ExponentVector.sources`` in
-    each block) and ``powers`` the exponents as a full-width array, of which
-    the first absu.shape[1] columns are used.  The power must run on a
-    contiguous temporary: numpy's vectorized pow and its strided fallback can
-    differ in the last bit (seen at p = 2).  The exponents are full width so
-    that every row count, including one, takes the same array pow: ``**``
-    with a size-1 exponent takes numpy's scalar fast path, which squares at
-    p = 2 and differs in the last bit from the array pow, and ``run_ladder``
-    relies on one row giving the bits of each row of k.  The gather is that
-    temporary, and the power overwrites it.
+    ``sources`` is ``ExponentVector.sources``, gathered inside each block of
+    k columns into ``out[:m]``, or None for one column per block (equal
+    exponents), which powers ``absu`` in place with no gather.  ``powers`` holds
+    the exponents on every node, of which the first m rows are used.  The
+    power must run on contiguous arrays: numpy's vectorized pow and its
+    strided fallback can differ in the last bit (seen at p = 2).  The
+    exponents are stored on every node so that every column count, including
+    one, takes the same array pow: an exponent broadcast with stride 0 takes
+    numpy's scalar fast path, which squares at p = 2 and differs in the last
+    bit from the array pow, and ``run_ladder`` relies on one column giving
+    the bits of each column of k.
     """
-    f = absu[rows]
-    return np.power(f, powers[:, : absu.shape[1]], out=f)
+    m, width = absu.shape
+    if sources is None:
+        return np.power(absu, powers[:m], out=absu)
+    k = len(sources)
+    f = out[:m]
+    blocks, src = f.reshape(m, width // k, k), absu.reshape(m, width // k, k)
+    for l, s in enumerate(sources):
+        blocks[..., l] = src[..., s]
+    return np.power(f, powers[:m], out=f)
 
 
 def _velocity(
@@ -286,9 +308,10 @@ def _velocity(
 class _Kernel:
     """One time level of the scheme on the first m nodes, for a given forcing.
 
-    Holds the per-trajectory constants and two scratch arrays for
-    ``copies`` blocks of the k rows, so a ladder allocates them once.
-    ``run_ladder`` passes ``_forcing`` of its current level;
+    Holds the per-trajectory constants (``powers`` and the ``radial`` tile),
+    two scratch arrays and, for k > 1, the ``forcing`` buffer of the gather,
+    for ``copies`` blocks of k columns, node-major, so a ladder allocates
+    them once.  ``run_ladder`` passes ``_forcing`` of its current level;
     ``step`` forms its own forcing and advances through the same kernel.
     """
 
@@ -308,20 +331,28 @@ class _Kernel:
         self.slope = _ghost_slope(bc)
         self.n = grid.n
         self.dr = grid.dr
-        self.radial = (d - 1.0) / grid.r[1:-1]
-        # each block's rows in the order of np.roll(u, 1, axis=0)
-        self.rows = (k * np.arange(copies)[:, None] + np.array(p.sources)).ravel()
-        self.powers = np.repeat(np.tile(p.p, copies)[:, None], grid.n + 1, axis=1)
-        shape = (copies * k, grid.n + 1)
-        self.lap = np.zeros(shape)  # columns 0 (Dirichlet) and n stay zero
-        self.scratch = np.empty(shape)
+        self.p = p.p
+        self.sources = None if k == 1 else p.sources
+        self.r_inner = grid.r[1:-1]
+        # the flat memory of powers, radial, lap, scratch and, for k > 1, forcing
+        self.memory = [np.empty((grid.n + 1) * copies * k) for _ in range(4 + (k > 1))]
+        self.keep_blocks(copies)
 
     def keep_blocks(self, copies: int) -> None:
-        """Step only the first ``copies`` blocks from now on."""
-        count = copies * self.k
-        self.rows, self.powers, self.lap, self.scratch = (
-            a[:count] for a in (self.rows, self.powers, self.lap, self.scratch)
+        """Step only the first ``copies`` blocks from now on: lay the arrays
+        out at that width over the front of their own memory."""
+        width = copies * self.k
+        n = self.n
+        self.powers, self.radial, self.lap, self.scratch, *forcing = (
+            mem[: rows * width].reshape(rows, width)
+            for mem, rows in zip(self.memory, (n + 1, n - 1, n + 1, n + 1, n + 1))
         )
+        self.forcing = forcing[0] if forcing else None
+        self.powers[...] = np.tile(self.p, copies)
+        self.radial[...] = ((self.d - 1.0) / self.r_inner)[:, None]
+        # every step writes nodes [1, min(m, n)) before it reads them: only
+        # node 0 (Dirichlet) and node n must hold zeros
+        self.lap[0] = self.lap[-1] = 0.0
 
     def advance(
         self,
@@ -335,7 +366,7 @@ class _Kernel:
     ) -> None:
         """Write the next level at nodes [0, m) into ``out`` (before the strong
         boundary values), and its velocity into ``v_out`` when given; ``f`` is
-        the forcing on nodes [0, m).
+        the forcing on nodes [0, m).  Every array is node-major.
 
         Without ``u_prev`` (the initial level) this is the second-order Taylor
         start u + dt v + dt^2/2 (L u + f - v); otherwise the three-level leapfrog
@@ -344,29 +375,29 @@ class _Kernel:
         ``u_prev`` or ``f``; ``v_out`` may be ``v``.
         """
         dt = self.dt
-        new = out[:, :m]
-        np.multiply(2.0, u[:, :m], out=new)
+        new = out[:m]
+        np.multiply(2.0, u[:m], out=new)
         _laplacian_nodes(
             u, new, self.lap, self.scratch, min(m, self.n), self.dr, self.radial,
             self.d, self.slope,
         )
-        lap = self.lap[:, :m]
+        lap = self.lap[:m]
         if u_prev is None:
-            drift = lap + f - v[:, :m]
-            new[...] = u[:, :m] + dt * v[:, :m] + 0.5 * dt**2 * drift
+            drift = lap + f - v[:m]
+            new[...] = u[:m] + dt * v[:m] + 0.5 * dt**2 * drift
             if v_out is not None:
-                v_out[:, :m] = (new - u[:, :m]) / dt + 0.5 * dt * drift
+                v_out[:m] = (new - u[:m]) / dt + 0.5 * dt * drift
             return
-        back = self.scratch[:, :m]
-        np.subtract(new, u_prev[:, :m], out=new)
+        back = self.scratch[:m]
+        np.subtract(new, u_prev[:m], out=new)
         np.divide(new, dt**2, out=new)
-        np.divide(u_prev[:, :m], 2.0 * dt, out=back)
+        np.divide(u_prev[:m], 2.0 * dt, out=back)
         np.add(new, back, out=new)
         np.add(new, lap, out=new)
         np.add(new, f, out=new)
         np.divide(new, self.a, out=new)
         if v_out is not None:
-            _velocity(new, u[:, :m], u_prev[:, :m], dt, v_out[:, :m])
+            _velocity(new, u[:m], u_prev[:m], dt, v_out[:m])
 
 
 def step(
@@ -397,14 +428,15 @@ def step(
         raise FloatingPointError("non-finite state; blow-up should have been flagged")
     kernel = _Kernel(dt, p, d, bc, grid)
     if nonlinear:
-        f = _forcing(np.abs(state.u), kernel.rows, kernel.powers)
+        f = _forcing(np.abs(state.u).T, kernel.sources, kernel.powers, kernel.forcing)
     else:
-        f = np.zeros(state.u.shape)
+        f = np.zeros(state.u.shape).T
     if source is not None:
-        f = f + source(state.t)
+        f = f + source(state.t).T
     u_new = np.empty_like(state.u)
     v_new = np.empty_like(state.u)
-    kernel.advance(state.u, state.u_prev, state.v, f, grid.n + 1, u_new, v_new)
+    u_prev = None if state.u_prev is None else state.u_prev.T
+    kernel.advance(state.u.T, u_prev, state.v.T, f, grid.n + 1, u_new.T, v_new.T)
     new = RadialState(t=state.t + dt, u=u_new, v=v_new, u_prev=state.u.copy())
     return apply_boundary(new, bc)
 
@@ -578,11 +610,26 @@ class _Rung:
         self.levels, self.t_final, self.wall_s = levels, t, wall_s
 
 
-def _front_rows(a: np.ndarray, sel: np.ndarray, m: int) -> np.ndarray:
-    """Move rows ``sel`` (ascending) of ``a``, which is zero beyond column m,
-    to its first rows and return those."""
-    a[: sel.size, :m] = a[sel, :m]
-    return a[: sel.size]
+def _keep_columns(a: np.ndarray, sel: np.ndarray, m: int) -> np.ndarray:
+    """Columns ``sel`` of the node-major ``a``, which is zero beyond node m,
+    laid out over the front of a's own memory, zero beyond node m again."""
+    kept = a[:m, sel]
+    out = a.reshape(-1)[: a.shape[0] * sel.size].reshape(a.shape[0], sel.size)
+    out[:m] = kept
+    out[m:] = 0.0
+    return out
+
+
+def _column_max(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The column maxima of the node-major ``a``, reduced along the rows of a
+    transposed copy in ``scratch``'s memory: numpy's max over axis 0 of a
+    few columns runs one short loop per node and is many times slower.  max
+    is exact, so the bits are those of either reduction."""
+    rows = a.T  # contiguous already for one column
+    if a.shape[1] > 1:
+        rows = scratch.reshape(-1)[: a.size].reshape(rows.shape)
+        np.copyto(rows, a.T)
+    return rows.max(axis=1)
 
 
 def _next_event(batch: list[_Rung], istep: int, stride: int, n_steps: int) -> int:
@@ -604,10 +651,10 @@ def run_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunRecord
     condition).  After the main threshold crossing, a run continues for
     ``_GRACE_STEPS`` steps to record the highest sensitivity threshold.
 
-    Steps each epsilon as a block of rows (see the module docstring) on the
+    Steps each epsilon as a block of columns (see the module docstring) on the
     nodes inside the numerical light cone and rotates three preallocated
     time levels; every run is bit-identical to a loop of ``step`` calls.
-    |u| of the new level is formed once per step: its row maxima are the
+    |u| of the new level is formed once per step: its column maxima are the
     peaks and it is the next step's forcing base.  The per-rung Python
     bookkeeping runs only on the steps where the batch's peak passes the
     lowest uncrossed threshold or the velocity guard, or a snapshot or a
@@ -626,16 +673,18 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
     grid = base.grid
     bc = base.bc
     k = base.p.k
-    # equal exponents keep the k rows bit-for-bit copies: step one of them
+    # equal exponents keep the k components bit-for-bit copies: step one of them
     stepped = ExponentVector.of(base.p.p[0]) if base.p.all_equal else base.p
     ks = stepped.k
     n = grid.n
-    # (u0, u1) of every epsilon as blocks of ks rows; zero on both pinned nodes
-    u_cur, v = (np.concatenate(a) for a in zip(*(c.data.build(grid, ks) for c in configs)))
-    positivity = [
-        weighted_data_integral(grid.r, u_cur[i], v[i], base.d, bc)
-        for i in range(0, u_cur.shape[0], ks)
-    ]
+    # (u0, u1) of every epsilon as blocks of ks columns; zero on both pinned nodes
+    width = len(configs) * ks
+    u_cur, v = np.empty((n + 1, width)), np.empty((n + 1, width))
+    positivity = []
+    for i, c in enumerate(configs):
+        u0, u1 = c.data.build(grid, ks)
+        u_cur[:, i * ks : (i + 1) * ks], v[:, i * ks : (i + 1) * ks] = u0.T, u1.T
+        positivity.append(weighted_data_integral(grid.r, u0[0], u1[0], base.d, bc))
     for c, pos in zip(configs, positivity):
         if c.data.epsilon > 0 and pos <= 0.0:
             raise DataPositivityError(f"int (u0 + u1) Psi dx = {pos:.3e} must be positive")
@@ -649,25 +698,28 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
     dt = base.dt
     n_steps = max(1, math.ceil(base.T_end / dt))
     stride = max(1, n_steps // base.history_snapshots) if base.history_snapshots > 0 else 0
-    live = np.flatnonzero(np.any(u_cur != 0.0, axis=0) | np.any(v != 0.0, axis=0))
+    live = np.flatnonzero(np.any(u_cur != 0.0, axis=1) | np.any(v != 0.0, axis=1))
     front = (int(live[-1]) if live.size else 0) + 2  # m = front + step
     # below this peak, (3u+ - 4u + u-)/(2 dt) cannot overflow
     v_guard = sys.float_info.max / 16.0 * min(1.0, 2.0 * dt)
 
     rungs = [
-        _Rung(c, i * ks, pos, [(0.0, u_cur[i * ks : (i + 1) * ks].copy())] if stride else None)
+        _Rung(
+            c, i * ks, pos, [(0.0, u_cur[:, i * ks : (i + 1) * ks].T.copy())] if stride else None
+        )
         for i, (c, pos) in enumerate(zip(configs, positivity))
     ]
     batch = list(rungs)
     kernel = _Kernel(dt, stepped, base.d, bc, grid, copies=len(batch))
     u_prev, u_new = None, np.zeros_like(u_cur)
-    absu = np.abs(u_cur)  # |u| of the newest level, zero beyond the front
-    cols = np.arange(u_cur.shape[0])  # the peaks columns of the batch's rows
+    # |u| of the newest level, zero beyond the front; _forcing may power it in place
+    absu = np.abs(u_cur)
+    cols = np.arange(width)  # the peaks columns of the batch's columns
 
     times = np.empty(n_steps + 1)
-    peaks = np.empty((n_steps + 1, u_cur.shape[0]))
+    peaks = np.empty((n_steps + 1, width))
     times[0] = 0.0
-    peaks[0] = absu.max(axis=1)
+    peaks[0] = absu.max(axis=0)
 
     thresholds = sorted(set(SENSITIVITY_THRESHOLDS) | {base.blowup_threshold})
     watch = min(thresholds[0], v_guard)
@@ -678,13 +730,13 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
     for istep in range(1, n_steps + 1):
         m = min(n + 1, front + istep)
         starting = u_prev is None
-        f = _forcing(absu[:, :m], kernel.rows, kernel.powers)
+        f = _forcing(absu[:m], kernel.sources, kernel.powers, kernel.forcing)
         # the Taylor start writes the velocity over the data's, which only it reads
         kernel.advance(u_cur, u_prev, v, f, m, u_new, v)
         t = t + dt
         times[istep] = t
-        np.abs(u_new[:, :m], out=absu[:, :m])
-        pk = absu[:, :m].max(axis=1)
+        np.abs(u_new[:m], out=absu[:m])
+        pk = _column_max(absu[:m], kernel.scratch)  # the scratch is free again
         peaks[istep, cols] = pk
         top = float(pk.max())
         left = []
@@ -695,7 +747,7 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
         ):
             due = stride and (istep % stride == 0 or istep == n_steps)  # snapshot step
             for slot, rung in enumerate(batch):
-                rows = slice(slot * ks, (slot + 1) * ks)
+                block = slice(slot * ks, (slot + 1) * ks)
                 own = slice(rung.col, rung.col + ks)
                 peak_now = float(peaks[istep, own].max())
                 prev_peak = float(peaks[istep - 1, own].max())
@@ -703,9 +755,9 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
                 finite = math.isfinite(peak_now)
                 if finite and (starting or max(peak_now, prev_peak, older_peak) > v_guard):
                     # no pin needed: at the pinned nodes every input is 0, so v is 0
-                    vel = v[rows, :m] if starting else np.empty((ks, m))
+                    vel = v[:m, block] if starting else np.empty((m, ks))
                     if not starting:
-                        _velocity(u_new[rows, :m], u_cur[rows, :m], u_prev[rows, :m], dt, vel)
+                        _velocity(u_new[:m, block], u_cur[:m, block], u_prev[:m, block], dt, vel)
                     finite = bool(np.all(np.isfinite(vel)))
                 if not finite:
                     rung.nan_flag = True
@@ -720,7 +772,7 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
                         rung.crossings[M] = _crossing_time(t - dt, prev_peak, t, peak_now, M)
                 crossed = rung.t_blow is None and base.blowup_threshold in rung.crossings
                 if stride and rung.t_blow is None and (due or crossed):  # last one at crossing
-                    rung.history.append((t, u_new[rows].copy()))
+                    rung.history.append((t, u_new[:, block].T.copy()))
                 if crossed:
                     rung.t_blow = rung.crossings[base.blowup_threshold]
                     rung.deadline = istep + _GRACE_STEPS
@@ -741,13 +793,14 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
         # rotate the time levels; the recycled buffer is zero beyond the front
         u_prev, u_cur, u_new = u_cur, u_new, u_prev
         older_top, prev_top = prev_top, top
-        if left:  # move the remaining blocks to the front, bits unchanged
+        if left:  # close up the remaining blocks in place, bits unchanged
             sel = (ks * np.array(keep)[:, None] + np.arange(ks)).ravel()
             u_prev, u_cur, u_new, absu = (
-                _front_rows(a, sel, m) for a in (u_prev, u_cur, u_new, absu)
+                _keep_columns(a, sel, m) for a in (u_prev, u_cur, u_new, absu)
             )
             cols = cols[sel]
             kernel.keep_blocks(len(batch))
+    del u_prev, u_cur, u_new, v, absu, kernel  # free the step buffers before the records
     wall_s = time.perf_counter() - t_start
     for rung in batch:  # the runs that reached the horizon
         rung.leave(n_steps + 1, t, wall_s)
@@ -756,7 +809,7 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
 
 
 def _ladder_record(rung: _Rung, k: int, ks: int, times, peaks, grid) -> RunRecord:
-    """A rung's record; its stepped rows are repeated into the k columns."""
+    """A rung's record; its stepped columns are repeated into the k columns."""
     config = rung.config
     history = None
     if rung.history is not None:

@@ -450,6 +450,8 @@ def sup_ratio_rows(
     """
     if any(R < 2 for R in R_list):
         raise ValueError("R >= 2 required for a meaningful sweep")
+    if min(grid) < 2:
+        raise ValueError(f"the sample grid needs at least 2 points per axis, got {grid}")
     nt, nr = grid
     tau = np.linspace(0.0, 1.0, nt)
     sigma = np.linspace(0.0, 1.0, nr)

@@ -206,20 +206,34 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         "sweep run.ini --threads 0 --out out",
         "sweep missing.ini --out out",
         "report empty",
+        "verify-lemma --grid 0",
+        "verify-lemma --grid 1",
+        "simulate cut.ini --out out",
+        "sweep cut.ini --out out",
+        "sweep no_sweep.ini --out out",
+        "report malformed",
     ],
 )
 def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, argv):
     """Refused input leaves by one path: a one-line ``<command>: <reason>``
-    on stderr, exit 2, nothing on stdout and no output directory."""
-    monkeypatch.chdir(config_file.parent)
-    (config_file.parent / "empty").mkdir()
+    on stderr, exit 2, nothing on stdout, and no file or directory is
+    written.  ``cut.ini`` ends before ``[time]``, ``no_sweep.ini`` has no
+    ``[sweep]`` section, and ``malformed/records.json`` holds a record
+    without the fields the report tables read."""
+    root = config_file.parent
+    monkeypatch.chdir(root)
+    (root / "empty").mkdir()
+    (root / "cut.ini").write_text(CONFIG_TEXT.split("[time]")[0])
+    (root / "no_sweep.ini").write_text(CONFIG_TEXT.split("[sweep]")[0])
+    (root / "malformed").mkdir()
+    (root / "malformed" / "records.json").write_text('[{"x": 1}]')
+    inputs = sorted(root.rglob("*"))
     argv = argv.split()
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"{argv[0]}: ") and captured.err.count("\n") == 1
-    assert sorted(p.name for p in config_file.parent.iterdir()) == ["empty", "run.ini"]
-    assert not any((config_file.parent / "empty").iterdir())
+    assert sorted(root.rglob("*")) == inputs
 
 
 def test_refused_input_exits_2_without_a_traceback_from_the_console_entry():

@@ -1,10 +1,12 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from exwave.config import sweep_spec_from_ini
 from exwave.exponents import BoundaryCondition, ExponentVector, classify_regime
 from exwave.harness import (
     FORM_MODELS,
@@ -23,6 +25,7 @@ from exwave.harness import (
 from exwave.oracle import OdeOrder, OdeSystem, integrate_adaptive
 from exwave.solver import InitialData, SolverConfig, Verdict, run
 
+ROOT = Path(__file__).resolve().parents[1]
 P14 = ExponentVector.of(1.4, 1.4)
 DIRICHLET = BoundaryCondition.dirichlet()
 
@@ -175,6 +178,23 @@ def test_sweep_blow_up_monotone_and_deterministic():
     assert all(rec.verdict is Verdict.BLEW_UP for rec in r1.runs)
     assert ts1 == sorted(ts1)
     assert r1.theory_bound["exponent"] == pytest.approx(1.0)
+
+
+def test_shipped_sweep_keeps_its_recorded_numbers():
+    """configs/subcritical_d3.ini through the sweep gives the t_blow and the
+    fitted slope recorded when the ladder stepped row-major, to the last
+    bit: a change of the stepping layout or operation order shows here, not
+    only in a comparison of two paths through the same kernel."""
+    spec = sweep_spec_from_ini(ROOT / "configs" / "subcritical_d3.ini")
+    result = sweep(spec)
+    assert [repr(rec.t_blow) for rec in result.runs] == [
+        "41.80013943393559",
+        "53.21816396890598",
+        "68.80266834180415",
+        "90.29294204257386",
+        "120.12729968165502",
+    ]
+    assert repr(result.fit.slope) == "0.7616930751602687"
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])

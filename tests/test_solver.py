@@ -588,9 +588,9 @@ def test_one_row_forcing_matches_each_row_of_two():
     cfg = GATE_CASES["neumann-p2"]()
     u0, _ = cfg.data.build(cfg.grid, 2)
 
-    def forcing(p, u):
+    def forcing(p, u):  # node-major in the kernel, back to (k, n+1) here
         kernel = _Kernel(cfg.dt, p, cfg.d, cfg.bc, cfg.grid)
-        return _forcing(np.abs(u), kernel.rows, kernel.powers)
+        return _forcing(np.abs(u).T, kernel.sources, kernel.powers, kernel.forcing).T
 
     one = forcing(ExponentVector.of(2.0), u0[:1])
     two = forcing(cfg.p, u0)

@@ -63,6 +63,8 @@ class SweepSpec:
         object.__setattr__(self, "epsilons", eps)
         if not eps:
             raise ValueError("epsilon list must not be empty")
+        if not all(map(math.isfinite, eps)):
+            raise ValueError(f"epsilons must be finite, got {eps}")
         if any(e <= 0 for e in eps):
             raise ValueError("epsilons must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -266,6 +268,11 @@ def verify_cutoff_estimates(
     """
     if not (R_list and lam_list and d_list and bc_list):
         raise ValueError("all parameter lists must be nonempty")
+    if not 1.0 <= band_limit < math.inf:
+        raise ValueError(
+            f"band limit must be finite and at least 1 (a band is max/min >= 1), "
+            f"got {band_limit!r}"
+        )
     warns: list[str] = []
     if exponents is not None:
         floor = CutoffProfile.floor_for(exponents)

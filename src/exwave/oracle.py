@@ -18,9 +18,13 @@ infinity.
 The integrator runs on Python floats: numpy's per-call overhead on states
 of at most 2k numbers made each step about 20 times slower.  The state of
 y' = |y|^p is a bare float, that of any other system a list.  Each state
-type has its RK4 step map, its Richardson step (error estimate and
-extrapolation) and its amplitude, and one adaptive loop drives either; a
-step that overflows returns None and the loop shrinks the step.
+type has its right side, its RK4 step map, its Richardson step (error
+estimate and extrapolation) and its amplitude, and one adaptive loop drives
+either; a step that overflows returns None and the loop shrinks the step.
+The full step, the first half step and the crossing bisection all start
+from the same state, so they share its first RK4 stage k1 = f(y), formed
+once per state.  The scalar state stays positive (epsilon > 0, and every
+stage adds a nonnegative term to y), so its stages take no abs.
 """
 
 from __future__ import annotations
@@ -80,19 +84,31 @@ class OdeBlowupResult:
 # A step map advances the state (a float for the scalar map, a list
 # otherwise) by one RK4 step of length h, or returns None when the step
 # leaves the floats (a stage overflows or the result is not finite); the
-# caller then shrinks h.
-Step = Callable[[float | list, float], float | list | None]
+# caller then shrinks h.  ``k1`` is the first stage f(y) when the caller
+# already has it.
+Step = Callable[..., float | list | None]
+
+
+def _scalar_rhs(p: float) -> Callable[[float], float]:
+    """f(y) = y^p, the right side of y' = |y|^p on a positive state."""
+
+    def f(y: float) -> float:
+        return y ** p
+
+    return f
 
 
 def _scalar_step(p: float) -> Step:
-    """RK4 for the single first-order equation y' = |y|^p, on a float."""
+    """RK4 for the single first-order equation y' = |y|^p, on a positive
+    float (so the stages need no abs)."""
 
-    def step(y0: float, h: float) -> float | None:
+    def step(y0: float, h: float, k1: float | None = None) -> float | None:
         try:
-            k1 = abs(y0) ** p
-            k2 = abs(y0 + 0.5 * h * k1) ** p
-            k3 = abs(y0 + 0.5 * h * k2) ** p
-            k4 = abs(y0 + h * k3) ** p
+            if k1 is None:
+                k1 = y0 ** p
+            k2 = (y0 + 0.5 * h * k1) ** p
+            k3 = (y0 + 0.5 * h * k2) ** p
+            k4 = (y0 + h * k3) ** p
         except OverflowError:
             return None
         y1 = y0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -101,9 +117,10 @@ def _scalar_step(p: float) -> Step:
     return step
 
 
-def _list_step(sys: OdeSystem) -> Step:
-    """RK4 for any system; component l is driven by |u_{l-1}|^(p_l),
-    gathered cyclically by ``ExponentVector.sources`` like the solver's rows."""
+def _list_rhs(sys: OdeSystem) -> Callable[[list], list]:
+    """The right side of any system; component l is driven by
+    |u_{l-1}|^(p_l), gathered cyclically by ``ExponentVector.sources`` like
+    the solver's rows."""
     k = sys.p.k
     gather = list(zip(sys.p.sources, sys.p.p))
     if sys.order is OdeOrder.FIRST:
@@ -117,10 +134,18 @@ def _list_step(sys: OdeSystem) -> Step:
             w = y[k:]
             return w + [-wj + abs(y[r]) ** q for wj, (r, q) in zip(w, gather)]
 
-    def step(y: list, h: float) -> list | None:
+    return f
+
+
+def _list_step(sys: OdeSystem) -> Step:
+    """RK4 for any system, on a list (``_list_rhs``)."""
+    f = _list_rhs(sys)
+
+    def step(y: list, h: float, k1: list | None = None) -> list | None:
         half, sixth = 0.5 * h, h / 6.0
         try:
-            k1 = f(y)
+            if k1 is None:
+                k1 = f(y)
             k2 = f([a + half * b for a, b in zip(y, k1)])
             k3 = f([a + half * b for a, b in zip(y, k2)])
             k4 = f([a + h * b for a, b in zip(y, k3)])
@@ -171,10 +196,11 @@ def integrate_adaptive(
     k = sys.p.k
     tail_applies = sys.order is OdeOrder.FIRST and k == 1
     if tail_applies:
-        step, richardson, amplitude = _scalar_step(sys.p.p[0]), _richardson_scalar, abs
+        stage, step = _scalar_rhs(sys.p.p[0]), _scalar_step(sys.p.p[0])
+        richardson, amplitude = _richardson_scalar, abs
         y = sys.epsilon
     else:
-        step, richardson = _list_step(sys), _richardson_list
+        stage, step, richardson = _list_rhs(sys), _list_step(sys), _richardson_list
         watch = sys.watch if k > 1 else 0
 
         def amplitude(y: list) -> float:
@@ -184,10 +210,15 @@ def integrate_adaptive(
     t = 0.0
     h = 1e-3 * (1.0 + amplitude(y)) ** (1.0 - max(sys.p.p))
     steps = 0
+    clip = math.isfinite(t_horizon)
     while steps < max_steps and t < t_horizon:
-        h = min(h, t_horizon - t) if math.isfinite(t_horizon) else h
-        y_full = step(y, h)
-        y_mid = step(y, 0.5 * h)
+        h = min(h, t_horizon - t) if clip else h
+        try:
+            k1 = stage(y)
+        except OverflowError:
+            k1 = None  # the steps from y recompute it and return None
+        y_full = step(y, h, k1)
+        y_mid = step(y, 0.5 * h, k1)
         y_half = None if y_mid is None else step(y_mid, 0.5 * h)
         steps += 1
         if y_full is None or y_half is None:
@@ -203,7 +234,7 @@ def integrate_adaptive(
             y_lo = y
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                y_mid = step(y, mid)
+                y_mid = step(y, mid, k1)
                 if y_mid is not None and amplitude(y_mid) < M:
                     lo, y_lo = mid, y_mid
                 else:

@@ -243,7 +243,11 @@ def chain_check(
     |u_ell|^p_(ell+1), the quadrature of ``functional_IR``.  Both sides take
     |u_c|^p with p the power of the component that c forces, so per R the
     window, Psi and one bridge (phi_R and phi*_R) are formed once and |u|^p
-    k times, for k trapezoids against each cutoff.  Purely diagnostic:
+    k times, for k trapezoids against each cutoff.  A component whose window
+    is equal (``np.array_equal``) to an earlier one's, with the same power,
+    takes that one's I_R and I*_R: equal exponents give the k components as
+    bit-for-bit copies, which are then powered and integrated once.  Purely
+    diagnostic:
     hidden constants are reported as measured ratios and nothing is asserted.
     The final ratio eps * R^(2 gamma_max - d) realizes the closing inequality
     (data term <= C R^(-2 gamma_max + d)); it is only meaningful inside the
@@ -269,12 +273,20 @@ def chain_check(
         w_r = _radial_weight(weight, r)
         phi, phi_star = cutoff.phi_R_pair(times[:, None], r[None, :])
         # I_R and I*_R take the same (component, power) pairs: |u_c|^p with
-        # the power of the component c forces
+        # the power of the component c forces; a component equal to an
+        # earlier one on the window, with the same power, takes its integrals
+        # (equal exponents give k bit-for-bit copies)
         i_cut, i_star = [], []
         for c in range(k):
-            powered = np.abs(u[:, c]) ** forced_power[c]
-            i_cut.append(_weighted_trapezoid(powered, phi, w_r, r, times))
-            i_star.append(_weighted_trapezoid(powered, phi_star, w_r, r, times))
+            for e in range(c):
+                if forced_power[e] == forced_power[c] and np.array_equal(u[:, e], u[:, c]):
+                    i_cut.append(i_cut[e])
+                    i_star.append(i_star[e])
+                    break
+            else:
+                powered = np.abs(u[:, c]) ** forced_power[c]
+                i_cut.append(_weighted_trapezoid(powered, phi, w_r, r, times))
+                i_star.append(_weighted_trapezoid(powered, phi_star, w_r, r, times))
         links = []
         for j, prev in enumerate(p.sources):  # j = ell - 1
             p_next = forced_power[j]

@@ -151,6 +151,10 @@ class InitialData:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        for name in ("center", "width", "epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.center - self.width <= 1.0:
             raise ValueError("bump support must stay inside r > 1")
         if self.width <= 0:
@@ -501,11 +505,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.T_end <= 0:
-            raise ValueError("T_end must be positive")
+        if not 0 < self.T_end < math.inf:
+            raise ValueError(f"T_end must be positive and finite, got {self.T_end!r}")
         self.bc.require_dissipative()
         if not 0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
+        if math.isnan(self.blowup_threshold):
+            raise ValueError("blowup_threshold must be a number, got nan")
         if self.blowup_threshold < 1e4:
             raise ValueError("blow-up threshold unreasonably small")
         if self.data.support_outer >= self.grid.r_max:

@@ -24,10 +24,12 @@ derivatives are available in closed form, so the sup-ratio bounds
 can be verified numerically on dense samples of Q_R (``cutoff_estimate_sup_ratios``).
 phi_R depends on (t, r) only through tau = t/R^2 and sigma = (r-1)/R, so the
 sweep runs on the scaled grid, whose samples are the same for every R: a batch
-over (lam, d, bc, R) (``sup_ratio_rows``) evaluates the bridge once per sample
-and returns one row per (lam, d, bc) holding the sweeps for every R.  With the
-claimed powers of R, ratios (i) and (ii) do not depend on R; R enters (iii)
-and (iv) only through (d-1)/r and Psi(r) at r = 1 + R sigma.
+over (lam, d, bc, R) (``sup_ratio_rows``) evaluates the bridge derivatives
+once per sample of the shell 1/2 < rho < 1, the only samples where phi' or
+phi'' can be nonzero, and returns one row per (lam, d, bc) holding the sweeps
+for every R.  With the claimed powers of R, ratios (i) and (ii) do not depend
+on R; R enters (iii) and (iv) only through (d-1)/r and Psi(r) at
+r = 1 + R sigma; where Psi = 1 (beta = 0), (iv) has the left side of (iii).
 """
 
 from __future__ import annotations
@@ -391,16 +393,22 @@ class _RunningSup:
         self.first_bad = None   # (row, col) of the first such sample
 
     def add(self, lhs, rhs, rows, cols):
-        usable = rhs >= RHS_FLOOR
-        vanishing = ~usable
-        worst = float(lhs.max(where=vanishing, initial=-np.inf))
-        if worst >= LHS_FLOOR:
-            self.bad_lhs = max(self.bad_lhs, worst)
-            if self.first_bad is None:
-                j = int(np.argmax(vanishing & (lhs >= LHS_FLOOR)))
-                self.first_bad = (rows[j], cols[j])
-        ratios = np.divide(lhs, rhs, out=None, where=usable)  # unread where not usable
-        self.sup = max(self.sup, float(ratios.max(where=usable, initial=0.0)))
+        # division by zero and 0/0 happen only at the vanishing right sides,
+        # whose ratios are overwritten with 0; an overflow elsewhere shows as
+        # an infinite sup
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratios = lhs / rhs
+        vanishing = np.flatnonzero(rhs < RHS_FLOOR)
+        if vanishing.size:
+            ratios[vanishing] = 0.0
+            bad = lhs[vanishing]
+            worst = float(bad.max())
+            if worst >= LHS_FLOOR:
+                self.bad_lhs = max(self.bad_lhs, worst)
+                if self.first_bad is None:
+                    j = vanishing[int(np.argmax(bad >= LHS_FLOOR))]
+                    self.first_bad = (rows[j], cols[j])
+        self.sup = max(self.sup, float(ratios.max(initial=0.0)))
 
 
 def _finished_sweep(R, sups, t, r, n_samples) -> SupRatioSweep:
@@ -438,12 +446,19 @@ def sup_ratio_rows(
     the bridge derivatives are evaluated once per sample for the whole batch,
     the phi powers and phi* once per lam, estimates (i) and (ii) per (lam, R),
     (iii) per (lam, R, d) and (iv) per (lam, R, d, bc); R enters (iii) and
-    (iv) through (d-1)/r and Psi(r) at r = 1 + R sigma.  The sweep runs over
-    blocks of SUP_RATIO_BLOCK_ROWS tau-rows.  Per block, each lam's chain-rule
-    arrays and phi* powers are formed first, with (i) and (ii) for every R;
-    then (iii) and (iv) loop over R, d, bc with lam innermost, so the column
-    gathers of (d-1)/r, Psi and 2 Psi' are formed once per (R, d, bc) and
-    R^a (phi*)^q once per (lam, R).
+    (iv) through (d-1)/r and Psi(r) at r = 1 + R sigma.  Every left side
+    carries a factor phi' or phi'', so only the shell samples 1/2 < rho < 1
+    go through the bridge derivatives and the estimates; ``n_samples`` still
+    counts every sample with rho < 1.  Where beta = 0, Psi = 1 and Psi' = 0,
+    so the left side of (iv) is that of (iii); when the right sides agree as
+    well, (iv) takes (iii)'s running sup for that (lam, R, d).
+
+    The sweep runs over blocks of SUP_RATIO_BLOCK_ROWS tau-rows.  Per block,
+    each lam's chain-rule arrays and phi* powers are formed first, with (i)
+    and (ii) for every R; then (iii) and (iv) loop over R, d, bc with lam
+    innermost, so the column gathers of (d-1)/r, Psi and 2 Psi' are formed
+    once per (R, d, bc) and R^a (phi*)^q once per (lam, R); 2 Psi' itself is
+    formed once per (R, d, bc) for the whole sweep.
 
     Returns one ``SupRatioRow`` per (lam, d, bc), lam slowest and bc fastest,
     each holding its ``SupRatioSweep`` for every R of ``R_list``.
@@ -457,12 +472,18 @@ def sup_ratio_rows(
     sigma = np.linspace(0.0, 1.0, nr)
     sigma4 = sigma**4
     a1, a2, a3, a4 = rhs_r_powers
-    # the mesh columns r = 1 + R sigma; (d-1)/r per (R, d), (Psi, Psi') per
-    # (R, d, bc)
+    # the mesh columns r = 1 + R sigma; (d-1)/r per (R, d), (Psi, 2 Psi') per
+    # (R, d, bc), with Psi None where it is identically 1 (beta = 0)
     r_cols = [1.0 + np.linspace(0.0, R, nr) for R in R_list]
     by_d = [
         [
-            ((d - 1.0) / r, [(psi(r, d, bc), psi_prime(r, d, bc)) for bc in bc_list])
+            (
+                (d - 1.0) / r,
+                [
+                    None if bc.beta == 0.0 else (psi(r, d, bc), 2.0 * psi_prime(r, d, bc))
+                    for bc in bc_list
+                ],
+            )
             for d in d_list
         ]
         for r in r_cols
@@ -475,34 +496,32 @@ def sup_ratio_rows(
     n_samples = 0
     with np.errstate(under="ignore"):
         for i0 in range(0, nt, SUP_RATIO_BLOCK_ROWS):
-            rho = tau[i0:i0 + SUP_RATIO_BLOCK_ROWS, None] ** 2 + sigma4[None, :]
-            rows, cols = np.nonzero(rho < 1.0)
-            n_samples += rows.size
-            rho = rho[rows, cols]
-            phi, dphi, ddphi = cutoff_profile_derivatives(rho)
+            block = tau[i0:i0 + SUP_RATIO_BLOCK_ROWS, None] ** 2 + sigma4[None, :]
+            n_samples += int(np.count_nonzero(block < 1.0))
             # every left side carries a factor phi' or phi'': where both vanish
             # (rho <= 1/2, and the rim where the bridge underflows to 0) a
-            # sample adds a zero ratio and cannot be a violation
+            # sample adds a zero ratio and cannot be a violation, so only the
+            # shell 1/2 < rho < 1 goes through the bridge
+            rows, cols = np.nonzero((block > 0.5) & (block < 1.0))
+            phi, dphi, ddphi = cutoff_profile_derivatives(block[rows, cols])
             live = (dphi != 0.0) | (ddphi != 0.0)
             rows, cols = rows[live] + i0, cols[live]
             phi, dphi, ddphi = phi[live], dphi[live], ddphi[live]
-            star = np.where(rho[live] < 0.5, 0.0, phi)  # phi* from the same phi
+            tau_s, sigma_s = tau[rows], sigma[cols]
             # per lam: estimates (i) and (ii) for every R, and H, K and the
             # phi* powers of (iii) and (iv)
             by_lam = []
             for i_lam, lam in enumerate(lam_list):
                 c = lam + 2.0
-                F, G, H, K = _scaled_chain_rule(
-                    tau[rows], sigma[cols], c, phi, dphi, ddphi
-                )
+                F, G, H, K = _scaled_chain_rule(tau_s, sigma_s, c, phi, dphi, ddphi)
                 F, G = np.abs(F), np.abs(G)
                 q = rhs_phi_powers
                 if q is None:
                     q = ((lam + 1.0) / c, lam / c, lam / c, lam / c)
                 # (phi*_R)^q = phi*^((lam+2) q), at profile level against
-                # double underflow
+                # double underflow; phi* is phi on the shell
                 exps = [c * qi for qi in q]
-                powers = {x: star**x for x in set(exps)}
+                powers = {x: phi**x for x in set(exps)}
                 S1, S2, S3, S4 = (powers[x] for x in exps)
                 for i_R, R in enumerate(R_list):
                     sups[0, i_R, i_lam].add(R**-2.0 * F, R**a1 * S1, rows, cols)
@@ -521,15 +540,24 @@ def sup_ratio_rows(
                     laps = []
                     for i_lam, (d_r, d_rr, rhs3, _) in enumerate(scaled):
                         lap = d_rr + curv_s * d_r
-                        sups[2, i_R, i_lam, i_d].add(np.abs(lap), rhs3, rows, cols)
-                        laps.append(lap)
-                    for i_bc, (psi_r, psi_prime_r) in enumerate(weights):
-                        psi_s = psi_r[cols]
-                        two_psi_prime_s = 2.0 * psi_prime_r[cols]
-                        for i_lam, ((d_r, _, _, rhs4), lap) in enumerate(zip(scaled, laps)):
-                            lpp = _laplacian_psi_times(psi_s, two_psi_prime_s, lap, d_r)
-                            e4 = sups[3, i_R, i_lam, i_d, i_bc]
-                            e4.add(np.abs(lpp), rhs4 * psi_s, rows, cols)
+                        abs_lap = np.abs(lap)
+                        sups[2, i_R, i_lam, i_d].add(abs_lap, rhs3, rows, cols)
+                        laps.append((lap, abs_lap))
+                    for i_bc, weight in enumerate(weights):
+                        if weight is not None:
+                            psi_s, two_psi_prime_s = (w[cols] for w in weight)
+                        for i_lam, ((d_r, _, rhs3, rhs4), (lap, abs_lap)) in enumerate(
+                            zip(scaled, laps)
+                        ):
+                            key = 3, i_R, i_lam, i_d, i_bc
+                            if weight is not None:
+                                lpp = _laplacian_psi_times(psi_s, two_psi_prime_s, lap, d_r)
+                                sups[key].add(np.abs(lpp), rhs4 * psi_s, rows, cols)
+                            elif rhs4 is rhs3:
+                                # Psi = 1 and Psi' = 0: (iv) is (iii)
+                                sups[key] = sups[2, i_R, i_lam, i_d]
+                            else:
+                                sups[key].add(abs_lap, rhs4, rows, cols)
 
     t_axes = [np.linspace(0.0, R**2, nt) for R in R_list]
     rows_out = []

@@ -212,19 +212,26 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         "sweep cut.ini --out out",
         "sweep no_sweep.ini --out out",
         "report malformed",
+        "sweep run.ini --eps-list 0.8,nan --out out",
+        "simulate run.ini --eps inf --out out",
+        "simulate nan_blowup.ini --out out",
+        "verify-lemma --band nan",
+        "verify-lemma --band -1",
     ],
 )
 def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, argv):
     """Refused input leaves by one path: a one-line ``<command>: <reason>``
     on stderr, exit 2, nothing on stdout, and no file or directory is
     written.  ``cut.ini`` ends before ``[time]``, ``no_sweep.ini`` has no
-    ``[sweep]`` section, and ``malformed/records.json`` holds a record
-    without the fields the report tables read."""
+    ``[sweep]`` section, ``nan_blowup.ini`` sets ``[thresholds] blowup =
+    nan``, and ``malformed/records.json`` holds a record without the fields
+    the report tables read."""
     root = config_file.parent
     monkeypatch.chdir(root)
     (root / "empty").mkdir()
     (root / "cut.ini").write_text(CONFIG_TEXT.split("[time]")[0])
     (root / "no_sweep.ini").write_text(CONFIG_TEXT.split("[sweep]")[0])
+    (root / "nan_blowup.ini").write_text(CONFIG_TEXT.replace("blowup = 1e8", "blowup = nan"))
     (root / "malformed").mkdir()
     (root / "malformed" / "records.json").write_text('[{"x": 1}]')
     inputs = sorted(root.rglob("*"))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from exwave.oracle import (
     _list_step,
     _richardson_list,
     _richardson_scalar,
+    _scalar_rhs,
     _scalar_step,
     integrate_adaptive,
     solve_first_order_exact,
@@ -169,6 +171,49 @@ def test_list_step_matches_scalar_step_on_one_equation():
         assert err_s == err_l and [new_s] == new_l
         errors.append(err_s)
     assert max(errors) > 0.0
+
+
+def _separate_step(y, h, p):
+    """One RK4 step of y' = |y|^p with its own first stage."""
+    try:
+        k1 = abs(y) ** p
+        k2 = abs(y + 0.5 * h * k1) ** p
+        k3 = abs(y + 0.5 * h * k2) ** p
+        k4 = abs(y + h * k3) ** p
+    except OverflowError:
+        return None
+    y1 = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y1 if math.isfinite(y1) else None
+
+
+@pytest.mark.parametrize("p", [1.4, 2.0, 3.0])
+def test_shared_first_stage_gives_the_bits_of_separate_steps(p):
+    """The full step and the first half step of a step-doubling pair share
+    the first stage k1 = y^p, as the adaptive loop forms them; the pair
+    holds the bits of three separate single steps, overflow (None)
+    included."""
+    step, stage = _scalar_step(p), _scalar_rhs(p)
+    overflowed = set()
+    for y in (1e-9, 0.3, 1.0, 7.5, 1e40, 1e100, 1e160, 1e200):
+        for h in (1e-12, 1e-3, 0.05, 0.7, 3.0, 1e10):
+            try:
+                k1 = stage(y)
+            except OverflowError:
+                k1 = None
+            full, mid = step(y, h, k1), step(y, 0.5 * h, k1)
+            half = None if mid is None else step(mid, 0.5 * h)
+            mid_alone = _separate_step(y, 0.5 * h, p)
+            alone = (
+                _separate_step(y, h, p),
+                mid_alone,
+                None if mid_alone is None else _separate_step(mid_alone, 0.5 * h, p),
+            )
+            pair = (full, mid, half)
+            assert [None if v is None else v.hex() for v in pair] == [
+                None if v is None else v.hex() for v in alone
+            ]
+            overflowed.add(full is None)
+    assert overflowed == {False, True}
 
 
 # (outcome, t_blow, t_final, steps) from the numpy-array integrator this one

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from exwave import testfn
+from exwave import quadrature, testfn
 from exwave.exponents import BoundaryCondition, ExponentVector
 from exwave.quadrature import (
     InsufficientCoverageError,
@@ -266,6 +266,51 @@ def test_chain_links_pair_each_component_with_its_power(R):
             assert link.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
             i_prev = functional_IR(hist, cut, w, prev, p_ell, allow_truncated=True)
             i_star = functional_IR(hist, cut, w, comp, p_next, star=True, allow_truncated=True)
+            assert link.lhs == i_prev + C0[link.ell - 1] * eps
+            assert link.rhs == theta(R, d, bc, p_next) * i_star ** (1.0 / p_next)
+
+
+@pytest.mark.parametrize(
+    "p, nudge, reused",
+    [((1.7, 1.7), False, True), ((1.7, 1.7), True, False), ((1.7, 2.4), False, False)],
+    ids=["copied", "one-ulp", "other-power"],
+)
+def test_chain_check_reuses_the_integrals_of_an_equal_component_only(
+    p, nudge, reused, monkeypatch
+):
+    """A component equal to an earlier one on the support window, with the
+    same power, takes that one's I_R and I*_R instead of two more
+    trapezoids; one ulp at one node in the shell, or another power, makes it
+    a component of its own.  Either way every link is bit for bit the one
+    built from separate functional_IR calls."""
+    base = _smooth_history(5.0, 9.0, 0.25, 0.5, k=1)
+    u = np.repeat(base.u, 2, axis=1)
+    if nudge:  # t = 3, r = 2: rho = 0.625 at R = 2
+        u[6, 1, 4] = np.nextafter(u[6, 1, 4], np.inf)
+    hist = SolutionHistory(times=base.times, r=base.r, u=u, horizon=base.horizon)
+    d, bc, eps, C0 = 3, BoundaryCondition.robin(1.0, 1.0), 0.1, [0.7, 1.3]
+    w = HarmonicWeight(d, bc)
+    R_values = [2.0, 2.1]
+    calls = []
+    trapezoid_ = quadrature._weighted_trapezoid
+
+    def counted(*args):
+        calls.append(1)
+        return trapezoid_(*args)
+
+    monkeypatch.setattr(quadrature, "_weighted_trapezoid", counted)
+    exponents = ExponentVector(p)
+    rep = chain_check(hist, exponents, d, bc, R_values, epsilon=eps, C0=C0)
+    assert len(calls) == len(R_values) * 2 * (1 if reused else 2)
+    profile = CutoffProfile(lam=CutoffProfile.floor_for(exponents))
+    for R, row in zip(R_values, rep.rows):
+        cut = ScaledCutoff(R=R, profile=profile)
+        # link ell: I_R of u_(ell-1) with p_ell, I*_R of u_ell with p_(ell+1)
+        for link, prev, p_ell, p_next in zip(row.links, (2, 1), p, p[::-1]):
+            i_prev = functional_IR(hist, cut, w, prev, p_ell, allow_truncated=True)
+            i_star = functional_IR(
+                hist, cut, w, link.ell, p_next, star=True, allow_truncated=True
+            )
             assert link.lhs == i_prev + C0[link.ell - 1] * eps
             assert link.rhs == theta(R, d, bc, p_next) * i_star ** (1.0 / p_next)
 

@@ -318,6 +318,10 @@ CLAIMED = testfn.DEFAULT_RHS_R_POWERS
         # phi*^x with x up to 400: near the rim rho -> 1 the rounding of rho
         # is amplified by about x / (1 - rho)^2, so the two meshes differ more
         (4.0, 3.0, 3, BCS[2], (128, 128), CLAIMED, (80.0,) * 4, 1e-10),
+        # Neumann, Psi = 1: (iv) is (iii), violations included, unless the
+        # right sides of (iii) and (iv) differ
+        (4.0, 3.0, 3, BCS[1], (128, 128), CLAIMED, (200.0,) * 4, 1e-10),
+        (6.0, 3.0, 2, BCS[1], (97, 61), CLAIMED, (40.0, 1.0, 60.0, 80.0), 1e-12),
     ],
 )
 def test_sup_ratio_batch_matches_the_unscaled_sweep(R, lam, d, bc, grid, r_powers, phi_powers, rel):
@@ -333,8 +337,9 @@ def test_sup_ratio_batch_matches_the_unscaled_sweep(R, lam, d, bc, grid, r_power
 
 def test_sup_ratio_batch_evaluates_the_bridge_once(monkeypatch):
     """One verify_cutoff_estimates call evaluates the bridge derivatives on
-    one sweep's samples in total, shared by every (lam, d, bc, R), and never
-    re-runs the bridge for phi*."""
+    one sweep's shell samples 1/2 < rho < 1 in total, shared by every
+    (lam, d, bc, R), and never re-runs the bridge for phi*; n_samples still
+    counts every sample with rho < 1."""
     from exwave.harness import verify_cutoff_estimates
 
     sizes = []
@@ -352,11 +357,12 @@ def test_sup_ratio_batch_evaluates_the_bridge_once(monkeypatch):
             return _f(*args, **kwargs)
 
         monkeypatch.setattr(testfn, name, counted)
-    rep = verify_cutoff_estimates(
-        [4.0, 8.0, 16.0], [5.0, 2.0], [2, 3], BCS[:3], grid=(160, 48)
-    )
+    grid = (160, 48)
+    rep = verify_cutoff_estimates([4.0, 8.0, 16.0], [5.0, 2.0], [2, 3], BCS[:3], grid=grid)
+    rho = np.linspace(0.0, 1.0, grid[0])[:, None] ** 2 + np.linspace(0.0, 1.0, grid[1]) ** 4
     n_samples = {res.n_samples for row in rep.rows for res in row.by_R}
-    assert len(rep.rows) == 2 * 2 * 3 and n_samples == {sum(sizes)}
+    assert len(rep.rows) == 2 * 2 * 3 and n_samples == {np.count_nonzero(rho < 1.0)}
+    assert sum(sizes) == np.count_nonzero((rho > 0.5) & (rho < 1.0))
     assert len(sizes) > 1  # more than one block
     assert calls == {"bridge": 0, "cutoff_value": 0}
 

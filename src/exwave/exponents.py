@@ -138,8 +138,6 @@ class GammaReport:
 
     gamma: tuple[float, ...]
     gamma_max: float
-    product_p: float
-    equal_exponents: bool
     Gamma_excess: float
     residual: float = field(default=0.0, compare=False)
 
@@ -168,8 +166,6 @@ def compute_gamma(p: ExponentVector, d: int) -> GammaReport:
     return GammaReport(
         gamma=tuple(float(g) for g in gamma),
         gamma_max=gamma_max,
-        product_p=p.product,
-        equal_exponents=p.all_equal,
         Gamma_excess=gamma_max - d / 2.0,
         residual=residual,
     )
@@ -206,6 +202,7 @@ class BoundForm(str, Enum):
     EXPONENTIAL = "exponential"
     DOUBLE_EXPONENTIAL = "double-exponential"
     NO_BLOWUP_CLAIM = "no-blowup-claim"
+    OPEN_PROBLEM = "open-problem"
 
 
 @dataclass(frozen=True)
@@ -218,6 +215,8 @@ class LifespanBound:
     EXPONENTIAL:        T <= exp(C eps^(-exponent))
     DOUBLE_EXPONENTIAL: T <= exp(exp(C eps^(-exponent)))
     NO_BLOWUP_CLAIM:    the theory asserts nothing for these parameters.
+    OPEN_PROBLEM:       beta != 0, d = 2, critical, unequal exponents: the
+                        bound is not known.
 
     The constants C are existential and never reported.
     """
@@ -228,15 +227,11 @@ class LifespanBound:
     notes: str = ""
 
     def __post_init__(self):
-        if self.form is BoundForm.NO_BLOWUP_CLAIM:
+        if self.form in (BoundForm.NO_BLOWUP_CLAIM, BoundForm.OPEN_PROBLEM):
             if self.exponent is not None:
-                raise ValueError("no-blowup-claim carries no exponent")
+                raise ValueError(f"{self.form.value} carries no exponent")
         elif self.exponent is None:
             raise ValueError(f"{self.form.value} bound requires an exponent")
-
-
-class CriticalUnequalTwoDError(ValueError):
-    """beta != 0, d = 2, critical, unequal exponents: open problem, no bound."""
 
 
 def _critical(excess: float, tol_crit: float) -> bool:
@@ -292,17 +287,18 @@ def classify_regime(
         )
     if _critical(excess, tol_crit):
         if d == 2 and not neumann:
-            if report.equal_exponents:
+            if p.all_equal:
                 return LifespanBound(
                     BoundForm.DOUBLE_EXPONENTIAL,
                     exponent=1.0,
                     notes="beta!=0, d=2, critical, equal exponents",
                 )
-            raise CriticalUnequalTwoDError(
-                "beta!=0, d=2, critical with unequal exponents: the lifespan "
-                "bound is an open problem"
+            return LifespanBound(
+                BoundForm.OPEN_PROBLEM,
+                notes="beta!=0, d=2, critical with unequal exponents: the lifespan "
+                "bound is an open problem",
             )
-        if report.equal_exponents:
+        if p.all_equal:
             return LifespanBound(
                 BoundForm.EXPONENTIAL,
                 exponent=p.p[0] - 1.0,
@@ -416,8 +412,8 @@ def gamma_record(p: ExponentVector, d: int) -> dict:
         "gamma": list(report.gamma),
         "gamma_max": report.gamma_max,
         "Gamma_excess": report.Gamma_excess,
-        "product_p": report.product_p,
-        "equal_exponents": report.equal_exponents,
+        "product_p": p.product,
+        "equal_exponents": p.all_equal,
         "dimension": d,
     }
 
@@ -425,21 +421,14 @@ def gamma_record(p: ExponentVector, d: int) -> dict:
 def classify_record(
     p: ExponentVector, d: int, bc: BoundaryCondition, tol_crit: float = DEFAULT_TOL_CRIT
 ) -> dict:
-    """JSON-friendly classification record; the open 2D case is surfaced as a
-    regime string rather than an exception."""
+    """JSON-friendly classification record; the open 2D case has no bound."""
     rec = gamma_record(p, d)
     rec["alpha"] = bc.alpha
     rec["beta"] = bc.beta
     rec["bc"] = bc.kind.value
-    try:
-        bound = classify_regime(p, d, bc, tol_crit)
-    except CriticalUnequalTwoDError as exc:
-        rec["regime"] = "open-problem"
-        rec["bound"] = None
-        rec["notes"] = str(exc)
-        return rec
+    bound = classify_regime(p, d, bc, tol_crit)
     rec["regime"] = bound.form.value
-    rec["bound"] = {
+    rec["bound"] = None if bound.form is BoundForm.OPEN_PROBLEM else {
         "form": bound.form.value,
         "exponent": bound.exponent,
         "log_exponent": bound.log_exponent,

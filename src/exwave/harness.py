@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .exponents import BoundaryCondition, ExponentVector, classify_record
+from .exponents import BoundaryCondition, BoundForm, ExponentVector, classify_record
 from .solver import RunRecord, SolverConfig, Verdict, run, run_ladder
 from .testfn import (
     DEFAULT_RHS_R_POWERS,
@@ -145,7 +145,10 @@ class FitModel(str, Enum):
 # The law each theory form is fitted and drawn against.  The exponential and
 # double-exponential forms are unidentifiable at desk scale, and the no-claim
 # and open-problem forms carry no exponent: none of them has a law here.
-FORM_MODELS = {"polynomial": FitModel.POWER, "polynomial-log": FitModel.POWER_LOG}
+FORM_MODELS = {
+    BoundForm.POLYNOMIAL: FitModel.POWER,
+    BoundForm.POLYNOMIAL_LOG: FitModel.POWER_LOG,
+}
 _MIN_FIT_POINTS = 4
 # runs whose t_blow lies within this many steps of the horizon are censored
 _GUARD_STEPS = 10.0
@@ -275,12 +278,11 @@ def verify_cutoff_estimates(
         )
     warns: list[str] = []
     if exponents is not None:
-        floor = CutoffProfile.floor_for(exponents)
         warns = [
             f"lambda = {lam:g} is below the admissibility floor "
-            f"{floor:g} for p = {exponents.p}"
+            f"{CutoffProfile.floor_for(exponents):g} for p = {exponents.p}"
             for lam in lam_list
-            if lam < floor - 1e-12
+            if not CutoffProfile(lam).admissible_for(exponents)
         ]
     rows = sup_ratio_rows(R_list, lam_list, d_list, bc_list, grid, rhs_r_powers)
     failures: list[str] = []

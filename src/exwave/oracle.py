@@ -188,11 +188,18 @@ def integrate_adaptive(
     tol * (1 + |y|) componentwise, and the extrapolated value is kept.
     On crossing, the step is refined by bisection in the step length; for a
     single first-order equation the analytic tail from the crossing amplitude
-    removes the threshold bias entirely.  Running out of max_steps before
-    t_horizon raises RuntimeError.
+    removes the threshold bias entirely.  An M whose power M^max(p) leaves
+    the floats is refused (every step near it would overflow); running out
+    of max_steps before t_horizon raises RuntimeError.
     """
-    if M < 1e6:
-        raise ValueError("threshold must be at least 1e6")
+    if not M >= 1e6:
+        raise ValueError(f"threshold must be at least 1e6, got {M!r}")
+    try:
+        reachable = math.isfinite(M ** max(sys.p.p))
+    except OverflowError:
+        reachable = False
+    if not reachable:
+        raise ValueError(f"M = {M!r} is out of reach for p = {sys.p.p}: M ** max(p) overflows")
     k = sys.p.k
     tail_applies = sys.order is OdeOrder.FIRST and k == 1
     if tail_applies:

@@ -89,10 +89,10 @@ def measure_QRstar_psi(
     """
     from scipy import integrate
 
-    if R < 2:
-        raise ValueError("R >= 2 required")
-    if T_horizon < R**2:
-        raise ValueError("T_horizon must be at least R^2 so Q_R is not truncated")
+    if not 2.0 <= R < math.inf:
+        raise ValueError(f"R must be finite and >= 2, got {R!r}")
+    if not T_horizon >= R**2:  # Q_R would be truncated
+        raise ValueError(f"T_horizon must be at least R^2, got {T_horizon!r}")
     omega = sphere_area(d)
     R4 = R**4
 
@@ -108,7 +108,7 @@ def measure_QRstar_psi(
     value, abserr = integrate.quad(
         integrand, 1.0, 1.0 + R, points=[kink], limit=200, epsabs=0.0, epsrel=1e-9
     )
-    if value <= 0.0 or abserr > 1e-6 * value:
+    if not (value > 0.0 and abserr <= 1e-6 * value):
         raise QuadratureConvergenceError(
             f"shell integral did not converge: value={value:.6e}, abserr={abserr:.2e}"
         )

@@ -53,6 +53,11 @@ LHS_FLOOR = 1e-12
 ESTIMATE_LABELS = ("i", "ii", "iii", "iv")
 
 
+def _plain(out):
+    """A 0-d result as a float; any other array as it is."""
+    return float(out) if out.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # smooth bridge
 # ---------------------------------------------------------------------------
@@ -102,21 +107,14 @@ def bridge_derivatives(s):
 # cutoff profiles phi, phi*
 # ---------------------------------------------------------------------------
 
-def cutoff_value(rho, star: bool = False):
-    """phi(rho) (or phi*(rho) when ``star``).
-
-    phi = 1 on [0, 1/2], bridges smoothly down on (1/2, 1), 0 on [1, inf).
-    phi* = 0 on [0, 1/2) and coincides with phi from 1/2 on.
-    """
+def cutoff_value(rho):
+    """phi(rho): 1 on [0, 1/2], bridges smoothly down on (1/2, 1), 0 on
+    [1, inf).  Its shell companion phi* (0 on [0, 1/2), phi from 1/2 on) is
+    formed by ``ScaledCutoff.phi_R_pair``."""
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0):
         raise ValueError("rho must be nonnegative")
-    val = bridge(2.0 * rho - 1.0)
-    if star:
-        val = np.where(rho < 0.5, 0.0, val)
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return _plain(bridge(2.0 * rho - 1.0))
 
 
 def cutoff_profile_derivatives(rho):
@@ -137,8 +135,8 @@ class CutoffProfile:
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam!r}")
 
     @staticmethod
     def floor_for(p: ExponentVector) -> float:
@@ -161,8 +159,8 @@ class ScaledCutoff:
     profile: CutoffProfile
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("R must be positive")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"R must be positive and finite, got {self.R!r}")
 
     def phi_R(self, t, r, star: bool = False):
         """phi_R, or phi*_R when ``star``."""
@@ -201,27 +199,28 @@ def psi(r, d: int, bc: BoundaryCondition):
             out = np.log(r) + q
         else:
             out = 1.0 - r ** (2.0 - d) + q * (d - 2.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _plain(out)
+
+
+def _psi_derivatives(r, d: int, bc: BoundaryCondition):
+    """(r, Psi'(r), Psi''(r)) with r as an array, from one case split."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 1.0):
+        raise ValueError("Psi is defined on r >= 1")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if bc.beta == 0.0:
+        return r, np.zeros_like(r), np.zeros_like(r)
+    if d == 1:
+        return r, np.ones_like(r), np.zeros_like(r)
+    if d == 2:
+        return r, 1.0 / r, -1.0 / r**2
+    return r, (d - 2.0) * r ** (1.0 - d), (d - 2.0) * (1.0 - d) * r ** (-d)
 
 
 def psi_prime(r, d: int, bc: BoundaryCondition):
     """Radial derivative Psi'(r); positive for beta != 0, zero for Neumann."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 1.0):
-        raise ValueError("Psi is defined on r >= 1")
-    if bc.beta == 0.0:
-        out = np.zeros_like(r)
-    elif d == 1:
-        out = np.ones_like(r)
-    elif d == 2:
-        out = 1.0 / r
-    else:
-        out = (d - 2.0) * r ** (1.0 - d)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _plain(_psi_derivatives(r, d, bc)[1])
 
 
 @dataclass(frozen=True)
@@ -239,21 +238,8 @@ class HarmonicWeight:
 
     def laplacian_residual(self, r):
         """Psi'' + (d-1)/r Psi', which vanishes identically (harmonicity)."""
-        r = np.asarray(r, dtype=float)
-        if self.bc.beta == 0.0:
-            out = np.zeros_like(r)
-        elif self.d == 1:
-            out = np.zeros_like(r)  # Psi'' = 0, no curvature term
-        elif self.d == 2:
-            out = -1.0 / r**2 + (1.0 / r) * (1.0 / r)
-        else:
-            d = self.d
-            out = (d - 2.0) * (1.0 - d) * r ** (-d) + ((d - 1.0) / r) * (
-                (d - 2.0) * r ** (1.0 - d)
-            )
-        if out.ndim == 0:
-            return float(out)
-        return out
+        r, dpsi, ddpsi = _psi_derivatives(r, self.d, self.bc)
+        return _plain(ddpsi + ((self.d - 1.0) / r) * dpsi)
 
     def boundary_identity(self) -> float:
         """alpha * (-Psi'(1)) + beta * Psi(1); zero by construction."""
@@ -463,8 +449,9 @@ def sup_ratio_rows(
     Returns one ``SupRatioRow`` per (lam, d, bc), lam slowest and bc fastest,
     each holding its ``SupRatioSweep`` for every R of ``R_list``.
     """
-    if any(R < 2 for R in R_list):
-        raise ValueError("R >= 2 required for a meaningful sweep")
+    if not all(2.0 <= R < math.inf for R in R_list):
+        raise ValueError(f"every R must be finite and >= 2 for a meaningful sweep, got {R_list}")
+    lam_list = [CutoffProfile(lam).lam for lam in lam_list]
     if min(grid) < 2:
         raise ValueError(f"the sample grid needs at least 2 points per axis, got {grid}")
     nt, nr = grid

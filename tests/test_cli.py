@@ -217,6 +217,11 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         "simulate nan_blowup.ini --out out",
         "verify-lemma --band nan",
         "verify-lemma --band -1",
+        "verify-lemma --lam 0",
+        "verify-lemma --lam -1",
+        "verify-lemma --lam nan",
+        "verify-lemma --R 4,nan",
+        "verify-lemma --R 4,inf",
     ],
 )
 def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, argv):
@@ -285,6 +290,23 @@ def test_cli_classify_open_problem(capsys):
     assert code == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["regime"] == "open-problem"
+
+
+CLASSIFY_RECORDS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "classify_records.json").read_text()
+)
+
+
+@pytest.mark.parametrize("regime", sorted(CLASSIFY_RECORDS))
+def test_cli_classify_json_is_pinned_for_every_regime(regime, capsys):
+    """``classify --json`` prints, byte for byte, the record pinned in
+    ``data/classify_records.json`` for one (p, d, alpha, beta) per regime;
+    the open problem's ``bound`` is null."""
+    case = CLASSIFY_RECORDS[regime]
+    assert main(["classify", *case["argv"].split(), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == case["stdout"]
+    assert json.loads(out)["regime"] == regime
 
 
 def test_cli_verify_lemma(capsys):

@@ -5,7 +5,6 @@ from exwave.exponents import (
     BoundaryCondition,
     BoundaryKind,
     BoundForm,
-    CriticalUnequalTwoDError,
     ExponentVector,
     appendix_bound,
     build_matrix_P,
@@ -167,8 +166,7 @@ def test_classify_open_problem_two_d():
     # gamma_max = (3 + 1)/(5 = 5/3 * 3) - 1) = 1 with p1 != p2
     p = ExponentVector.of(5.0 / 3.0, 3.0)
     assert compute_gamma(p, 2).Gamma_excess == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(CriticalUnequalTwoDError):
-        classify_regime(p, 2, BoundaryCondition.dirichlet())
+    assert classify_regime(p, 2, BoundaryCondition.dirichlet()).form is BoundForm.OPEN_PROBLEM
     # the CLI-facing record reports it instead of raising
     rec = classify_record(p, 2, BoundaryCondition.dirichlet())
     assert rec["regime"] == "open-problem"
@@ -195,10 +193,7 @@ def test_single_equation_table():
 def test_single_equation_matches_classifier(d, p):
     """k = 1 with Dirichlet data reduces to the single-equation table."""
     table = single_equation_table(p, d)
-    try:
-        general = classify_regime(ExponentVector.of(p), d, BoundaryCondition.dirichlet())
-    except CriticalUnequalTwoDError:  # cannot happen for k = 1
-        raise AssertionError("k = 1 cannot be the open case")
+    general = classify_regime(ExponentVector.of(p), d, BoundaryCondition.dirichlet())
     assert table.form == general.form
     if table.exponent is not None:
         assert table.exponent == pytest.approx(general.exponent, abs=1e-12)

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import exwave
+from exwave.exponents import BoundForm
 
 SRC = Path(exwave.__file__).resolve().parent
 
@@ -47,5 +48,19 @@ def test_only_exponents_writes_the_cyclic_coupling():
         if path.name != "exponents.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if _is_cyclic_neighbour(node)
+    ]
+    assert found == []
+
+
+def test_only_exponents_spells_a_regime_name():
+    """Every other module names a lifespan regime by its ``BoundForm``
+    member, never by the member's string value."""
+    names = {form.value for form in BoundForm}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "exponents.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value in names
     ]
     assert found == []

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,34 @@ def test_step_limit_raises_instead_of_reporting_no_blowup():
     sys = OdeSystem(OdeOrder.FIRST, ExponentVector.of(2.0), epsilon=0.1)
     with pytest.raises(RuntimeError, match=r"max_steps=5 .*t=0\.61.*h="):
         integrate_adaptive(sys, M=1e8, max_steps=5)
+
+
+@pytest.mark.parametrize(
+    "order, p, y0, M",
+    [
+        (OdeOrder.FIRST, 1.2, 1e-4, 1e300),
+        (OdeOrder.FIRST, 2.0, 1.0, 1e300),
+        (OdeOrder.FIRST, 3.0, 1.0, 1e150),
+        (OdeOrder.SECOND_DAMPED, 2.0, 1.0, math.inf),
+    ],
+)
+def test_a_threshold_whose_power_overflows_is_refused(order, p, y0, M):
+    """Every step near such an M overflows: refused before the first step,
+    not after max_steps."""
+    sys = OdeSystem(order, ExponentVector.of(p), epsilon=y0)
+    with pytest.raises(ValueError, match=re.escape(f"M = {M!r} is out of reach for p = ({p!r},)")):
+        integrate_adaptive(sys, M=M, max_steps=10)
+
+
+def test_a_threshold_whose_power_is_finite_is_still_reached():
+    sys = OdeSystem(OdeOrder.FIRST, ExponentVector.of(1.2), epsilon=1e-4)
+    res = integrate_adaptive(sys, M=1e250)
+    assert (res.t_blow, res.steps) == (31.54786868448067, 15755)
+
+
+def test_a_nan_threshold_is_refused():
+    with pytest.raises(ValueError, match="threshold must be at least 1e6, got nan"):
+        integrate_adaptive(OdeSystem(OdeOrder.FIRST, ExponentVector.of(2.0)), M=math.nan)
 
 
 def test_results_are_python_floats():

@@ -98,6 +98,31 @@ def test_measure_validations():
         measure_QRstar_psi(4.0, 2, BoundaryCondition.dirichlet(), T_horizon=10.0)
 
 
+@pytest.mark.parametrize(
+    "R, T_horizon, match",
+    [
+        (math.nan, 100.0, "R must be finite"),
+        (math.inf, math.inf, "R must be finite"),
+        (4.0, math.nan, "T_horizon must be at least R"),
+    ],
+)
+def test_measure_refuses_nan_and_infinite_input(R, T_horizon, match):
+    with pytest.raises(ValueError, match=match):
+        measure_QRstar_psi(R, 3, BoundaryCondition.dirichlet(), T_horizon)
+
+
+def test_measure_refuses_a_nan_quadrature_result(monkeypatch):
+    """A NaN value or error estimate fails the convergence guard."""
+    import scipy.integrate
+
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (math.nan, 0.0))
+    with pytest.raises(quadrature.QuadratureConvergenceError):
+        measure_QRstar_psi(4.0, 3, BoundaryCondition.dirichlet(), 100.0)
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (1.0, math.nan))
+    with pytest.raises(quadrature.QuadratureConvergenceError):
+        measure_QRstar_psi(4.0, 3, BoundaryCondition.dirichlet(), 100.0)
+
+
 def test_functional_zero_solution():
     hist = _const_history(0.0)
     w = HarmonicWeight(3, BoundaryCondition.neumann())

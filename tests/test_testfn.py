@@ -76,11 +76,9 @@ def test_bridge_derivatives_vanish_for_tiny_positive_s():
 
 def test_cutoff_piecewise_values():
     assert cutoff_value(0.3) == 1.0
-    assert cutoff_value(0.3, star=True) == 0.0
     assert cutoff_value(0.75) == pytest.approx(0.5, abs=1e-15)
     assert cutoff_value(1.2) == 0.0
-    # phi* joins phi at rho = 1/2
-    assert cutoff_value(0.5, star=True) == cutoff_value(0.5) == 1.0
+    assert cutoff_value(0.5) == 1.0
     with pytest.raises(ValueError):
         cutoff_value(-0.1)
 
@@ -130,6 +128,13 @@ def test_psi_gradient_values():
     assert psi_prime(3.0, 5, BoundaryCondition.dirichlet()) == pytest.approx(1.0 / 27.0)
     assert psi_prime(7.3, 4, BoundaryCondition.neumann()) == 0.0
     assert psi_prime(5.0, 1, BoundaryCondition.robin(1, 2)) == 1.0
+
+
+def test_psi_derivatives_refuse_a_dimension_below_1():
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        psi_prime(2.0, 0, BoundaryCondition.dirichlet())
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        HarmonicWeight(0, BoundaryCondition.neumann()).laplacian_residual(2.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
@@ -274,6 +279,26 @@ def test_sup_ratio_rejects_small_R():
         cutoff_estimate_sup_ratios(1.0, 2.0, 3, BoundaryCondition.dirichlet())
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+def test_lambda_must_be_positive_and_finite(lam):
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        CutoffProfile(lam)
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        testfn.sup_ratio_rows([4.0], [2.0, lam], [3], BCS[:1], (8, 8), (-2.0, -4.0, -2.0, -2.0))
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, float("nan"), float("inf")])
+def test_scaled_cutoff_R_must_be_positive_and_finite(R):
+    with pytest.raises(ValueError, match="R must be positive and finite"):
+        ScaledCutoff(R, CutoffProfile(2.0))
+
+
+@pytest.mark.parametrize("R", [float("nan"), float("inf")])
+def test_sup_ratio_rows_refuse_an_R_that_is_not_finite(R):
+    with pytest.raises(ValueError, match="every R must be finite and >= 2"):
+        testfn.sup_ratio_rows([4.0, R], [2.0], [3], BCS[:1], (8, 8), (-2.0, -4.0, -2.0, -2.0))
+
+
 def _unscaled_sweep(R, lam, d, bc, grid, rhs_r_powers, rhs_phi_powers):
     """Reference: the sweep on the (t, r) mesh, one (lam, d, bc, R) at a time."""
     nt, nr = grid
@@ -285,7 +310,7 @@ def _unscaled_sweep(R, lam, d, bc, grid, rhs_r_powers, rhs_phi_powers):
     T, Rr, rho = T[inside], Rr[inside], rho[inside]
     _, d_t, d_tt, lap, _ = phi_R_derivatives(T, Rr, R, lam, d)
     lhs = [d_t, d_tt, lap, laplacian_psi_phi_R(T, Rr, R, lam, d, bc)]
-    star = cutoff_value(rho, star=True)
+    star = np.where(rho < 0.5, 0.0, cutoff_value(rho))
     ratios, violations = [], []
     with np.errstate(under="ignore"):
         for i, (label, left, a, q) in enumerate(

@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .exponents import (
+    DEFAULT_TOL_CRIT,
     BoundaryCondition,
     ExponentVector,
     classify_record,
@@ -192,9 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_pd(sp, bc=False):
         sp.add_argument("--p", required=True, help="comma-separated exponents, e.g. 1.4,1.4")
         sp.add_argument("--dim", type=int, required=True)
-        if bc:
-            sp.add_argument("--alpha", type=float, default=0.0)
-            sp.add_argument("--beta", type=float, default=1.0)
+        if bc:  # the INI loaders' [bc] default
+            dirichlet = BoundaryCondition.dirichlet()
+            sp.add_argument("--alpha", type=float, default=dirichlet.alpha)
+            sp.add_argument("--beta", type=float, default=dirichlet.beta)
 
     sp = sub.add_parser("gamma", help="gamma vector and criticality excess")
     add_pd(sp)
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="lifespan-bound branch")
     add_pd(sp, bc=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL_CRIT)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_classify)
 
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fit", help="scaling-law fit of a sweep.csv")
     sp.add_argument("csv")
-    sp.add_argument("--model", choices=[m.value for m in FitModel], default="power")
+    sp.add_argument("--model", choices=[m.value for m in FitModel], default=FitModel.POWER.value)
     sp.add_argument("--b-theory", type=float, default=None)
     sp.set_defaults(func=cmd_fit)
 

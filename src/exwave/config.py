@@ -35,14 +35,16 @@ Plain INI text with nested sections, e.g.::
     workers = 1
 
 Overrides are ``{(section, key): value}``; ``load_ini`` writes each value
-that is not None into the parser (adding a section the file lacks) before
-it checks the keys, so an override is read, cast and validated exactly as
-the file's own value would be, and 0 is a value, not "not given".  The CLI
-flags are such overrides.  A section or key outside ``INI_KEYS`` is
-rejected, not ignored, so a typo such as ``cfl_`` fails the load, and a
-read of a key without a default that the file lacks (``[time] t_end``, or
-``[sweep] epsilons`` of a sweep) raises ``MissingKeyError``, a
-``ValueError`` that names the section and key.
+that is not None, as text, over the file's (adding a section the file
+lacks) before it checks the keys, so an override is read, cast and
+validated exactly as the file's own value, and 0 is a value, not "not
+given".  The CLI flags are such overrides.  ``INI_KEYS`` holds each
+section's keys and each key's reader; any other section or key is
+rejected, so a typo such as ``cfl_`` fails the load.  Defaults come from
+the dataclasses: a key the file does not set takes the default of the field
+it fills (``[bc]`` that of ``BoundaryCondition.dirichlet()``), and a missing
+key without one (``[time] t_end``, or ``[sweep] epsilons`` of a sweep)
+raises ``MissingKeyError``, a ``ValueError`` naming the section and key.
 ``[history] snapshots`` applies to ``simulate``: a sweep stores no
 histories, so its records.json shows ``history_snapshots`` 0.
 
@@ -56,6 +58,7 @@ so the margin or explicit ``r_max`` of the file holds for every run.
 from __future__ import annotations
 
 import configparser
+from dataclasses import replace
 from pathlib import Path
 
 from .exponents import BoundaryCondition, ExponentVector
@@ -68,98 +71,90 @@ def parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
 
 
-# the allowed keys of every section; both loaders read through load_ini
+# the allowed keys of every section, each with its reader; both loaders read
+# through load_ini
 INI_KEYS = {
-    "system": ("p", "dim"),
-    "bc": ("alpha", "beta"),
-    "grid": ("n", "r_max", "margin"),
-    "time": ("t_end", "cfl"),
-    "data": ("center", "width", "epsilon"),
-    "thresholds": ("blowup",),
-    "history": ("snapshots",),
-    "sweep": ("epsilons", "workers"),
+    "system": {"p": parse_floats, "dim": int},
+    "bc": {"alpha": float, "beta": float},
+    "grid": {"n": int, "r_max": str, "margin": float},
+    "time": {"t_end": float, "cfl": float},
+    "data": {"center": float, "width": float, "epsilon": float},
+    "thresholds": {"blowup": float},
+    "history": {"snapshots": int},
+    "sweep": {"epsilons": parse_floats, "workers": int},
 }
 
 # stale sweep keys once set a per-run grid or horizon
 _SWEEP_NOTE = "; every run of a sweep uses the [grid] and the [time] t_end of the file"
 
 
-class MissingKeyError(configparser.NoOptionError, ValueError):
-    """A section or key that a loader reads without a default is absent.
-
-    As a ``NoOptionError`` it still lets a read with a fallback take the
-    fallback; as a ``ValueError`` it is refused input, like a bad value."""
-
-    def __str__(self) -> str:
-        return f"missing [{self.section}] key {self.option!r}"
+class MissingKeyError(ValueError):
+    """A key that a loader reads without a default is absent."""
 
 
-class _Parser(configparser.ConfigParser):
-    """A parser whose reads report an absent section or key by name."""
-
-    def get(self, section, option, **kwargs):
-        try:
-            return super().get(section, option, **kwargs)
-        except (configparser.NoSectionError, configparser.NoOptionError):
-            raise MissingKeyError(option, section) from None
-
-
-def load_ini(path: str | Path, overrides: dict | None = None) -> configparser.ConfigParser:
-    parser = _Parser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
+def load_ini(path: str | Path, overrides: dict | None = None) -> dict[str, dict[str, str]]:
+    """The file's values as written, ``{section: {key: text}}``, with the
+    overrides merged in."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
+    ini = {section: dict(parser[section]) for section in parser.sections()}
     for (section, key), value in (overrides or {}).items():
         if value is not None:
-            if not parser.has_section(section):
-                parser.add_section(section)
-            parser.set(section, key, str(value))
-    for section in parser.sections():
+            ini.setdefault(section, {})[key] = str(value)
+    for section, values in ini.items():
         if section not in INI_KEYS:
             raise ValueError(
                 f"{path}: unknown section [{section}] (allowed: {', '.join(INI_KEYS)})"
             )
         allowed = INI_KEYS[section]
-        for key in parser.options(section):
+        for key in values:
             if key not in allowed:
                 note = _SWEEP_NOTE if section == "sweep" else ""
                 raise ValueError(
                     f"{path}: unknown [{section}] key {key!r} "
                     f"(allowed: {', '.join(allowed)}){note}"
                 )
-    return parser
+    return ini
 
 
-def solver_config_from_ini(
-    path: str | Path, overrides: dict | None = None
-) -> SolverConfig:
+def _required(ini: dict, section: str, key: str):
+    """The value of a key the file must set, read by its reader."""
+    if key not in ini.get(section, {}):
+        raise MissingKeyError(f"missing [{section}] key {key!r}")
+    return INI_KEYS[section][key](ini[section][key])
+
+
+def _given(ini: dict, section: str, *keys: str, **fields: str) -> dict:
+    """``{field: value}`` for each key the file sets, read by its reader: a
+    key fills the field of its own name, ``field=key`` a field named
+    otherwise.  Every other field keeps its dataclass default."""
+    values = ini.get(section, {})
+    fields.update(zip(keys, keys))
+    return {f: INI_KEYS[section][key](values[key]) for f, key in fields.items() if key in values}
+
+
+def solver_config_from_ini(path: str | Path, overrides: dict | None = None) -> SolverConfig:
     """Build a SolverConfig from an INI file plus optional
     ``{(section, key): value}`` overrides."""
     return _solver_config(load_ini(path, overrides))
 
 
-def _solver_config(cfg: configparser.ConfigParser) -> SolverConfig:
+def _solver_config(ini: dict) -> SolverConfig:
     fields = dict(
-        p=ExponentVector(parse_floats(cfg.get("system", "p"))),
-        d=cfg.getint("system", "dim"),
-        bc=BoundaryCondition(
-            cfg.getfloat("bc", "alpha", fallback=0.0), cfg.getfloat("bc", "beta", fallback=1.0)
-        ),
-        T_end=cfg.getfloat("time", "t_end"),
-        data=InitialData(
-            center=cfg.getfloat("data", "center", fallback=2.0),
-            width=cfg.getfloat("data", "width", fallback=0.5),
-            epsilon=cfg.getfloat("data", "epsilon", fallback=1.0),
-        ),
-        cfl=cfg.getfloat("time", "cfl", fallback=0.9),
-        blowup_threshold=cfg.getfloat("thresholds", "blowup", fallback=1e8),
-        history_snapshots=cfg.getint("history", "snapshots", fallback=256),
+        p=ExponentVector(_required(ini, "system", "p")),
+        d=_required(ini, "system", "dim"),
+        bc=replace(BoundaryCondition.dirichlet(), **_given(ini, "bc", "alpha", "beta")),
+        T_end=_required(ini, "time", "t_end"),
+        data=InitialData(**_given(ini, "data", "center", "width", "epsilon")),
+        **_given(ini, "time", "cfl"),
+        **_given(ini, "thresholds", blowup_threshold="blowup"),
+        **_given(ini, "history", history_snapshots="snapshots"),
     )
-    n = cfg.getint("grid", "n")
-    r_max = cfg.get("grid", "r_max", fallback="auto").strip().lower()
-    if r_max == "auto":
-        margin = cfg.getfloat("grid", "margin", fallback=1.0)
-        return SolverConfig.with_auto_domain(n=n, margin=margin, **fields)
+    n = _required(ini, "grid", "n")
+    r_max = _given(ini, "grid", "r_max").get("r_max", "auto")
+    if r_max.lower() == "auto":
+        return SolverConfig.with_auto_domain(n=n, **_given(ini, "grid", "margin"), **fields)
     return SolverConfig(grid=RadialGrid(r_max=float(r_max), n=n), **fields)
 
 
@@ -167,9 +162,9 @@ def sweep_spec_from_ini(path: str | Path, overrides: dict | None = None) -> Swee
     """SweepSpec from the [sweep] section on top of the solver config.
 
     Every run of the sweep uses the file's grid and ``[time] t_end``."""
-    cfg = load_ini(path, overrides)
+    ini = load_ini(path, overrides)
     return SweepSpec(
-        base=_solver_config(cfg),
-        epsilons=parse_floats(cfg.get("sweep", "epsilons")),
-        workers=cfg.getint("sweep", "workers", fallback=1),
+        base=_solver_config(ini),
+        epsilons=_required(ini, "sweep", "epsilons"),
+        **_given(ini, "sweep", "workers"),
     )

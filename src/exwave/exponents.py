@@ -43,6 +43,8 @@ class BoundaryCondition:
     beta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got ({self.alpha!r}, {self.beta!r})")
         if self.alpha == 0.0 and self.beta == 0.0:
             raise ValueError("boundary condition (alpha, beta) = (0, 0) is not allowed")
 

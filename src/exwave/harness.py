@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .exponents import BoundaryCondition, BoundForm, ExponentVector, classify_record
+from .exponents import BoundaryCondition, BoundForm, ExponentVector, classify_regime
 from .solver import RunRecord, SolverConfig, Verdict, run, run_ladder
 from .testfn import (
     DEFAULT_RHS_R_POWERS,
@@ -82,8 +82,8 @@ class SweepResult:
 
 
 def _theory_bound(p: ExponentVector, d: int, bc: BoundaryCondition) -> dict:
-    rec = classify_record(p, d, bc)
-    return {"form": rec["regime"], "exponent": rec["bound"] and rec["bound"]["exponent"]}
+    bound = classify_regime(p, d, bc)
+    return {"form": bound.form.value, "exponent": bound.exponent}
 
 
 def sweep(spec: SweepSpec) -> SweepResult:

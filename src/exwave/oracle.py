@@ -53,8 +53,8 @@ class OdeSystem:
     watch: int | None = None  # threshold on one component (default: max)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.watch is not None and not 0 <= self.watch < self.p.k:
             raise ValueError("watch component out of range")
 

@@ -99,8 +99,8 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
-        if self.r_max <= 1.0:
-            raise ValueError("r_max must exceed 1")
+        if not 1.0 < self.r_max < math.inf:
+            raise ValueError(f"r_max must be finite and exceed 1, got {self.r_max!r}")
         if self.n < 16:
             raise ValueError("need at least 16 cells")
 
@@ -514,6 +514,8 @@ class SolverConfig:
             raise ValueError("blowup_threshold must be a number, got nan")
         if self.blowup_threshold < 1e4:
             raise ValueError("blow-up threshold unreasonably small")
+        if self.history_snapshots < 0:
+            raise ValueError(f"history_snapshots must be >= 0, got {self.history_snapshots}")
         if self.data.support_outer >= self.grid.r_max:
             raise ValueError("initial bump support must lie inside the grid")
 
@@ -551,7 +553,6 @@ class RunRecord:
     """Full provenance of one simulation."""
 
     config: SolverConfig
-    verdict: Verdict
     t_blow: float | None
     t_final: float
     peak_times: np.ndarray
@@ -561,6 +562,10 @@ class RunRecord:
     data_positivity: float = 0.0
     history: SolutionHistory | None = None
     wall_s: float = 0.0  # from the ladder's start to the step this run left it
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.SURVIVED if self.t_blow is None else Verdict.BLEW_UP
 
     @property
     def threshold_sensitivity(self) -> float | None:
@@ -605,7 +610,6 @@ class _Rung:
     positivity: float
     history: list | None  # (t, u) snapshots, None when the ladder stores none
     crossings: dict[float, float] = field(default_factory=dict)
-    t_blow: float | None = None
     nan_flag: bool = False
     deadline: int | None = None  # its last grace step
     levels: int = 0
@@ -642,7 +646,7 @@ def _next_event(batch: list[_Rung], istep: int, stride: int, n_steps: int) -> in
     """The first step after ``istep`` at which a rung's grace ends or a
     history snapshot is due."""
     events = [rung.deadline for rung in batch if rung.deadline is not None]
-    if stride and any(rung.t_blow is None for rung in batch):
+    if stride and any(r.config.blowup_threshold not in r.crossings for r in batch):
         events.append(min((istep // stride + 1) * stride, n_steps))
     return min(events, default=n_steps + 1)
 
@@ -692,7 +696,7 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
         u_cur[:, i * ks : (i + 1) * ks], v[:, i * ks : (i + 1) * ks] = u0.T, u1.T
         positivity.append(weighted_data_integral(grid.r, u0[0], u1[0], base.d, bc))
     for c, pos in zip(configs, positivity):
-        if c.data.epsilon > 0 and pos <= 0.0:
+        if c.data.epsilon > 0 and not pos > 0.0:
             raise DataPositivityError(f"int (u0 + u1) Psi dx = {pos:.3e} must be positive")
     if not base.domain_of_dependence_ok():
         warnings.warn(
@@ -767,20 +771,18 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
                     finite = bool(np.all(np.isfinite(vel)))
                 if not finite:
                     rung.nan_flag = True
-                    if rung.t_blow is None:
-                        rung.t_blow = t
-                        rung.crossings.setdefault(base.blowup_threshold, t)
+                    rung.crossings.setdefault(base.blowup_threshold, t)
                     rung.leave(istep, t, time.perf_counter() - t_start)
                     left.append(slot)
                     continue
+                before = base.blowup_threshold in rung.crossings
                 for M in thresholds:
                     if M not in rung.crossings and peak_now > M:
                         rung.crossings[M] = _crossing_time(t - dt, prev_peak, t, peak_now, M)
-                crossed = rung.t_blow is None and base.blowup_threshold in rung.crossings
-                if stride and rung.t_blow is None and (due or crossed):  # last one at crossing
+                crossed = not before and base.blowup_threshold in rung.crossings
+                if stride and not before and (due or crossed):  # last one at crossing
                     rung.history.append((t, u_new[:, block].T.copy()))
                 if crossed:
-                    rung.t_blow = rung.crossings[base.blowup_threshold]
                     rung.deadline = istep + _GRACE_STEPS
                 if rung.deadline is not None and (
                     thresholds[-1] in rung.crossings or istep == rung.deadline
@@ -828,8 +830,7 @@ def _ladder_record(rung: _Rung, k: int, ks: int, times, peaks, grid) -> RunRecor
         )
     return RunRecord(
         config=config,
-        verdict=Verdict.SURVIVED if rung.t_blow is None else Verdict.BLEW_UP,
-        t_blow=rung.t_blow,
+        t_blow=rung.crossings.get(config.blowup_threshold),
         t_final=rung.t_final,
         peak_times=times[: rung.levels].copy(),
         peaks=np.repeat(peaks[: rung.levels, rung.col : rung.col + ks], k // ks, axis=1),

@@ -175,6 +175,16 @@ class ScaledCutoff:
         return phi, np.where(rho < 0.5, 0.0, phi)
 
 
+def _radial(r, d: int) -> np.ndarray:
+    """r as a float array, after the radial functions' one check: r, d >= 1."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 1.0):
+        raise ValueError("the radial functions are defined on r >= 1")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return r
+
+
 def psi(r, d: int, bc: BoundaryCondition):
     """Harmonic weight Psi on r >= 1.
 
@@ -184,11 +194,7 @@ def psi(r, d: int, bc: BoundaryCondition):
     beta == 0:  Psi = 1 for every d.
     Nonnegative on r >= 1 whenever alpha*beta >= 0.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 1.0):
-        raise ValueError("Psi is defined on r >= 1")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    r = _radial(r, d)
     if bc.beta == 0.0:
         out = np.ones_like(r)
     else:
@@ -204,11 +210,7 @@ def psi(r, d: int, bc: BoundaryCondition):
 
 def _psi_derivatives(r, d: int, bc: BoundaryCondition):
     """(r, Psi'(r), Psi''(r)) with r as an array, from one case split."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 1.0):
-        raise ValueError("Psi is defined on r >= 1")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    r = _radial(r, d)
     if bc.beta == 0.0:
         return r, np.zeros_like(r), np.zeros_like(r)
     if d == 1:
@@ -292,12 +294,8 @@ def phi_R_derivatives(t, r, R: float, lam: float, d: int):
     d dimensions.  Everything vanishes identically where rho >= 1.
     """
     t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 1.0):
-        raise ValueError("radial coordinate must satisfy r >= 1")
-    if R <= 0:
-        raise ValueError("R must be positive")
-    c = lam + 2.0
+    r = _radial(r, d)
+    c = ScaledCutoff(R, CutoffProfile(lam)).profile.lam + 2.0
     phi, dphi, ddphi = cutoff_profile_derivatives(_scaled_argument(t, r, R))
     F, G, H, K = _scaled_chain_rule(t / R**2, (r - 1.0) / R, c, phi, dphi, ddphi)
     with np.errstate(under="ignore"):

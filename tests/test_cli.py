@@ -12,8 +12,9 @@ import exwave
 from exwave import cli
 from exwave.cli import build_parser, main
 from exwave.config import solver_config_from_ini, sweep_spec_from_ini
-from exwave.harness import record_to_dict
-from exwave.solver import run
+from exwave.exponents import BoundaryCondition, ExponentVector
+from exwave.harness import SweepSpec, record_to_dict
+from exwave.solver import InitialData, SolverConfig, run
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
@@ -175,6 +176,21 @@ def test_each_flag_sets_the_ini_key_it_names(
     assert from_flag != LOADERS[command](config_file)
 
 
+def test_an_ini_with_only_the_required_keys_loads_to_the_dataclass_defaults(tmp_path):
+    """Every key the file leaves out takes the default of the field it fills."""
+    path = tmp_path / "required.ini"
+    path.write_text(
+        "[system]\np = 1.4, 1.4\ndim = 3\n[grid]\nn = 400\n[time]\nt_end = 30.0\n"
+        "[sweep]\nepsilons = 0.8, 0.6\n"
+    )
+    base = SolverConfig.with_auto_domain(
+        p=ExponentVector.of(1.4, 1.4), d=3, bc=BoundaryCondition.dirichlet(), n=400,
+        T_end=30.0, data=InitialData(),
+    )
+    assert solver_config_from_ini(path) == base
+    assert sweep_spec_from_ini(path) == SweepSpec(base=base, epsilons=(0.8, 0.6))
+
+
 def test_eps_list_adds_the_sweep_section_a_file_lacks(tmp_path):
     path = tmp_path / "no_sweep.ini"
     path.write_text(CONFIG_TEXT.split("[sweep]")[0])
@@ -222,6 +238,12 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         "verify-lemma --lam nan",
         "verify-lemma --R 4,nan",
         "verify-lemma --R 4,inf",
+        "sweep inf_rmax.ini --out out",
+        "sweep nan_rmax.ini --out out",
+        "sweep nan_margin.ini --out out",
+        "classify --p 1.4,1.4 --dim 3 --alpha nan",
+        "simulate run.ini --alpha inf --out out",
+        "simulate neg_snapshots.ini --dump-history --out out",
     ],
 )
 def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, argv):
@@ -229,14 +251,21 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     on stderr, exit 2, nothing on stdout, and no file or directory is
     written.  ``cut.ini`` ends before ``[time]``, ``no_sweep.ini`` has no
     ``[sweep]`` section, ``nan_blowup.ini`` sets ``[thresholds] blowup =
-    nan``, and ``malformed/records.json`` holds a record without the fields
-    the report tables read."""
+    nan``, ``inf_rmax.ini``, ``nan_rmax.ini`` and ``nan_margin.ini`` set
+    ``[grid] r_max = inf``, ``r_max = nan`` and ``margin = nan``,
+    ``neg_snapshots.ini`` sets ``[history] snapshots = -5``, and
+    ``malformed/records.json`` holds a record without the fields the report
+    tables read."""
     root = config_file.parent
     monkeypatch.chdir(root)
     (root / "empty").mkdir()
     (root / "cut.ini").write_text(CONFIG_TEXT.split("[time]")[0])
     (root / "no_sweep.ini").write_text(CONFIG_TEXT.split("[sweep]")[0])
     (root / "nan_blowup.ini").write_text(CONFIG_TEXT.replace("blowup = 1e8", "blowup = nan"))
+    (root / "inf_rmax.ini").write_text(CONFIG_TEXT.replace("r_max = auto", "r_max = inf"))
+    (root / "nan_rmax.ini").write_text(CONFIG_TEXT.replace("r_max = auto", "r_max = nan"))
+    (root / "nan_margin.ini").write_text(CONFIG_TEXT.replace("margin = 1.0", "margin = nan"))
+    (root / "neg_snapshots.ini").write_text(CONFIG_TEXT.replace("snapshots = 0", "snapshots = -5"))
     (root / "malformed").mkdir()
     (root / "malformed" / "records.json").write_text('[{"x": 1}]')
     inputs = sorted(root.rglob("*"))

@@ -52,6 +52,20 @@ def test_only_exponents_writes_the_cyclic_coupling():
     assert found == []
 
 
+def test_config_spells_no_default():
+    """The INI loaders leave every default to the dataclass field a key
+    fills, so config.py holds no int or float constant."""
+    path = SRC / "config.py"
+    found = [
+        f"config.py:{node.lineno}: {node.value!r}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, (int, float))
+        and not isinstance(node.value, bool)
+    ]
+    assert found == []
+
+
 def test_only_exponents_spells_a_regime_name():
     """Every other module names a lifespan regime by its ``BoundForm``
     member, never by the member's string value."""

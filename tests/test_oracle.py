@@ -109,6 +109,13 @@ def test_system_validation():
         OdeSystem(OdeOrder.FIRST, ExponentVector.of(2.0, 2.0), watch=5)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_system_refuses_an_epsilon_that_is_not_finite(eps):
+    """Refused up front: a NaN or infinite start would step until max_steps."""
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        OdeSystem(OdeOrder.FIRST, ExponentVector.of(2.0), epsilon=eps)
+
+
 def test_step_limit_raises_instead_of_reporting_no_blowup():
     sys = OdeSystem(OdeOrder.FIRST, ExponentVector.of(2.0), epsilon=0.1)
     with pytest.raises(RuntimeError, match=r"max_steps=5 .*t=0\.61.*h="):

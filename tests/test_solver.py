@@ -539,6 +539,16 @@ def test_run_bit_identical_to_step_loop(case):
         assert rec.verdict is Verdict.SURVIVED
 
 
+@pytest.mark.parametrize("case", list(GATE_CASES))
+def test_t_blow_is_the_blowup_crossing(case):
+    """A run stores its blow-up time once, as the blow-up threshold's
+    crossing; a non-finite step sets that crossing to its own time."""
+    cfg = GATE_CASES[case]()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = run(cfg)
+    assert rec.t_blow == rec.threshold_crossings.get(cfg.blowup_threshold)
+
+
 # ladders of a gate case: the epsilons of each are stepped in lockstep
 LADDERS = {
     # rows leave the batch at different steps; 256-snapshot histories

@@ -293,6 +293,20 @@ def test_scaled_cutoff_R_must_be_positive_and_finite(R):
         ScaledCutoff(R, CutoffProfile(2.0))
 
 
+@pytest.mark.parametrize(
+    "R, lam, d, match",
+    [
+        (float("nan"), 2.0, 3, "R must be positive and finite"),
+        (4.0, float("nan"), 3, "lambda must be positive and finite"),
+        (4.0, 2.0, 0, "d must be >= 1"),
+    ],
+    ids=["R-nan", "lam-nan", "d-0"],
+)
+def test_phi_R_derivatives_refuse_what_the_cutoff_and_psi_refuse(R, lam, d, match):
+    with pytest.raises(ValueError, match=match):
+        phi_R_derivatives(0.5, 2.0, R, lam, d)
+
+
 @pytest.mark.parametrize("R", [float("nan"), float("inf")])
 def test_sup_ratio_rows_refuse_an_R_that_is_not_finite(R):
     with pytest.raises(ValueError, match="every R must be finite and >= 2"):

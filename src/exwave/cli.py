@@ -26,6 +26,7 @@ from .exponents import (
     gamma_record,
 )
 from .harness import (
+    DEFAULT_BAND_LIMIT,
     FitModel,
     fit_scaling,
     history_to_csv,
@@ -38,7 +39,7 @@ from .harness import (
 )
 from .config import parse_floats, solver_config_from_ini, sweep_spec_from_ini
 from .solver import run
-from .testfn import CutoffProfile
+from .testfn import DEFAULT_SUP_RATIO_GRID, CutoffProfile
 
 
 def _emit(record: dict, as_json: bool):
@@ -215,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", default=None, help="exponents fixing the lambda floor")
     sp.add_argument("--dim", default="2,3")
     sp.add_argument("--bc", type=_bc_list, default="dirichlet,neumann,robin")
-    sp.add_argument("--grid", type=int, default=512)
-    sp.add_argument("--band", type=float, default=4.0)
+    sp.add_argument("--grid", type=int, default=DEFAULT_SUP_RATIO_GRID[0])
+    sp.add_argument("--band", type=float, default=DEFAULT_BAND_LIMIT)
     sp.set_defaults(func=cmd_verify_lemma)
 
     def add_overrides(sp):

@@ -93,10 +93,16 @@ class MissingKeyError(ValueError):
 
 
 def load_ini(path: str | Path, overrides: dict | None = None) -> dict[str, dict[str, str]]:
-    """The file's values as written, ``{section: {key: text}}``, with the
-    overrides merged in."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not parser.read(path):
+    """The file's values as written (no ``%`` interpolation),
+    ``{section: {key: text}}``, with the overrides merged in.  A file that
+    configparser cannot read (no section header, a key given twice) raises
+    ValueError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:  # names the file, on up to three lines
+        raise ValueError(" ".join(str(exc).split())) from None
+    if not found:
         raise FileNotFoundError(f"config file not found: {path}")
     ini = {section: dict(parser[section]) for section in parser.sections()}
     for (section, key), value in (overrides or {}).items():

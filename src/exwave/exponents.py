@@ -366,46 +366,6 @@ def single_equation_table(
     )
 
 
-def appendix_bound(omega: float, sigma: float, mu: float, p: float) -> LifespanBound:
-    """Bound on sqrt(T) for the shrinking-prefactor integral inequality
-    (the closing step of the d = 2 argument).
-
-    sigma > 0:                 sqrt(T) <= C omega^(-1/sigma) (log(1/omega))^(mu/sigma)
-    sigma = 0, mu < 1/(p-1):   sqrt(T) <= exp(C omega^(-(p-1)/(1-mu(p-1))))
-    sigma = 0, mu = 1/(p-1):   sqrt(T) <= exp exp(C omega^(-(p-1)))
-    sigma = 0, mu > 1/(p-1) is outside the admissible range.
-    """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    if sigma > 0:
-        return LifespanBound(
-            BoundForm.POLYNOMIAL_LOG,
-            exponent=1.0 / sigma,
-            log_exponent=mu / sigma,
-            notes="bound on sqrt(T); sigma>0 branch",
-        )
-    mu_crit = 1.0 / (p - 1.0)
-    if abs(mu - mu_crit) <= 1e-12:
-        return LifespanBound(
-            BoundForm.DOUBLE_EXPONENTIAL,
-            exponent=p - 1.0,
-            notes="bound on sqrt(T); sigma=0, mu=1/(p-1)",
-        )
-    if mu < mu_crit:
-        return LifespanBound(
-            BoundForm.EXPONENTIAL,
-            exponent=(p - 1.0) / (1.0 - mu * (p - 1.0)),
-            notes="bound on sqrt(T); sigma=0, mu<1/(p-1)",
-        )
-    raise ValueError(f"sigma=0 requires mu <= 1/(p-1) = {mu_crit}, got mu = {mu}")
-
-
 def gamma_record(p: ExponentVector, d: int) -> dict:
     """JSON-friendly summary used by the CLI."""
     report = compute_gamma(p, d)

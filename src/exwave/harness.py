@@ -42,6 +42,7 @@ from .exponents import BoundaryCondition, BoundForm, ExponentVector, classify_re
 from .solver import RunRecord, SolverConfig, Verdict, run, run_ladder
 from .testfn import (
     DEFAULT_RHS_R_POWERS,
+    DEFAULT_SUP_RATIO_GRID,
     ESTIMATE_LABELS,
     CutoffProfile,
     SupRatioRow,
@@ -250,13 +251,16 @@ class EstimateBatchReport:
         return "\n".join(lines)
 
 
+DEFAULT_BAND_LIMIT = 4.0
+
+
 def verify_cutoff_estimates(
     R_list: Sequence[float],
     lam_list: Sequence[float],
     d_list: Sequence[int],
     bc_list: Sequence[BoundaryCondition],
-    grid: tuple[int, int] = (512, 512),
-    band_limit: float = 4.0,
+    grid: tuple[int, int] = DEFAULT_SUP_RATIO_GRID,
+    band_limit: float = DEFAULT_BAND_LIMIT,
     exponents: ExponentVector | None = None,
     rhs_r_powers: tuple[float, float, float, float] = DEFAULT_RHS_R_POWERS,
 ) -> EstimateBatchReport:

@@ -326,6 +326,7 @@ def laplacian_psi_phi_R(t, r, R: float, lam: float, d: int, bc: BoundaryConditio
 # ---------------------------------------------------------------------------
 
 DEFAULT_RHS_R_POWERS = (-2.0, -4.0, -2.0, -2.0)
+DEFAULT_SUP_RATIO_GRID = (512, 512)
 
 # tau-rows per block of the sup-ratio sweep; bounds the working set to
 # SUP_RATIO_BLOCK_ROWS x nr samples (the maxima run across blocks)
@@ -563,7 +564,7 @@ def cutoff_estimate_sup_ratios(
     lam: float,
     d: int,
     bc: BoundaryCondition,
-    grid: tuple[int, int] = (512, 512),
+    grid: tuple[int, int] = DEFAULT_SUP_RATIO_GRID,
     rhs_r_powers: tuple[float, float, float, float] = DEFAULT_RHS_R_POWERS,
     rhs_phi_powers: tuple[float, float, float, float] | None = None,
 ) -> SupRatioSweep:

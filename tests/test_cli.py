@@ -244,6 +244,9 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         "classify --p 1.4,1.4 --dim 3 --alpha nan",
         "simulate run.ini --alpha inf --out out",
         "simulate neg_snapshots.ini --dump-history --out out",
+        "simulate percent.ini --out out",
+        "sweep twice_n.ini --out out",
+        "simulate headless.ini --out out",
     ],
 )
 def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, argv):
@@ -253,7 +256,9 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     ``[sweep]`` section, ``nan_blowup.ini`` sets ``[thresholds] blowup =
     nan``, ``inf_rmax.ini``, ``nan_rmax.ini`` and ``nan_margin.ini`` set
     ``[grid] r_max = inf``, ``r_max = nan`` and ``margin = nan``,
-    ``neg_snapshots.ini`` sets ``[history] snapshots = -5``, and
+    ``neg_snapshots.ini`` sets ``[history] snapshots = -5``,
+    ``percent.ini`` sets ``epsilon = 0.4%``, ``twice_n.ini`` gives ``n`` twice
+    in ``[grid]``, ``headless.ini`` has no section header, and
     ``malformed/records.json`` holds a record without the fields the report
     tables read."""
     root = config_file.parent
@@ -266,6 +271,9 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     (root / "nan_rmax.ini").write_text(CONFIG_TEXT.replace("r_max = auto", "r_max = nan"))
     (root / "nan_margin.ini").write_text(CONFIG_TEXT.replace("margin = 1.0", "margin = nan"))
     (root / "neg_snapshots.ini").write_text(CONFIG_TEXT.replace("snapshots = 0", "snapshots = -5"))
+    (root / "percent.ini").write_text(CONFIG_TEXT.replace("epsilon = 0.8", "epsilon = 0.4%"))
+    (root / "twice_n.ini").write_text(CONFIG_TEXT.replace("n = 400", "n = 400\nn = 800"))
+    (root / "headless.ini").write_text(CONFIG_TEXT.replace("[system]\n", ""))
     (root / "malformed").mkdir()
     (root / "malformed" / "records.json").write_text('[{"x": 1}]')
     inputs = sorted(root.rglob("*"))
@@ -292,9 +300,15 @@ def test_refused_input_exits_2_without_a_traceback_from_the_console_entry():
 
 
 def test_cli_import_does_not_load_scipy():
-    """Only measure_QRstar_psi needs scipy; it imports it when called."""
+    """Neither the CLI nor the shell measure of its quadrature module loads scipy."""
     src = Path(exwave.__file__).resolve().parents[1]
-    code = "import sys, exwave.cli; assert 'scipy' not in sys.modules"
+    code = (
+        "import sys, exwave.cli; assert 'scipy' not in sys.modules; "
+        "from exwave.exponents import BoundaryCondition; "
+        "from exwave.quadrature import measure_QRstar_psi; "
+        "measure_QRstar_psi(4.0, 3, BoundaryCondition.dirichlet(), 16.0); "
+        "assert 'scipy' not in sys.modules"
+    )
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,6 @@ from exwave.exponents import (
     BoundaryKind,
     BoundForm,
     ExponentVector,
-    appendix_bound,
     build_matrix_P,
     classify_record,
     classify_regime,
@@ -209,23 +208,6 @@ def test_subcritical_identity_exact():
             lhs = 1.0 / (gamma - d / 2.0)
             rhs = 2.0 * (p - 1.0) / (2.0 - d * (p - 1.0))
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-
-def test_appendix_bound_branches():
-    b = appendix_bound(0.3, sigma=2.0, mu=1.0, p=4.0)
-    assert b.form is BoundForm.POLYNOMIAL_LOG
-    assert b.exponent == pytest.approx(0.5) and b.log_exponent == pytest.approx(0.5)
-
-    b = appendix_bound(0.3, sigma=0.0, mu=1.0, p=2.0)
-    assert b.form is BoundForm.DOUBLE_EXPONENTIAL and b.exponent == pytest.approx(1.0)
-
-    b = appendix_bound(0.3, sigma=0.0, mu=0.5, p=2.0)
-    assert b.form is BoundForm.EXPONENTIAL and b.exponent == pytest.approx(2.0)
-
-    with pytest.raises(ValueError):
-        appendix_bound(0.3, sigma=0.0, mu=1.5, p=2.0)
-    with pytest.raises(ValueError):
-        appendix_bound(-1.0, sigma=1.0, mu=1.0, p=2.0)
 
 
 def test_thread_safety_smoke():

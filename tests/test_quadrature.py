@@ -55,7 +55,7 @@ def test_theta_branch_table():
 
 
 def test_measure_shell_against_grid_oracle():
-    """Adaptive result vs a brute-force 2D grid sum (Neumann, Psi = 1)."""
+    """Gauss-Legendre result vs a brute-force 2D grid sum (Neumann, Psi = 1)."""
     R, d = 4.0, 2
     bc = BoundaryCondition.neumann()
     val = measure_QRstar_psi(R, d, bc, T_horizon=R**2)
@@ -112,15 +112,40 @@ def test_measure_refuses_nan_and_infinite_input(R, T_horizon, match):
 
 
 def test_measure_refuses_a_nan_quadrature_result(monkeypatch):
-    """A NaN value or error estimate fails the convergence guard."""
-    import scipy.integrate
+    """A NaN Psi, or a Psi with a jump (48 and 96 nodes per panel give
+    5.9715e3 and 5.9723e3), fails the convergence guard."""
+    dirichlet = BoundaryCondition.dirichlet()
+    monkeypatch.setattr(quadrature, "psi", lambda r, d, bc: np.full_like(r, math.nan))
+    with pytest.raises(quadrature.QuadratureConvergenceError, match="nan"):
+        measure_QRstar_psi(4.0, 3, dirichlet, 100.0)
+    monkeypatch.setattr(quadrature, "psi", lambda r, d, bc: np.where(r < 3.3, 1.0, 2.0))
+    with pytest.raises(quadrature.QuadratureConvergenceError, match="5.97.*5.97"):
+        measure_QRstar_psi(4.0, 3, dirichlet, 100.0)
 
-    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (math.nan, 0.0))
-    with pytest.raises(quadrature.QuadratureConvergenceError):
-        measure_QRstar_psi(4.0, 3, BoundaryCondition.dirichlet(), 100.0)
-    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (1.0, math.nan))
-    with pytest.raises(quadrature.QuadratureConvergenceError):
-        measure_QRstar_psi(4.0, 3, BoundaryCondition.dirichlet(), 100.0)
+
+def test_measure_matches_adaptive_quadrature():
+    """The Gauss-Legendre rule against scipy's adaptive quad of the radial
+    integrand over d = 1..4, all three boundary conditions and R in 2..100."""
+    from scipy.integrate import quad
+
+    def reference(R, d, bc):
+        def integrand(r):
+            s4 = (r - 1.0) ** 4
+            length = math.sqrt(R**4 - s4) - math.sqrt(max(R**4 / 2.0 - s4, 0.0))
+            return length * testfn.psi(r, d, bc) * sphere_area(d) * r ** (d - 1)
+
+        kink = 1.0 + R * 2.0 ** -0.25
+        value, _ = quad(integrand, 1.0, 1.0 + R, points=[kink], limit=200, epsabs=0.0,
+                        epsrel=1e-12)
+        return value
+
+    bcs = (BoundaryCondition.dirichlet(), BoundaryCondition.neumann(),
+           BoundaryCondition.robin(1.0, 1.0))
+    for d in (1, 2, 3, 4):
+        for bc in bcs:
+            for R in (2.0, 3.7, 8.0, 16.0, 32.0, 64.0, 100.0):
+                value = measure_QRstar_psi(R, d, bc, T_horizon=R**2)
+                assert value == pytest.approx(reference(R, d, bc), rel=1e-10), (R, d, bc)
 
 
 def test_functional_zero_solution():

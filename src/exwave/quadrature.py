@@ -99,8 +99,11 @@ def measure_QRstar_psi(
     Gauss-Legendre.  The value is that of 96 nodes per panel; unless it is
     positive, finite and within 1e-9 relative of 48 nodes' value,
     ``QuadratureConvergenceError`` is raised.  The expected growth rates are
-    R^4 log R for d = 2 with beta != 0 and R^(d+2) otherwise.
+    R^4 log R for d = 2 with beta != 0 and R^(d+2) otherwise.  Like the
+    solver, it refuses alpha*beta < 0, where Psi changes sign, with a
+    ValueError.
     """
+    bc.require_dissipative()
     if not 2.0 <= R < math.inf:
         raise ValueError(f"R must be finite and >= 2, got {R!r}")
     if not T_horizon >= R**2:  # Q_R would be truncated

@@ -12,8 +12,9 @@ Dirichlet at the outer edge.  Time stepping is the three-level scheme
     (u+ - 2u + u-) / dt^2 + (u+ - u-) / (2 dt) = L u + f,
 
 explicit in space with the damping term solved pointwise for u+ (the damping
-never enters the stability constraint).  Fields are real: the blow-up theory
-concerns sign-definite real data.
+never enters the stability constraint), and stepped as one five-term stencil
+(see ``_Kernel``).  Fields are real: the blow-up theory concerns
+sign-definite real data.
 
 ``run_ladder`` steps on the numerical light cone.  The three-point stencil
 moves the support of compactly supported data out by exactly one node per
@@ -25,14 +26,13 @@ since |0|^p = 0 it would compute to exactly +0.0, so the result is
 bit-identical to a full-grid step.  For the same reason the strongly imposed
 nodes (r = 1 under Dirichlet, and the outer edge) stay +0.0 without a pin.
 The three time levels and |u| of the newest level live in buffers allocated
-once per ladder (2u is formed in the new level's), and only the displacement
-is stored in the history.  ``step`` is the allocating full-grid reference
-that the bit-identity gates compare against: it forms its own forcing
-(optionally linear, plus an optional external source for the
-manufactured-solution tests), pins the boundary and returns the velocity
-too.  ``step``,
-``apply_boundary`` and ``_laplacian`` stay in this module because
-``perfbench/tracer.py`` traces them by name (``TRACED``).
+once per ladder, and only the displacement is stored in the history.
+``step`` is the allocating full-grid reference that the bit-identity gates
+compare against: it forms its own forcing (optionally linear, plus an
+optional external source for the manufactured-solution tests), pins the
+boundary and returns the velocity too.  ``step``, ``apply_boundary`` and
+``_laplacian`` stay in this module because ``perfbench/tracer.py`` traces
+them by name (``TRACED``).
 
 A ladder is one config at several epsilons, which share the grid, ``dt`` and
 horizon, so ``run_ladder`` steps them in lockstep as column blocks of one
@@ -184,64 +184,43 @@ def weighted_data_integral(
     return radial_integral(np.asarray(r, float), (u0 + u1) * psi(r, d, bc), d)
 
 
-def _ghost_slope(bc: BoundaryCondition) -> float | None:
-    """beta/alpha of the flux conditions' ghost node; None under Dirichlet."""
-    return None if bc.kind is BoundaryKind.DIRICHLET else bc.beta / bc.alpha
+def _weights(dr: float, d: int, a: float, up: np.ndarray, down: np.ndarray) -> None:
+    """Turn the nodes r_j in ``up`` into the stencil's weight of u_{j+1},
+    (1/dr^2 + (d-1)/(2 r_j dr))/a, and write that of u_{j-1}, with - for +,
+    into ``down``: in place and on equal shapes, as a ufunc that broadcasts
+    takes a buffer of its own."""
+    np.multiply(up, 2.0, out=up)
+    np.multiply(up, dr, out=up)
+    np.divide(d - 1.0, up, out=up)
+    np.subtract(1.0 / dr**2, up, out=down)
+    np.add(1.0 / dr**2, up, out=up)
+    np.divide(up, a, out=up)
+    np.divide(down, a, out=down)
 
 
-def _laplacian_nodes(
-    u: np.ndarray,
-    twice: np.ndarray,
-    out: np.ndarray,
-    scratch: np.ndarray,
-    hi: int,
-    dr: float,
-    radial: np.ndarray,
-    d: int,
-    slope: float | None,
-) -> None:
-    """Write the radial Laplacian at nodes [1, hi), and the ghost node 0 for
-    flux conditions (``slope`` not None), into ``out``; other nodes are left
-    untouched.
-
-    Node-major: every array is indexed [node, column].  ``twice`` is 2u on at
-    least nodes [0, hi), ``radial`` is (d-1)/r[1:-1] as one column or tiled
-    to u's columns, and ``scratch`` a work array shaped like u.  The in-place
-    ufunc sequence is the operation order of
-    (u+ - 2u + u-)/dr^2 + ((d-1)/r) (u+ - u-)/(2 dr), so any node range gives
-    the same bits as the whole grid.
-    """
-    lap = out[1:hi]
-    grad = scratch[: hi - 1]
-    up, down = u[2 : hi + 1], u[: hi - 1]
-    np.subtract(up, twice[1:hi], out=lap)
-    np.add(lap, down, out=lap)
-    np.divide(lap, dr**2, out=lap)
-    np.subtract(up, down, out=grad)
-    np.multiply(radial[: hi - 1], grad, out=grad)
-    np.divide(grad, 2.0 * dr, out=grad)
-    np.add(lap, grad, out=lap)
-    if slope is not None:
-        out[0] = (
-            2.0 * (u[1] - u[0]) / dr**2
-            - 2.0 * slope * u[0] / dr
-            + (d - 1.0) * slope * u[0]
-        )
+def _ghost_row(
+    up: float, down: float, centre: float, dr: float, bc: BoundaryCondition
+) -> tuple[float, float] | None:
+    """The weights of (u_1, u_0) at node 0 from the stencil's weights at
+    r = 1, None under Dirichlet: the ghost node u_{-1} = u_1 - 2 dr
+    (beta/alpha) u_0 realizes d_r u(1) = (beta/alpha) u(1) at second order."""
+    if bc.kind is BoundaryKind.DIRICHLET:
+        return None
+    return up + down, centre - 2.0 * dr * (bc.beta / bc.alpha) * down
 
 
 def _laplacian(u: np.ndarray, grid: RadialGrid, d: int, bc: BoundaryCondition) -> np.ndarray:
-    """Radial Laplacian u_rr + (d-1)/r u_r, centered differences.
-
-    r = 1: Dirichlet values are overwritten by the boundary anyway; for
-    alpha != 0 the ghost node u_{-1} = u_1 - 2 dr (beta/alpha) u_0 realizes
-    -alpha d_r u(1) ... = 0 written as d_r u(1) = (beta/alpha) u(1) at second
-    order.  The outer node is pinned to zero by the caller.
-    """
+    """Radial Laplacian u_rr + (d-1)/r u_r, centered differences: the
+    stencil at a = 1 with the centre weight -2/dr^2; zero at r = 1 under
+    Dirichlet and at the outer node."""
+    up, down, dr = grid.r[:-1].copy(), np.empty(grid.n), grid.dr
+    _weights(dr, d, 1.0, up, down)
+    centre = -2.0 / dr**2
     out = np.zeros_like(u)
-    _laplacian_nodes(
-        u.T, 2.0 * u.T, out.T, np.empty_like(u).T, grid.n, grid.dr,
-        ((d - 1.0) / grid.r[1:-1])[:, None], d, _ghost_slope(bc),
-    )
+    out[:, 1:-1] = up[1:] * u[:, 2:] + down[1:] * u[:, :-2] + centre * u[:, 1:-1]
+    ghost = _ghost_row(up[0], down[0], centre, dr, bc)
+    if ghost is not None:
+        out[:, 0] = ghost[0] * u[:, 1] + ghost[1] * u[:, 0]
     return out
 
 
@@ -312,96 +291,104 @@ def _velocity(
 class _Kernel:
     """One time level of the scheme on the first m nodes, for a given forcing.
 
-    Holds the per-trajectory constants (``powers`` and the ``radial`` tile),
-    two scratch arrays and, for k > 1, the ``forcing`` buffer of the gather,
-    for ``copies`` blocks of k columns, node-major, so a ladder allocates
-    them once.  ``run_ladder`` passes ``_forcing`` of its current level;
-    ``step`` forms its own forcing and advances through the same kernel.
+    The leapfrog with semi-implicit damping is the five-term update
+    u+_j = A_j u_{j+1} + B_j u_{j-1} + C u_j + D u-_j + E f_j, with
+    a = 1/dt^2 + 1/(2 dt), A_j and B_j from ``_weights``,
+    C = (2/dt^2 - 2/dr^2)/a, D = (1/(2 dt) - 1/dt^2)/a and E = 1/a: five
+    multiplies and four adds per node, and no division.  Node 0 is the
+    ``_ghost_row`` of the same weights.  The Taylor start
+    u + dt v + dt^2/2 (L u + f - v) is h = a dt^2/2 times the same update
+    with the weight T = (dt - dt^2/2)/h on v in place of D u-.
+
+    Holds the ``powers``, the A and B tiles, a ``scratch`` array and, for
+    k > 1, the ``forcing`` buffer of the gather, for ``copies`` blocks of k
+    columns, node-major, so a ladder allocates them once.  ``run_ladder``
+    passes ``_forcing`` of its current level; ``step`` forms its own forcing
+    and advances through the same kernel.
     """
 
     def __init__(
-        self,
-        dt: float,
-        p: ExponentVector,
-        d: int,
-        bc: BoundaryCondition,
-        grid: RadialGrid,
+        self, dt: float, p: ExponentVector, d: int, bc: BoundaryCondition, grid: RadialGrid,
         copies: int = 1,
     ):
         k = self.k = p.k
-        self.dt = dt
-        self.a = 1.0 / dt**2 + 1.0 / (2.0 * dt)
-        self.d = d
-        self.slope = _ghost_slope(bc)
-        self.n = grid.n
-        self.dr = grid.dr
-        self.p = p.p
+        self.dt, self.d, self.n, self.dr, self.p = dt, d, grid.n, grid.dr, p.p
+        self.a = a = 1.0 / dt**2 + 1.0 / (2.0 * dt)
+        self.C = (2.0 / dt**2 - 2.0 / grid.dr**2) / a
+        self.D = (1.0 / (2.0 * dt) - 1.0 / dt**2) / a
+        self.E = 1.0 / a
+        self.h = 0.5 * dt**2 * a
+        self.T = (dt - 0.5 * dt**2) / self.h
         self.sources = None if k == 1 else p.sources
-        self.r_inner = grid.r[1:-1]
-        # the flat memory of powers, radial, lap, scratch and, for k > 1, forcing
+        self.r = grid.r[:-1]
+        # the flat memory of powers, A, B, scratch and, for k > 1, forcing
         self.memory = [np.empty((grid.n + 1) * copies * k) for _ in range(4 + (k > 1))]
         self.keep_blocks(copies)
+        self.ghost = _ghost_row(self.A[0, 0], self.B[0, 0], self.C, grid.dr, bc)
 
     def keep_blocks(self, copies: int) -> None:
         """Step only the first ``copies`` blocks from now on: lay the arrays
         out at that width over the front of their own memory."""
         width = copies * self.k
         n = self.n
-        self.powers, self.radial, self.lap, self.scratch, *forcing = (
+        self.powers, self.A, self.B, self.scratch, *forcing = (
             mem[: rows * width].reshape(rows, width)
-            for mem, rows in zip(self.memory, (n + 1, n - 1, n + 1, n + 1, n + 1))
+            for mem, rows in zip(self.memory, (n + 1, n, n, n + 1, n + 1))
         )
         self.forcing = forcing[0] if forcing else None
         self.powers[...] = np.tile(self.p, copies)
-        self.radial[...] = ((self.d - 1.0) / self.r_inner)[:, None]
-        # every step writes nodes [1, min(m, n)) before it reads them: only
-        # node 0 (Dirichlet) and node n must hold zeros
-        self.lap[0] = self.lap[-1] = 0.0
+        self.A[...] = self.r[:, None]
+        _weights(self.dr, self.d, self.a, self.A, self.B)
+
+    def _stencil(
+        self, u: np.ndarray, weight: float, back: np.ndarray, f: np.ndarray, m: int,
+        out: np.ndarray,
+    ) -> None:
+        """Write A_j u_{j+1} + B_j u_{j-1} + C u_j + ``weight`` back_j + E f_j,
+        summed left to right, at nodes [0, m) into ``out``: zero at the
+        pinned nodes, and at every node the bits of the whole grid's."""
+        hi = min(m, self.n)
+        inner, w = out[1:hi], self.scratch[1:hi]
+        np.multiply(self.A[1:hi], u[2 : hi + 1], out=inner)
+        np.multiply(self.B[1:hi], u[: hi - 1], out=w)
+        np.add(inner, w, out=inner)
+        for c, x in ((self.C, u), (weight, back), (self.E, f)):
+            np.multiply(c, x[1:hi], out=w)
+            np.add(inner, w, out=inner)
+        if self.ghost is None:
+            out[0] = 0.0
+        else:
+            up, centre = self.ghost
+            out[0] = up * u[1] + centre * u[0] + weight * back[0] + self.E * f[0]
+        if m > self.n:
+            out[self.n] = 0.0
 
     def advance(
-        self,
-        u: np.ndarray,
-        u_prev: np.ndarray | None,
-        v: np.ndarray,
-        f: np.ndarray,
-        m: int,
-        out: np.ndarray,
-        v_out: np.ndarray | None = None,
+        self, u: np.ndarray, u_prev: np.ndarray | None, v: np.ndarray, f: np.ndarray, m: int,
+        out: np.ndarray, v_out: np.ndarray | None = None,
     ) -> None:
-        """Write the next level at nodes [0, m) into ``out`` (before the strong
-        boundary values), and its velocity into ``v_out`` when given; ``f`` is
-        the forcing on nodes [0, m).  Every array is node-major.
+        """Write the next level at nodes [0, m) into ``out``, and its velocity
+        into ``v_out`` when given; ``f`` is the forcing on nodes [0, m).
+        Every array is node-major.
 
-        Without ``u_prev`` (the initial level) this is the second-order Taylor
-        start u + dt v + dt^2/2 (L u + f - v); otherwise the three-level leapfrog
-        with semi-implicit damping.  2u is formed once, in ``out``, for the
-        Laplacian and the leapfrog.  ``out`` must not share memory with ``u``,
-        ``u_prev`` or ``f``; ``v_out`` may be ``v``.
+        Without ``u_prev`` (the initial level) this is the Taylor start, whose
+        velocity is v+ = 2 (u+ - u)/dt - v; otherwise the leapfrog.  ``out``
+        must not share memory with ``u``, ``u_prev`` or ``f``; ``v_out`` may
+        be ``v``.
         """
-        dt = self.dt
         new = out[:m]
-        np.multiply(2.0, u[:m], out=new)
-        _laplacian_nodes(
-            u, new, self.lap, self.scratch, min(m, self.n), self.dr, self.radial,
-            self.d, self.slope,
-        )
-        lap = self.lap[:m]
-        if u_prev is None:
-            drift = lap + f - v[:m]
-            new[...] = u[:m] + dt * v[:m] + 0.5 * dt**2 * drift
+        if u_prev is not None:
+            self._stencil(u, self.D, u_prev, f, m, out)
             if v_out is not None:
-                v_out[:m] = (new - u[:m]) / dt + 0.5 * dt * drift
+                _velocity(new, u[:m], u_prev[:m], self.dt, v_out[:m])
             return
-        back = self.scratch[:m]
-        np.subtract(new, u_prev[:m], out=new)
-        np.divide(new, dt**2, out=new)
-        np.divide(u_prev[:m], 2.0 * dt, out=back)
-        np.add(new, back, out=new)
-        np.add(new, lap, out=new)
-        np.add(new, f, out=new)
-        np.divide(new, self.a, out=new)
+        self._stencil(u, self.T, v, f, m, out)
+        np.multiply(new, self.h, out=new)
         if v_out is not None:
-            _velocity(new, u[:m], u_prev[:m], dt, v_out[:m])
+            vel = self.scratch[:m]
+            np.subtract(new, u[:m], out=vel)
+            np.multiply(vel, 2.0 / self.dt, out=vel)
+            np.subtract(vel, v[:m], out=v_out[:m])
 
 
 def step(

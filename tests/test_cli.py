@@ -300,10 +300,13 @@ def test_refused_input_exits_2_without_a_traceback_from_the_console_entry():
 
 
 def test_cli_import_does_not_load_scipy():
-    """Neither the CLI nor the shell measure of its quadrature module loads scipy."""
+    """Neither the CLI nor the shell measure of its quadrature module loads
+    scipy, and importing the CLI loads no process pool (a parallel sweep
+    imports it when it starts one)."""
     src = Path(exwave.__file__).resolve().parents[1]
     code = (
         "import sys, exwave.cli; assert 'scipy' not in sys.modules; "
+        "assert 'concurrent.futures.process' not in sys.modules; "
         "from exwave.exponents import BoundaryCondition; "
         "from exwave.quadrature import measure_QRstar_psi; "
         "measure_QRstar_psi(4.0, 3, BoundaryCondition.dirichlet(), 16.0); "

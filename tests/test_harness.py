@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from exwave.harness import (
     write_tables,
 )
 from exwave.oracle import OdeOrder, OdeSystem, integrate_adaptive
-from exwave.solver import InitialData, SolverConfig, Verdict, run
+from exwave.solver import InitialData, SolverConfig, Verdict, run, run_ladder
 
 ROOT = Path(__file__).resolve().parents[1]
 P14 = ExponentVector.of(1.4, 1.4)
@@ -182,19 +183,44 @@ def test_sweep_blow_up_monotone_and_deterministic():
 
 def test_shipped_sweep_keeps_its_recorded_numbers():
     """configs/subcritical_d3.ini through the sweep gives the t_blow and the
-    fitted slope recorded when the ladder stepped row-major, to the last
-    bit: a change of the stepping layout or operation order shows here, not
-    only in a comparison of two paths through the same kernel."""
+    fitted slope recorded for the five-term stencil, to the last bit: a
+    change of the stepping layout or operation order shows here, not only in
+    a comparison of two paths through the same kernel.  The values recorded
+    for the operation order before it are kept to 1e-12 relative."""
     spec = sweep_spec_from_ini(ROOT / "configs" / "subcritical_d3.ini")
     result = sweep(spec)
     assert [repr(rec.t_blow) for rec in result.runs] == [
-        "41.80013943393559",
-        "53.21816396890598",
-        "68.80266834180415",
-        "90.29294204257386",
-        "120.12729968165502",
+        "41.80013943393412",
+        "53.218163968902616",
+        "68.80266834179893",
+        "90.29294204256355",
+        "120.12729968163336",
     ]
-    assert repr(result.fit.slope) == "0.7616930751602687"
+    assert repr(result.fit.slope) == "0.7616930751601696"
+    earlier = (
+        41.80013943393559, 53.21816396890598, 68.80266834180415, 90.29294204257386,
+        120.12729968165502,
+    )
+    for rec, t_blow in zip(result.runs, earlier, strict=True):
+        assert rec.t_blow == pytest.approx(t_blow, rel=1e-12, abs=0.0)
+    assert result.fit.slope == pytest.approx(0.7616930751602687, rel=1e-12, abs=0.0)
+
+
+def test_shipped_ladder_peak_memory():
+    """The tracemalloc peak of a ladder on the shipped sweep (no history)
+    stays at most 1.55 MiB: the stencil's weight tiles take the memory of
+    the buffers they replaced (1.529 MiB before them).  The second ladder is
+    measured, after the first has built the cached nodes."""
+    spec = sweep_spec_from_ini(ROOT / "configs" / "subcritical_d3.ini")
+    base = replace(spec.base, history_snapshots=0)
+    run_ladder(base, spec.epsilons)
+    tracemalloc.start()
+    try:
+        run_ladder(base, spec.epsilons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.55 * 2**20
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])

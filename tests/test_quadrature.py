@@ -123,6 +123,15 @@ def test_measure_refuses_a_nan_quadrature_result(monkeypatch):
         measure_QRstar_psi(4.0, 3, dirichlet, 100.0)
 
 
+@pytest.mark.parametrize("alpha", [-2.0, -0.3])
+def test_measure_refuses_alpha_beta_below_zero(alpha):
+    """alpha*beta < 0 is refused for its own reason, as the solver refuses
+    it: at alpha = -2 the integral is negative, and at -0.3 Psi changes sign
+    on the shell while the rule still converges."""
+    with pytest.raises(ValueError, match=r"alpha\*beta = .* < 0"):
+        measure_QRstar_psi(4.0, 3, BoundaryCondition(alpha, 1.0), 16.0)
+
+
 def test_measure_matches_adaptive_quadrature():
     """The Gauss-Legendre rule against scipy's adaptive quad of the radial
     integrand over d = 1..4, all three boundary conditions and R in 2..100."""

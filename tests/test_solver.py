@@ -402,10 +402,14 @@ def _step_loop(config):
     }
 
 
+def _seed_forcing(u, p):
+    return np.abs(np.roll(u, 1, axis=0)) ** np.array(p.p)[:, None]
+
+
 def _seed_step(state, dt, p, d, bc, grid):
     """The one-step formulas as first written, whole-array numpy expressions."""
     dr, r, u = grid.dr, grid.r, state.u
-    f = np.abs(np.roll(u, 1, axis=0)) ** np.array(p.p)[:, None]
+    f = _seed_forcing(u, p)
     L = np.zeros_like(u)
     L[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dr**2 + (
         (d - 1.0) / r[1:-1]
@@ -429,25 +433,108 @@ def _seed_step(state, dt, p, d, bc, grid):
     return apply_boundary(RadialState(t=state.t + dt, u=u_new, v=v_new, u_prev=u.copy()), bc)
 
 
-@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN, BoundaryCondition.robin(1, 1)])
-def test_step_bit_identical_to_seed_formulas(bc):
-    """The shared kernel keeps the operation order (and the contiguous pow
-    layout) of the original expressions, on both the Taylor start and the
-    leapfrog level, for p = 2 and a non-integer p.  At k = 3 the cycle's
-    direction shows: (l - 1) mod k and (l + 1) mod k differ, unlike at k = 2."""
-    grid = RadialGrid(r_max=41.0, n=2000)
+def _five_term_weights(dt, dr, r, d):
+    """(a, A, B, C, D, E) of the solver's five-term update, on the nodes r."""
+    a = 1 / dt**2 + 1 / (2 * dt)
+    A = (1 / dr**2 + (d - 1) / (2 * r * dr)) / a
+    B = (1 / dr**2 - (d - 1) / (2 * r * dr)) / a
+    C = (2 / dt**2 - 2 / dr**2) / a
+    D = (1 / (2 * dt) - 1 / dt**2) / a
+    return a, A, B, C, D, 1 / a
+
+
+def _five_term_step(state, dt, p, d, bc, grid):
+    """One step as the five-term update u+ = A u_{j+1} + B u_{j-1} + C u +
+    D u- + E f, whole-array numpy; the Taylor start is h times it with the
+    weight (dt - dt^2/2)/h on v in place of D u-, h = a dt^2/2."""
+    dr, u = grid.dr, state.u
+    f = _seed_forcing(u, p)
+    a, A, B, C, D, E = _five_term_weights(dt, dr, grid.r, d)
+    h = 0.5 * dt**2 * a
+    back, w = (state.v, (dt - 0.5 * dt**2) / h) if state.u_prev is None else (state.u_prev, D)
+    u_new = np.zeros_like(u)
+    u_new[:, 1:-1] = (
+        A[1:-1] * u[:, 2:] + B[1:-1] * u[:, :-2] + C * u[:, 1:-1]
+        + w * back[:, 1:-1] + E * f[:, 1:-1]
+    )
+    if bc.kind.value != "dirichlet":  # the ghost u_{-1} = u_1 - 2 dr (beta/alpha) u_0
+        ghost_u0 = C - 2 * dr * (bc.beta / bc.alpha) * B[0]
+        u_new[:, 0] = (A[0] + B[0]) * u[:, 1] + ghost_u0 * u[:, 0] + w * back[:, 0] + E * f[:, 0]
+    if state.u_prev is None:
+        u_new = h * u_new
+        v_new = (u_new - u) * (2 / dt) - state.v
+    else:
+        v_new = (3.0 * u_new - 4.0 * u + state.u_prev) / (2.0 * dt)
+    return apply_boundary(RadialState(t=state.t + dt, u=u_new, v=v_new, u_prev=u.copy()), bc)
+
+
+def _random_states(bc):
+    """(p, state) on n = 2000 for p = (2, 1.4) and (1.5, 2, 1.2), each as a
+    Taylor start and as a leapfrog level.  At k = 3 the cycle's direction
+    shows: (l - 1) mod k and (l + 1) mod k differ, unlike at k = 2."""
     rng = np.random.default_rng(7)
-    dt = 0.9 * grid.dr
     for p in (ExponentVector.of(2.0, 1.4), ExponentVector.of(1.5, 2.0, 1.2)):
         # magnitudes up to 1e8, so that |u|^p dominates the update's last bit
         shape = (3, p.k, 2001)
         u, v, u_prev = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 8, shape)
         for prev in (None, u_prev):
-            state = apply_boundary(RadialState(t=0.5, u=u, v=v, u_prev=prev), bc)
-            got = step(state, dt, p, 3, bc, grid)
-            want = _seed_step(state, dt, p, 3, bc, grid)
-            assert np.array_equal(got.u, want.u)
-            assert np.array_equal(got.v, want.v)
+            yield p, apply_boundary(RadialState(t=0.5, u=u, v=v, u_prev=prev), bc)
+
+
+BCS = [DIRICHLET, NEUMANN, BoundaryCondition.robin(1, 1)]
+
+
+@pytest.mark.parametrize("bc", BCS)
+def test_step_is_the_five_term_update(bc):
+    """step() keeps the operation order of the five-term update and the
+    contiguous pow layout of the first forcing, to the last bit."""
+    grid = RadialGrid(r_max=41.0, n=2000)
+    dt = 0.9 * grid.dr
+    for p, state in _random_states(bc):
+        got = step(state, dt, p, 3, bc, grid)
+        want = _five_term_step(state, dt, p, 3, bc, grid)
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.v, want.v)
+
+
+@pytest.mark.parametrize("bc", BCS)
+def test_step_bit_identical_to_seed_formulas(bc):
+    """step() against the formulas as first written, to rounding.
+
+    The five-term weights round apart from the first expressions, so the
+    displacements agree per node to 8 ulps of S, the sum of the five terms'
+    absolute values with each weight's parts taken apart: C u is counted as
+    (2/dt^2 + 2/dr^2)/a |u|, because the first expressions round 2u/dt^2 and
+    2u/dr^2 before they cancel (to 0.47/2.47 of the first at cfl 0.9).  The
+    velocities are formed from the displacements, so they agree to three
+    times that bound over dt plus 8 ulps of their own terms (also over dt).
+    """
+    grid = RadialGrid(r_max=41.0, n=2000)
+    dt, dr, d = 0.9 * grid.dr, grid.dr, 3
+    a, A, B, _, _, E = _five_term_weights(dt, dr, grid.r, d)
+    h = 0.5 * dt**2 * a
+    centre = (2 / dt**2 + 2 / dr**2) / a
+    for p, state in _random_states(bc):
+        got = step(state, dt, p, d, bc, grid)
+        want = _seed_step(state, dt, p, d, bc, grid)
+        u, f = state.u, _seed_forcing(state.u, p)
+        if state.u_prev is None:
+            back, w = state.v, (dt + 0.5 * dt**2) / h
+        else:
+            back, w = state.u_prev, (1 / (2 * dt) + 1 / dt**2) / a
+        S = centre * abs(u) + w * abs(back) + E * abs(f)
+        S[:, 1:-1] += abs(A[1:-1] * u[:, 2:]) + abs(B[1:-1] * u[:, :-2])
+        if bc.kind.value != "dirichlet":
+            ghost = 2 * dr * (bc.beta / bc.alpha) * B[0]
+            S[:, 0] += (A[0] + B[0]) * abs(u[:, 1]) + abs(ghost * u[:, 0])
+        if state.u_prev is None:
+            S = h * S
+            v_terms = 2 * abs(want.u) + 2 * abs(u) + dt * abs(state.v)
+        else:
+            v_terms = (3 * abs(want.u) + 4 * abs(u) + abs(state.u_prev)) / 2
+        u_bound = 8 * np.spacing(S)
+        assert np.all(abs(got.u - want.u) <= u_bound)
+        assert np.all(abs(got.v - want.v) <= (3 * u_bound + 8 * np.spacing(v_terms)) / dt)
 
 
 def _subcritical(eps):

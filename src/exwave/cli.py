@@ -84,8 +84,8 @@ def _bc_list(text: str) -> list[BoundaryCondition]:
 
 
 def cmd_verify_lemma(args) -> int:
-    exponents = ExponentVector(parse_floats(args.p)) if args.p else None
-    if args.lam:
+    exponents = ExponentVector(parse_floats(args.p)) if args.p is not None else None
+    if args.lam is not None:
         lams = parse_floats(args.lam)
     else:
         lams = (2.0 if exponents is None else CutoffProfile.floor_for(exponents),)
@@ -166,9 +166,12 @@ def cmd_fit(args) -> int:
     """Fit the rows with a t_blow where the law is defined, as a sweep does."""
     model = FitModel(args.model)
     with open(args.csv, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if not {"epsilon", "t_blow"} <= set(reader.fieldnames or ()):
+            raise ValueError(f"{args.csv} needs an epsilon and a t_blow column")
         pts = [
             (float(row["epsilon"]), float(row["t_blow"]))
-            for row in csv.DictReader(fh)
+            for row in reader
             if row.get("t_blow") and model.defined_at(float(row["epsilon"]))
         ]
     fit = fit_scaling(pts, model, b_theory=args.b_theory)

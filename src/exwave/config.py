@@ -44,7 +44,7 @@ rejected, so a typo such as ``cfl_`` fails the load.  Defaults come from
 the dataclasses: a key the file does not set takes the default of the field
 it fills (``[bc]`` that of ``BoundaryCondition.dirichlet()``), and a missing
 key without one (``[time] t_end``, or ``[sweep] epsilons`` of a sweep)
-raises ``MissingKeyError``, a ``ValueError`` naming the section and key.
+raises a ``ValueError`` naming the section and key.
 ``[history] snapshots`` applies to ``simulate``: a sweep stores no
 histories, so its records.json shows ``history_snapshots`` 0.
 
@@ -88,10 +88,6 @@ INI_KEYS = {
 _SWEEP_NOTE = "; every run of a sweep uses the [grid] and the [time] t_end of the file"
 
 
-class MissingKeyError(ValueError):
-    """A key that a loader reads without a default is absent."""
-
-
 def load_ini(path: str | Path, overrides: dict | None = None) -> dict[str, dict[str, str]]:
     """The file's values as written (no ``%`` interpolation),
     ``{section: {key: text}}``, with the overrides merged in.  A file that
@@ -127,7 +123,7 @@ def load_ini(path: str | Path, overrides: dict | None = None) -> dict[str, dict[
 def _required(ini: dict, section: str, key: str):
     """The value of a key the file must set, read by its reader."""
     if key not in ini.get(section, {}):
-        raise MissingKeyError(f"missing [{section}] key {key!r}")
+        raise ValueError(f"missing [{section}] key {key!r}")
     return INI_KEYS[section][key](ini[section][key])
 
 

@@ -161,8 +161,8 @@ def compute_gamma(p: ExponentVector, d: int) -> GammaReport:
         raise ValueError("singular gamma system; some exponent <= 1?") from exc
     residual = float(np.max(np.abs(A @ gamma - ones)))
     if residual > GAMMA_RESIDUAL_TOL:
-        raise ArithmeticError(
-            f"gamma solve residual {residual:.3e} exceeds {GAMMA_RESIDUAL_TOL:.0e}"
+        raise ValueError(
+            f"gamma solve for p = {p.p}: residual {residual:.3e} > {GAMMA_RESIDUAL_TOL:.0e}"
         )
     gamma_max = float(np.max(gamma))
     return GammaReport(
@@ -225,7 +225,6 @@ class LifespanBound:
 
     form: BoundForm
     exponent: float | None = None
-    log_exponent: float | None = None
     notes: str = ""
 
     def __post_init__(self):
@@ -234,6 +233,10 @@ class LifespanBound:
                 raise ValueError(f"{self.form.value} carries no exponent")
         elif self.exponent is None:
             raise ValueError(f"{self.form.value} bound requires an exponent")
+
+    @property
+    def log_exponent(self) -> float | None:
+        return self.exponent if self.form is BoundForm.POLYNOMIAL_LOG else None
 
 
 def _critical(excess: float, tol_crit: float) -> bool:
@@ -252,8 +255,9 @@ def classify_regime(
     thresholds are gamma_max = 1 (beta != 0) and gamma_max = 1/2 (beta = 0),
     with no claim at or below threshold.
     """
-    if tol_crit <= 0:
-        raise ValueError("tol_crit must be positive")
+    if not 0.0 < tol_crit < math.inf:
+        raise ValueError(f"tol_crit must be positive and finite, got {tol_crit!r}")
+    bc.require_dissipative()
     report = compute_gamma(p, d)
     gmax = report.gamma_max
     neumann = bc.kind is BoundaryKind.NEUMANN
@@ -279,7 +283,6 @@ def classify_regime(
             return LifespanBound(
                 BoundForm.POLYNOMIAL_LOG,
                 exponent=1.0 / (gmax - 1.0),
-                log_exponent=1.0 / (gmax - 1.0),
                 notes="beta!=0, d=2, subcritical",
             )
         return LifespanBound(
@@ -346,7 +349,6 @@ def single_equation_table(
             return LifespanBound(
                 BoundForm.POLYNOMIAL_LOG,
                 exponent=b,
-                log_exponent=b,
                 notes="single eq, d=2, 1<p<2",
             )
         return LifespanBound(BoundForm.NO_BLOWUP_CLAIM, notes="single eq, d=2, p>2")

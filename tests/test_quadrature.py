@@ -15,7 +15,7 @@ from exwave.quadrature import (
     theta,
 )
 from exwave.solver import SolutionHistory
-from exwave.testfn import CutoffProfile, HarmonicWeight, ScaledCutoff
+from exwave.testfn import CutoffProfile, ScaledCutoff
 
 
 def _const_history(value, k=1, r_max=4.0, t_max=4.0, nr=401, nt=161):
@@ -58,7 +58,7 @@ def test_measure_shell_against_grid_oracle():
     """Gauss-Legendre result vs a brute-force 2D grid sum (Neumann, Psi = 1)."""
     R, d = 4.0, 2
     bc = BoundaryCondition.neumann()
-    val = measure_QRstar_psi(R, d, bc, T_horizon=R**2)
+    val = measure_QRstar_psi(R, d, bc)
     t = np.linspace(0.0, R**2, 1500)
     r = np.linspace(1.0, 1.0 + R, 1500)
     T, Rr = np.meshgrid(t, r, indexing="ij")
@@ -87,28 +87,25 @@ def test_measure_growth_bands(d, bc):
         rate = lambda R: R**4 * math.log(R)
     else:
         rate = lambda R: R ** (d + 2)
-    vals = [measure_QRstar_psi(R, d, bc, T_horizon=R**2) / rate(R) for R in (4.0, 8.0)]
+    vals = [measure_QRstar_psi(R, d, bc) / rate(R) for R in (4.0, 8.0)]
     assert max(vals) / min(vals) < 2.0
 
 
 def test_measure_validations():
     with pytest.raises(ValueError):
-        measure_QRstar_psi(1.0, 2, BoundaryCondition.dirichlet(), T_horizon=100.0)
-    with pytest.raises(ValueError):
-        measure_QRstar_psi(4.0, 2, BoundaryCondition.dirichlet(), T_horizon=10.0)
+        measure_QRstar_psi(1.0, 2, BoundaryCondition.dirichlet())
 
 
 @pytest.mark.parametrize(
-    "R, T_horizon, match",
+    "R, match",
     [
-        (math.nan, 100.0, "R must be finite"),
-        (math.inf, math.inf, "R must be finite"),
-        (4.0, math.nan, "T_horizon must be at least R"),
+        (math.nan, "R must be finite"),
+        (math.inf, "R must be finite"),
     ],
 )
-def test_measure_refuses_nan_and_infinite_input(R, T_horizon, match):
+def test_measure_refuses_nan_and_infinite_input(R, match):
     with pytest.raises(ValueError, match=match):
-        measure_QRstar_psi(R, 3, BoundaryCondition.dirichlet(), T_horizon)
+        measure_QRstar_psi(R, 3, BoundaryCondition.dirichlet())
 
 
 def test_measure_refuses_a_nan_quadrature_result(monkeypatch):
@@ -117,10 +114,10 @@ def test_measure_refuses_a_nan_quadrature_result(monkeypatch):
     dirichlet = BoundaryCondition.dirichlet()
     monkeypatch.setattr(quadrature, "psi", lambda r, d, bc: np.full_like(r, math.nan))
     with pytest.raises(quadrature.QuadratureConvergenceError, match="nan"):
-        measure_QRstar_psi(4.0, 3, dirichlet, 100.0)
+        measure_QRstar_psi(4.0, 3, dirichlet)
     monkeypatch.setattr(quadrature, "psi", lambda r, d, bc: np.where(r < 3.3, 1.0, 2.0))
     with pytest.raises(quadrature.QuadratureConvergenceError, match="5.97.*5.97"):
-        measure_QRstar_psi(4.0, 3, dirichlet, 100.0)
+        measure_QRstar_psi(4.0, 3, dirichlet)
 
 
 @pytest.mark.parametrize("alpha", [-2.0, -0.3])
@@ -129,7 +126,7 @@ def test_measure_refuses_alpha_beta_below_zero(alpha):
     it: at alpha = -2 the integral is negative, and at -0.3 Psi changes sign
     on the shell while the rule still converges."""
     with pytest.raises(ValueError, match=r"alpha\*beta = .* < 0"):
-        measure_QRstar_psi(4.0, 3, BoundaryCondition(alpha, 1.0), 16.0)
+        measure_QRstar_psi(4.0, 3, BoundaryCondition(alpha, 1.0))
 
 
 def test_measure_matches_adaptive_quadrature():
@@ -153,15 +150,15 @@ def test_measure_matches_adaptive_quadrature():
     for d in (1, 2, 3, 4):
         for bc in bcs:
             for R in (2.0, 3.7, 8.0, 16.0, 32.0, 64.0, 100.0):
-                value = measure_QRstar_psi(R, d, bc, T_horizon=R**2)
+                value = measure_QRstar_psi(R, d, bc)
                 assert value == pytest.approx(reference(R, d, bc), rel=1e-10), (R, d, bc)
 
 
 def test_functional_zero_solution():
     hist = _const_history(0.0)
-    w = HarmonicWeight(3, BoundaryCondition.neumann())
+    w = (3, BoundaryCondition.neumann())
     cut = ScaledCutoff(R=1.5, profile=CutoffProfile(lam=2.0))
-    val = functional_IR(hist, cut, w, 1, 2.0)
+    val = functional_IR(hist, cut, *w, 1, 2.0)
     assert val == 0.0
 
 
@@ -169,9 +166,9 @@ def test_functional_constant_against_dense_oracle():
     R, d, lam = 2.0, 3, 2.0
     bc = BoundaryCondition.neumann()
     hist = _const_history(1.0)
-    w = HarmonicWeight(d, bc)
+    w = (d, bc)
     cut = ScaledCutoff(R=R, profile=CutoffProfile(lam=lam))
-    val = functional_IR(hist, cut, w, 1, 2.0)
+    val = functional_IR(hist, cut, *w, 1, 2.0)
     rd = np.linspace(1.0, 4.0, 4001)
     td = np.linspace(0.0, 4.0, 3201)
     dense = np.trapezoid(
@@ -185,35 +182,35 @@ def test_functional_constant_against_dense_oracle():
 
 def test_functional_star_below_plain_and_monotone_in_R():
     hist = _const_history(1.0, r_max=5.0, t_max=9.0)
-    w = HarmonicWeight(2, BoundaryCondition.dirichlet())
+    w = (2, BoundaryCondition.dirichlet())
     prof = CutoffProfile(lam=3.0)
     prev = 0.0
     for R in (1.2, 1.6, 2.0):
         cut = ScaledCutoff(R=R, profile=prof)
-        plain = functional_IR(hist, cut, w, 1, 2.0)
-        star = functional_IR(hist, cut, w, 1, 2.0, star=True)
+        plain = functional_IR(hist, cut, *w, 1, 2.0)
+        star = functional_IR(hist, cut, *w, 1, 2.0, star=True)
         assert 0.0 <= star <= plain
         assert plain >= prev  # Q_R nested and phi_R nondecreasing in R
         prev = plain
 
 
 def test_functional_coverage_errors():
-    w = HarmonicWeight(3, BoundaryCondition.neumann())
+    w = (3, BoundaryCondition.neumann())
     cut = ScaledCutoff(R=2.0, profile=CutoffProfile(lam=2.0))
     clipped_r = _const_history(1.0, r_max=2.5)
     with pytest.raises(InsufficientCoverageError):
-        functional_IR(clipped_r, cut, w, 1, 2.0)
+        functional_IR(clipped_r, cut, *w, 1, 2.0)
     clipped_t = _const_history(1.0, t_max=2.0)
     clipped_t.horizon = 10.0  # run was meant to reach t = 10 but stopped at 2
     with pytest.raises(InsufficientCoverageError):
-        functional_IR(clipped_t, cut, w, 1, 2.0)
-    functional_IR(clipped_t, cut, w, 1, 2.0, allow_truncated=True)
+        functional_IR(clipped_t, cut, *w, 1, 2.0)
+    functional_IR(clipped_t, cut, *w, 1, 2.0, allow_truncated=True)
 
 
 def test_functional_grid_self_consistency():
     """Halving both steps: difference sequence contracts at second order."""
     R, d = 2.0, 3
-    w = HarmonicWeight(d, BoundaryCondition.neumann())
+    w = (d, BoundaryCondition.neumann())
     cut = ScaledCutoff(R=R, profile=CutoffProfile(lam=2.0))
 
     def value(nr, nt):
@@ -221,7 +218,7 @@ def test_functional_grid_self_consistency():
         times = np.linspace(0.0, 4.0, nt)
         u = (np.exp(-times)[:, None] * np.exp(-((r - 2.0) ** 2)))[:, None, :]
         hist = SolutionHistory(times=times, r=r, u=u, horizon=4.0)
-        return functional_IR(hist, cut, w, 1, 2.0)
+        return functional_IR(hist, cut, *w, 1, 2.0)
 
     v1, v2, v3 = value(101, 81), value(201, 161), value(401, 321)
     err12 = abs(v1 - v2)
@@ -241,9 +238,11 @@ def _smooth_history(r_end, t_end, dr=2.0**-7, dt=2.0**-4, k=2):
 
 
 def _full_grid_functional(hist, ell, p_next, weight, cutoff, star):
-    """trapezoid(trapezoid(|u|^p phi_R w_r)) over every snapshot and node."""
+    """trapezoid(trapezoid(|u|^p phi_R w_r)) over every snapshot and node,
+    with Psi that of ``weight`` = (d, bc)."""
     r, times = hist.r, hist.times
-    w_r = weight.value(r) * sphere_area(weight.d) * r ** (weight.d - 1)
+    d, bc = weight
+    w_r = testfn.psi(r, d, bc) * sphere_area(d) * r ** (d - 1)
     cut = cutoff.phi_R(times[:, None], r[None, :], star=star)
     integrand = np.abs(hist.u[:, ell - 1, :]) ** p_next * cut * w_r[None, :]
     return np.trapezoid(np.trapezoid(integrand, r, axis=1), times)
@@ -268,10 +267,10 @@ def test_functional_on_the_support_matches_the_full_grid(R, r_end, t_end, star, 
     coarse grid the last node and snapshot inside the support carry weight,
     so dropping either end line would show."""
     hist = _smooth_history(r_end, t_end, *steps)
-    w = HarmonicWeight(3, BoundaryCondition.robin(1.0, 1.0))
+    w = (3, BoundaryCondition.robin(1.0, 1.0))
     cut = ScaledCutoff(R=R, profile=CutoffProfile(lam=3.0))
     for ell in (1, 2):
-        val = functional_IR(hist, cut, w, ell, 1.7, star=star, allow_truncated=True)
+        val = functional_IR(hist, cut, *w, ell, 1.7, star=star, allow_truncated=True)
         full = _full_grid_functional(hist, ell, 1.7, w, cut, star)
         assert val > 0.0
         assert val == pytest.approx(full, rel=1e-12, abs=0.0)
@@ -283,7 +282,7 @@ def test_functional_on_the_support_matches_the_full_grid(R, r_end, t_end, star, 
         if m < hist.times.size or n < hist.r.size:
             with np.errstate(invalid="ignore"):  # inf * 0.0
                 assert np.isnan(_full_grid_functional(hist, ell, 1.7, w, cut, star))
-        again = functional_IR(hist, cut, w, ell, 1.7, star=star, allow_truncated=True)
+        again = functional_IR(hist, cut, *w, ell, 1.7, star=star, allow_truncated=True)
         assert again == val
 
 
@@ -298,7 +297,7 @@ def test_chain_links_pair_each_component_with_its_power(R):
     Each side is also bit for bit the one built from separate functional_IR
     calls."""
     d, bc, eps = 3, BoundaryCondition.robin(1.0, 1.0), 0.1
-    w = HarmonicWeight(d, bc)
+    w = (d, bc)
     # p, C0 and, per ell: (component of I_R, its power, component of I*_R, its power)
     cases = [
         ((1.5, 2.5), [0.7, 1.3], {1: (2, 1.5, 1, 2.5), 2: (1, 2.5, 2, 1.5)}),
@@ -323,8 +322,8 @@ def test_chain_links_pair_each_component_with_its_power(R):
             rhs = theta(R, d, bc, p_next) * star ** (1.0 / p_next)
             assert link.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
             assert link.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
-            i_prev = functional_IR(hist, cut, w, prev, p_ell, allow_truncated=True)
-            i_star = functional_IR(hist, cut, w, comp, p_next, star=True, allow_truncated=True)
+            i_prev = functional_IR(hist, cut, *w, prev, p_ell, allow_truncated=True)
+            i_star = functional_IR(hist, cut, *w, comp, p_next, star=True, allow_truncated=True)
             assert link.lhs == i_prev + C0[link.ell - 1] * eps
             assert link.rhs == theta(R, d, bc, p_next) * i_star ** (1.0 / p_next)
 
@@ -348,7 +347,7 @@ def test_chain_check_reuses_the_integrals_of_an_equal_component_only(
         u[6, 1, 4] = np.nextafter(u[6, 1, 4], np.inf)
     hist = SolutionHistory(times=base.times, r=base.r, u=u, horizon=base.horizon)
     d, bc, eps, C0 = 3, BoundaryCondition.robin(1.0, 1.0), 0.1, [0.7, 1.3]
-    w = HarmonicWeight(d, bc)
+    w = (d, bc)
     R_values = [2.0, 2.1]
     calls = []
     trapezoid_ = quadrature._weighted_trapezoid
@@ -366,9 +365,9 @@ def test_chain_check_reuses_the_integrals_of_an_equal_component_only(
         cut = ScaledCutoff(R=R, profile=profile)
         # link ell: I_R of u_(ell-1) with p_ell, I*_R of u_ell with p_(ell+1)
         for link, prev, p_ell, p_next in zip(row.links, (2, 1), p, p[::-1]):
-            i_prev = functional_IR(hist, cut, w, prev, p_ell, allow_truncated=True)
+            i_prev = functional_IR(hist, cut, *w, prev, p_ell, allow_truncated=True)
             i_star = functional_IR(
-                hist, cut, w, link.ell, p_next, star=True, allow_truncated=True
+                hist, cut, *w, link.ell, p_next, star=True, allow_truncated=True
             )
             assert link.lhs == i_prev + C0[link.ell - 1] * eps
             assert link.rhs == theta(R, d, bc, p_next) * i_star ** (1.0 / p_next)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from exwave import solver
 from exwave.exponents import BoundaryCondition, ExponentVector
 from exwave.solver import (
     SENSITIVITY_THRESHOLDS,
@@ -60,6 +61,37 @@ def test_cfl_guard():
     state = RadialState(t=0.0, u=np.zeros((1, 101)), v=np.zeros((1, 101)))
     with pytest.raises(CFLViolationError):
         step(state, 1.1 * grid.dr, ExponentVector.of(2.0), 3, DIRICHLET, grid)
+
+
+@pytest.mark.parametrize("x", [1.0, 4.0])
+def test_the_robin_cfl_limit_is_sharp_in_one_dimension(x, monkeypatch):
+    """Robin's ghost row carries a boundary mode that limits dt/dr to
+    sqrt(2/(1 + sqrt(1 + x^2))), x = dr beta/alpha: 0.910 at x = 1 and 0.625
+    at x = 4, both below the interior limit 1.  Linear d = 1 runs from the
+    unit bump stay below 2 at 0.99 of it; at 1.01 of it step() refuses, and
+    with its guard lifted the run passes 1e6 within 400 steps."""
+    grid = RadialGrid(r_max=5.0, n=64)
+    bc = BoundaryCondition.robin(grid.dr / x, 1.0)
+    limit = solver._cfl_limit(grid.dr, bc)
+    assert limit == pytest.approx(math.sqrt(2.0 / (1.0 + math.sqrt(1.0 + x * x))), rel=1e-15)
+
+    def peak(dt):
+        """The largest |u| of 400 linear steps, or the first above 1e6."""
+        u0, u1 = InitialData().build(grid, 1)
+        state = apply_boundary(RadialState(t=0.0, u=u0, v=u1), bc)
+        top = 0.0
+        for _ in range(400):
+            state = step(state, dt, ExponentVector.of(2.0), 1, bc, grid, nonlinear=False)
+            top = max(top, float(np.abs(state.u).max()))
+            if top > 1e6:
+                break
+        return top
+
+    assert peak(0.99 * limit * grid.dr) < 2.0
+    with pytest.raises(CFLViolationError):
+        peak(1.01 * limit * grid.dr)
+    monkeypatch.setattr(solver, "_cfl_limit", lambda dr, bc: math.inf)
+    assert peak(1.01 * limit * grid.dr) > 1e6
 
 
 def test_zero_data_stays_zero():
@@ -364,7 +396,7 @@ def _step_loop(config):
     crossings, t_blow, nan_flag, grace_left = {}, None, False, -1
     for istep in range(1, n_steps + 1):
         prev_peak = float(np.max(peaks[-1]))
-        state = step(state, dt, config.p, config.d, bc, grid, cfl=config.cfl)
+        state = step(state, dt, config.p, config.d, bc, grid)
         if not state.is_finite():
             nan_flag = True
             if t_blow is None:

@@ -8,7 +8,6 @@ from exwave import testfn
 from exwave.exponents import BoundaryCondition, ExponentVector
 from exwave.testfn import (
     CutoffProfile,
-    HarmonicWeight,
     ScaledCutoff,
     bridge,
     bridge_derivatives,
@@ -18,6 +17,7 @@ from exwave.testfn import (
     phi_R_derivatives,
     phi_R_radial_derivative,
     psi,
+    psi_identities,
     psi_prime,
 )
 
@@ -116,9 +116,8 @@ def test_psi_values():
     assert psi(1.0, 2, BoundaryCondition.dirichlet()) == 0.0
     assert psi(2.0, 3, BoundaryCondition.dirichlet()) == pytest.approx(0.5)
     robin = BoundaryCondition.robin(1, 1)
-    w = HarmonicWeight(2, robin)
-    assert w.value(1.0) == pytest.approx(1.0)
-    assert w.boundary_identity() == pytest.approx(0.0, abs=1e-15)
+    assert psi(1.0, 2, robin) == pytest.approx(1.0)
+    assert psi_identities(1.0, 2, robin)[1] == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         psi(0.5, 2, robin)
 
@@ -134,18 +133,18 @@ def test_psi_derivatives_refuse_a_dimension_below_1():
     with pytest.raises(ValueError, match="d must be >= 1"):
         psi_prime(2.0, 0, BoundaryCondition.dirichlet())
     with pytest.raises(ValueError, match="d must be >= 1"):
-        HarmonicWeight(0, BoundaryCondition.neumann()).laplacian_residual(2.0)
+        psi_identities(2.0, 0, BoundaryCondition.neumann())
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("bc", BCS)
 def test_harmonicity_and_boundary_identity(d, bc):
-    w = HarmonicWeight(d, bc)
     r = np.linspace(1.0, 100.0, 2001)
-    assert np.max(np.abs(w.laplacian_residual(r))) <= 1e-10
-    assert abs(w.boundary_identity()) <= 1e-12
+    lap, boundary = psi_identities(r, d, bc)
+    assert np.max(np.abs(lap)) <= 1e-10
+    assert abs(boundary) <= 1e-12
     if bc.is_dissipative:
-        assert np.all(np.asarray(w.value(r)) >= -1e-15)
+        assert np.all(np.asarray(psi(r, d, bc)) >= -1e-15)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .exponents import BoundaryCondition, BoundForm, ExponentVector, classify_regime
+from .exponents import BoundaryCondition, BoundForm, ExponentVector, LifespanBound, classify_regime
 from .solver import RunRecord, SolverConfig, Verdict, run, run_ladder
 from .testfn import (
     DEFAULT_RHS_R_POWERS,
@@ -77,13 +77,8 @@ class SweepSpec:
 class SweepResult:
     spec: SweepSpec
     runs: tuple[RunRecord, ...]
-    theory_bound: dict
+    theory_bound: LifespanBound
     fit: FitResult | None = None
-
-
-def _theory_bound(p: ExponentVector, d: int, bc: BoundaryCondition) -> dict:
-    bound = classify_regime(p, d, bc)
-    return {"form": bound.form.value, "exponent": bound.exponent}
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
@@ -108,13 +103,13 @@ def sweep(spec: SweepSpec) -> SweepResult:
             runs = tuple(pool.map(run, configs))
     else:
         runs = run_ladder(base, spec.epsilons)
-    theory = _theory_bound(base.p, base.d, base.bc)
+    theory = classify_regime(base.p, base.d, base.bc)
     result = SweepResult(spec=spec, runs=runs, theory_bound=theory)
-    model = FORM_MODELS.get(theory["form"])
+    model = FORM_MODELS.get(theory.form)
     if model is not None:
         pts = [(e, T) for e, T in censor_points(result) if model.defined_at(e)]
         if len(pts) >= _MIN_FIT_POINTS:
-            result.fit = fit_scaling(pts, model, b_theory=theory["exponent"])
+            result.fit = fit_scaling(pts, model, b_theory=theory.exponent)
     return result
 
 
@@ -407,12 +402,12 @@ def _loglog_lines(records: Sequence[dict]) -> list[str]:
     ]
     if pts:
         cfg = records[0]["config"]
-        theory = _theory_bound(
+        theory = classify_regime(
             ExponentVector(tuple(cfg["p"])),
             cfg["d"],
             BoundaryCondition(cfg["alpha"], cfg["beta"]),
         )
-        model = FORM_MODELS.get(theory["form"])
+        model = FORM_MODELS.get(theory.form)
         anchor = next((pt for pt in pts if model is not None and model.defined_at(pt[0])), None)
         for e, T in pts:
             x = math.log10(1.0 / e)
@@ -420,7 +415,7 @@ def _loglog_lines(records: Sequence[dict]) -> list[str]:
             ytheory = math.nan
             if anchor is not None and model.defined_at(e):
                 shift = (model.abscissa(e) - model.abscissa(anchor[0])) / math.log(10.0)
-                ytheory = math.log10(anchor[1]) + theory["exponent"] * shift
+                ytheory = math.log10(anchor[1]) + theory.exponent * shift
             lines.append(f"{x:.10g} {y:.10g} {ytheory:.10g}")
     return lines
 
@@ -441,10 +436,11 @@ def report(result: SweepResult, outdir: str | Path) -> list[Path]:
     csv_path, plot_path = write_tables(records, outdir)
 
     base = result.spec.base
+    theory = result.theory_bound
     manifest = {
         "config_hash": config_hash(base),
         "epsilons": list(result.spec.epsilons),
-        "theory_bound": result.theory_bound,
+        "theory_bound": {"exponent": theory.exponent, "form": theory.form.value},
         "fit": None if result.fit is None else result.fit.to_dict(),
         "versions": {
             "exwave": __version__,

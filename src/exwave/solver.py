@@ -552,7 +552,6 @@ class RunRecord:
     """Full provenance of one simulation."""
 
     config: SolverConfig
-    t_blow: float | None
     t_final: float
     peak_times: np.ndarray
     peaks: np.ndarray                      # (steps+1, k)
@@ -561,6 +560,11 @@ class RunRecord:
     data_positivity: float = 0.0
     history: SolutionHistory | None = None
     wall_s: float = 0.0  # from the ladder's start to the step this run left it
+
+    @property
+    def t_blow(self) -> float | None:
+        """The crossing time of ``config.blowup_threshold``, None if none."""
+        return self.threshold_crossings.get(self.config.blowup_threshold)
 
     @property
     def verdict(self) -> Verdict:
@@ -614,9 +618,6 @@ class _Rung:
     levels: int = 0
     t_final: float = 0.0
     wall_s: float = 0.0
-
-    def leave(self, levels: int, t: float, wall_s: float) -> None:
-        self.levels, self.t_final, self.wall_s = levels, t, wall_s
 
 
 def _keep_columns(a: np.ndarray, sel: np.ndarray, m: int) -> np.ndarray:
@@ -686,17 +687,20 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
     stepped = ExponentVector.of(base.p.p[0]) if base.p.all_equal else base.p
     ks = stepped.k
     n = grid.n
+    dt = base.dt
+    n_steps = max(1, math.ceil(base.T_end / dt))
+    stride = max(1, n_steps // base.history_snapshots) if base.history_snapshots > 0 else 0
     # (u0, u1) of every epsilon as blocks of ks columns; zero on both pinned nodes
     width = len(configs) * ks
     u_cur, v = np.empty((n + 1, width)), np.empty((n + 1, width))
-    positivity = []
+    rungs = []
     for i, c in enumerate(configs):
         u0, u1 = c.data.build(grid, ks)
         u_cur[:, i * ks : (i + 1) * ks], v[:, i * ks : (i + 1) * ks] = u0.T, u1.T
-        positivity.append(weighted_data_integral(grid.r, u0[0], u1[0], base.d, bc))
-    for c, pos in zip(configs, positivity):
+        pos = weighted_data_integral(grid.r, u0[0], u1[0], base.d, bc)
         if c.data.epsilon > 0 and not pos > 0.0:
             raise DataPositivityError(f"int (u0 + u1) Psi dx = {pos:.3e} must be positive")
+        rungs.append(_Rung(c, i * ks, pos, [(0.0, u0)] if stride else None))
     if not base.domain_of_dependence_ok():
         warnings.warn(
             "r_max < 1 + support + T_end: the outer wall can influence the "
@@ -704,20 +708,10 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
             # run and run_ladder both call this directly: name their caller
             stacklevel=3,
         )
-    dt = base.dt
-    n_steps = max(1, math.ceil(base.T_end / dt))
-    stride = max(1, n_steps // base.history_snapshots) if base.history_snapshots > 0 else 0
     live = np.flatnonzero(np.any(u_cur != 0.0, axis=1) | np.any(v != 0.0, axis=1))
     front = (int(live[-1]) if live.size else 0) + 2  # m = front + step
     # below this peak, (3u+ - 4u + u-)/(2 dt) cannot overflow
     v_guard = sys.float_info.max / 16.0 * min(1.0, 2.0 * dt)
-
-    rungs = [
-        _Rung(
-            c, i * ks, pos, [(0.0, u_cur[:, i * ks : (i + 1) * ks].T.copy())] if stride else None
-        )
-        for i, (c, pos) in enumerate(zip(configs, positivity))
-    ]
     batch = list(rungs)
     kernel = _Kernel(dt, stepped, base.d, bc, grid, copies=len(batch))
     u_prev, u_new = None, np.zeros_like(u_cur)
@@ -771,7 +765,8 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
                 if not finite:
                     rung.nan_flag = True
                     rung.crossings.setdefault(base.blowup_threshold, t)
-                    rung.leave(istep, t, time.perf_counter() - t_start)
+                    rung.levels, rung.t_final = istep, t
+                    rung.wall_s = time.perf_counter() - t_start
                     left.append(slot)
                     continue
                 before = base.blowup_threshold in rung.crossings
@@ -786,7 +781,8 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
                 if rung.deadline is not None and (
                     thresholds[-1] in rung.crossings or istep == rung.deadline
                 ):
-                    rung.leave(istep + 1, t, time.perf_counter() - t_start)
+                    rung.levels, rung.t_final = istep + 1, t
+                    rung.wall_s = time.perf_counter() - t_start
                     left.append(slot)
             keep = [slot for slot in range(len(batch)) if slot not in left]
             batch = [batch[slot] for slot in keep]
@@ -810,7 +806,7 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
     del u_prev, u_cur, u_new, v, absu, kernel  # free the step buffers before the records
     wall_s = time.perf_counter() - t_start
     for rung in batch:  # the runs that reached the horizon
-        rung.leave(n_steps + 1, t, wall_s)
+        rung.levels, rung.t_final, rung.wall_s = n_steps + 1, t, wall_s
 
     return tuple(_ladder_record(rung, k, ks, times, peaks, grid) for rung in rungs)
 
@@ -829,7 +825,6 @@ def _ladder_record(rung: _Rung, k: int, ks: int, times, peaks, grid) -> RunRecor
         )
     return RunRecord(
         config=config,
-        t_blow=rung.crossings.get(config.blowup_threshold),
         t_final=rung.t_final,
         peak_times=times[: rung.levels].copy(),
         peaks=np.repeat(peaks[: rung.levels, rung.col : rung.col + ks], k // ks, axis=1),

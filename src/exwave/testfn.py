@@ -136,8 +136,13 @@ class CutoffProfile:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 < self.lam < math.inf:
-            raise ValueError(f"lambda must be positive and finite, got {self.lam!r}")
+        # with c = lam + 2, 16 c (c - 1) is the chain rule's largest coefficient
+        c = self.lam + 2.0
+        if not (self.lam > 0.0 and math.isfinite(16.0 * c * (c - 1.0))):
+            raise ValueError(
+                f"lambda must be positive and finite, with 16 (lambda + 2)(lambda + 1) "
+                f"finite, got {self.lam!r}"
+            )
 
     @staticmethod
     def floor_for(p: ExponentVector) -> float:
@@ -186,6 +191,21 @@ def _radial(r, d: int) -> np.ndarray:
     return r
 
 
+def _psi_parts(r, d: int, bc: BoundaryCondition):
+    """(r, Psi(r), Psi'(r), Psi''(r)) with r as an array, from the one case
+    split on (beta = 0, d)."""
+    r = _radial(r, d)
+    if bc.beta == 0.0:
+        return r, np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
+    q = bc.alpha / bc.beta
+    if d == 1:
+        return r, r - 1.0 + q, np.ones_like(r), np.zeros_like(r)
+    if d == 2:
+        return r, np.log(r) + q, 1.0 / r, -1.0 / r**2
+    m = d - 2.0
+    return r, 1.0 - r ** (2.0 - d) + q * m, m * r ** (1.0 - d), m * (1.0 - d) * r ** (-d)
+
+
 def psi(r, d: int, bc: BoundaryCondition):
     """Harmonic weight Psi on r >= 1.
 
@@ -195,43 +215,20 @@ def psi(r, d: int, bc: BoundaryCondition):
     beta == 0:  Psi = 1 for every d.
     Nonnegative on r >= 1 whenever alpha*beta >= 0.
     """
-    r = _radial(r, d)
-    if bc.beta == 0.0:
-        out = np.ones_like(r)
-    else:
-        q = bc.alpha / bc.beta
-        if d == 1:
-            out = r - 1.0 + q
-        elif d == 2:
-            out = np.log(r) + q
-        else:
-            out = 1.0 - r ** (2.0 - d) + q * (d - 2.0)
-    return _plain(out)
-
-
-def _psi_derivatives(r, d: int, bc: BoundaryCondition):
-    """(r, Psi'(r), Psi''(r)) with r as an array, from one case split."""
-    r = _radial(r, d)
-    if bc.beta == 0.0:
-        return r, np.zeros_like(r), np.zeros_like(r)
-    if d == 1:
-        return r, np.ones_like(r), np.zeros_like(r)
-    if d == 2:
-        return r, 1.0 / r, -1.0 / r**2
-    return r, (d - 2.0) * r ** (1.0 - d), (d - 2.0) * (1.0 - d) * r ** (-d)
+    return _plain(_psi_parts(r, d, bc)[1])
 
 
 def psi_prime(r, d: int, bc: BoundaryCondition):
     """Radial derivative Psi'(r); positive for beta != 0, zero for Neumann."""
-    return _plain(_psi_derivatives(r, d, bc)[1])
+    return _plain(_psi_parts(r, d, bc)[2])
 
 
 def psi_identities(r, d: int, bc: BoundaryCondition):
     """(Psi'' + (d-1)/r Psi' at r, alpha (-Psi'(1)) + beta Psi(1)): both
     vanish by construction (harmonicity and the boundary condition)."""
-    r, dpsi, ddpsi = _psi_derivatives(r, d, bc)
-    boundary = bc.alpha * (-psi_prime(1.0, d, bc)) + bc.beta * psi(1.0, d, bc)
-    return _plain(ddpsi + ((d - 1.0) / r) * dpsi), boundary
+    r, _, dpsi, ddpsi = _psi_parts(r, d, bc)
+    _, psi1, dpsi1, _ = map(float, _psi_parts(1.0, d, bc))
+    return _plain(ddpsi + ((d - 1.0) / r) * dpsi), bc.alpha * (-dpsi1) + bc.beta * psi1
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +434,8 @@ def sup_ratio_rows(
     if not all(2.0 <= R < sys.float_info.max**0.25 for R in R_list):
         raise ValueError(f"every R must be finite and >= 2, with R^4 finite, got {R_list}")
     lam_list = [CutoffProfile(lam).lam for lam in lam_list]
+    if any(d < 1 for d in d_list):
+        raise ValueError("d must be >= 1")
     if min(grid) < 2:
         raise ValueError(f"the sample grid needs at least 2 points per axis, got {grid}")
     nt, nr = grid

@@ -258,6 +258,9 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         "verify-lemma --R 1e300 --grid 8",
         "verify-lemma --lam= --grid 8",
         "verify-lemma --p= --grid 8",
+        "verify-lemma --dim 0 --bc neumann --grid 8 --R 4,8",
+        "verify-lemma --dim -3 --bc neumann --grid 8 --R 4,8",
+        "verify-lemma --lam 1e300",
     ],
 )
 def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, argv):

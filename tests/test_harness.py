@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from exwave.config import sweep_spec_from_ini
-from exwave.exponents import BoundaryCondition, ExponentVector, classify_regime
+from exwave.exponents import (
+    BoundaryCondition,
+    BoundForm,
+    ExponentVector,
+    LifespanBound,
+    classify_regime,
+)
 from exwave.harness import (
     FORM_MODELS,
     FitModel,
@@ -191,7 +197,7 @@ def test_sweep_blow_up_monotone_and_deterministic():
     assert ts1 == ts2
     assert all(rec.verdict is Verdict.BLEW_UP for rec in r1.runs)
     assert ts1 == sorted(ts1)
-    assert r1.theory_bound["exponent"] == pytest.approx(1.0)
+    assert r1.theory_bound.exponent == pytest.approx(1.0)
 
 
 def test_shipped_sweep_keeps_its_recorded_numbers():
@@ -278,8 +284,10 @@ def test_report_files_and_determinism(tmp_path):
         epsilons=(0.8, 0.57, 0.4, 0.28),
     )
     result = sweep(spec)
+    base = spec.base
+    assert result.theory_bound == classify_regime(base.p, base.d, base.bc)
     fit = result.fit
-    b_theory = result.theory_bound["exponent"]
+    b_theory = result.theory_bound.exponent
     assert fit == fit_scaling(censor_points(result), FitModel.POWER, b_theory=b_theory)
     out1 = report(result, tmp_path / "a")
     out2 = report(result, tmp_path / "b")
@@ -307,6 +315,17 @@ def test_report_files_and_determinism(tmp_path):
     th = [float(r[2]) for r in data_rows]
     slope = (th[-1] - th[0]) / (xs[-1] - xs[0])
     assert slope == pytest.approx(1.0, abs=1e-6)  # file stores 10 significant digits
+    # the manifest writes each shipped config's stored bound as it always has
+    for name, written in [
+        ("subcritical_d3", '{"exponent": 0.9999999999999996, "form": "polynomial"}'),
+        ("critical_d2_neumann", '{"exponent": 1.0, "form": "exponential"}'),
+    ]:
+        shipped = sweep_spec_from_ini(ROOT / "configs" / f"{name}.ini")
+        b = shipped.base
+        bound = classify_regime(b.p, b.d, b.bc)
+        report(SweepResult(spec=shipped, runs=(), theory_bound=bound), tmp_path / name)
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert json.dumps(manifest["theory_bound"], sort_keys=True) == written
 
 
 @pytest.mark.parametrize("model, d", [(FitModel.POWER, 3), (FitModel.POWER_LOG, 2)])
@@ -315,7 +334,7 @@ def test_theory_line_and_fit_share_the_abscissa(tmp_path, model, d):
     column retraces log10(t_blow) wherever the law is defined, and the fit
     returns b."""
     form = classify_regime(P14, d, DIRICHLET)
-    assert FORM_MODELS[form.form.value] is model
+    assert FORM_MODELS[form.form] is model
     b = form.exponent
     eps = (1.2, 1.0, 0.8, 0.5, 0.3, 0.2, 0.125)
     T = [float(np.exp(b * model.abscissa(e))) if model.defined_at(e) else 5.0 for e in eps]
@@ -360,13 +379,13 @@ def test_theory_line_is_drawn_only_for_fitted_forms(tmp_path, p, d, alpha, beta)
 
 def test_report_empty_runs(tmp_path):
     spec = SweepSpec(base=_base_config(n=400), epsilons=(0.5,))
-    theory = {"form": "polynomial", "exponent": 1.0}
+    theory = LifespanBound(BoundForm.POLYNOMIAL, 1.0)
     empty = SweepResult(spec=spec, runs=(), theory_bound=theory)
     paths = report(empty, tmp_path)
     rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert rows == ["epsilon,t_blow,horizon,verdict"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["theory_bound"] == theory
+    assert manifest["theory_bound"] == {"form": "polynomial", "exponent": 1.0}
     assert manifest["timings_s"] == []
 
 

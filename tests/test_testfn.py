@@ -278,12 +278,22 @@ def test_sup_ratio_rejects_small_R():
         cutoff_estimate_sup_ratios(1.0, 2.0, 3, BoundaryCondition.dirichlet())
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf"), 3.4e153])
 def test_lambda_must_be_positive_and_finite(lam):
+    """3.4e153 is the first of these where 16 (lam + 2)(lam + 1), a
+    coefficient of the chain rule, overflows."""
     with pytest.raises(ValueError, match="lambda must be positive and finite"):
         CutoffProfile(lam)
     with pytest.raises(ValueError, match="lambda must be positive and finite"):
         testfn.sup_ratio_rows([4.0], [2.0, lam], [3], BCS[:1], (8, 8), (-2.0, -4.0, -2.0, -2.0))
+
+
+def test_largest_lambda_below_the_overflow_gives_finite_bands():
+    """Just below the refused 3.4e153 the batch forms every ratio."""
+    (row,) = testfn.sup_ratio_rows(
+        [4.0, 8.0], [3.3e153], [3], BCS[:1], (16, 16), (-2.0, -4.0, -2.0, -2.0)
+    )
+    assert np.all(np.isfinite(row.bands()))
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, float("nan"), float("inf")])

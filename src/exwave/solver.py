@@ -20,13 +20,16 @@ sign-definite real data.
 moves the support of compactly supported data out by exactly one node per
 step (speed 1/cfl in r, ahead of the unit physical cone), so after step s
 every field is zero beyond node j_data + s, where j_data is the last nonzero
-node of the data.  Each step therefore updates only nodes
-j < min(n + 1, j_data + s + 2); every skipped node has all-zero inputs, and
-since |0|^p = 0 it would compute to exactly +0.0, so the result is
-bit-identical to a full-grid step.  For the same reason the strongly imposed
-nodes (r = 1 under Dirichlet, and the outer edge) stay +0.0 without a pin.
-The three time levels and |u| of the newest level live in buffers allocated
-once per ladder, and only the displacement is stored in the history.
+node of the data.  Step s therefore needs only the nodes
+j < min(n + 1, j_data + s + 2).  The prefix of nodes stepped grows by
+``_CHUNK`` nodes at a time, so that the views of the arrays on it are formed
+once per chunk: the nodes it holds past the front, like every skipped node,
+have all-zero inputs, and since |0|^p = 0 they compute to exactly +0.0, so
+the result is bit-identical to a full-grid step.  For the same reason the
+strongly imposed nodes (r = 1 under Dirichlet, and the outer edge) stay +0.0
+without a pin.  The three time levels and |u| of the newest level live in
+buffers allocated once per ladder, and only the displacement is stored in
+the history.
 ``step`` is the allocating full-grid reference that the bit-identity gates
 compare against: it forms its own forcing (optionally linear, plus an
 optional external source for the manufactured-solution tests), pins the
@@ -39,15 +42,14 @@ horizon, so ``run_ladder`` steps them in lockstep as column blocks of one
 array, and ``run`` is its one-epsilon case.  The ladder's arrays are
 node-major, shape (n+1, columns): a step's light-cone prefix ``a[:m]`` is
 then one contiguous block, as is every stencil shift of it, and each ufunc
-runs as one flat loop instead of one short loop per row.  ``step`` and
-``_laplacian`` keep the public (k, n+1) layout and pass transposed views
-through the same kernel.  With unequal exponents a block holds the k
+runs as one flat loop instead of one short loop per row.  ``step`` keeps the
+public (k, n+1) layout and passes transposed views through the same kernel.  With unequal exponents a block holds the k
 components and the cyclic gather stays inside it; with equal exponents a
 block is one column.  ``InitialData`` gives every component the same data,
 and with p_1 = ... = p_k each component is forced by a copy of itself
 through the same power, so the k components would stay bit-for-bit copies
 of one solution of u_tt - Lu + u_t = |u|^p: the record repeats that column
-as k identical columns of the peaks and the history.  This relies on
+as k identical columns of the history.  This relies on
 ``_forcing`` taking the same array pow for any number of columns (see its
 docstring).  A run that blows up (after its grace steps), goes non-finite or
 reaches the horizon leaves the batch, and the remaining columns close up
@@ -58,7 +60,11 @@ Blow-up is detected by the max norm crossing a large threshold; the crossing
 time inside the last step is where the log-linear interpolant of the peak
 norm reaches the threshold, in closed form.  First crossings of the
 ``SENSITIVITY_THRESHOLDS`` are recorded in the same run, giving a free
-threshold-sensitivity estimate.
+threshold-sensitivity estimate.  A ladder keeps no trace of the peaks: each
+step takes one flat max of |u| over the whole batch, and a run's own peaks
+(of the new level and the two before it) are formed only on the rare steps
+where that max or a due snapshot or grace end calls for the per-run
+bookkeeping.  max and abs are exact, so every crossing keeps its bits.
 """
 
 from __future__ import annotations
@@ -69,8 +75,8 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -263,14 +269,14 @@ def _forcing(
     powers: np.ndarray,
     out: np.ndarray | None,
 ) -> np.ndarray:
-    """|u_{l-1}|^(p_l) on the first m nodes, from ``absu`` = |u| on those
-    nodes (node-major, (m, columns)), returned.
+    """|u_{l-1}|^(p_l) on m nodes, from ``absu`` = |u| on those nodes
+    (node-major, (m, columns)), returned.
 
     ``sources`` is ``ExponentVector.sources``, gathered inside each block of
-    k columns into ``out[:m]``, or None for one column per block (equal
-    exponents), which powers ``absu`` in place with no gather.  ``powers`` holds
-    the exponents on every node, of which the first m rows are used.  The
-    power must run on contiguous arrays: numpy's vectorized pow and its
+    k columns into ``out``, or None for one column per block (equal
+    exponents), which powers ``absu`` in place with no gather.  ``powers``
+    holds the exponents and ``out`` the gather, both on the same m nodes.
+    The power must run on contiguous arrays: numpy's vectorized pow and its
     strided fallback can differ in the last bit (seen at p = 2).  The
     exponents are stored on every node so that every column count, including
     one, takes the same array pow: an exponent broadcast with stride 0 takes
@@ -278,15 +284,14 @@ def _forcing(
     bit from the array pow, and ``run_ladder`` relies on one column giving
     the bits of each column of k.
     """
-    m, width = absu.shape
     if sources is None:
-        return np.power(absu, powers[:m], out=absu)
+        return np.power(absu, powers, out=absu)
+    m, width = absu.shape
     k = len(sources)
-    f = out[:m]
-    blocks, src = f.reshape(m, width // k, k), absu.reshape(m, width // k, k)
+    blocks, src = out.reshape(m, width // k, k), absu.reshape(m, width // k, k)
     for l, s in enumerate(sources):
         blocks[..., l] = src[..., s]
-    return np.power(f, powers[:m], out=f)
+    return np.power(out, powers, out=out)
 
 
 def _velocity(
@@ -297,6 +302,18 @@ def _velocity(
     out -= 4.0 * u
     out += u_prev
     out /= 2.0 * dt
+
+
+class _Prefix(NamedTuple):
+    """A node-major array ``a`` and its views on the first m nodes that the
+    stencil reads: ``head`` = a[:m], ``mid`` = a[1:hi] (the interior nodes
+    written), ``up`` = a[2:hi+1] and ``down`` = a[:hi-1], hi = min(m, n)."""
+
+    a: np.ndarray
+    head: np.ndarray
+    mid: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
 
 
 class _Kernel:
@@ -313,9 +330,14 @@ class _Kernel:
 
     Holds the ``powers``, the A and B tiles, a ``scratch`` array and, for
     k > 1, the ``forcing`` buffer of the gather, for ``copies`` blocks of k
-    columns, node-major, so a ladder allocates them once.  ``run_ladder``
-    passes ``_forcing`` of its current level; ``step`` forms its own forcing
-    and advances through the same kernel.
+    columns, node-major, so a ladder allocates them once.  ``prefix`` forms
+    the views of these and of the caller's arrays on the m nodes stepped;
+    ``run_ladder`` grows m in chunks of ``_CHUNK`` nodes, so it forms them
+    once per chunk rather than once per step.  The strongly imposed nodes
+    (r = 1 under Dirichlet, and the outer edge) are never written, so
+    ``out`` must hold +0.0 there, as every level of a ladder does.  ``step``
+    forms its own forcing and advances through the same kernel, one per
+    (dt, p, d, bc, grid).
     """
 
     def __init__(
@@ -339,7 +361,8 @@ class _Kernel:
 
     def keep_blocks(self, copies: int) -> None:
         """Step only the first ``copies`` blocks from now on: lay the arrays
-        out at that width over the front of their own memory."""
+        out at that width over the front of their own memory.  ``prefix``
+        must be called again before the next step."""
         width = copies * self.k
         n = self.n
         self.powers, self.A, self.B, self.scratch, *forcing = (
@@ -351,55 +374,77 @@ class _Kernel:
         self.A[...] = self.r[:, None]
         _weights(self.dr, self.d, self.a, self.A, self.B)
 
+    def prefix(self, m: int, *arrays: np.ndarray | None) -> list[_Prefix | None]:
+        """Step nodes [0, m) from now on: form the kernel's own views on
+        them, and return those of the node-major ``arrays`` (None stays
+        None)."""
+        hi = min(m, self.n)
+        self.A_mid, self.B_mid, self.w = self.A[1:hi], self.B[1:hi], self.scratch[1:hi]
+        self.powers_m = self.powers[:m]
+        self.gather = None if self.forcing is None else self._views(self.forcing, m, hi)
+        return [None if a is None else self._views(a, m, hi) for a in arrays]
+
+    @staticmethod
+    def _views(a: np.ndarray, m: int, hi: int) -> _Prefix:
+        return _Prefix(a, a[:m], a[1:hi], a[2 : hi + 1], a[: hi - 1])
+
+    def force(self, absu: _Prefix) -> _Prefix:
+        """The forcing on the prefix from ``absu`` = |u| there (``_forcing``),
+        which it may overwrite."""
+        gather = None if self.gather is None else self.gather.head
+        _forcing(absu.head, self.sources, self.powers_m, gather)
+        return absu if self.gather is None else self.gather
+
     def _stencil(
-        self, u: np.ndarray, weight: float, back: np.ndarray, f: np.ndarray, m: int,
-        out: np.ndarray,
+        self, u: _Prefix, weight: float, back: _Prefix, f: _Prefix, out: _Prefix
     ) -> None:
         """Write A_j u_{j+1} + B_j u_{j-1} + C u_j + ``weight`` back_j + E f_j,
-        summed left to right, at nodes [0, m) into ``out``: zero at the
-        pinned nodes, and at every node the bits of the whole grid's."""
-        hi = min(m, self.n)
-        inner, w = out[1:hi], self.scratch[1:hi]
-        np.multiply(self.A[1:hi], u[2 : hi + 1], out=inner)
-        np.multiply(self.B[1:hi], u[: hi - 1], out=w)
+        summed left to right, at the prefix's nodes but the pinned ones
+        into ``out``: at every node the bits of the whole grid's."""
+        inner, w = out.mid, self.w
+        np.multiply(self.A_mid, u.up, out=inner)
+        np.multiply(self.B_mid, u.down, out=w)
         np.add(inner, w, out=inner)
-        for c, x in ((self.C, u), (weight, back), (self.E, f)):
-            np.multiply(c, x[1:hi], out=w)
+        for c, x in ((self.C, u.mid), (weight, back.mid), (self.E, f.mid)):
+            np.multiply(c, x, out=w)
             np.add(inner, w, out=inner)
-        if self.ghost is None:
-            out[0] = 0.0
-        else:
+        if self.ghost is not None:
             up, centre = self.ghost
-            out[0] = up * u[1] + centre * u[0] + weight * back[0] + self.E * f[0]
-        if m > self.n:
-            out[self.n] = 0.0
+            out.a[0] = up * u.a[1] + centre * u.a[0] + weight * back.a[0] + self.E * f.a[0]
 
     def advance(
-        self, u: np.ndarray, u_prev: np.ndarray | None, v: np.ndarray, f: np.ndarray, m: int,
-        out: np.ndarray, v_out: np.ndarray | None = None,
+        self, u: _Prefix, u_prev: _Prefix | None, v: _Prefix | None, f: _Prefix, out: _Prefix,
+        v_out: _Prefix | None = None,
     ) -> None:
-        """Write the next level at nodes [0, m) into ``out``, and its velocity
-        into ``v_out`` when given; ``f`` is the forcing on nodes [0, m).
-        Every array is node-major.
+        """Write the next level on the prefix into ``out``, and its velocity
+        into ``v_out`` when given; ``f`` is the forcing there.
 
         Without ``u_prev`` (the initial level) this is the Taylor start, whose
-        velocity is v+ = 2 (u+ - u)/dt - v; otherwise the leapfrog.  ``out``
-        must not share memory with ``u``, ``u_prev`` or ``f``; ``v_out`` may
-        be ``v``.
+        velocity is v+ = 2 (u+ - u)/dt - v; otherwise the leapfrog, which
+        reads no ``v``.  ``out`` must not share memory with ``u``, ``u_prev``
+        or ``f``; ``v_out`` may be ``v``.
         """
-        new = out[:m]
         if u_prev is not None:
-            self._stencil(u, self.D, u_prev, f, m, out)
+            self._stencil(u, self.D, u_prev, f, out)
             if v_out is not None:
-                _velocity(new, u[:m], u_prev[:m], self.dt, v_out[:m])
+                _velocity(out.head, u.head, u_prev.head, self.dt, v_out.head)
             return
-        self._stencil(u, self.T, v, f, m, out)
+        self._stencil(u, self.T, v, f, out)
+        new = out.head
         np.multiply(new, self.h, out=new)
         if v_out is not None:
-            vel = self.scratch[:m]
-            np.subtract(new, u[:m], out=vel)
+            vel = self.scratch[: len(new)]
+            np.subtract(new, u.head, out=vel)
             np.multiply(vel, 2.0 / self.dt, out=vel)
-            np.subtract(vel, v[:m], out=v_out[:m])
+            np.subtract(vel, v.head, out=v_out.head)
+
+
+@lru_cache(maxsize=8)
+def _step_kernel(
+    dt: float, p: ExponentVector, d: int, bc: BoundaryCondition, grid: RadialGrid
+) -> _Kernel:
+    """The kernel ``step`` advances through, built once per (dt, p, d, bc, grid)."""
+    return _Kernel(dt, p, d, bc, grid)
 
 
 def step(
@@ -419,7 +464,9 @@ def step(
     (the initial level) is started with the second-order Taylor step
     u1 = u0 + dt v0 + dt^2/2 (L u0 + f - v0); subsequent levels use the
     three-level leapfrog with semi-implicit damping.  The same dt must be used
-    along a trajectory, and dt/dr must not exceed ``_cfl_limit``.
+    along a trajectory, and dt/dr must not exceed ``_cfl_limit``.  Calls
+    with the same (dt, p, d, bc, grid) share one kernel and so its scratch
+    buffers: two threads must not step such calls at once.
     """
     limit = _cfl_limit(grid.dr, bc)
     if dt > limit * grid.dr * (1.0 + 1e-12):
@@ -428,17 +475,18 @@ def step(
         )
     if not state.is_finite():
         raise FloatingPointError("non-finite state; blow-up should have been flagged")
-    kernel = _Kernel(dt, p, d, bc, grid)
+    kernel = _step_kernel(dt, p, d, bc, grid)
     if nonlinear:
         f = _forcing(np.abs(state.u).T, kernel.sources, kernel.powers, kernel.forcing)
     else:
         f = np.zeros(state.u.shape).T
     if source is not None:
         f = f + source(state.t).T
-    u_new = np.empty_like(state.u)
+    u_new = np.zeros_like(state.u)  # +0.0 on the pinned nodes, which advance skips
     v_new = np.empty_like(state.u)
     u_prev = None if state.u_prev is None else state.u_prev.T
-    kernel.advance(state.u.T, u_prev, state.v.T, f, grid.n + 1, u_new.T, v_new.T)
+    views = kernel.prefix(grid.n + 1, state.u.T, u_prev, state.v.T, f, u_new.T, v_new.T)
+    kernel.advance(*views)
     new = RadialState(t=state.t + dt, u=u_new, v=v_new, u_prev=state.u.copy())
     return apply_boundary(new, bc)
 
@@ -553,8 +601,6 @@ class RunRecord:
 
     config: SolverConfig
     t_final: float
-    peak_times: np.ndarray
-    peaks: np.ndarray                      # (steps+1, k)
     threshold_crossings: dict[float, float]
     nan_encountered: bool = False
     data_positivity: float = 0.0
@@ -602,6 +648,8 @@ def run(config: SolverConfig) -> RunRecord:
 # steps a run keeps going after its blow-up crossing, to record the highest
 # sensitivity threshold
 _GRACE_STEPS = 200
+# nodes by which run_ladder's light-cone prefix grows at a time
+_CHUNK = 32
 
 
 @dataclass
@@ -609,13 +657,11 @@ class _Rung:
     """One epsilon's bookkeeping while its block is in a ladder's batch."""
 
     config: SolverConfig
-    col: int  # its first column in the ladder's peaks
     positivity: float
     history: list | None  # (t, u) snapshots, None when the ladder stores none
     crossings: dict[float, float] = field(default_factory=dict)
     nan_flag: bool = False
     deadline: int | None = None  # its last grace step
-    levels: int = 0
     t_final: float = 0.0
     wall_s: float = 0.0
 
@@ -630,16 +676,9 @@ def _keep_columns(a: np.ndarray, sel: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _column_max(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """The column maxima of the node-major ``a``, reduced along the rows of a
-    transposed copy in ``scratch``'s memory: numpy's max over axis 0 of a
-    few columns runs one short loop per node and is many times slower.  max
-    is exact, so the bits are those of either reduction."""
-    rows = a.T  # contiguous already for one column
-    if a.shape[1] > 1:
-        rows = scratch.reshape(-1)[: a.size].reshape(rows.shape)
-        np.copyto(rows, a.T)
-    return rows.max(axis=1)
+def _peak(level: np.ndarray, block: slice) -> float:
+    """The max norm of the columns ``block`` of a level's prefix."""
+    return float(np.abs(level[:, block]).max())
 
 
 def _next_event(batch: list[_Rung], istep: int, stride: int, n_steps: int) -> int:
@@ -661,17 +700,19 @@ def run_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunRecord
     condition).  After the main threshold crossing, a run continues for
     ``_GRACE_STEPS`` steps to record the highest sensitivity threshold.
 
-    Steps each epsilon as a block of columns (see the module docstring) on the
-    nodes inside the numerical light cone and rotates three preallocated
-    time levels; every run is bit-identical to a loop of ``step`` calls.
-    |u| of the new level is formed once per step: its column maxima are the
-    peaks and it is the next step's forcing base.  The per-rung Python
-    bookkeeping runs only on the steps where the batch's peak passes the
-    lowest uncrossed threshold or the velocity guard, or a snapshot or a
-    grace end is due.  The velocity is formed only on the Taylor start and
-    near overflow, where it decides the non-finite verdict just as a full
-    finiteness scan would.  A record's ``wall_s`` is the time from this
-    call to the step at which its run left the batch.
+    Steps each epsilon as a block of columns (see the module docstring) on a
+    prefix of nodes that covers the numerical light cone, grown in chunks of
+    ``_CHUNK`` nodes, and rotates three preallocated time levels; every run
+    is bit-identical to a loop of ``step`` calls.  |u| of the new level is
+    formed once per step: one flat max of it is the batch's peak, and it is
+    the next step's forcing base.  The per-rung Python bookkeeping runs only
+    on the steps where the batch's peak passes the lowest uncrossed threshold
+    or the velocity guard, or a snapshot or a grace end is due; only there
+    are a run's own peaks formed, of the new level from |u| and of the two
+    before it from those levels.  The velocity is formed only on the Taylor
+    start and near overflow, where it decides the non-finite verdict just as
+    a full finiteness scan would.  A record's ``wall_s`` is the time from
+    this call to the step at which its run left the batch.
     """
     return _step_ladder(base, epsilons)
 
@@ -700,7 +741,7 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
         pos = weighted_data_integral(grid.r, u0[0], u1[0], base.d, bc)
         if c.data.epsilon > 0 and not pos > 0.0:
             raise DataPositivityError(f"int (u0 + u1) Psi dx = {pos:.3e} must be positive")
-        rungs.append(_Rung(c, i * ks, pos, [(0.0, u0)] if stride else None))
+        rungs.append(_Rung(c, pos, [(0.0, u0)] if stride else None))
     if not base.domain_of_dependence_ok():
         warnings.warn(
             "r_max < 1 + support + T_end: the outer wall can influence the "
@@ -709,39 +750,37 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
             stacklevel=3,
         )
     live = np.flatnonzero(np.any(u_cur != 0.0, axis=1) | np.any(v != 0.0, axis=1))
-    front = (int(live[-1]) if live.size else 0) + 2  # m = front + step
+    front = (int(live[-1]) if live.size else 0) + 2  # step s needs m >= front + s
     # below this peak, (3u+ - 4u + u-)/(2 dt) cannot overflow
     v_guard = sys.float_info.max / 16.0 * min(1.0, 2.0 * dt)
     batch = list(rungs)
     kernel = _Kernel(dt, stepped, base.d, bc, grid, copies=len(batch))
-    u_prev, u_new = None, np.zeros_like(u_cur)
-    # |u| of the newest level, zero beyond the front; _forcing may power it in place
-    absu = np.abs(u_cur)
-    cols = np.arange(width)  # the peaks columns of the batch's columns
-
-    times = np.empty(n_steps + 1)
-    peaks = np.empty((n_steps + 1, width))
-    times[0] = 0.0
-    peaks[0] = absu.max(axis=0)
+    m = min(n + 1, front + _CHUNK)
+    # the time levels, |u| of the newest one (zero beyond the prefix; _forcing
+    # may power it in place) and the data's velocity, which only the Taylor
+    # start reads
+    u_prev, u_cur, u_new, absu, v = kernel.prefix(
+        m, None, u_cur, np.zeros_like(u_cur), np.abs(u_cur), v
+    )
+    prev_top = older_top = float(absu.a.max())
 
     thresholds = sorted(set(SENSITIVITY_THRESHOLDS) | {base.blowup_threshold})
     watch = min(thresholds[0], v_guard)
     next_event = _next_event(batch, 0, stride, n_steps)
     t = 0.0
-    prev_top = older_top = float(peaks[0].max())
 
     for istep in range(1, n_steps + 1):
-        m = min(n + 1, front + istep)
+        if m <= n and front + istep > m:  # the next chunk of the prefix
+            m = min(n + 1, m + _CHUNK)
+            u_prev, u_cur, u_new, absu, v = kernel.prefix(
+                m, *(None if x is None else x.a for x in (u_prev, u_cur, u_new, absu, v))
+            )
         starting = u_prev is None
-        f = _forcing(absu[:m], kernel.sources, kernel.powers, kernel.forcing)
         # the Taylor start writes the velocity over the data's, which only it reads
-        kernel.advance(u_cur, u_prev, v, f, m, u_new, v)
+        kernel.advance(u_cur, u_prev, v, kernel.force(absu), u_new, v)
         t = t + dt
-        times[istep] = t
-        np.abs(u_new[:m], out=absu[:m])
-        pk = _column_max(absu[:m], kernel.scratch)  # the scratch is free again
-        peaks[istep, cols] = pk
-        top = float(pk.max())
+        np.abs(u_new.head, out=absu.head)
+        top = float(absu.head.max())
         left = []
         if (
             starting
@@ -751,21 +790,24 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
             due = stride and (istep % stride == 0 or istep == n_steps)  # snapshot step
             for slot, rung in enumerate(batch):
                 block = slice(slot * ks, (slot + 1) * ks)
-                own = slice(rung.col, rung.col + ks)
-                peak_now = float(peaks[istep, own].max())
-                prev_peak = float(peaks[istep - 1, own].max())
-                older_peak = float(peaks[max(istep - 2, 0), own].max())
+                peak_now = float(absu.head[:, block].max())
+                prev_peak = _peak(u_cur.head, block)
                 finite = math.isfinite(peak_now)
-                if finite and (starting or max(peak_now, prev_peak, older_peak) > v_guard):
+                if finite and (
+                    starting or max(peak_now, prev_peak, _peak(u_prev.head, block)) > v_guard
+                ):
                     # no pin needed: at the pinned nodes every input is 0, so v is 0
-                    vel = v[:m, block] if starting else np.empty((m, ks))
+                    vel = v.head[:, block] if starting else np.empty((m, ks))
                     if not starting:
-                        _velocity(u_new[:m, block], u_cur[:m, block], u_prev[:m, block], dt, vel)
+                        _velocity(
+                            u_new.head[:, block], u_cur.head[:, block],
+                            u_prev.head[:, block], dt, vel,
+                        )
                     finite = bool(np.all(np.isfinite(vel)))
                 if not finite:
                     rung.nan_flag = True
                     rung.crossings.setdefault(base.blowup_threshold, t)
-                    rung.levels, rung.t_final = istep, t
+                    rung.t_final = t
                     rung.wall_s = time.perf_counter() - t_start
                     left.append(slot)
                     continue
@@ -775,13 +817,13 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
                         rung.crossings[M] = _crossing_time(t - dt, prev_peak, t, peak_now, M)
                 crossed = not before and base.blowup_threshold in rung.crossings
                 if stride and not before and (due or crossed):  # last one at crossing
-                    rung.history.append((t, u_new[:, block].T.copy()))
+                    rung.history.append((t, u_new.a[:, block].T.copy()))
                 if crossed:
                     rung.deadline = istep + _GRACE_STEPS
                 if rung.deadline is not None and (
                     thresholds[-1] in rung.crossings or istep == rung.deadline
                 ):
-                    rung.levels, rung.t_final = istep + 1, t
+                    rung.t_final = t
                     rung.wall_s = time.perf_counter() - t_start
                     left.append(slot)
             keep = [slot for slot in range(len(batch)) if slot not in left]
@@ -793,26 +835,26 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
             break
         if starting:  # nothing reads the data's velocity again: recycle it
             u_prev, v = v, None
-        # rotate the time levels; the recycled buffer is zero beyond the front
+        # rotate the time levels; the recycled buffer is zero beyond the prefix
         u_prev, u_cur, u_new = u_cur, u_new, u_prev
         older_top, prev_top = prev_top, top
         if left:  # close up the remaining blocks in place, bits unchanged
             sel = (ks * np.array(keep)[:, None] + np.arange(ks)).ravel()
-            u_prev, u_cur, u_new, absu = (
-                _keep_columns(a, sel, m) for a in (u_prev, u_cur, u_new, absu)
-            )
-            cols = cols[sel]
             kernel.keep_blocks(len(batch))
-    del u_prev, u_cur, u_new, v, absu, kernel  # free the step buffers before the records
+            u_prev, u_cur, u_new, absu = kernel.prefix(
+                m, *(_keep_columns(x.a, sel, m) for x in (u_prev, u_cur, u_new, absu))
+            )
+    del u_prev, u_cur, u_new, absu, v, kernel  # free the step buffers before the records
     wall_s = time.perf_counter() - t_start
     for rung in batch:  # the runs that reached the horizon
-        rung.levels, rung.t_final, rung.wall_s = n_steps + 1, t, wall_s
+        rung.t_final, rung.wall_s = t, wall_s
 
-    return tuple(_ladder_record(rung, k, ks, times, peaks, grid) for rung in rungs)
+    return tuple(_ladder_record(rung, k // ks, grid) for rung in rungs)
 
 
-def _ladder_record(rung: _Rung, k: int, ks: int, times, peaks, grid) -> RunRecord:
-    """A rung's record; its stepped columns are repeated into the k columns."""
+def _ladder_record(rung: _Rung, copies: int, grid: RadialGrid) -> RunRecord:
+    """A rung's record; each stepped column of its history is repeated into
+    ``copies`` columns."""
     config = rung.config
     history = None
     if rung.history is not None:
@@ -820,14 +862,12 @@ def _ladder_record(rung: _Rung, k: int, ks: int, times, peaks, grid) -> RunRecor
         history = SolutionHistory(
             times=np.array(hist_t),
             r=grid.r,
-            u=np.repeat(np.array(hist_u), k // ks, axis=1),
+            u=np.repeat(np.array(hist_u), copies, axis=1),
             horizon=config.T_end,
         )
     return RunRecord(
         config=config,
         t_final=rung.t_final,
-        peak_times=times[: rung.levels].copy(),
-        peaks=np.repeat(peaks[: rung.levels, rung.col : rung.col + ks], k // ks, axis=1),
         threshold_crossings=rung.crossings,
         nan_encountered=rung.nan_flag,
         data_positivity=rung.positivity,

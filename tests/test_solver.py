@@ -101,7 +101,9 @@ def test_zero_data_stays_zero():
     )
     rec = run(cfg)
     assert rec.verdict is Verdict.SURVIVED
-    assert np.all(rec.peaks == 0.0)
+    assert rec.threshold_crossings == {} and not rec.nan_encountered
+    assert rec.history.times[-1] == rec.t_final
+    assert np.all(rec.history.u == 0.0) and not np.any(np.signbit(rec.history.u))
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN, BoundaryCondition.robin(1, 1)])
@@ -233,12 +235,18 @@ def test_domain_of_dependence():
         n = int(n_per_unit * (r_max - 1.0))
         cfg = SolverConfig(
             p=P14, d=3, bc=DIRICHLET, grid=RadialGrid(r_max=r_max, n=n),
-            T_end=T, data=data, history_snapshots=0, cfl=0.5,
+            T_end=T, data=data, history_snapshots=64, cfl=0.5,
         )
         recs.append(run(cfg))
-    # same dt (dr equal by construction): interior nodes agree to round-off
-    k = min(len(recs[0].peaks), len(recs[1].peaks))
-    assert np.max(np.abs(recs[0].peaks[:k] - recs[1].peaks[:k])) <= 1e-10
+    # same dt (dr equal by construction): on the common r-range the fields
+    # agree to round-off at every snapshot
+    small, large = (rec.history for rec in recs)
+    common = small.r.size
+    assert np.array_equal(small.times, large.times)
+    assert np.allclose(small.r, large.r[:common], rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(small.u - large.u[..., :common])) <= 1e-10
+    assert recs[0].threshold_crossings == recs[1].threshold_crossings == {}
+    assert recs[0].t_final == recs[1].t_final
 
 
 def test_domain_warning_names_the_caller():
@@ -363,11 +371,14 @@ def test_crossing_time_matches_bisection():
 def test_determinism():
     cfg = SolverConfig.with_auto_domain(
         p=P14, d=3, bc=DIRICHLET, n=600, T_end=20.0,
-        data=InitialData(epsilon=0.6), history_snapshots=0,
+        data=InitialData(epsilon=0.6), history_snapshots=64,
     )
     a, b = run(cfg), run(cfg)
-    assert a.t_blow == b.t_blow
-    assert np.array_equal(a.peaks, b.peaks)
+    assert a.t_blow is not None and a.t_blow == b.t_blow
+    assert a.threshold_crossings == b.threshold_crossings
+    assert a.t_final == b.t_final
+    assert np.array_equal(a.history.times, b.history.times)
+    assert np.array_equal(a.history.u, b.history.u)
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +387,17 @@ def test_determinism():
 
 
 def _step_loop(config):
-    """run()'s bookkeeping around full-grid step() calls on fresh states."""
+    """run()'s bookkeeping around full-grid step() calls on fresh states.
+
+    Besides what a record holds, it returns the step at which each threshold
+    was crossed and the step at which the run ended."""
     grid, bc = config.grid, config.bc
     u0, u1 = config.data.build(grid, config.p.k)
     state = apply_boundary(RadialState(t=0.0, u=u0, v=u1), bc)
     dt = config.dt
     n_steps = max(1, math.ceil(config.T_end / dt))
     stride = max(1, n_steps // config.history_snapshots) if config.history_snapshots else 0
-    times, peaks = [0.0], [state.peak()]
+    peak = float(np.max(state.peak()))
     hist_t, hist_u = [], []
 
     def snapshot(s):
@@ -394,22 +408,22 @@ def _step_loop(config):
         snapshot(state)
     thresholds = sorted(set(SENSITIVITY_THRESHOLDS) | {config.blowup_threshold})
     crossings, t_blow, nan_flag, grace_left = {}, None, False, -1
+    crossing_steps = {}
     for istep in range(1, n_steps + 1):
-        prev_peak = float(np.max(peaks[-1]))
+        prev_peak = peak
         state = step(state, dt, config.p, config.d, bc, grid)
         if not state.is_finite():
             nan_flag = True
             if t_blow is None:
                 t_blow = state.t
                 crossings.setdefault(config.blowup_threshold, state.t)
+                crossing_steps.setdefault(config.blowup_threshold, istep)
             break
-        pk = state.peak()
-        peak_now = float(np.max(pk))
-        times.append(state.t)
-        peaks.append(pk)
+        peak = float(np.max(state.peak()))
         for M in thresholds:
-            if M not in crossings and peak_now > M:
-                crossings[M] = _crossing_time(state.t - dt, prev_peak, state.t, peak_now, M)
+            if M not in crossings and peak > M:
+                crossings[M] = _crossing_time(state.t - dt, prev_peak, state.t, peak, M)
+                crossing_steps[M] = istep
         if t_blow is None and config.blowup_threshold in crossings:
             t_blow = crossings[config.blowup_threshold]
             if stride:
@@ -425,12 +439,12 @@ def _step_loop(config):
         "verdict": Verdict.SURVIVED if t_blow is None else Verdict.BLEW_UP,
         "t_blow": t_blow,
         "t_final": state.t,
-        "peak_times": np.array(times),
-        "peaks": np.array(peaks),
         "threshold_crossings": crossings,
         "nan_encountered": nan_flag,
         "history_t": np.array(hist_t) if stride else None,
         "history_u": np.array(hist_u) if stride else None,
+        "crossing_steps": crossing_steps,
+        "last_step": istep,
     }
 
 
@@ -591,19 +605,19 @@ GATE_CASES = {
     # layout-dependent last bit of numpy's pow
     "neumann-p2": lambda: SolverConfig.with_auto_domain(
         p=ExponentVector.of(2.0, 2.0), d=2, bc=NEUMANN, n=4000, T_end=60.0,
-        data=InitialData(epsilon=0.75), history_snapshots=0,
+        data=InitialData(epsilon=0.75), history_snapshots=64,
     ),
     "robin": lambda: _robin(),
     "survived-horizon": lambda: replace(_robin(), T_end=5.0),
     # a threshold no finite peak crosses: the run ends on the overflow
-    "overflow": lambda: _robin(blowup_threshold=1e308, history_snapshots=0),
+    "overflow": lambda: _robin(blowup_threshold=1e308),
     # coarse grid, near-linear growth: the state passes through peaks of
     # 1e306..1e308, where the velocity overflows a step before the
-    # displacement does
+    # displacement does; a snapshot every step
     "velocity-overflow": lambda: SolverConfig(
         p=ExponentVector.of(1.001), d=3, bc=DIRICHLET, grid=RadialGrid(r_max=41.0, n=24),
         T_end=24.0, data=InitialData(center=10.0, width=6.0, epsilon=1e300),
-        blowup_threshold=math.inf, history_snapshots=0,
+        blowup_threshold=math.inf, history_snapshots=16,
     ),
     # run steps one row and copies it into three columns, history included
     "equal-k3": lambda: SolverConfig.with_auto_domain(
@@ -614,6 +628,12 @@ GATE_CASES = {
     "unequal-k3": lambda: SolverConfig.with_auto_domain(
         p=ExponentVector.of(1.5, 2.0, 1.2), d=3, bc=DIRICHLET, n=600, T_end=40.0,
         data=InitialData(epsilon=0.5), history_snapshots=64,
+    ),
+    # coarse grid at cfl 0.5: the light-cone prefix reaches the outer edge at
+    # a third of the horizon
+    "edge": lambda: SolverConfig.with_auto_domain(
+        p=ExponentVector.of(1.5, 2.0), d=3, bc=DIRICHLET, n=400, T_end=30.0,
+        data=InitialData(epsilon=2.0), history_snapshots=32, cfl=0.5,
     ),
 }
 
@@ -631,19 +651,16 @@ def _reference(config):
 
 
 def _assert_matches_step_loop(rec, ref):
+    """The record is its step loop's, every crossing and snapshot to the
+    last bit; every gate run stores a history."""
     assert rec.verdict is ref["verdict"]
     assert rec.t_blow == ref["t_blow"]
     assert rec.t_final == ref["t_final"]
     assert rec.nan_encountered == ref["nan_encountered"]
     assert rec.threshold_crossings == ref["threshold_crossings"]
-    assert np.array_equal(rec.peak_times, ref["peak_times"])
-    assert np.array_equal(rec.peaks, ref["peaks"])
-    hist = rec.history
-    if ref["history_u"] is None:
-        assert hist is None
-    else:
-        assert np.array_equal(hist.times, ref["history_t"])
-        assert np.array_equal(hist.u, ref["history_u"])
+    assert ref["history_u"] is not None
+    assert np.array_equal(rec.history.times, ref["history_t"])
+    assert np.array_equal(rec.history.u, ref["history_u"])
 
 
 @pytest.mark.parametrize("case", list(GATE_CASES))
@@ -680,20 +697,57 @@ LADDERS = {
     "overflow": ("overflow", (0.5, 0.4)),
     # two blocks of three rows: the cyclic gather stays inside each block
     "unequal-k3": ("unequal-k3", (0.5, 0.35)),
+    # the first block leaves in the middle of a prefix chunk, the second
+    # crosses 1e6 on the first step of a chunk, the third survives on the
+    # full grid (see test_ladder_rows_bit_identical_to_step_loop)
+    "edge": ("edge", (2.0, 1.23, 0.5)),
 }
 
 
+def _run_ladder_logging_the_prefix(monkeypatch, config, epsilons):
+    """``run_ladder`` with each new prefix width m it steps on logged as
+    (the first step on it, m), and the number of steps it took."""
+    growth, steps = [], [0]
+    prefix, advance = _Kernel.prefix, _Kernel.advance
+
+    def logged_prefix(kernel, m, *arrays):
+        if not growth or growth[-1][1] != m:
+            growth.append((steps[0] + 1, m))
+        return prefix(kernel, m, *arrays)
+
+    def counted_advance(kernel, *args):
+        steps[0] += 1
+        return advance(kernel, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Kernel, "prefix", logged_prefix)
+        patch.setattr(_Kernel, "advance", counted_advance)
+        recs = run_ladder(config, epsilons)
+    return recs, growth, steps[0]
+
+
 @pytest.mark.parametrize("ladder", list(LADDERS))
-def test_ladder_rows_bit_identical_to_step_loop(ladder):
+def test_ladder_rows_bit_identical_to_step_loop(ladder, monkeypatch):
     case, epsilons = LADDERS[ladder]
     with np.errstate(over="ignore", invalid="ignore"):
-        recs = run_ladder(GATE_CASES[case](), epsilons)
+        recs, growth, steps = _run_ladder_logging_the_prefix(
+            monkeypatch, GATE_CASES[case](), epsilons
+        )
     configs = [_at(case, e) for e in epsilons]
     assert [rec.config for rec in recs] == configs
-    for rec, config in zip(recs, configs):
-        _assert_matches_step_loop(rec, _reference(config))
+    refs = [_reference(config) for config in configs]
+    for rec, ref in zip(recs, refs):
+        _assert_matches_step_loop(rec, ref)
     if ladder == "robin-survived":
         assert [rec.verdict for rec in recs] == [Verdict.BLEW_UP] + [Verdict.SURVIVED] * 2
+    if ladder == "edge":
+        chunk_starts = [s for s, _ in growth[1:]]
+        edge = next(s for s, m in growth if m == configs[0].grid.n + 1)
+        assert len(chunk_starts) > 2 and steps > edge
+        first, second, third = refs
+        assert first["last_step"] < edge and first["last_step"] not in chunk_starts
+        assert set(second["crossing_steps"].values()) & set(chunk_starts)
+        assert third["verdict"] is Verdict.SURVIVED
 
 
 @pytest.mark.parametrize(
@@ -729,13 +783,22 @@ def test_one_row_forcing_matches_each_row_of_two():
 @pytest.mark.parametrize("case", ["subcritical-0.8", "robin", "survived-horizon"])
 def test_snapshots_never_perturb_the_trajectory(case):
     """Storing a history only copies levels out: sweeps rely on this when
-    they run with history_snapshots = 0."""
+    they run with history_snapshots = 0.  A run whose snapshot stride is
+    twice as long stores a subset of the same levels, to the last bit."""
     cfg = replace(GATE_CASES[case](), history_snapshots=256)
+    n_steps = math.ceil(cfg.T_end / cfg.dt)
+    stride = max(1, n_steps // 256)
+    count = next(c for c in range(256, 0, -1) if n_steps // c == 2 * stride)
     with_history = run(cfg)
+    fewer = run(replace(cfg, history_snapshots=count))
     without = run(replace(cfg, history_snapshots=0))
     assert with_history.history is not None and without.history is None
-    assert with_history.t_blow == without.t_blow
-    assert with_history.t_final == without.t_final
-    assert np.array_equal(with_history.peaks, without.peaks)
-    assert np.array_equal(with_history.peak_times, without.peak_times)
-    assert with_history.threshold_crossings == without.threshold_crossings
+    for rec in (fewer, without):
+        assert rec.t_blow == with_history.t_blow
+        assert rec.t_final == with_history.t_final
+        assert rec.nan_encountered == with_history.nan_encountered
+        assert rec.threshold_crossings == with_history.threshold_crossings
+    many, few = with_history.history, fewer.history
+    shared, at_many, at_few = np.intersect1d(many.times, few.times, return_indices=True)
+    assert np.array_equal(shared, few.times) and many.times.size > few.times.size > 2
+    assert np.array_equal(many.u[at_many], few.u[at_few])

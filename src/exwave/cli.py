@@ -114,7 +114,6 @@ _FLAG_KEYS = {
     "beta": ("bc", "beta"),
     "eps": ("data", "epsilon"),
     "eps_list": ("sweep", "epsilons"),
-    "threads": ("sweep", "workers"),
 }
 
 
@@ -240,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("config")
     add_overrides(sp)
     sp.add_argument("--eps-list", default=None)
-    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("fit", help="scaling-law fit of a sweep.csv")

@@ -13,7 +13,6 @@ Plain INI text with nested sections, e.g.::
     [grid]
     n = 4000
     r_max = auto      ; or a number
-    margin = 1.0      ; used by auto only
 
     [time]
     t_end = 120.0
@@ -32,7 +31,6 @@ Plain INI text with nested sections, e.g.::
 
     [sweep]
     epsilons = 0.8, 0.566, 0.4, 0.283, 0.2
-    workers = 1
 
 Overrides are ``{(section, key): value}``; ``load_ini`` writes each value
 that is not None, as text, over the file's (adding a section the file
@@ -48,11 +46,11 @@ raises a ``ValueError`` naming the section and key.
 ``[history] snapshots`` applies to ``simulate``: a sweep stores no
 histories, so its records.json shows ``history_snapshots`` 0.
 
-Grid rule: ``r_max = auto`` sizes the domain from unit-speed propagation,
-``r_max = 1 + (center + width - 1) + t_end + margin``
-(``SolverConfig.with_auto_domain``); a number is used as given and
-``margin`` is ignored.  A sweep runs every epsilon on this grid and horizon,
-so the margin or explicit ``r_max`` of the file holds for every run.
+Grid rule: ``r_max = auto`` sizes the domain from unit-speed propagation
+plus a margin of 1, ``r_max = 1 + (center + width - 1) + t_end + 1``
+(``SolverConfig.with_auto_domain``); a number is used as given.  A sweep
+steps every epsilon in one ladder on this grid and horizon, so the file's
+``r_max`` holds for every run.
 """
 
 from __future__ import annotations
@@ -76,16 +74,16 @@ def parse_floats(text: str) -> tuple[float, ...]:
 INI_KEYS = {
     "system": {"p": parse_floats, "dim": int},
     "bc": {"alpha": float, "beta": float},
-    "grid": {"n": int, "r_max": str, "margin": float},
+    "grid": {"n": int, "r_max": str},
     "time": {"t_end": float, "cfl": float},
     "data": {"center": float, "width": float, "epsilon": float},
     "thresholds": {"blowup": float},
     "history": {"snapshots": int},
-    "sweep": {"epsilons": parse_floats, "workers": int},
+    "sweep": {"epsilons": parse_floats},
 }
 
-# stale sweep keys once set a per-run grid or horizon
-_SWEEP_NOTE = "; every run of a sweep uses the [grid] and the [time] t_end of the file"
+# the hint for any other [sweep] key: a sweep takes only its epsilons
+_SWEEP_NOTE = "; a sweep steps every epsilon in one ladder on the file's [grid] and [time] t_end"
 
 
 def load_ini(path: str | Path, overrides: dict | None = None) -> dict[str, dict[str, str]]:
@@ -156,7 +154,7 @@ def _solver_config(ini: dict) -> SolverConfig:
     n = _required(ini, "grid", "n")
     r_max = _given(ini, "grid", "r_max").get("r_max", "auto")
     if r_max.lower() == "auto":
-        return SolverConfig.with_auto_domain(n=n, **_given(ini, "grid", "margin"), **fields)
+        return SolverConfig.with_auto_domain(n=n, **fields)
     return SolverConfig(grid=RadialGrid(r_max=float(r_max), n=n), **fields)
 
 
@@ -165,8 +163,4 @@ def sweep_spec_from_ini(path: str | Path, overrides: dict | None = None) -> Swee
 
     Every run of the sweep uses the file's grid and ``[time] t_end``."""
     ini = load_ini(path, overrides)
-    return SweepSpec(
-        base=_solver_config(ini),
-        epsilons=_required(ini, "sweep", "epsilons"),
-        **_given(ini, "sweep", "workers"),
-    )
+    return SweepSpec(base=_solver_config(ini), epsilons=_required(ini, "sweep", "epsilons"))

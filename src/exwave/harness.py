@@ -3,8 +3,7 @@ reporting.
 
 A sweep runs one simulation per epsilon, each on the base config's grid and
 horizon with only epsilon changed, so dr, dt and T_end are shared by the whole
-ladder: serially it steps them in lockstep (``solver.run_ladder``), with
-``workers > 1`` it maps ``solver.run`` over a process pool.  The
+ladder, which ``solver.run_ladder`` steps in lockstep.  The
 ``[history] snapshots`` setting applies to ``simulate``: a sweep stores no
 histories, so its records.json shows ``history_snapshots`` 0.  Measured
 blow-up times are fitted against the predicted lifespan shapes
@@ -38,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .exponents import BoundaryCondition, BoundForm, ExponentVector, LifespanBound, classify_regime
-from .solver import RunRecord, SolverConfig, Verdict, run, run_ladder
+from .solver import RunRecord, SolverConfig, Verdict, run_ladder
 from .testfn import (
     DEFAULT_RHS_R_POWERS,
     DEFAULT_SUP_RATIO_GRID,
@@ -56,7 +55,6 @@ class SweepSpec:
 
     base: SolverConfig
     epsilons: tuple[float, ...]
-    workers: int = 1
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
@@ -69,8 +67,6 @@ class SweepSpec:
             raise ValueError("epsilons must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilons must be strictly decreasing")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -88,21 +84,13 @@ def sweep(spec: SweepSpec) -> SweepResult:
 
     No run stores a history: nothing in a sweep reads one, and snapshots
     never feed back into the step, so the blow-up times are those of the
-    base config at each epsilon.  A run's timing is its record's ``wall_s``,
-    measured in the process that steps it: in the lockstep ladder, the time
-    from the ladder's start to the step at which the run left it.  The fit
-    is ``None`` when the form has no law or fewer than 4 points are left to
-    fit."""
+    base config at each epsilon.  All runs step in one lockstep ladder
+    (``solver.run_ladder``); a run's timing is its record's ``wall_s``, the
+    time from the ladder's start to the step at which the run left it.  The
+    fit is ``None`` when the form has no law or fewer than 4 points are left
+    to fit."""
     base = replace(spec.base, history_snapshots=0)
-    if spec.workers > 1 and len(spec.epsilons) > 1:
-        # imported here: it is ~17 ms of importing the CLI
-        from concurrent.futures import ProcessPoolExecutor
-
-        configs = [replace(base, data=replace(base.data, epsilon=e)) for e in spec.epsilons]
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            runs = tuple(pool.map(run, configs))
-    else:
-        runs = run_ladder(base, spec.epsilons)
+    runs = run_ladder(base, spec.epsilons)
     theory = classify_regime(base.p, base.d, base.bc)
     result = SweepResult(spec=spec, runs=runs, theory_bound=theory)
     model = FORM_MODELS.get(theory.form)

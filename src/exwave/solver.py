@@ -584,11 +584,10 @@ class SolverConfig:
         n: int,
         T_end: float,
         data: InitialData,
-        margin: float = 1.0,
         **kwargs,
     ) -> "SolverConfig":
-        """Size r_max from the domain-of-dependence rule plus ``margin``."""
-        r_max = _dependence_radius(data, T_end) + margin
+        """Size r_max from the domain-of-dependence rule plus a margin of 1."""
+        r_max = _dependence_radius(data, T_end) + 1.0
         return cls(
             p=p, d=d, bc=bc, grid=RadialGrid(r_max=r_max, n=n), T_end=T_end,
             data=data, **kwargs,

@@ -30,7 +30,6 @@ beta = 1.0
 [grid]
 n = 400
 r_max = auto
-margin = 1.0
 
 [time]
 t_end = 30.0
@@ -49,7 +48,6 @@ snapshots = 0
 
 [sweep]
 epsilons = 0.8, 0.6
-workers = 1
 """
 
 
@@ -72,12 +70,13 @@ def test_config_loading(config_file):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("horizon", "bound-aware"), ("t_fixed", "500.0"), ("factor", "4.0")],
-    ids=["horizon", "t_fixed", "factor"],
+    "key, value",
+    [("horizon", "bound-aware"), ("t_fixed", "500.0"), ("factor", "4.0"), ("workers", "2")],
+    ids=["horizon", "t_fixed", "factor", "workers"],
 )
 def test_stale_sweep_key_is_rejected(tmp_path, key, value):
     path = tmp_path / "stale.ini"
-    path.write_text(CONFIG_TEXT.replace("workers = 1", f"workers = 1\n{key} = {value}"))
+    path.write_text(CONFIG_TEXT.replace("[sweep]", f"[sweep]\n{key} = {value}"))
     with pytest.raises(ValueError, match=rf"'{key}'.*\[time\] t_end"):
         sweep_spec_from_ini(path)
 
@@ -88,9 +87,10 @@ def test_stale_sweep_key_is_rejected(tmp_path, key, value):
     [
         ("cfl = 0.9", "cfl_ = 0.9", "time", "cfl_"),
         ("n = 400", "n = 400\nnn = 800", "grid", "nn"),
+        ("r_max = auto", "r_max = auto\nmargin = 1.0", "grid", "margin"),
         ("[thresholds]", "[threshold]", "threshold", None),
     ],
-    ids=["time-typo", "grid-typo", "unknown-section"],
+    ids=["time-typo", "grid-typo", "grid-margin", "unknown-section"],
 )
 def test_unknown_ini_key_or_section_is_rejected(tmp_path, loader, old, new, section, key):
     path = tmp_path / "typo.ini"
@@ -115,21 +115,22 @@ def test_config_overrides(config_file):
     )
     assert cfg.d == 2 and cfg.bc.kind.value == "neumann"
     assert cfg.data.epsilon == 0.3
-    spec = sweep_spec_from_ini(
-        config_file, {("sweep", "epsilons"): "0.5, 0.25", ("sweep", "workers"): 2}
-    )
-    assert spec.epsilons == (0.5, 0.25) and spec.workers == 2
+    spec = sweep_spec_from_ini(config_file, {("sweep", "epsilons"): "0.5, 0.25"})
+    assert spec.epsilons == (0.5, 0.25)
 
 
 @pytest.mark.parametrize(
     "overrides, message",
     [
         ({("system", "dim"): 0}, "d must be >= 1"),
-        ({("sweep", "workers"): 0}, "workers must be >= 1"),
+        ({("sweep", "workers"): 0}, r"unknown \[sweep\] key 'workers'"),
+        ({("grid", "margin"): 0}, r"unknown \[grid\] key 'margin'"),
     ],
-    ids=["dim", "threads"],
+    ids=["dim", "workers", "margin"],
 )
 def test_zero_override_is_validated_not_ignored(config_file, overrides, message):
+    """A 0 override is checked as the file's own value would be; a retired
+    key is refused, not ignored."""
     with pytest.raises(ValueError, match=message):
         sweep_spec_from_ini(config_file, overrides)
 
@@ -153,7 +154,6 @@ FLAG_CASES = [
     ("sweep", "--alpha", "1.0", "bc", "alpha"),
     ("sweep", "--beta", "2.5", "bc", "beta"),
     ("sweep", "--eps-list", "0.5,0.25", "sweep", "epsilons"),
-    ("sweep", "--threads", "2", "sweep", "workers"),
 ]
 
 
@@ -195,7 +195,7 @@ def test_eps_list_adds_the_sweep_section_a_file_lacks(tmp_path):
     path = tmp_path / "no_sweep.ini"
     path.write_text(CONFIG_TEXT.split("[sweep]")[0])
     spec = _flag_loaded("sweep", path, "--eps-list", "0.5,0.25")
-    assert spec.epsilons == (0.5, 0.25) and spec.workers == 1
+    assert spec.epsilons == (0.5, 0.25)
 
 
 def test_an_empty_eps_list_is_refused_not_ignored(config_file):
@@ -219,7 +219,6 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         "simulate run.ini --dim 0 --out out",
         "sweep run.ini --eps-list 0.5,0.6 --out out",
         "sweep run.ini --eps-list 0.5,x --out out",
-        "sweep run.ini --threads 0 --out out",
         "sweep missing.ini --out out",
         "report empty",
         "verify-lemma --grid 0",
@@ -269,7 +268,7 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     written.  ``cut.ini`` ends before ``[time]``, ``no_sweep.ini`` has no
     ``[sweep]`` section, ``nan_blowup.ini`` sets ``[thresholds] blowup =
     nan``, ``inf_rmax.ini``, ``nan_rmax.ini`` and ``nan_margin.ini`` set
-    ``[grid] r_max = inf``, ``r_max = nan`` and ``margin = nan``,
+    ``[grid] r_max = inf``, ``r_max = nan`` and the retired ``margin = nan``,
     ``neg_snapshots.ini`` sets ``[history] snapshots = -5``,
     ``percent.ini`` sets ``epsilon = 0.4%``, ``twice_n.ini`` gives ``n`` twice
     in ``[grid]``, ``headless.ini`` has no section header,
@@ -286,7 +285,7 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     (root / "nan_blowup.ini").write_text(CONFIG_TEXT.replace("blowup = 1e8", "blowup = nan"))
     (root / "inf_rmax.ini").write_text(CONFIG_TEXT.replace("r_max = auto", "r_max = inf"))
     (root / "nan_rmax.ini").write_text(CONFIG_TEXT.replace("r_max = auto", "r_max = nan"))
-    (root / "nan_margin.ini").write_text(CONFIG_TEXT.replace("margin = 1.0", "margin = nan"))
+    (root / "nan_margin.ini").write_text(CONFIG_TEXT.replace("n = 400", "n = 400\nmargin = nan"))
     (root / "neg_snapshots.ini").write_text(CONFIG_TEXT.replace("snapshots = 0", "snapshots = -5"))
     (root / "percent.ini").write_text(CONFIG_TEXT.replace("epsilon = 0.8", "epsilon = 0.4%"))
     (root / "twice_n.ini").write_text(CONFIG_TEXT.replace("n = 400", "n = 400\nn = 800"))
@@ -312,7 +311,7 @@ FIT_CSV = (
 )
 
 # per subcommand: the arguments of a small valid call, and every numeric and
-# list flag; --grid and --threads never get a large value
+# list flag; --grid never gets a large value
 FUZZ_CALLS = {
     "gamma": (["--p", "1.4,1.4", "--dim", "3"], ["--p", "--dim"]),
     "classify": (["--p", "1.4,1.4", "--dim", "3"], ["--p", "--dim", "--alpha", "--beta", "--tol"]),
@@ -321,7 +320,7 @@ FUZZ_CALLS = {
         ["--R", "--lam", "--p", "--dim", "--bc", "--grid", "--band"],
     ),
     "simulate": (["run.ini"], ["--dim", "--alpha", "--beta", "--eps"]),
-    "sweep": (["run.ini"], ["--dim", "--alpha", "--beta", "--eps-list", "--threads"]),
+    "sweep": (["run.ini"], ["--dim", "--alpha", "--beta", "--eps-list"]),
     "fit": (["points.csv"], ["--b-theory"]),
 }
 FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "", "abc"]
@@ -353,7 +352,8 @@ def test_cli_never_ends_in_a_traceback(config_file, monkeypatch, capsys):
 
 def test_refused_input_exits_2_without_a_traceback_from_the_console_entry():
     """``python -m exwave.cli`` leaves through ``sys.exit(main())``, as the
-    console script does."""
+    console script does; a flag the parser does not know (the retired
+    ``sweep --threads``) leaves with argparse's usage message."""
     src = Path(exwave.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
@@ -363,12 +363,20 @@ def test_refused_input_exits_2_without_a_traceback_from_the_console_entry():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "verify-lemma: could not convert string to float: 'abc'\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "exwave.cli", "sweep", "run.ini", "--threads", "2"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: exwave ")
+    assert proc.stderr.endswith(": error: unrecognized arguments: --threads 2\n")
 
 
 def test_cli_import_does_not_load_scipy():
     """Neither the CLI nor the shell measure of its quadrature module loads
-    scipy, and importing the CLI loads no process pool (a parallel sweep
-    imports it when it starts one)."""
+    scipy, and importing the CLI loads no process pool (no exwave module
+    imports one; ``test_module_boundaries`` checks the source)."""
     src = Path(exwave.__file__).resolve().parents[1]
     code = (
         "import sys, exwave.cli; assert 'scipy' not in sys.modules; "
@@ -584,12 +592,12 @@ def test_cli_report_reproduces_sweep_tables(config_file, tmp_path):
 
 @pytest.mark.parametrize(
     "grid_lines, r_max",
-    [("r_max = auto\nmargin = 3.0", 35.5), ("r_max = 50.0\nmargin = 1.0", 50.0)],
-    ids=["margin", "explicit-r_max"],
+    [("r_max = auto", 33.5), ("r_max = 50.0", 50.0)],
+    ids=["auto", "explicit-r_max"],
 )
 def test_sweep_uses_the_simulate_grid(tmp_path, capsys, grid_lines, r_max):
     path = tmp_path / "grid.ini"
-    path.write_text(CONFIG_TEXT.replace("r_max = auto\nmargin = 1.0", grid_lines))
+    path.write_text(CONFIG_TEXT.replace("r_max = auto", grid_lines))
     assert main(["simulate", str(path), "--out", str(tmp_path / "one")]) == 0
     assert main(["sweep", str(path), "--out", str(tmp_path / "many")]) == 0
     single = json.loads((tmp_path / "one" / "run.json").read_text())

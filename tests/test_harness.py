@@ -243,11 +243,10 @@ def test_shipped_ladder_peak_memory():
     assert peak <= 1.35 * 2**20
 
 
-@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
-def test_sweep_runs_store_no_history(workers):
+def test_sweep_runs_store_no_history():
     base = replace(_base_config(n=400, T_end=30.0), history_snapshots=64)
     assert run(base).history is not None
-    result = sweep(SweepSpec(base=base, epsilons=(0.8, 0.6), workers=workers))
+    result = sweep(SweepSpec(base=base, epsilons=(0.8, 0.6)))
     for rec in result.runs:
         assert rec.history is None
         assert rec.config.history_snapshots == 0
@@ -415,28 +414,11 @@ def test_history_csv_dump(tmp_path):
     assert len(lines) == 1 + len(rec.history.times) * len(rec.history.r)
 
 
-def test_parallel_sweep_matches_serial(tmp_path):
-    base = _base_config(n=400, T_end=30.0)
-    spec_serial = SweepSpec(base=base, epsilons=(0.8, 0.6), workers=1)
-    spec_par = SweepSpec(base=base, epsilons=(0.8, 0.6), workers=2)
-    a = sweep(spec_serial)
-    b = sweep(spec_par)
-    assert [r.t_blow for r in a.runs] == [r.t_blow for r in b.runs]
-    # each run is timed in the worker that ran it, not as a share of the pool
-    timings = [rec.wall_s for rec in b.runs]
-    assert all(t > 0.0 for t in timings)
-    assert timings[0] != timings[1]
-    # the manifest's timings are the records' own, on both paths
-    for name, result in (("serial", a), ("pool", b)):
-        report(result, tmp_path / name)
-        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
-        assert manifest["timings_s"] == [rec.wall_s for rec in result.runs]
-
-
-def test_serial_timings_grow_along_a_blow_up_ladder():
-    """The serial sweep steps its runs in one loop, and a run's timing is the
-    time from the loop's start to the step at which the run left it, so the
-    timings grow with the blow-up step."""
+def test_serial_timings_grow_along_a_blow_up_ladder(tmp_path):
+    """The sweep steps its runs in one loop, and a run's timing is the time
+    from the loop's start to the step at which the run left it, so the
+    timings grow with the blow-up step; the manifest's timings are the
+    records' own."""
     result = sweep(SweepSpec(base=_base_config(n=400, T_end=30.0), epsilons=(0.8, 0.6, 0.5)))
     assert all(rec.verdict is Verdict.BLEW_UP for rec in result.runs)
     finals = [rec.t_final for rec in result.runs]
@@ -444,3 +426,6 @@ def test_serial_timings_grow_along_a_blow_up_ladder():
     timings = [rec.wall_s for rec in result.runs]
     assert all(t > 0.0 for t in timings)
     assert timings == sorted(timings)
+    report(result, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["timings_s"] == timings

@@ -25,6 +25,27 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+def test_no_module_imports_a_process_or_thread_pool():
+    """A sweep steps its epsilons in one lockstep ladder: no exwave module
+    imports ``concurrent.futures`` or ``multiprocessing``."""
+    pools = ("concurrent", "multiprocessing")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {module}"
+                for module in modules
+                if module.split(".")[0] in pools
+            ]
+    assert found == []
+
+
 def _is_cyclic_neighbour(node):
     """``(x - 1) % k`` or ``(x + 1) % k``: the cyclic coupling's index rule,
     read in either direction."""

@@ -18,15 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from .exponents import (
-    DEFAULT_TOL_CRIT,
-    BoundaryCondition,
-    ExponentVector,
-    classify_record,
-    gamma_record,
-)
+from .exponents import BoundaryCondition, ExponentVector, classify_record, gamma_record
 from .harness import (
-    DEFAULT_BAND_LIMIT,
     FitModel,
     fit_scaling,
     history_to_csv,
@@ -61,7 +54,6 @@ def cmd_classify(args) -> int:
         ExponentVector(parse_floats(args.p)),
         args.dim,
         BoundaryCondition(args.alpha, args.beta),
-        tol_crit=args.tol,
     )
     _emit(rec, args.json)
     return 0
@@ -95,7 +87,6 @@ def cmd_verify_lemma(args) -> int:
         d_list=[int(x) for x in args.dim.split(",")],
         bc_list=args.bc,
         grid=(args.grid, args.grid),
-        band_limit=args.band,
         exponents=exponents,
     )
     print(rep.table())
@@ -208,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="lifespan-bound branch")
     add_pd(sp, bc=True)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL_CRIT)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_classify)
 
@@ -219,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", default="2,3")
     sp.add_argument("--bc", type=_bc_list, default="dirichlet,neumann,robin")
     sp.add_argument("--grid", type=int, default=DEFAULT_SUP_RATIO_GRID[0])
-    sp.add_argument("--band", type=float, default=DEFAULT_BAND_LIMIT)
     sp.set_defaults(func=cmd_verify_lemma)
 
     def add_overrides(sp):

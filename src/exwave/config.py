@@ -23,9 +23,6 @@ Plain INI text with nested sections, e.g.::
     width = 0.5
     epsilon = 0.5
 
-    [thresholds]
-    blowup = 1e8
-
     [history]
     snapshots = 256   ; simulate only
 
@@ -44,7 +41,9 @@ it fills (``[bc]`` that of ``BoundaryCondition.dirichlet()``), and a missing
 key without one (``[time] t_end``, or ``[sweep] epsilons`` of a sweep)
 raises a ``ValueError`` naming the section and key.
 ``[history] snapshots`` applies to ``simulate``: a sweep stores no
-histories, so its records.json shows ``history_snapshots`` 0.
+histories, so its records.json shows ``history_snapshots`` 0.  The blow-up
+threshold is no key: every run uses ``SolverConfig``'s 1e8, and records.json
+keeps the 1e6 and 1e10 crossings beside it.
 
 Grid rule: ``r_max = auto`` sizes the domain from unit-speed propagation
 plus a margin of 1, ``r_max = 1 + (center + width - 1) + t_end + 1``
@@ -77,7 +76,6 @@ INI_KEYS = {
     "grid": {"n": int, "r_max": str},
     "time": {"t_end": float, "cfl": float},
     "data": {"center": float, "width": float, "epsilon": float},
-    "thresholds": {"blowup": float},
     "history": {"snapshots": int},
     "sweep": {"epsilons": parse_floats},
 }
@@ -148,7 +146,6 @@ def _solver_config(ini: dict) -> SolverConfig:
         T_end=_required(ini, "time", "t_end"),
         data=InitialData(**_given(ini, "data", "center", "width", "epsilon")),
         **_given(ini, "time", "cfl"),
-        **_given(ini, "thresholds", blowup_threshold="blowup"),
         **_given(ini, "history", history_snapshots="snapshots"),
     )
     n = _required(ini, "grid", "n")

@@ -20,7 +20,10 @@ from enum import Enum
 import numpy as np
 
 GAMMA_RESIDUAL_TOL = 1e-12
-DEFAULT_TOL_CRIT = 1e-9
+# the half-width of the critical band |Gamma_excess| <= TOL_CRIT: it only
+# absorbs the round-off of the gamma solve, whose residual GAMMA_RESIDUAL_TOL
+# holds below 1e-12, so a true excess of 1e-6 stays subcritical
+TOL_CRIT = 1e-9
 
 
 class BoundaryKind(str, Enum):
@@ -239,24 +242,14 @@ class LifespanBound:
         return self.exponent if self.form is BoundForm.POLYNOMIAL_LOG else None
 
 
-def _critical(excess: float, tol_crit: float) -> bool:
-    return abs(excess) <= tol_crit
-
-
-def classify_regime(
-    p: ExponentVector,
-    d: int,
-    bc: BoundaryCondition,
-    tol_crit: float = DEFAULT_TOL_CRIT,
-) -> LifespanBound:
+def classify_regime(p: ExponentVector, d: int, bc: BoundaryCondition) -> LifespanBound:
     """Map (p, d, boundary condition) to the matching lifespan-bound branch.
 
-    |Gamma_excess| <= tol_crit is treated as the critical case.  For d = 1 the
-    thresholds are gamma_max = 1 (beta != 0) and gamma_max = 1/2 (beta = 0),
-    with no claim at or below threshold.
+    |Gamma_excess| <= TOL_CRIT (1e-9, the gamma solve's round-off band) is
+    treated as the critical case.  For d = 1 the thresholds are gamma_max = 1
+    (beta != 0) and gamma_max = 1/2 (beta = 0), with no claim at or below
+    threshold.
     """
-    if not 0.0 < tol_crit < math.inf:
-        raise ValueError(f"tol_crit must be positive and finite, got {tol_crit!r}")
     bc.require_dissipative()
     report = compute_gamma(p, d)
     gmax = report.gamma_max
@@ -265,7 +258,7 @@ def classify_regime(
     if d == 1:
         threshold = 0.5 if neumann else 1.0
         excess = gmax - threshold
-        if excess > tol_crit:
+        if excess > TOL_CRIT:
             return LifespanBound(
                 BoundForm.POLYNOMIAL,
                 exponent=1.0 / excess,
@@ -278,7 +271,7 @@ def classify_regime(
         )
 
     excess = report.Gamma_excess
-    if excess > tol_crit:
+    if excess > TOL_CRIT:
         if d == 2 and not neumann:
             return LifespanBound(
                 BoundForm.POLYNOMIAL_LOG,
@@ -290,7 +283,7 @@ def classify_regime(
             exponent=1.0 / excess,
             notes=f"beta{'=0' if neumann else '!=0'}, d={d}, subcritical",
         )
-    if _critical(excess, tol_crit):
+    if abs(excess) <= TOL_CRIT:
         if d == 2 and not neumann:
             if p.all_equal:
                 return LifespanBound(
@@ -324,9 +317,7 @@ def fujita_exponent(d: int) -> float:
     return 1.0 + 2.0 / d
 
 
-def single_equation_table(
-    p: float, d: int, tol_crit: float = DEFAULT_TOL_CRIT
-) -> LifespanBound:
+def single_equation_table(p: float, d: int) -> LifespanBound:
     """Single-equation (k = 1) lifespan table for the exterior Dirichlet problem.
 
     d = 2:   1 < p < 2  ->  (eps^-1 log eps^-1)^((p-1)/(2-p))
@@ -340,7 +331,7 @@ def single_equation_table(
     if d < 2:
         raise ValueError("the single-equation table covers d >= 2")
     if d == 2:
-        if abs(p - 2.0) <= tol_crit:
+        if abs(p - 2.0) <= TOL_CRIT:
             return LifespanBound(
                 BoundForm.DOUBLE_EXPONENTIAL, exponent=1.0, notes="single eq, d=2, p=2"
             )
@@ -353,7 +344,7 @@ def single_equation_table(
             )
         return LifespanBound(BoundForm.NO_BLOWUP_CLAIM, notes="single eq, d=2, p>2")
     p_fuj = fujita_exponent(d)
-    if abs(p - p_fuj) <= tol_crit:
+    if abs(p - p_fuj) <= TOL_CRIT:
         return LifespanBound(
             BoundForm.EXPONENTIAL, exponent=p - 1.0, notes=f"single eq, d={d}, p=1+2/d"
         )
@@ -382,15 +373,13 @@ def gamma_record(p: ExponentVector, d: int) -> dict:
     }
 
 
-def classify_record(
-    p: ExponentVector, d: int, bc: BoundaryCondition, tol_crit: float = DEFAULT_TOL_CRIT
-) -> dict:
+def classify_record(p: ExponentVector, d: int, bc: BoundaryCondition) -> dict:
     """JSON-friendly classification record; the open 2D case has no bound."""
     rec = gamma_record(p, d)
     rec["alpha"] = bc.alpha
     rec["beta"] = bc.beta
     rec["bc"] = bc.kind.value
-    bound = classify_regime(p, d, bc, tol_crit)
+    bound = classify_regime(p, d, bc)
     rec["regime"] = bound.form.value
     rec["bound"] = None if bound.form is BoundForm.OPEN_PROBLEM else {
         "form": bound.form.value,

@@ -36,6 +36,8 @@ from typing import Callable
 
 from .exponents import ExponentVector
 
+STEP_TOL = 1e-10  # integrate_adaptive's per-step error tolerance
+
 
 class OdeOrder(str, Enum):
     FIRST = "first"
@@ -177,7 +179,6 @@ def _richardson_list(y_half: list, y_full: list) -> tuple[float, list]:
 def integrate_adaptive(
     sys: OdeSystem,
     M: float = 1e8,
-    tol: float = 1e-10,
     t_horizon: float = math.inf,
     max_steps: int = 2_000_000,
 ) -> OdeBlowupResult:
@@ -185,7 +186,7 @@ def integrate_adaptive(
 
     Per step, one full step is compared against two half steps; the
     Richardson error estimate (difference / 15) must pass
-    tol * (1 + |y|) componentwise, and the extrapolated value is kept.
+    STEP_TOL * (1 + |y|) componentwise, and the extrapolated value is kept.
     On crossing, the step is refined by bisection in the step length; for a
     single first-order equation the analytic tail from the crossing amplitude
     removes the threshold bias entirely.  An M whose power M^max(p) leaves
@@ -214,6 +215,7 @@ def integrate_adaptive(
             return abs(y[watch]) if watch is not None else max(map(abs, y[:k]))
 
         y = [sys.epsilon] * (k if sys.order is OdeOrder.FIRST else 2 * k)
+    tol = STEP_TOL  # a local, so the stepping loop makes no global lookup
     t = 0.0
     h = 1e-3 * (1.0 + amplitude(y)) ** (1.0 - max(sys.p.p))
     steps = 0

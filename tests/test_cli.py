@@ -1,9 +1,11 @@
 import configparser
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 import exwave
 from exwave import cli
 from exwave.cli import build_parser, main
+from exwave import config
 from exwave.config import solver_config_from_ini, sweep_spec_from_ini
 from exwave.exponents import BoundaryCondition, ExponentVector
 from exwave.harness import SweepSpec, record_to_dict
@@ -40,9 +43,6 @@ center = 2.0
 width = 0.5
 epsilon = 0.8
 
-[thresholds]
-blowup = 1e8
-
 [history]
 snapshots = 0
 
@@ -69,6 +69,20 @@ def test_config_loading(config_file):
     assert spec.epsilons == (0.8, 0.6)
 
 
+def test_the_config_docstring_example_loads_and_sets_every_key(tmp_path):
+    """The INI example of the ``config`` module docstring loads as a sweep
+    and sets exactly the keys of ``INI_KEYS``, so the docstring cannot drift
+    from the loader."""
+    lines = config.__doc__.split("::\n", 1)[1].splitlines()
+    example = itertools.takewhile(lambda line: not line or line.startswith("    "), lines)
+    path = tmp_path / "example.ini"
+    path.write_text(textwrap.dedent("\n".join(example)))
+    sweep_spec_from_ini(path)
+    given = {(section, key) for section, values in config.load_ini(path).items() for key in values}
+    assert given == {(section, key) for section, keys in config.INI_KEYS.items() for key in keys}
+    assert len(given) == 13
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("horizon", "bound-aware"), ("t_fixed", "500.0"), ("factor", "4.0"), ("workers", "2")],
@@ -88,9 +102,10 @@ def test_stale_sweep_key_is_rejected(tmp_path, key, value):
         ("cfl = 0.9", "cfl_ = 0.9", "time", "cfl_"),
         ("n = 400", "n = 400\nnn = 800", "grid", "nn"),
         ("r_max = auto", "r_max = auto\nmargin = 1.0", "grid", "margin"),
-        ("[thresholds]", "[threshold]", "threshold", None),
+        ("[history]", "[histroy]", "histroy", None),
+        ("[history]", "[thresholds]\nblowup = 1e8\n\n[history]", "thresholds", None),
     ],
-    ids=["time-typo", "grid-typo", "grid-margin", "unknown-section"],
+    ids=["time-typo", "grid-typo", "grid-margin", "unknown-section", "thresholds"],
 )
 def test_unknown_ini_key_or_section_is_rejected(tmp_path, loader, old, new, section, key):
     path = tmp_path / "typo.ini"
@@ -214,7 +229,6 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         "gamma --p 0.5 --dim 3",
         "classify --p 1.4,1.4 --dim 3 --alpha 0 --beta 0",
         "classify --p 1.4,1.4 --dim 0",
-        "classify --p 1.4,1.4 --dim 3 --tol 0",
         "simulate run.ini --eps -1 --out out",
         "simulate run.ini --dim 0 --out out",
         "sweep run.ini --eps-list 0.5,0.6 --out out",
@@ -230,8 +244,6 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         "sweep run.ini --eps-list 0.8,nan --out out",
         "simulate run.ini --eps inf --out out",
         "simulate nan_blowup.ini --out out",
-        "verify-lemma --band nan",
-        "verify-lemma --band -1",
         "verify-lemma --lam 0",
         "verify-lemma --lam -1",
         "verify-lemma --lam nan",
@@ -247,8 +259,6 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         "sweep twice_n.ini --out out",
         "simulate headless.ini --out out",
         "simulate stiff_robin.ini --out out",
-        "classify --p 1.4,1.4 --dim 3 --tol nan",
-        "classify --p 1.4,1.4 --dim 3 --tol inf",
         "classify --p 1.4,1.4 --dim 3 --alpha -1 --beta 1",
         "gamma --p 1.000000001,1.000000001 --dim 3",
         "fit no_epsilon.csv",
@@ -266,8 +276,8 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     """Refused input leaves by one path: a one-line ``<command>: <reason>``
     on stderr, exit 2, nothing on stdout, and no file or directory is
     written.  ``cut.ini`` ends before ``[time]``, ``no_sweep.ini`` has no
-    ``[sweep]`` section, ``nan_blowup.ini`` sets ``[thresholds] blowup =
-    nan``, ``inf_rmax.ini``, ``nan_rmax.ini`` and ``nan_margin.ini`` set
+    ``[sweep]`` section, ``nan_blowup.ini`` sets the retired ``[thresholds]
+    blowup = nan``, ``inf_rmax.ini``, ``nan_rmax.ini`` and ``nan_margin.ini`` set
     ``[grid] r_max = inf``, ``r_max = nan`` and the retired ``margin = nan``,
     ``neg_snapshots.ini`` sets ``[history] snapshots = -5``,
     ``percent.ini`` sets ``epsilon = 0.4%``, ``twice_n.ini`` gives ``n`` twice
@@ -282,7 +292,9 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     (root / "empty").mkdir()
     (root / "cut.ini").write_text(CONFIG_TEXT.split("[time]")[0])
     (root / "no_sweep.ini").write_text(CONFIG_TEXT.split("[sweep]")[0])
-    (root / "nan_blowup.ini").write_text(CONFIG_TEXT.replace("blowup = 1e8", "blowup = nan"))
+    (root / "nan_blowup.ini").write_text(
+        CONFIG_TEXT.replace("[history]", "[thresholds]\nblowup = nan\n\n[history]")
+    )
     (root / "inf_rmax.ini").write_text(CONFIG_TEXT.replace("r_max = auto", "r_max = inf"))
     (root / "nan_rmax.ini").write_text(CONFIG_TEXT.replace("r_max = auto", "r_max = nan"))
     (root / "nan_margin.ini").write_text(CONFIG_TEXT.replace("n = 400", "n = 400\nmargin = nan"))
@@ -314,10 +326,10 @@ FIT_CSV = (
 # list flag; --grid never gets a large value
 FUZZ_CALLS = {
     "gamma": (["--p", "1.4,1.4", "--dim", "3"], ["--p", "--dim"]),
-    "classify": (["--p", "1.4,1.4", "--dim", "3"], ["--p", "--dim", "--alpha", "--beta", "--tol"]),
+    "classify": (["--p", "1.4,1.4", "--dim", "3"], ["--p", "--dim", "--alpha", "--beta"]),
     "verify-lemma": (
         ["--R", "4,8", "--dim", "3", "--grid", "8"],
-        ["--R", "--lam", "--p", "--dim", "--bc", "--grid", "--band"],
+        ["--R", "--lam", "--p", "--dim", "--bc", "--grid"],
     ),
     "simulate": (["run.ini"], ["--dim", "--alpha", "--beta", "--eps"]),
     "sweep": (["run.ini"], ["--dim", "--alpha", "--beta", "--eps-list"]),
@@ -353,7 +365,8 @@ def test_cli_never_ends_in_a_traceback(config_file, monkeypatch, capsys):
 def test_refused_input_exits_2_without_a_traceback_from_the_console_entry():
     """``python -m exwave.cli`` leaves through ``sys.exit(main())``, as the
     console script does; a flag the parser does not know (the retired
-    ``sweep --threads``) leaves with argparse's usage message."""
+    ``sweep --threads``, ``classify --tol`` and ``verify-lemma --band``)
+    leaves with argparse's usage message."""
     src = Path(exwave.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
@@ -363,14 +376,20 @@ def test_refused_input_exits_2_without_a_traceback_from_the_console_entry():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "verify-lemma: could not convert string to float: 'abc'\n"
-    proc = subprocess.run(
-        [sys.executable, "-m", "exwave.cli", "sweep", "run.ini", "--threads", "2"],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("usage: exwave ")
-    assert proc.stderr.endswith(": error: unrecognized arguments: --threads 2\n")
+    for argv in (
+        "sweep run.ini --threads 2",
+        "classify --p 1.4,1.4 --dim 3 --tol 1e-9",
+        "verify-lemma --band 4",
+    ):
+        argv = argv.split()
+        proc = subprocess.run(
+            [sys.executable, "-m", "exwave.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: exwave ")
+        retired = " ".join(argv[-2:])
+        assert proc.stderr.endswith(f": error: unrecognized arguments: {retired}\n")
 
 
 def test_cli_import_does_not_load_scipy():

@@ -187,6 +187,30 @@ def test_single_equation_table():
         single_equation_table(2.0, 1)
 
 
+@pytest.mark.parametrize(
+    "p, excess, form, exponent",
+    [
+        (1.0 + 1.0 / (1.5 + 1e-6), 1e-6, BoundForm.POLYNOMIAL, 1e6),
+        (5.0 / 3.0, 0.0, BoundForm.EXPONENTIAL, 2.0 / 3.0),
+    ],
+    ids=["excess-1e-6", "round-off"],
+)
+def test_the_critical_band_holds_only_round_off(p, excess, form, exponent):
+    """In d = 3 a single equation with Gamma_excess = 1e-6 is subcritical,
+    with lifespan exponent 1/excess = 1e6, while p = 5/3, whose excess is
+    the gamma solve's round-off (-2.2e-16), is critical: the band
+    |Gamma_excess| <= TOL_CRIT lies between the two."""
+    assert compute_gamma(ExponentVector.of(p), 3).Gamma_excess == pytest.approx(
+        excess, rel=1e-9, abs=1e-15
+    )
+    for bound in (
+        classify_regime(ExponentVector.of(p), 3, BoundaryCondition.dirichlet()),
+        single_equation_table(p, 3),
+    ):
+        assert bound.form is form
+        assert bound.exponent == pytest.approx(exponent, rel=1e-9)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("p", [1.2, 1.4, 1.9, 2.5])
 def test_single_equation_matches_classifier(d, p):

@@ -42,8 +42,8 @@ key without one (``[time] t_end``, or ``[sweep] epsilons`` of a sweep)
 raises a ``ValueError`` naming the section and key.
 ``[history] snapshots`` applies to ``simulate``: a sweep stores no
 histories, so its records.json shows ``history_snapshots`` 0.  The blow-up
-threshold is no key: every run uses ``SolverConfig``'s 1e8, and records.json
-keeps the 1e6 and 1e10 crossings beside it.
+threshold is no key: every run uses ``solver.BLOWUP_THRESHOLD``, 1e8, and
+records.json keeps the 1e6 and 1e10 crossings beside it.
 
 Grid rule: ``r_max = auto`` sizes the domain from unit-speed propagation
 plus a margin of 1, ``r_max = 1 + (center + width - 1) + t_end + 1``

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .exponents import BoundaryCondition, BoundForm, ExponentVector, LifespanBound, classify_regime
-from .solver import RunRecord, SolverConfig, Verdict, run_ladder
+from .solver import BLOWUP_THRESHOLD, RunRecord, SolverConfig, Verdict, run_ladder
 from .testfn import (
     DEFAULT_RHS_R_POWERS,
     DEFAULT_SUP_RATIO_GRID,
@@ -316,7 +316,7 @@ def _config_dict(config: SolverConfig) -> dict:
             "width": config.data.width,
             "epsilon": config.data.epsilon,
         },
-        "blowup_threshold": config.blowup_threshold,
+        "blowup_threshold": BLOWUP_THRESHOLD,
         "history_snapshots": config.history_snapshots,
     }
 

@@ -43,28 +43,30 @@ array, and ``run`` is its one-epsilon case.  The ladder's arrays are
 node-major, shape (n+1, columns): a step's light-cone prefix ``a[:m]`` is
 then one contiguous block, as is every stencil shift of it, and each ufunc
 runs as one flat loop instead of one short loop per row.  ``step`` keeps the
-public (k, n+1) layout and passes transposed views through the same kernel.  With unequal exponents a block holds the k
-components and the cyclic gather stays inside it; with equal exponents a
-block is one column.  ``InitialData`` gives every component the same data,
-and with p_1 = ... = p_k each component is forced by a copy of itself
-through the same power, so the k components would stay bit-for-bit copies
-of one solution of u_tt - Lu + u_t = |u|^p: the record repeats that column
-as k identical columns of the history.  This relies on
-``_forcing`` taking the same array pow for any number of columns (see its
-docstring).  A run that blows up (after its grace steps), goes non-finite or
-reaches the horizon leaves the batch, and the remaining columns close up
-unchanged, so the run-time contract is that each run of a ladder is
-bit-identical to its own loop of ``step`` calls.
+public (k, n+1) layout and passes transposed views through the same kernel.
+With unequal exponents a block holds the k components and the cyclic gather
+stays inside it; with equal exponents a block is one column.
+``InitialData`` gives every component the same data, and with
+p_1 = ... = p_k each component is forced by a copy of itself through the
+same power, so the k components would stay bit-for-bit copies of one
+solution of u_tt - Lu + u_t = |u|^p: the record repeats that column as k
+identical columns of the history.  This relies on ``_forcing`` taking the
+same array pow for any number of columns (see its docstring).  A run that
+blows up (after its grace steps), goes non-finite or reaches the horizon
+leaves the batch, and the remaining columns close up unchanged, so the
+run-time contract is that each run of a ladder is bit-identical to its own
+loop of ``step`` calls.
 
-Blow-up is detected by the max norm crossing a large threshold; the crossing
-time inside the last step is where the log-linear interpolant of the peak
-norm reaches the threshold, in closed form.  First crossings of the
-``SENSITIVITY_THRESHOLDS`` are recorded in the same run, giving a free
-threshold-sensitivity estimate.  A ladder keeps no trace of the peaks: each
-step takes one flat max of |u| over the whole batch, and a run's own peaks
-(of the new level and the two before it) are formed only on the rare steps
-where that max or a due snapshot or grace end calls for the per-run
-bookkeeping.  max and abs are exact, so every crossing keeps its bits.
+Blow-up is detected by the max norm crossing the fixed ``BLOWUP_THRESHOLD``,
+1e8; the crossing time inside the last step is where the log-linear
+interpolant of the peak norm reaches the threshold, in closed form.  First
+crossings of the ``SENSITIVITY_THRESHOLDS`` around it, 1e6 and 1e10, are
+recorded in the same run, giving a free threshold-sensitivity estimate.  A
+ladder keeps no trace of the peaks: each step takes one flat max of |u| over
+the whole batch, and a run's own peaks (of the new level and the one before
+it) are formed only on the rare steps where that max or a due snapshot or
+grace end calls for the per-run bookkeeping.  max and abs are exact, so
+every crossing keeps its bits.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ from .quadrature import radial_integral
 from .testfn import cutoff_value, psi
 
 DEFAULT_CFL = 0.9
-DEFAULT_BLOWUP_THRESHOLD = 1e8
 SENSITIVITY_THRESHOLDS = (1e6, 1e8, 1e10)
+BLOWUP_THRESHOLD = SENSITIVITY_THRESHOLDS[1]
 
 
 class CFLViolationError(ValueError):
@@ -167,6 +169,11 @@ class InitialData:
             raise ValueError("width must be positive")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        if self.epsilon >= BLOWUP_THRESHOLD:  # the bump peaks at epsilon
+            raise ValueError(
+                f"epsilon must be below the blow-up threshold {BLOWUP_THRESHOLD:g}, "
+                f"got {self.epsilon!r}"
+            )
 
     @property
     def support_outer(self) -> float:
@@ -545,7 +552,6 @@ class SolverConfig:
     T_end: float
     data: InitialData
     cfl: float = DEFAULT_CFL
-    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
     history_snapshots: int = 256  # target number of stored time levels; 0 disables
 
     def __post_init__(self):
@@ -557,10 +563,6 @@ class SolverConfig:
         limit = _cfl_limit(self.grid.dr, self.bc)
         if not 0 < self.cfl <= limit:
             raise ValueError(f"cfl must lie in (0, {limit:.6g}] at dr = {self.grid.dr:.6g}")
-        if math.isnan(self.blowup_threshold):
-            raise ValueError("blowup_threshold must be a number, got nan")
-        if self.blowup_threshold < 1e4:
-            raise ValueError("blow-up threshold unreasonably small")
         if self.history_snapshots < 0:
             raise ValueError(f"history_snapshots must be >= 0, got {self.history_snapshots}")
         if self.data.support_outer >= self.grid.r_max:
@@ -608,8 +610,8 @@ class RunRecord:
 
     @property
     def t_blow(self) -> float | None:
-        """The crossing time of ``config.blowup_threshold``, None if none."""
-        return self.threshold_crossings.get(self.config.blowup_threshold)
+        """The crossing time of ``BLOWUP_THRESHOLD``, None if none."""
+        return self.threshold_crossings.get(BLOWUP_THRESHOLD)
 
     @property
     def verdict(self) -> Verdict:
@@ -617,14 +619,13 @@ class RunRecord:
 
     @property
     def threshold_sensitivity(self) -> float | None:
-        """Spread of the crossing times of the lowest and highest recorded
-        thresholds; insensitivity to the threshold choice means this stays
+        """The 1e10 crossing time minus the 1e6 one, None unless both were
+        crossed; insensitivity to the threshold choice means this stays
         within a couple of time steps."""
-        lows = [m for m in self.threshold_crossings if m < self.config.blowup_threshold]
-        highs = [m for m in self.threshold_crossings if m > self.config.blowup_threshold]
-        if not lows or not highs:
+        low, high = SENSITIVITY_THRESHOLDS[0], SENSITIVITY_THRESHOLDS[-1]
+        if low not in self.threshold_crossings or high not in self.threshold_crossings:
             return None
-        return self.threshold_crossings[max(highs)] - self.threshold_crossings[min(lows)]
+        return self.threshold_crossings[high] - self.threshold_crossings[low]
 
 
 def _crossing_time(t0: float, g0: float, t1: float, g1: float, M: float) -> float:
@@ -675,16 +676,11 @@ def _keep_columns(a: np.ndarray, sel: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _peak(level: np.ndarray, block: slice) -> float:
-    """The max norm of the columns ``block`` of a level's prefix."""
-    return float(np.abs(level[:, block]).max())
-
-
 def _next_event(batch: list[_Rung], istep: int, stride: int, n_steps: int) -> int:
     """The first step after ``istep`` at which a rung's grace ends or a
     history snapshot is due."""
     events = [rung.deadline for rung in batch if rung.deadline is not None]
-    if stride and any(r.config.blowup_threshold not in r.crossings for r in batch):
+    if stride and any(BLOWUP_THRESHOLD not in r.crossings for r in batch):
         events.append(min((istep // stride + 1) * stride, n_steps))
     return min(events, default=n_steps + 1)
 
@@ -705,13 +701,20 @@ def run_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunRecord
     is bit-identical to a loop of ``step`` calls.  |u| of the new level is
     formed once per step: one flat max of it is the batch's peak, and it is
     the next step's forcing base.  The per-rung Python bookkeeping runs only
-    on the steps where the batch's peak passes the lowest uncrossed threshold
-    or the velocity guard, or a snapshot or a grace end is due; only there
-    are a run's own peaks formed, of the new level from |u| and of the two
-    before it from those levels.  The velocity is formed only on the Taylor
-    start and near overflow, where it decides the non-finite verdict just as
-    a full finiteness scan would.  A record's ``wall_s`` is the time from
-    this call to the step at which its run left the batch.
+    on the steps where the batch's peak passes the lowest uncrossed threshold,
+    or a snapshot or a grace end is due; only there are a run's own peaks
+    formed, of the new level from |u| and of the one before it from that
+    level.  The velocity is formed only on the Taylor start and where a run's
+    new peak passes the guard ``v_guard``, where it decides the non-finite
+    verdict just as a full finiteness scan would.  The guard reads only the
+    newest level: a run leaves the batch on the step its peak passes the
+    highest sensitivity threshold, 1e10, or goes non-finite, and
+    ``InitialData`` refuses data at or above ``BLOWUP_THRESHOLD``, so every
+    older level of a run still in the batch is at most 1e10.  ``v_guard``
+    exceeds 1e10 whenever dt > 5e-298, so below it (3u+ - 4u + u-)/(2 dt)
+    cannot overflow, and a peak above it has passed every threshold.  A
+    record's ``wall_s`` is the time from this call to the step at which its
+    run left the batch.
     """
     return _step_ladder(base, epsilons)
 
@@ -750,7 +753,8 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
         )
     live = np.flatnonzero(np.any(u_cur != 0.0, axis=1) | np.any(v != 0.0, axis=1))
     front = (int(live[-1]) if live.size else 0) + 2  # step s needs m >= front + s
-    # below this peak, (3u+ - 4u + u-)/(2 dt) cannot overflow
+    # below this new peak, with the older levels at most 1e10 (see run_ladder),
+    # (3u+ - 4u + u-)/(2 dt) cannot overflow
     v_guard = sys.float_info.max / 16.0 * min(1.0, 2.0 * dt)
     batch = list(rungs)
     kernel = _Kernel(dt, stepped, base.d, bc, grid, copies=len(batch))
@@ -761,10 +765,7 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
     u_prev, u_cur, u_new, absu, v = kernel.prefix(
         m, None, u_cur, np.zeros_like(u_cur), np.abs(u_cur), v
     )
-    prev_top = older_top = float(absu.a.max())
-
-    thresholds = sorted(set(SENSITIVITY_THRESHOLDS) | {base.blowup_threshold})
-    watch = min(thresholds[0], v_guard)
+    watch = SENSITIVITY_THRESHOLDS[0]
     next_event = _next_event(batch, 0, stride, n_steps)
     t = 0.0
 
@@ -781,20 +782,14 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
         np.abs(u_new.head, out=absu.head)
         top = float(absu.head.max())
         left = []
-        if (
-            starting
-            or istep >= next_event
-            or not (top <= watch and prev_top <= v_guard and older_top <= v_guard)
-        ):
+        if starting or istep >= next_event or not top <= watch:
             due = stride and (istep % stride == 0 or istep == n_steps)  # snapshot step
             for slot, rung in enumerate(batch):
                 block = slice(slot * ks, (slot + 1) * ks)
                 peak_now = float(absu.head[:, block].max())
-                prev_peak = _peak(u_cur.head, block)
+                prev_peak = float(np.abs(u_cur.head[:, block]).max())
                 finite = math.isfinite(peak_now)
-                if finite and (
-                    starting or max(peak_now, prev_peak, _peak(u_prev.head, block)) > v_guard
-                ):
+                if finite and (starting or peak_now > v_guard):
                     # no pin needed: at the pinned nodes every input is 0, so v is 0
                     vel = v.head[:, block] if starting else np.empty((m, ks))
                     if not starting:
@@ -805,30 +800,32 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
                     finite = bool(np.all(np.isfinite(vel)))
                 if not finite:
                     rung.nan_flag = True
-                    rung.crossings.setdefault(base.blowup_threshold, t)
+                    rung.crossings.setdefault(BLOWUP_THRESHOLD, t)
                     rung.t_final = t
                     rung.wall_s = time.perf_counter() - t_start
                     left.append(slot)
                     continue
-                before = base.blowup_threshold in rung.crossings
-                for M in thresholds:
+                before = BLOWUP_THRESHOLD in rung.crossings
+                for M in SENSITIVITY_THRESHOLDS:
                     if M not in rung.crossings and peak_now > M:
                         rung.crossings[M] = _crossing_time(t - dt, prev_peak, t, peak_now, M)
-                crossed = not before and base.blowup_threshold in rung.crossings
+                crossed = not before and BLOWUP_THRESHOLD in rung.crossings
                 if stride and not before and (due or crossed):  # last one at crossing
                     rung.history.append((t, u_new.a[:, block].T.copy()))
                 if crossed:
                     rung.deadline = istep + _GRACE_STEPS
                 if rung.deadline is not None and (
-                    thresholds[-1] in rung.crossings or istep == rung.deadline
+                    SENSITIVITY_THRESHOLDS[-1] in rung.crossings or istep == rung.deadline
                 ):
                     rung.t_final = t
                     rung.wall_s = time.perf_counter() - t_start
                     left.append(slot)
             keep = [slot for slot in range(len(batch)) if slot not in left]
             batch = [batch[slot] for slot in keep]
-            uncrossed = [M for rung in batch for M in thresholds if M not in rung.crossings]
-            watch = min(min(uncrossed, default=math.inf), v_guard)
+            watch = min(
+                (M for r in batch for M in SENSITIVITY_THRESHOLDS if M not in r.crossings),
+                default=math.inf,
+            )
             next_event = _next_event(batch, istep, stride, n_steps)
         if not batch:
             break
@@ -836,7 +833,6 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
             u_prev, v = v, None
         # rotate the time levels; the recycled buffer is zero beyond the prefix
         u_prev, u_cur, u_new = u_cur, u_new, u_prev
-        older_top, prev_top = prev_top, top
         if left:  # close up the remaining blocks in place, bits unchanged
             sel = (ks * np.array(keep)[:, None] + np.arange(ks)).ravel()
             kernel.keep_blocks(len(batch))

@@ -6,12 +6,13 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import exwave
-from exwave import cli
+from exwave import cli, solver
 from exwave.cli import build_parser, main
 from exwave import config
 from exwave.config import solver_config_from_ini, sweep_spec_from_ini
@@ -81,6 +82,38 @@ def test_the_config_docstring_example_loads_and_sets_every_key(tmp_path):
     given = {(section, key) for section, values in config.load_ini(path).items() for key in values}
     assert given == {(section, key) for section, keys in config.INI_KEYS.items() for key in keys}
     assert len(given) == 13
+
+
+# a value for each INI key other than the sweep's, unlike CONFIG_TEXT's
+OTHER_VALUES = {
+    ("system", "p"): "1.5, 1.5",
+    ("system", "dim"): "2",
+    ("bc", "alpha"): "1.0",
+    ("bc", "beta"): "2.0",
+    ("grid", "n"): "500",
+    ("grid", "r_max"): "40.0",
+    ("time", "t_end"): "20.0",
+    ("time", "cfl"): "0.5",
+    ("data", "center"): "2.5",
+    ("data", "width"): "0.4",
+    ("data", "epsilon"): "0.5",
+    ("history", "snapshots"): "8",
+}
+
+
+def test_every_solver_config_field_is_filled_by_an_ini_key(config_file):
+    """A ``SolverConfig`` field that no INI key fills is a knob only library
+    callers can set: changing each key in turn must between them change
+    every field."""
+    keys = {(section, key) for section, readers in config.INI_KEYS.items() for key in readers}
+    assert set(OTHER_VALUES) == keys - {("sweep", "epsilons")}
+    base = solver_config_from_ini(config_file)
+    names = {f.name for f in fields(SolverConfig)}
+    filled = set()
+    for key, value in OTHER_VALUES.items():
+        changed = solver_config_from_ini(config_file, {key: value})
+        filled |= {name for name in names if getattr(changed, name) != getattr(base, name)}
+    assert filled == names
 
 
 @pytest.mark.parametrize(
@@ -218,6 +251,19 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         _flag_loaded("sweep", config_file, "--eps-list", "")
 
 
+# the bump peaks at epsilon, so data at or above the blow-up threshold is
+# refused before it is stepped
+EPS_AT_THRESHOLD = (
+    "simulate run.ini --eps 1e9 --out out",
+    "sweep run.ini --eps-list 1e9,0.5 --out out",
+    "simulate eps_1e8.ini --out out",
+)
+
+
+def _no_step(*args):
+    raise AssertionError("refused input reached the solver's step")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -270,6 +316,7 @@ def test_an_empty_eps_list_is_refused_not_ignored(config_file):
         "verify-lemma --dim 0 --bc neumann --grid 8 --R 4,8",
         "verify-lemma --dim -3 --bc neumann --grid 8 --R 4,8",
         "verify-lemma --lam 1e300",
+        *EPS_AT_THRESHOLD,
     ],
 )
 def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, argv):
@@ -285,8 +332,10 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     ``malformed/records.json`` holds a record without the fields the report
     tables read, ``stiff_robin.ini`` sets ``alpha = 0.01``, whose Robin
     stability limit at this dr is cfl 0.467 < 0.9, ``no_epsilon.csv`` has a
-    ``t_blow`` but no ``epsilon`` column, and ``points.csv`` holds
-    five blow-up points."""
+    ``t_blow`` but no ``epsilon`` column, ``points.csv`` holds
+    five blow-up points and ``eps_1e8.ini`` sets ``epsilon = 1e8``.  No
+    refused input steps the solver, and an epsilon at or above the blow-up
+    threshold is refused by name."""
     root = config_file.parent
     monkeypatch.chdir(root)
     (root / "empty").mkdir()
@@ -307,12 +356,15 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     (root / "stiff_robin.ini").write_text(CONFIG_TEXT.replace("alpha = 0.0", "alpha = 0.01"))
     (root / "no_epsilon.csv").write_text("eps,t_blow\n0.8,5.0\n")
     (root / "points.csv").write_text(FIT_CSV)
+    (root / "eps_1e8.ini").write_text(CONFIG_TEXT.replace("epsilon = 0.8", "epsilon = 1e8"))
     inputs = sorted(root.rglob("*"))
+    monkeypatch.setattr(solver._Kernel, "advance", _no_step)
+    reason = "epsilon " if argv in EPS_AT_THRESHOLD else ""
     argv = argv.split()
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"{argv[0]}: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"{argv[0]}: {reason}") and captured.err.count("\n") == 1
     assert sorted(root.rglob("*")) == inputs
 
 
@@ -341,8 +393,8 @@ FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "", "abc"]
 def test_cli_never_ends_in_a_traceback(config_file, monkeypatch, capsys):
     """Every flag above, given each of FUZZ_VALUES, runs, fails a check or
     is refused: ``main`` returns 0, 1 or 2 (argparse's refusal leaves
-    through SystemExit(2)), and no other exception escapes it.  So does an
-    R whose R^4 overflows."""
+    through SystemExit(2)), and no other exception escapes it.  So do an R
+    whose R^4 overflows and an epsilon at the blow-up threshold."""
     root = config_file.parent
     monkeypatch.chdir(root)
     (root / "points.csv").write_text(FIT_CSV)
@@ -353,6 +405,7 @@ def test_cli_never_ends_in_a_traceback(config_file, monkeypatch, capsys):
         for value in FUZZ_VALUES
     ]
     calls.append(["verify-lemma", "--R=1e300", "--grid", "8"])
+    calls.append(["simulate", "run.ini", "--eps=1e8"])
     for argv in calls:
         try:
             code = main(argv)

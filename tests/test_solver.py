@@ -8,6 +8,7 @@ import pytest
 from exwave import solver
 from exwave.exponents import BoundaryCondition, ExponentVector
 from exwave.solver import (
+    BLOWUP_THRESHOLD,
     SENSITIVITY_THRESHOLDS,
     CFLViolationError,
     DataPositivityError,
@@ -46,6 +47,10 @@ def test_grid_basics():
 def test_initial_data_validation():
     with pytest.raises(ValueError):
         InitialData(center=1.2, width=0.5)  # support would cross r = 1
+    # the bump peaks at epsilon: data at the blow-up threshold is refused
+    with pytest.raises(ValueError, match="epsilon must be below the blow-up threshold"):
+        InitialData(epsilon=BLOWUP_THRESHOLD)
+    InitialData(epsilon=math.nextafter(BLOWUP_THRESHOLD, 0.0))  # just below is accepted
     data = InitialData(center=2.0, width=0.5, epsilon=0.3)
     grid = RadialGrid(r_max=6.0, n=300)
     u0, u1 = data.build(grid, 2)
@@ -390,7 +395,8 @@ def _step_loop(config):
     """run()'s bookkeeping around full-grid step() calls on fresh states.
 
     Besides what a record holds, it returns the step at which each threshold
-    was crossed and the step at which the run ended."""
+    was crossed, the step at which the run ended and whether the
+    displacement was finite on that step."""
     grid, bc = config.grid, config.bc
     u0, u1 = config.data.build(grid, config.p.k)
     state = apply_boundary(RadialState(t=0.0, u=u0, v=u1), bc)
@@ -406,7 +412,6 @@ def _step_loop(config):
 
     if stride:
         snapshot(state)
-    thresholds = sorted(set(SENSITIVITY_THRESHOLDS) | {config.blowup_threshold})
     crossings, t_blow, nan_flag, grace_left = {}, None, False, -1
     crossing_steps = {}
     for istep in range(1, n_steps + 1):
@@ -416,23 +421,23 @@ def _step_loop(config):
             nan_flag = True
             if t_blow is None:
                 t_blow = state.t
-                crossings.setdefault(config.blowup_threshold, state.t)
-                crossing_steps.setdefault(config.blowup_threshold, istep)
+                crossings.setdefault(BLOWUP_THRESHOLD, state.t)
+                crossing_steps.setdefault(BLOWUP_THRESHOLD, istep)
             break
         peak = float(np.max(state.peak()))
-        for M in thresholds:
+        for M in SENSITIVITY_THRESHOLDS:
             if M not in crossings and peak > M:
                 crossings[M] = _crossing_time(state.t - dt, prev_peak, state.t, peak, M)
                 crossing_steps[M] = istep
-        if t_blow is None and config.blowup_threshold in crossings:
-            t_blow = crossings[config.blowup_threshold]
+        if t_blow is None and BLOWUP_THRESHOLD in crossings:
+            t_blow = crossings[BLOWUP_THRESHOLD]
             if stride:
                 snapshot(state)
             grace_left = 200
         elif stride and t_blow is None and (istep % stride == 0 or istep == n_steps):
             snapshot(state)
         if grace_left >= 0:
-            if max(thresholds) in crossings or grace_left == 0:
+            if SENSITIVITY_THRESHOLDS[-1] in crossings or grace_left == 0:
                 break
             grace_left -= 1
     return {
@@ -445,6 +450,7 @@ def _step_loop(config):
         "history_u": np.array(hist_u) if stride else None,
         "crossing_steps": crossing_steps,
         "last_step": istep,
+        "u_finite": bool(np.all(np.isfinite(state.u))),
     }
 
 
@@ -609,15 +615,23 @@ GATE_CASES = {
     ),
     "robin": lambda: _robin(),
     "survived-horizon": lambda: replace(_robin(), T_end=5.0),
-    # a threshold no finite peak crosses: the run ends on the overflow
-    "overflow": lambda: _robin(blowup_threshold=1e308),
-    # coarse grid, near-linear growth: the state passes through peaks of
-    # 1e306..1e308, where the velocity overflows a step before the
-    # displacement does; a snapshot every step
+    # Robin, unequal exponents and a huge one: the peak jumps from below
+    # 1e10 straight past overflow, so u itself goes non-finite (step 3)
+    "overflow": lambda: SolverConfig.with_auto_domain(
+        p=ExponentVector.of(2.0, 40.0), d=3, bc=BoundaryCondition.robin(1, 1), n=200,
+        T_end=30.0, data=InitialData(epsilon=1.545634), history_snapshots=64,
+    ),
+    # the same jump with one exponent, at the rows of the overflow ladder
+    "overflow-dirichlet": lambda: SolverConfig.with_auto_domain(
+        p=ExponentVector.of(48.0), d=3, bc=DIRICHLET, n=200, T_end=30.0,
+        data=InitialData(epsilon=1.607622), history_snapshots=64,
+    ),
+    # coarse grid: the peak jumps from below 1e10 to 1.47e308 (step 2), where
+    # u is finite but the velocity overflows; a snapshot every step
     "velocity-overflow": lambda: SolverConfig(
-        p=ExponentVector.of(1.001), d=3, bc=DIRICHLET, grid=RadialGrid(r_max=41.0, n=24),
-        T_end=24.0, data=InitialData(center=10.0, width=6.0, epsilon=1e300),
-        blowup_threshold=math.inf, history_snapshots=16,
+        p=ExponentVector.of(60.0), d=3, bc=DIRICHLET, grid=RadialGrid(r_max=41.0, n=24),
+        T_end=24.0, data=InitialData(center=10.0, width=6.0, epsilon=1.2154),
+        history_snapshots=16,
     ),
     # run steps one row and copies it into three columns, history included
     "equal-k3": lambda: SolverConfig.with_auto_domain(
@@ -668,9 +682,12 @@ def test_run_bit_identical_to_step_loop(case):
     cfg = GATE_CASES[case]()
     with np.errstate(over="ignore", invalid="ignore"):
         rec = run(cfg)
-    _assert_matches_step_loop(rec, _reference(cfg))
-    if case in ("overflow", "velocity-overflow"):
+    ref = _reference(cfg)
+    _assert_matches_step_loop(rec, ref)
+    if "overflow" in case:
         assert rec.nan_encountered and rec.verdict is Verdict.BLEW_UP
+        # a non-finite state whose u is finite has a non-finite v
+        assert ref["u_finite"] is (case == "velocity-overflow")
     if case == "survived-horizon":
         assert rec.verdict is Verdict.SURVIVED
 
@@ -682,7 +699,7 @@ def test_t_blow_is_the_blowup_crossing(case):
     cfg = GATE_CASES[case]()
     with np.errstate(over="ignore", invalid="ignore"):
         rec = run(cfg)
-    assert rec.t_blow == rec.threshold_crossings.get(cfg.blowup_threshold)
+    assert rec.t_blow == rec.threshold_crossings.get(BLOWUP_THRESHOLD)
 
 
 # ladders of a gate case: the epsilons of each are stepped in lockstep
@@ -693,8 +710,8 @@ LADDERS = {
     "neumann-p2": ("neumann-p2", (0.75, 0.6)),
     # the first row blows up and leaves while the other two survive
     "robin-survived": ("survived-horizon", (3.0, 2.0, 0.5)),
-    # both rows end on the overflow, at different steps
-    "overflow": ("overflow", (0.5, 0.4)),
+    # both rows end on the overflow of u, at different steps
+    "overflow": ("overflow-dirichlet", (1.607622, 0.938032)),
     # two blocks of three rows: the cyclic gather stays inside each block
     "unequal-k3": ("unequal-k3", (0.5, 0.35)),
     # the first block leaves in the middle of a prefix chunk, the second
@@ -738,6 +755,9 @@ def test_ladder_rows_bit_identical_to_step_loop(ladder, monkeypatch):
     refs = [_reference(config) for config in configs]
     for rec, ref in zip(recs, refs):
         _assert_matches_step_loop(rec, ref)
+    if ladder == "overflow":
+        assert all(ref["nan_encountered"] and not ref["u_finite"] for ref in refs)
+        assert refs[0]["last_step"] != refs[1]["last_step"]
     if ladder == "robin-survived":
         assert [rec.verdict for rec in recs] == [Verdict.BLEW_UP] + [Verdict.SURVIVED] * 2
     if ladder == "edge":

@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .exponents import BoundaryCondition, ExponentVector, classify_record, gamma_record
@@ -118,6 +119,8 @@ def cmd_simulate(args) -> int:
     if args.dump_history and (not args.out or config.history_snapshots == 0):
         need = "[history] snapshots > 0 in the config" if args.out else "--out <dir>"
         raise ValueError(f"--dump-history needs {need}")
+    if not args.dump_history:  # store no snapshots that nothing writes
+        config = replace(config, history_snapshots=0)
     rec = run(config)
     summary = record_to_dict(rec)
     print(json.dumps(summary, indent=2, sort_keys=True))

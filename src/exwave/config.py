@@ -24,7 +24,7 @@ Plain INI text with nested sections, e.g.::
     epsilon = 0.5
 
     [history]
-    snapshots = 256   ; simulate only
+    snapshots = 256   ; simulate --dump-history only
 
     [sweep]
     epsilons = 0.8, 0.566, 0.4, 0.283, 0.2
@@ -40,8 +40,9 @@ the dataclasses: a key the file does not set takes the default of the field
 it fills (``[bc]`` that of ``BoundaryCondition.dirichlet()``), and a missing
 key without one (``[time] t_end``, or ``[sweep] epsilons`` of a sweep)
 raises a ``ValueError`` naming the section and key.
-``[history] snapshots`` applies to ``simulate``: a sweep stores no
-histories, so its records.json shows ``history_snapshots`` 0.  The blow-up
+``[history] snapshots`` counts only for ``simulate --dump-history``: without
+that flag, and in every sweep, no history is stored, so run.json and
+records.json show ``history_snapshots`` 0.  The blow-up
 threshold is no key: every run uses ``solver.BLOWUP_THRESHOLD``, 1e8, and
 records.json keeps the 1e6 and 1e10 crossings beside it.
 

@@ -447,14 +447,13 @@ def history_to_csv(rec: RunRecord, path: str | Path) -> Path:
     if rec.history is None:
         raise ValueError("run was configured without history")
     hist = rec.history
-    k = hist.u.shape[1]
+    m, k, nodes = hist.u.shape
+    u = hist.u.swapaxes(1, 2).reshape(-1, k)  # one row per (t, r)
+    table = np.column_stack((np.repeat(hist.times, nodes), np.tile(hist.r, m), u))
+    header = ",".join(["t", "r"] + [f"u_{i + 1}" for i in range(k)])
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "r"] + [f"u_{i + 1}" for i in range(k)])
-        for it, t in enumerate(hist.times):
-            for jr, r in enumerate(hist.r):
-                row = [f"{t:.10g}", f"{r:.10g}"]
-                row += [f"{hist.u[it, c, jr]:.10g}" for c in range(k)]
-                writer.writerow(row)
+    with path.open("w", newline="") as fh:  # csv's line end, \r\n, on every platform
+        np.savetxt(
+            fh, table, fmt="%.10g", delimiter=",", newline="\r\n", header=header, comments=""
+        )
     return path

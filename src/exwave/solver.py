@@ -65,8 +65,12 @@ recorded in the same run, giving a free threshold-sensitivity estimate.  A
 ladder keeps no trace of the peaks: each step takes one flat max of |u| over
 the whole batch, and a run's own peaks (of the new level and the one before
 it) are formed only on the rare steps where that max or a due snapshot or
-grace end calls for the per-run bookkeeping.  max and abs are exact, so
-every crossing keeps its bits.
+grace end calls for the per-run bookkeeping, on the Taylor start as on any
+other step.  max and abs are exact, so every crossing keeps its bits.  Each run's
+``RunRecord`` is built when its block enters the batch, and that
+bookkeeping writes the crossings, the non-finite flag, ``t_final`` and
+``wall_s`` into it in place; its history is formed from its snapshots after
+the loop.
 """
 
 from __future__ import annotations
@@ -654,16 +658,13 @@ _CHUNK = 32
 
 @dataclass
 class _Rung:
-    """One epsilon's bookkeeping while its block is in a ladder's batch."""
+    """One epsilon's record, filled in place while its block is in a ladder's
+    batch, with its (t, u) snapshots (None when the ladder stores none) and
+    its last grace step."""
 
-    config: SolverConfig
-    positivity: float
-    history: list | None  # (t, u) snapshots, None when the ladder stores none
-    crossings: dict[float, float] = field(default_factory=dict)
-    nan_flag: bool = False
-    deadline: int | None = None  # its last grace step
-    t_final: float = 0.0
-    wall_s: float = 0.0
+    record: RunRecord
+    snapshots: list | None
+    deadline: int | None = None
 
 
 def _keep_columns(a: np.ndarray, sel: np.ndarray, m: int) -> np.ndarray:
@@ -680,7 +681,7 @@ def _next_event(batch: list[_Rung], istep: int, stride: int, n_steps: int) -> in
     """The first step after ``istep`` at which a rung's grace ends or a
     history snapshot is due."""
     events = [rung.deadline for rung in batch if rung.deadline is not None]
-    if stride and any(BLOWUP_THRESHOLD not in r.crossings for r in batch):
+    if stride and any(BLOWUP_THRESHOLD not in r.record.threshold_crossings for r in batch):
         events.append(min((istep // stride + 1) * stride, n_steps))
     return min(events, default=n_steps + 1)
 
@@ -700,21 +701,25 @@ def run_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunRecord
     ``_CHUNK`` nodes, and rotates three preallocated time levels; every run
     is bit-identical to a loop of ``step`` calls.  |u| of the new level is
     formed once per step: one flat max of it is the batch's peak, and it is
-    the next step's forcing base.  The per-rung Python bookkeeping runs only
+    the next step's forcing base.  The per-run Python bookkeeping runs only
     on the steps where the batch's peak passes the lowest uncrossed threshold,
-    or a snapshot or a grace end is due; only there are a run's own peaks
-    formed, of the new level from |u| and of the one before it from that
-    level.  The velocity is formed only on the Taylor start and where a run's
-    new peak passes the guard ``v_guard``, where it decides the non-finite
-    verdict just as a full finiteness scan would.  The guard reads only the
-    newest level: a run leaves the batch on the step its peak passes the
-    highest sensitivity threshold, 1e10, or goes non-finite, and
-    ``InitialData`` refuses data at or above ``BLOWUP_THRESHOLD``, so every
-    older level of a run still in the batch is at most 1e10.  ``v_guard``
-    exceeds 1e10 whenever dt > 5e-298, so below it (3u+ - 4u + u-)/(2 dt)
-    cannot overflow, and a peak above it has passed every threshold.  A
-    record's ``wall_s`` is the time from this call to the step at which its
-    run left the batch.
+    or a snapshot or a grace end is due, and writes straight into the run's
+    record; only there are a run's own peaks formed, of the new level from
+    |u| and of the one before it from that level.  The velocity is checked
+    only where a run's new peak passes the guard ``v_guard``, where it
+    decides the non-finite verdict just as a full finiteness scan would.  The
+    guard reads only the newest level: a run leaves the batch on the step its
+    peak passes the highest sensitivity threshold, 1e10, or goes non-finite
+    (a non-finite run's grace ends on that step), and ``InitialData`` refuses
+    data at or above ``BLOWUP_THRESHOLD``, so every older level of a run
+    still in the batch is at most 1e10.  ``v_guard`` exceeds 1e10 whenever
+    dt > 5e-298, so below it (3u+ - 4u + u-)/(2 dt) cannot overflow, and a
+    peak above it has passed every threshold.  The Taylor start takes the
+    same rule: its data lie below 1e8, so below the guard its velocity
+    2 (u+ - u)/dt - v cannot overflow either, and where the guard trips the
+    check reads that velocity, which the start has written.  A record's
+    ``wall_s`` is the time from this call to the step at which its run left
+    the batch.
     """
     return _step_ladder(base, epsilons)
 
@@ -743,7 +748,8 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
         pos = weighted_data_integral(grid.r, u0[0], u1[0], base.d, bc)
         if c.data.epsilon > 0 and not pos > 0.0:
             raise DataPositivityError(f"int (u0 + u1) Psi dx = {pos:.3e} must be positive")
-        rungs.append(_Rung(c, pos, [(0.0, u0)] if stride else None))
+        record = RunRecord(c, t_final=0.0, threshold_crossings={}, data_positivity=pos)
+        rungs.append(_Rung(record, [(0.0, u0)] if stride else None))
     if not base.domain_of_dependence_ok():
         warnings.warn(
             "r_max < 1 + support + T_end: the outer wall can influence the "
@@ -754,7 +760,7 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
     live = np.flatnonzero(np.any(u_cur != 0.0, axis=1) | np.any(v != 0.0, axis=1))
     front = (int(live[-1]) if live.size else 0) + 2  # step s needs m >= front + s
     # below this new peak, with the older levels at most 1e10 (see run_ladder),
-    # (3u+ - 4u + u-)/(2 dt) cannot overflow
+    # neither (3u+ - 4u + u-)/(2 dt) nor the Taylor start's velocity can overflow
     v_guard = sys.float_info.max / 16.0 * min(1.0, 2.0 * dt)
     batch = list(rungs)
     kernel = _Kernel(dt, stepped, base.d, bc, grid, copies=len(batch))
@@ -782,14 +788,14 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
         np.abs(u_new.head, out=absu.head)
         top = float(absu.head.max())
         left = []
-        if starting or istep >= next_event or not top <= watch:
+        if istep >= next_event or not top <= watch:
             due = stride and (istep % stride == 0 or istep == n_steps)  # snapshot step
             for slot, rung in enumerate(batch):
-                block = slice(slot * ks, (slot + 1) * ks)
+                rec, block = rung.record, slice(slot * ks, (slot + 1) * ks)
+                crossings = rec.threshold_crossings
                 peak_now = float(absu.head[:, block].max())
-                prev_peak = float(np.abs(u_cur.head[:, block]).max())
                 finite = math.isfinite(peak_now)
-                if finite and (starting or peak_now > v_guard):
+                if finite and peak_now > v_guard:
                     # no pin needed: at the pinned nodes every input is 0, so v is 0
                     vel = v.head[:, block] if starting else np.empty((m, ks))
                     if not starting:
@@ -798,32 +804,31 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
                             u_prev.head[:, block], dt, vel,
                         )
                     finite = bool(np.all(np.isfinite(vel)))
-                if not finite:
-                    rung.nan_flag = True
-                    rung.crossings.setdefault(BLOWUP_THRESHOLD, t)
-                    rung.t_final = t
-                    rung.wall_s = time.perf_counter() - t_start
-                    left.append(slot)
-                    continue
-                before = BLOWUP_THRESHOLD in rung.crossings
-                for M in SENSITIVITY_THRESHOLDS:
-                    if M not in rung.crossings and peak_now > M:
-                        rung.crossings[M] = _crossing_time(t - dt, prev_peak, t, peak_now, M)
-                crossed = not before and BLOWUP_THRESHOLD in rung.crossings
-                if stride and not before and (due or crossed):  # last one at crossing
-                    rung.history.append((t, u_new.a[:, block].T.copy()))
-                if crossed:
-                    rung.deadline = istep + _GRACE_STEPS
+                if not finite:  # the run leaves on this step
+                    rec.nan_encountered = True
+                    crossings.setdefault(BLOWUP_THRESHOLD, t)
+                    rung.deadline = istep
+                else:
+                    prev_peak = float(np.abs(u_cur.head[:, block]).max())
+                    before = BLOWUP_THRESHOLD in crossings
+                    for M in SENSITIVITY_THRESHOLDS:
+                        if M not in crossings and peak_now > M:
+                            crossings[M] = _crossing_time(t - dt, prev_peak, t, peak_now, M)
+                    crossed = not before and BLOWUP_THRESHOLD in crossings
+                    if stride and not before and (due or crossed):  # last one at crossing
+                        rung.snapshots.append((t, u_new.a[:, block].T.copy()))
+                    if crossed:
+                        rung.deadline = istep + _GRACE_STEPS
                 if rung.deadline is not None and (
-                    SENSITIVITY_THRESHOLDS[-1] in rung.crossings or istep == rung.deadline
+                    SENSITIVITY_THRESHOLDS[-1] in crossings or istep == rung.deadline
                 ):
-                    rung.t_final = t
-                    rung.wall_s = time.perf_counter() - t_start
+                    rec.t_final, rec.wall_s = t, time.perf_counter() - t_start
                     left.append(slot)
             keep = [slot for slot in range(len(batch)) if slot not in left]
             batch = [batch[slot] for slot in keep]
+            pending = (r.record.threshold_crossings for r in batch)
             watch = min(
-                (M for r in batch for M in SENSITIVITY_THRESHOLDS if M not in r.crossings),
+                (M for c in pending for M in SENSITIVITY_THRESHOLDS if M not in c),
                 default=math.inf,
             )
             next_event = _next_event(batch, istep, stride, n_steps)
@@ -842,30 +847,11 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
     del u_prev, u_cur, u_new, absu, v, kernel  # free the step buffers before the records
     wall_s = time.perf_counter() - t_start
     for rung in batch:  # the runs that reached the horizon
-        rung.t_final, rung.wall_s = t, wall_s
-
-    return tuple(_ladder_record(rung, k // ks, grid) for rung in rungs)
-
-
-def _ladder_record(rung: _Rung, copies: int, grid: RadialGrid) -> RunRecord:
-    """A rung's record; each stepped column of its history is repeated into
-    ``copies`` columns."""
-    config = rung.config
-    history = None
-    if rung.history is not None:
-        hist_t, hist_u = zip(*rung.history)
-        history = SolutionHistory(
-            times=np.array(hist_t),
-            r=grid.r,
-            u=np.repeat(np.array(hist_u), copies, axis=1),
-            horizon=config.T_end,
-        )
-    return RunRecord(
-        config=config,
-        t_final=rung.t_final,
-        threshold_crossings=rung.crossings,
-        nan_encountered=rung.nan_flag,
-        data_positivity=rung.positivity,
-        history=history,
-        wall_s=rung.wall_s,
-    )
+        rung.record.t_final, rung.record.wall_s = t, wall_s
+    for rung in rungs:  # each stepped column of a history repeats into k // ks
+        if rung.snapshots is not None:
+            times, u = zip(*rung.snapshots)
+            rung.record.history = SolutionHistory(
+                np.array(times), grid.r, np.repeat(np.array(u), k // ks, axis=1), base.T_end
+            )
+    return tuple(rung.record for rung in rungs)

@@ -1,4 +1,5 @@
 import configparser
+import functools
 import itertools
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import exwave
-from exwave import cli, solver
+from exwave import cli, harness, solver
 from exwave.cli import build_parser, main
 from exwave import config
 from exwave.config import solver_config_from_ini, sweep_spec_from_ini
@@ -518,6 +519,33 @@ def test_cli_verify_lemma_rejects_an_unknown_bc(capsys):
     assert "'nuemann'" in err and "dirichlet, neumann, robin" in err
 
 
+@pytest.mark.parametrize(
+    "argv, mutated, code, lines",
+    [
+        (
+            "--p 1.4,1.4 --lam 2 --grid 8 --R 4,8 --dim 3 --bc dirichlet", False, 0,
+            ["warning: lambda = 2 is below the admissibility floor 5 for p = (1.4, 1.4)",
+             "PASS"],
+        ),
+        (  # acceptance 04's mutation: R^-3 instead of R^-2 on estimate (i)
+            "--lam 2 --grid 8 --R 4,32 --dim 3 --bc dirichlet", True, 1,
+            ["FAIL", "  lam=2 d=3 bc=dirichlet: estimate (i) band 8.00 exceeds 4"],
+        ),
+    ],
+    ids=["warning", "failure"],
+)
+def test_cli_verify_lemma_prints_its_warnings_and_failures(
+    argv, mutated, code, lines, monkeypatch, capsys
+):
+    if mutated:
+        mutation = functools.partial(
+            harness.verify_cutoff_estimates, rhs_r_powers=(-3.0, -4.0, -2.0, -2.0)
+        )
+        monkeypatch.setattr(cli, "verify_cutoff_estimates", mutation)
+    assert main(["verify-lemma", *argv.split()]) == code
+    assert capsys.readouterr().out.splitlines()[-len(lines):] == lines
+
+
 def test_cli_simulate_and_outputs(config_file, tmp_path, capsys):
     out = tmp_path / "artifacts"
     code = main(["simulate", str(config_file), "--eps", "0.8", "--out", str(out)])
@@ -542,6 +570,25 @@ def test_cli_simulate_dump_history(tmp_path, capsys):
     n_snapshots, n_nodes = len(rec.history.times), 401
     assert n_snapshots > 1 and len(rec.history.r) == n_nodes
     assert len(lines) == 1 + n_snapshots * n_nodes
+
+
+def test_cli_simulate_stores_no_snapshots_without_dump_history(tmp_path, monkeypatch, capsys):
+    config_file = tmp_path / "hist.ini"
+    config_file.write_text(CONFIG_TEXT.replace("snapshots = 0", "snapshots = 8"))
+    records = []
+
+    def run_and_keep(config):
+        records.append(run(config))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "run", run_and_keep)
+    out = tmp_path / "artifacts"
+    assert main(["simulate", str(config_file), "--out", str(out)]) == 0
+    assert [rec.history for rec in records] == [None]
+    summary = json.loads((out / "run.json").read_text())
+    assert summary["config"]["history_snapshots"] == 0
+    assert json.loads(capsys.readouterr().out) == summary
+    assert sorted(p.name for p in out.iterdir()) == ["run.json"]
 
 
 def test_cli_simulate_refuses_dump_history_without_snapshots(tmp_path, capsys):

@@ -6,6 +6,7 @@ from exwave.exponents import (
     BoundaryKind,
     BoundForm,
     ExponentVector,
+    LifespanBound,
     build_matrix_P,
     classify_record,
     classify_regime,
@@ -26,6 +27,24 @@ def test_boundary_condition_kinds():
     with pytest.raises(ValueError):
         BoundaryCondition(1.0, -1.0).require_dissipative()
     BoundaryCondition(2.0, 3.0).require_dissipative()
+
+
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (lambda: BoundaryCondition.robin(0.0, 1.0), r"\(0.0, 1.0\) is not a Robin pair"),
+        (lambda: LifespanBound(BoundForm.POLYNOMIAL), "polynomial bound requires an exponent"),
+        (lambda: LifespanBound(BoundForm.NO_BLOWUP_CLAIM, 1.0), "carries no exponent"),
+        (lambda: LifespanBound(BoundForm.OPEN_PROBLEM, 2.0), "carries no exponent"),
+        (lambda: single_equation_table(1.0, 3), "p must exceed 1"),
+        (lambda: single_equation_table(0.5, 2), "p must exceed 1"),
+    ],
+    ids=["robin-0-1", "missing-exponent", "extra-exponent", "open-problem-exponent",
+         "table-p-1", "table-p-below-1"],
+)
+def test_exponent_refusals_name_their_reason(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()
 
 
 def test_exponent_vector_validation():

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tracemalloc
@@ -30,7 +31,15 @@ from exwave.harness import (
     write_tables,
 )
 from exwave.oracle import OdeOrder, OdeSystem, integrate_adaptive
-from exwave.solver import InitialData, SolverConfig, Verdict, run, run_ladder
+from exwave.solver import (
+    InitialData,
+    RunRecord,
+    SolutionHistory,
+    SolverConfig,
+    Verdict,
+    run,
+    run_ladder,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 P14 = ExponentVector.of(1.4, 1.4)
@@ -85,6 +94,42 @@ def test_fit_validations():
         fit_scaling([(0.1, 1.0), (0.1, 1.0), (0.1, 1.0), (0.1, 1.0)])
     with pytest.raises(ValueError):
         fit_scaling([(1.5, 1.0), (1.2, 2.0), (1.1, 3.0), (1.05, 4.0)], FitModel.POWER_LOG)
+
+
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (
+            lambda tmp: fit_scaling([(0.8, 2.0), (0.4, 0.0), (0.2, 9.0), (0.1, 20.0)]),
+            "all blow-up times must be finite and positive",
+        ),
+        (
+            lambda tmp: fit_scaling([(0.8, 2.0), (0.4, -4.0), (0.2, 9.0), (0.1, 20.0)]),
+            "all blow-up times must be finite and positive",
+        ),
+        (
+            lambda tmp: verify_cutoff_estimates([4.0], [2.0], [3], [DIRICHLET], band_limit=0.5),
+            "band limit must be finite and at least 1",
+        ),
+        (
+            lambda tmp: verify_cutoff_estimates(
+                [4.0], [2.0], [3], [DIRICHLET], band_limit=math.inf
+            ),
+            "band limit must be finite and at least 1",
+        ),
+        (lambda tmp: write_tables({"runs": []}, tmp), "not a list of run records"),
+        (
+            lambda tmp: history_to_csv(run(_base_config(n=64, T_end=1.0)), tmp / "h.csv"),
+            "run was configured without history",
+        ),
+    ],
+    ids=["fit-T-0", "fit-T-negative", "band-limit-0.5", "band-limit-inf",
+         "tables-not-a-list", "csv-without-history"],
+)
+def test_harness_refusals_name_their_reason(tmp_path, refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused(tmp_path)
+    assert list(tmp_path.iterdir()) == []  # refused before any file is opened
 
 
 def test_fit_oracle_first_order_recovers_p_minus_one():
@@ -412,6 +457,33 @@ def test_history_csv_dump(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,r,u_1,u_2"
     assert len(lines) == 1 + len(rec.history.times) * len(rec.history.r)
+
+
+def _csv_writer_dump(hist, path):
+    """The csv.writer loop that history_to_csv once was: its byte reference."""
+    k = hist.u.shape[1]
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "r"] + [f"u_{i + 1}" for i in range(k)])
+        for it, t in enumerate(hist.times):
+            for jr, r in enumerate(hist.r):
+                row = [f"{t:.10g}", f"{r:.10g}"]
+                row += [f"{hist.u[it, c, jr]:.10g}" for c in range(k)]
+                writer.writerow(row)
+
+
+def test_history_csv_keeps_the_csv_writer_bytes(tmp_path):
+    u = np.random.default_rng(3).normal(size=(3, 2, 5)) * np.logspace(-12, 12, 5)
+    u[0, 0, :3] = (-0.0, -1.5e-300, -7.25e12)
+    hist = SolutionHistory(
+        times=np.array([0.0, 0.125, 1.0 / 3.0]), r=np.linspace(1.0, 2.0, 5), u=u, horizon=1.0
+    )
+    rec = RunRecord(_base_config(), t_final=1.0 / 3.0, threshold_crossings={}, history=hist)
+    _csv_writer_dump(hist, tmp_path / "reference.csv")
+    history_to_csv(rec, tmp_path / "history.csv")
+    reference = (tmp_path / "reference.csv").read_bytes()
+    assert reference.count(b"-") > 10 and reference.endswith(b"\r\n")
+    assert (tmp_path / "history.csv").read_bytes() == reference
 
 
 def test_serial_timings_grow_along_a_blow_up_ladder(tmp_path):

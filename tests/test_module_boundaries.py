@@ -99,3 +99,13 @@ def test_only_exponents_spells_a_regime_name():
         if isinstance(node, ast.Constant) and node.value in names
     ]
     assert found == []
+
+
+def test_no_source_line_is_wider_than_99_columns():
+    wide = [
+        f"{path.name}:{number}: {len(line)} columns"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if len(line) > 99
+    ]
+    assert wide == []

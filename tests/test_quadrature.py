@@ -32,6 +32,25 @@ def test_sphere_areas():
     assert sphere_area(4) == pytest.approx(2 * math.pi**2)
 
 
+@pytest.mark.parametrize(
+    "refused, match",
+    [
+        (lambda: sphere_area(0), "d must be >= 1"),
+        (
+            lambda: functional_IR(
+                _const_history(1.0), ScaledCutoff(R=2.0, profile=CutoffProfile(lam=2.0)),
+                3, BoundaryCondition.dirichlet(), ell=0, p_next=2.0,
+            ),
+            r"component index must lie in \[1, 1\]",
+        ),
+    ],
+    ids=["sphere-area-d-0", "functional-ell-0"],
+)
+def test_quadrature_refusals_name_their_reason(refused, match):
+    with pytest.raises(ValueError, match=match):
+        refused()
+
+
 def test_radial_measure_against_closed_form():
     # int_1^2 r^2 dr * 4pi = 4pi * 7/3
     r = np.linspace(1.0, 2.0, 20001)

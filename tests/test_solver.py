@@ -68,6 +68,48 @@ def test_cfl_guard():
         step(state, 1.1 * grid.dr, ExponentVector.of(2.0), 3, DIRICHLET, grid)
 
 
+def _config_with(**changes):
+    fields = dict(
+        p=P14, d=3, bc=DIRICHLET, grid=RadialGrid(r_max=8.0, n=100), T_end=5.0,
+        data=InitialData(),
+    )
+    return SolverConfig(**{**fields, **changes})
+
+
+def _step_a_nan_state():
+    grid = RadialGrid(r_max=5.0, n=100)
+    u = np.zeros((1, 101))
+    u[0, 50] = math.nan
+    state = RadialState(t=0.0, u=u, v=np.zeros((1, 101)))
+    step(state, grid.dr, ExponentVector.of(2.0), 3, DIRICHLET, grid)
+
+
+@pytest.mark.parametrize(
+    "refused, error, match",
+    [
+        (lambda: InitialData(width=0.0), ValueError, "width must be positive"),
+        (lambda: InitialData(width=-0.25), ValueError, "width must be positive"),
+        (lambda: _config_with(T_end=math.inf), ValueError, "T_end must be positive and finite"),
+        (lambda: _config_with(T_end=math.nan), ValueError, "T_end must be positive and finite"),
+        (lambda: _config_with(T_end=0.0), ValueError, "T_end must be positive and finite"),
+        (lambda: _config_with(T_end=-1.0), ValueError, "T_end must be positive and finite"),
+        # the bump reaches r = 2.5
+        (
+            lambda: _config_with(grid=RadialGrid(r_max=2.5, n=100)),
+            ValueError, "initial bump support must lie inside the grid",
+        ),
+        (_step_a_nan_state, FloatingPointError, "non-finite state"),
+    ],
+    ids=[
+        "width-0", "width-negative", "T_end-inf", "T_end-nan", "T_end-0", "T_end-negative",
+        "bump-beyond-r_max", "step-nan-state",
+    ],
+)
+def test_solver_refusals_name_their_reason(refused, error, match):
+    with pytest.raises(error, match=match):
+        refused()
+
+
 @pytest.mark.parametrize("x", [1.0, 4.0])
 def test_the_robin_cfl_limit_is_sharp_in_one_dimension(x, monkeypatch):
     """Robin's ghost row carries a boundary mode that limits dt/dr to

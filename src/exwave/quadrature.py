@@ -68,7 +68,7 @@ class QuadratureConvergenceError(RuntimeError):
     pass
 
 
-@functools.cache
+@functools.lru_cache(maxsize=2)
 def _shell_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes sigma and weights, n per panel, of the rule for
     int_0^1 L(sigma) f(sigma) dsigma in ``measure_QRstar_psi``."""

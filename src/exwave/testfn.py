@@ -24,12 +24,16 @@ derivatives are available in closed form, so the sup-ratio bounds
 can be verified numerically on dense samples of Q_R (``cutoff_estimate_sup_ratios``).
 phi_R depends on (t, r) only through tau = t/R^2 and sigma = (r-1)/R, so the
 sweep runs on the scaled grid, whose samples are the same for every R: a batch
-over (lam, d, bc, R) (``sup_ratio_rows``) evaluates the bridge derivatives
-once per sample of the shell 1/2 < rho < 1, the only samples where phi' or
-phi'' can be nonzero, and returns one row per (lam, d, bc) holding the sweeps
-for every R.  With the claimed powers of R, ratios (i) and (ii) do not depend
-on R; R enters (iii) and (iv) only through (d-1)/r and Psi(r) at
-r = 1 + R sigma; where Psi = 1 (beta = 0), (iv) has the left side of (iii).
+over (lam, d, bc, R) (``sup_ratio_rows``) reads the samples of the shell
+1/2 < rho < 1, the only samples where phi' or phi'' can be nonzero, and their
+bridge derivatives from a read-only memo formed once per (grid, block rows)
+and process (``_shell_blocks``; it keeps one grid, 2.96 MB at 512^2), and
+returns one row per (lam, d, bc) holding the sweeps for every R.  Repeated
+batches on one grid skip the bridge; a one-shot ``exwave verify-lemma`` makes
+one batch and gains nothing.  With the claimed powers of R, ratios (i) and
+(ii) do not depend on R; R enters (iii) and (iv) only through (d-1)/r and
+Psi(r) at r = 1 + R sigma; where Psi = 1 (beta = 0), (iv) has the left side
+of (iii).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -316,6 +321,38 @@ DEFAULT_SUP_RATIO_GRID = (512, 512)
 SUP_RATIO_BLOCK_ROWS = 64
 
 
+@lru_cache(maxsize=1)
+def _shell_blocks(nt: int, nr: int, block_rows: int):
+    """(n_samples, blocks) of the scaled nt x nr mesh rho = tau^2 + sigma^4:
+    n_samples counts its samples with rho < 1, and each block of block_rows
+    tau-rows gives its live shell samples as read-only arrays (rows, cols,
+    phi, dphi, ddphi), rows and cols as int32 mesh indices.
+
+    Every left side of the sup-ratio estimates carries a factor phi' or
+    phi'': where both vanish (rho <= 1/2, and the rim where the bridge
+    underflows to 0) a sample adds a zero ratio and cannot be a violation,
+    so only the shell 1/2 < rho < 1 goes through the bridge, and only its
+    samples with phi' or phi'' nonzero are kept (92,359 at 512^2).
+    """
+    tau = np.linspace(0.0, 1.0, nt)
+    sigma4 = np.linspace(0.0, 1.0, nr) ** 4
+    n_samples = 0
+    blocks = []
+    with np.errstate(under="ignore"):
+        for i0 in range(0, nt, block_rows):
+            block = tau[i0:i0 + block_rows, None] ** 2 + sigma4[None, :]
+            n_samples += int(np.count_nonzero(block < 1.0))
+            rows, cols = np.nonzero((block > 0.5) & (block < 1.0))
+            phi, dphi, ddphi = cutoff_profile_derivatives(block[rows, cols])
+            live = (dphi != 0.0) | (ddphi != 0.0)
+            rows = (rows[live] + i0).astype(np.int32)
+            shell = (rows, cols[live].astype(np.int32), phi[live], dphi[live], ddphi[live])
+            for a in shell:
+                a.flags.writeable = False
+            blocks.append(shell)
+    return n_samples, tuple(blocks)
+
+
 @dataclass(frozen=True)
 class SupRatioSweep:
     """Sup over Q_R samples of |left side| / right side for the four estimates.
@@ -411,17 +448,21 @@ def sup_ratio_rows(
 
     ``cutoff_estimate_sup_ratios`` samples t in [0, R^2] and r in [1, 1 + R]
     on a ``grid`` mesh, which is the same (tau, sigma) mesh for every R.  So
-    the bridge derivatives are evaluated once per sample for the whole batch,
-    the phi powers and phi* once per lam, estimates (i) and (ii) per (lam, R),
-    (iii) per (lam, R, d) and (iv) per (lam, R, d, bc); R enters (iii) and
-    (iv) through (d-1)/r and Psi(r) at r = 1 + R sigma.  Every left side
-    carries a factor phi' or phi'', so only the shell samples 1/2 < rho < 1
-    go through the bridge derivatives and the estimates; ``n_samples`` still
-    counts every sample with rho < 1.  Where beta = 0, Psi = 1 and Psi' = 0,
-    so the left side of (iv) is that of (iii); when the right sides agree as
-    well, (iv) takes (iii)'s running sup for that (lam, R, d).
+    the bridge derivatives depend on the grid alone: ``_shell_blocks`` forms
+    them once per (grid, SUP_RATIO_BLOCK_ROWS) and process and keeps the last
+    grid's, read-only (92,359 samples, 2.96 MB at 512^2), so only the first
+    batch on a grid pays for them.  The phi powers and phi* are formed once
+    per lam, estimates (i) and (ii) per (lam, R), (iii) per (lam, R, d) and
+    (iv) per (lam, R, d, bc); R enters (iii) and (iv) through (d-1)/r and
+    Psi(r) at r = 1 + R sigma.  Every left side carries a factor phi' or
+    phi'', so only the shell samples 1/2 < rho < 1 go through the bridge
+    derivatives and the estimates; ``n_samples`` still counts every sample
+    with rho < 1.  Where beta = 0, Psi = 1 and Psi' = 0, so the left side of
+    (iv) is that of (iii); when the right sides agree as well, (iv) takes
+    (iii)'s running sup for that (lam, R, d).
 
-    The sweep runs over blocks of SUP_RATIO_BLOCK_ROWS tau-rows.  Per block,
+    The sweep runs over the memo's blocks of SUP_RATIO_BLOCK_ROWS tau-rows,
+    read when the call is made.  Per block,
     each lam's chain-rule arrays and phi* powers are formed first, with (i)
     and (ii) for every R; then (iii) and (iv) loop over R, d, bc with lam
     innermost, so the column gathers of (d-1)/r, Psi and 2 Psi' are formed
@@ -441,7 +482,6 @@ def sup_ratio_rows(
     nt, nr = grid
     tau = np.linspace(0.0, 1.0, nt)
     sigma = np.linspace(0.0, 1.0, nr)
-    sigma4 = sigma**4
     a1, a2, a3, a4 = rhs_r_powers
     # the mesh columns r = 1 + R sigma; (d-1)/r per (R, d), (Psi, 2 Psi') per
     # (R, d, bc), with Psi None where it is identically 1 (beta = 0)
@@ -464,20 +504,9 @@ def sup_ratio_rows(
     # for (iii), plus d and bc for (iv)
     sups = defaultdict(_RunningSup)
 
-    n_samples = 0
+    n_samples, blocks = _shell_blocks(nt, nr, SUP_RATIO_BLOCK_ROWS)
     with np.errstate(under="ignore"):
-        for i0 in range(0, nt, SUP_RATIO_BLOCK_ROWS):
-            block = tau[i0:i0 + SUP_RATIO_BLOCK_ROWS, None] ** 2 + sigma4[None, :]
-            n_samples += int(np.count_nonzero(block < 1.0))
-            # every left side carries a factor phi' or phi'': where both vanish
-            # (rho <= 1/2, and the rim where the bridge underflows to 0) a
-            # sample adds a zero ratio and cannot be a violation, so only the
-            # shell 1/2 < rho < 1 goes through the bridge
-            rows, cols = np.nonzero((block > 0.5) & (block < 1.0))
-            phi, dphi, ddphi = cutoff_profile_derivatives(block[rows, cols])
-            live = (dphi != 0.0) | (ddphi != 0.0)
-            rows, cols = rows[live] + i0, cols[live]
-            phi, dphi, ddphi = phi[live], dphi[live], ddphi[live]
+        for rows, cols, phi, dphi, ddphi in blocks:
             tau_s, sigma_s = tau[rows], sigma[cols]
             # per lam: estimates (i) and (ii) for every R, and H, K and the
             # phi* powers of (iii) and (iv)

@@ -109,3 +109,45 @@ def test_no_source_line_is_wider_than_99_columns():
         if len(line) > 99
     ]
     assert wide == []
+
+
+def _memo_decorator(node):
+    """'cache' or 'lru_cache' when ``node`` (a decorator, or the function a
+    decorator call calls) names that functools memo, else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        name = node.attr if node.value.id == "functools" else None
+    else:
+        name = node.id if isinstance(node, ast.Name) else None
+    return name if name in ("cache", "lru_cache") else None
+
+
+def _finite_maxsize(call):
+    """The int maxsize an ``lru_cache(...)`` call names, else None."""
+    args = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    value = args[0].value if args and isinstance(args[0], ast.Constant) else None
+    return value if isinstance(value, int) and not isinstance(value, bool) else None
+
+
+def test_every_process_wide_memo_is_bounded():
+    """A memo lives as long as the process: no module uses ``functools.cache``,
+    and every ``lru_cache`` names a finite ``maxsize``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [
+                    f"{path.name}:{node.lineno}: imports cache"
+                    for alias in node.names
+                    if alias.name == "cache"
+                ]
+            if _memo_decorator(node) == "cache" and isinstance(node, ast.Attribute):
+                found.append(f"{path.name}:{node.lineno}: functools.cache")
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                if _memo_decorator(dec.func if call else dec) == "lru_cache" and (
+                    call is None or _finite_maxsize(call) is None
+                ):
+                    found.append(f"{path.name}:{dec.lineno}: lru_cache without a finite maxsize")
+    assert found == []

@@ -179,6 +179,26 @@ def test_linear_energy_dissipation(bc, d=3):
     assert e[-1] < 0.01 * e[0]  # damping actually dissipates
 
 
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 0.5)])
+def test_energy_robin_boundary_term_is_beta_over_alpha_u1_squared(alpha, beta, d=3):
+    """On one mid-trajectory state with u(1) != 0, the Robin energy exceeds
+    the Neumann energy by exactly (beta/alpha) sum_l u_l(1)^2."""
+    grid = RadialGrid(r_max=6.0, n=200)
+    data = InitialData(center=1.6, width=0.5, epsilon=1.0)
+    bump = data.profile(grid.r)
+    bc = BoundaryCondition.robin(alpha, beta)
+    state = apply_boundary(
+        RadialState(t=0.0, u=np.stack([bump, 0.5 * bump]), v=np.zeros((2, 201))), bc
+    )
+    dt = 0.9 * grid.dr
+    for _ in range(40):
+        state = step(state, dt, P14, d, bc, grid, nonlinear=False)
+    assert np.all(np.abs(state.u[:, 0]) > 1e-3)
+    total = energy(state, grid, d, dt, bc)
+    term = (beta / alpha) * np.sum(state.u[:, 0] ** 2)
+    assert total - energy(state, grid, d, dt, NEUMANN) == pytest.approx(term, abs=1e-12 * total)
+
+
 def _bump_eta(c, w):
     def eta(r):
         return cutoff_profile_derivatives(((r - c) / w) ** 2)[0]
@@ -270,6 +290,38 @@ def test_blow_up_and_epsilon_monotonicity():
         assert times == sorted(times)
         sens = rec.threshold_sensitivity
         assert sens is not None and 0 <= sens < 0.03 * rec.t_blow
+
+
+def test_d3_robin_lifespans_collapse_across_q():
+    """Robin (q, 1) sits between Neumann and Dirichlet at every epsilon,
+    ordered by q, and W = q pos / (1 - pos), with pos = log(T_R/T_N) /
+    log(T_D/T_N) its place between them on a log scale, hardly depends on q
+    (the Robin weight is Psi_D + q (d - 2) in d = 3).
+
+    Shipped bump, d = 3, p = (1.4, 1.4), cfl 0.9, T_end 130, r_max 132.55,
+    n = 2898 (dr = 0.0454).  Measured W spread max/min - 1 over q = 0.5, 2, 8:
+    1.09%, 1.45% and 2.99% at epsilon = 0.8, 0.4, 0.2, each bound below 1.5
+    times its measured spread.  W itself read 0.535 - 0.562 and is held to
+    [0.52, 0.58]: a Robin ghost row with dr for 2 dr imposes q/2 and halves W.
+    """
+    eps, qs = (0.8, 0.4, 0.2), (8.0, 2.0, 0.5)
+    bounds = (0.017, 0.022, 0.045)
+
+    def lifespans(bc):
+        base = SolverConfig.with_auto_domain(
+            P14, 3, bc, 2898, 130.0, InitialData(center=1.3, width=0.25, epsilon=eps[0]),
+            cfl=0.9, history_snapshots=0,
+        )
+        assert base.grid.r_max == pytest.approx(132.55)
+        return np.array([rec.t_blow for rec in run_ladder(base, eps)])
+
+    t_n, t_d = lifespans(NEUMANN), lifespans(DIRICHLET)
+    t_r = [lifespans(BoundaryCondition.robin(q, 1.0)) for q in qs]
+    assert np.all(np.diff(np.stack([t_n, *t_r, t_d]), axis=0) > 0.0)
+    pos = np.log(np.stack(t_r) / t_n) / np.log(t_d / t_n)
+    w = np.array(qs)[:, None] * pos / (1.0 - pos)
+    assert np.all(w.max(axis=0) / w.min(axis=0) - 1.0 <= bounds)
+    assert np.all((0.52 <= w) & (w <= 0.58))
 
 
 def test_domain_of_dependence():

@@ -384,12 +384,14 @@ def test_sup_ratio_batch_matches_the_unscaled_sweep(R, lam, d, bc, grid, r_power
 
 
 def test_sup_ratio_batch_evaluates_the_bridge_once(monkeypatch):
-    """One verify_cutoff_estimates call evaluates the bridge derivatives on
-    one sweep's shell samples 1/2 < rho < 1 in total, shared by every
-    (lam, d, bc, R), and never re-runs the bridge for phi*; n_samples still
-    counts every sample with rho < 1."""
+    """One verify_cutoff_estimates call on a fresh memo evaluates the bridge
+    derivatives on one sweep's shell samples 1/2 < rho < 1 in total, shared
+    by every (lam, d, bc, R), and never re-runs the bridge for phi*; a second
+    call on the same grid evaluates none; n_samples still counts every
+    sample with rho < 1."""
     from exwave.harness import verify_cutoff_estimates
 
+    testfn._shell_blocks.cache_clear()
     sizes = []
     calls = {"bridge": 0, "cutoff_value": 0}
     bridge_derivatives_ = testfn.bridge_derivatives
@@ -413,6 +415,9 @@ def test_sup_ratio_batch_evaluates_the_bridge_once(monkeypatch):
     assert sum(sizes) == np.count_nonzero((rho > 0.5) & (rho < 1.0))
     assert len(sizes) > 1  # more than one block
     assert calls == {"bridge": 0, "cutoff_value": 0}
+    n_calls = len(sizes)
+    verify_cutoff_estimates([4.0], [5.0], [3], BCS[:1], grid=grid)
+    assert len(sizes) == n_calls
 
 
 @pytest.mark.parametrize("grid", [(512, 512), (256, 256), (128, 128), (64, 64)])
@@ -457,6 +462,53 @@ def test_sup_ratio_blocks_do_not_change_the_result(monkeypatch, rhs_phi_powers):
     if rhs_phi_powers == (200.0,) * 4:
         text = "\n".join(v for *_, violations in results[0] for v in violations)
         assert "estimate (iv)" in text and "(iiii)" not in text
+
+
+def _memo_sweeps(grid, cold):
+    """(ratios, n_samples, violations) of a batch and two single sweeps on
+    ``grid``, with the shell memo cleared before every call when ``cold``."""
+    from exwave.harness import verify_cutoff_estimates
+
+    calls = [
+        lambda: verify_cutoff_estimates([4.0, 11.3], [5.0, 2.0], [2, 3], BCS[:3], grid=grid),
+        lambda: cutoff_estimate_sup_ratios(32.0, 5.0, 3, BCS[0], grid, (-3.0, -4.0, -2.0, -2.0)),
+        lambda: cutoff_estimate_sup_ratios(4.0, 3.0, 3, BCS[2], grid, CLAIMED, (200.0,) * 4),
+    ]
+    out = []
+    for call in calls:
+        if cold:
+            testfn._shell_blocks.cache_clear()
+        result = call()
+        sweeps = [res for row in result.rows for res in row.by_R] if call is calls[0] else [result]
+        out += [(res.ratios, res.n_samples, res.violations) for res in sweeps]
+        assert testfn._shell_blocks.cache_info().currsize <= 1
+    return out
+
+
+def test_shell_memo_gives_the_cold_results():
+    """The shell samples and bridge derivatives are formed once per grid and
+    block rows; a warm memo, visited in an interleaved order of grids, gives
+    the very ratios, sample counts and violation strings of a fresh one."""
+    order = [(64, 64), (97, 33), (128, 128), (64, 64), (128, 128), (97, 33)]
+    cold = {grid: _memo_sweeps(grid, cold=True) for grid in order}
+    for grid in order:
+        assert _memo_sweeps(grid, cold=False) == cold[grid]
+    assert any(violations for *_, violations in cold[(97, 33)])
+
+
+def test_shell_memo_is_read_only_and_holds_one_grid():
+    cutoff_estimate_sup_ratios(4.0, 2.0, 3, BCS[0], grid=(97, 33))
+    n_samples, blocks = testfn._shell_blocks(97, 33, testfn.SUP_RATIO_BLOCK_ROWS)
+    assert testfn._shell_blocks.cache_info().currsize == 1
+    assert n_samples == cutoff_estimate_sup_ratios(4.0, 2.0, 3, BCS[0], (97, 33)).n_samples
+    for block in blocks:
+        rows, cols = block[:2]
+        assert rows.dtype == cols.dtype == np.int32
+        for a in block:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+    cutoff_estimate_sup_ratios(4.0, 2.0, 3, BCS[0], grid=(64, 64))
+    assert testfn._shell_blocks.cache_info().currsize == 1
 
 
 def test_sup_ratios_match_the_benchmark_reference():

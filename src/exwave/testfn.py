@@ -27,7 +27,7 @@ sweep runs on the scaled grid, whose samples are the same for every R: a batch
 over (lam, d, bc, R) (``sup_ratio_rows``) reads the samples of the shell
 1/2 < rho < 1, the only samples where phi' or phi'' can be nonzero, and their
 bridge derivatives from a read-only memo formed once per (grid, block rows)
-and process (``_shell_blocks``; it keeps one grid, 2.96 MB at 512^2), and
+and process (``_shell_blocks``; it keeps one grid, 3.69 MB at 512^2), and
 returns one row per (lam, d, bc) holding the sweeps for every R.  Repeated
 batches on one grid skip the bridge; a one-shot ``exwave verify-lemma`` makes
 one batch and gains nothing.  With the claimed powers of R, ratios (i) and
@@ -326,7 +326,9 @@ def _shell_blocks(nt: int, nr: int, block_rows: int):
     """(n_samples, blocks) of the scaled nt x nr mesh rho = tau^2 + sigma^4:
     n_samples counts its samples with rho < 1, and each block of block_rows
     tau-rows gives its live shell samples as read-only arrays (rows, cols,
-    phi, dphi, ddphi), rows and cols as int32 mesh indices.
+    phi, dphi, ddphi), rows and cols as mesh indices.  They stay intp: the
+    batch gathers by ``cols`` dozens of times per block, and a gather by
+    int32 indices casts them first (about 10 ms more per 512^2 batch).
 
     Every left side of the sup-ratio estimates carries a factor phi' or
     phi'': where both vanish (rho <= 1/2, and the rim where the bridge
@@ -345,8 +347,7 @@ def _shell_blocks(nt: int, nr: int, block_rows: int):
             rows, cols = np.nonzero((block > 0.5) & (block < 1.0))
             phi, dphi, ddphi = cutoff_profile_derivatives(block[rows, cols])
             live = (dphi != 0.0) | (ddphi != 0.0)
-            rows = (rows[live] + i0).astype(np.int32)
-            shell = (rows, cols[live].astype(np.int32), phi[live], dphi[live], ddphi[live])
+            shell = (rows[live] + i0, cols[live], phi[live], dphi[live], ddphi[live])
             for a in shell:
                 a.flags.writeable = False
             blocks.append(shell)
@@ -450,7 +451,7 @@ def sup_ratio_rows(
     on a ``grid`` mesh, which is the same (tau, sigma) mesh for every R.  So
     the bridge derivatives depend on the grid alone: ``_shell_blocks`` forms
     them once per (grid, SUP_RATIO_BLOCK_ROWS) and process and keeps the last
-    grid's, read-only (92,359 samples, 2.96 MB at 512^2), so only the first
+    grid's, read-only (92,359 samples, 3.69 MB at 512^2), so only the first
     batch on a grid pays for them.  The phi powers and phi* are formed once
     per lam, estimates (i) and (ii) per (lam, R), (iii) per (lam, R, d) and
     (iv) per (lam, R, d, bc); R enters (iii) and (iv) through (d-1)/r and

@@ -328,7 +328,8 @@ def _shell_blocks(nt: int, nr: int, block_rows: int):
     tau-rows gives its live shell samples as read-only arrays (rows, cols,
     phi, dphi, ddphi), rows and cols as mesh indices.  They stay intp: the
     batch gathers by ``cols`` dozens of times per block, and a gather by
-    int32 indices casts them first (about 10 ms more per 512^2 batch).
+    int32 indices casts them first (a warm 512^2 batch took about 20% more
+    CPU time with int32 indices on a 2-core Xeon).
 
     Every left side of the sup-ratio estimates carries a factor phi' or
     phi'': where both vanish (rho <= 1/2, and the rim where the bridge

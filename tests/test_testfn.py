@@ -469,18 +469,21 @@ def _memo_sweeps(grid, cold):
     ``grid``, with the shell memo cleared before every call when ``cold``."""
     from exwave.harness import verify_cutoff_estimates
 
+    def batch():
+        rep = verify_cutoff_estimates([4.0, 11.3], [5.0, 2.0], [2, 3], BCS[:3], grid=grid)
+        return [res for row in rep.rows for res in row.by_R]
+
+    mutation = (-3.0, -4.0, -2.0, -2.0)
     calls = [
-        lambda: verify_cutoff_estimates([4.0, 11.3], [5.0, 2.0], [2, 3], BCS[:3], grid=grid),
-        lambda: cutoff_estimate_sup_ratios(32.0, 5.0, 3, BCS[0], grid, (-3.0, -4.0, -2.0, -2.0)),
-        lambda: cutoff_estimate_sup_ratios(4.0, 3.0, 3, BCS[2], grid, CLAIMED, (200.0,) * 4),
+        batch,
+        lambda: [cutoff_estimate_sup_ratios(32.0, 5.0, 3, BCS[0], grid, mutation)],
+        lambda: [cutoff_estimate_sup_ratios(4.0, 3.0, 3, BCS[2], grid, CLAIMED, (200.0,) * 4)],
     ]
     out = []
     for call in calls:
         if cold:
             testfn._shell_blocks.cache_clear()
-        result = call()
-        sweeps = [res for row in result.rows for res in row.by_R] if call is calls[0] else [result]
-        out += [(res.ratios, res.n_samples, res.violations) for res in sweeps]
+        out += [(res.ratios, res.n_samples, res.violations) for res in call()]
         assert testfn._shell_blocks.cache_info().currsize <= 1
     return out
 

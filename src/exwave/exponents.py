@@ -38,8 +38,8 @@ class BoundaryCondition:
 
     n+ is the outward normal of the exterior domain (it points toward the
     origin).  alpha = 0 gives Dirichlet, beta = 0 gives Neumann, otherwise
-    Robin.  The well-posedness theory needs alpha*beta >= 0; solver-facing
-    code must call ``require_dissipative``.
+    Robin.  The well-posedness theory needs alpha*beta >= 0; any other pair
+    is refused at construction.
     """
 
     alpha: float
@@ -50,6 +50,11 @@ class BoundaryCondition:
             raise ValueError(f"alpha and beta must be finite, got ({self.alpha!r}, {self.beta!r})")
         if self.alpha == 0.0 and self.beta == 0.0:
             raise ValueError("boundary condition (alpha, beta) = (0, 0) is not allowed")
+        if self.alpha * self.beta < 0.0:
+            raise ValueError(
+                f"alpha*beta = {self.alpha * self.beta} < 0 is outside the "
+                "validity region of the well-posedness theory"
+            )
 
     @property
     def kind(self) -> BoundaryKind:
@@ -58,17 +63,6 @@ class BoundaryCondition:
         if self.beta == 0.0:
             return BoundaryKind.NEUMANN
         return BoundaryKind.ROBIN
-
-    @property
-    def is_dissipative(self) -> bool:
-        return self.alpha * self.beta >= 0.0
-
-    def require_dissipative(self):
-        if not self.is_dissipative:
-            raise ValueError(
-                f"alpha*beta = {self.alpha * self.beta} < 0 is outside the "
-                "validity region of the well-posedness theory"
-            )
 
     @classmethod
     def dirichlet(cls) -> "BoundaryCondition":
@@ -250,7 +244,6 @@ def classify_regime(p: ExponentVector, d: int, bc: BoundaryCondition) -> Lifespa
     (beta != 0) and gamma_max = 1/2 (beta = 0), with no claim at or below
     threshold.
     """
-    bc.require_dissipative()
     report = compute_gamma(p, d)
     gmax = report.gamma_max
     neumann = bc.kind is BoundaryKind.NEUMANN

@@ -117,8 +117,10 @@ class FitModel(str, Enum):
         return "eps^(-b)" if self is FitModel.POWER else "(log(1/eps)/eps)^b"
 
     def defined_at(self, eps: float) -> bool:
-        """Whether the law's abscissa exists at eps (POWER_LOG needs eps < 1)."""
-        return self is FitModel.POWER or eps < 1.0
+        """Whether the law's abscissa exists at eps: POWER_LOG needs eps < 1.
+        Only a finite eps >= 1 is left out, so a filter by it passes every eps
+        that is not finite and positive on to ``fit_scaling``'s refusal."""
+        return self is FitModel.POWER or not 1.0 <= eps < math.inf
 
     def abscissa(self, eps):
         """ln(1/eps) (POWER) or ln(ln(1/eps)/eps) (POWER_LOG), elementwise on
@@ -183,6 +185,8 @@ def fit_scaling(
     T = np.array([q[1] for q in points], dtype=float)
     if np.any(~np.isfinite(T)) or np.any(T <= 0):
         raise ValueError("all blow-up times must be finite and positive")
+    if np.any(~np.isfinite(eps)) or np.any(eps <= 0):
+        raise ValueError("every epsilon must be finite and positive")
     if not all(map(model.defined_at, eps)):
         raise ValueError(f"the {model.value} law is undefined at some eps")
     x = model.abscissa(eps)

@@ -267,7 +267,6 @@ def apply_boundary(state: RadialState, bc: BoundaryCondition) -> RadialState:
     ghost-node Laplacian and need no strong enforcement.  The outer edge is
     always pinned to zero.
     """
-    bc.require_dissipative()
     _pin(bc, state.u, state.v)
     if state.u_prev is not None:
         _pin(bc, state.u_prev)
@@ -306,12 +305,20 @@ def _forcing(
 
 
 def _velocity(
-    u_new: np.ndarray, u: np.ndarray, u_prev: np.ndarray, dt: float, out: np.ndarray
+    u_new: np.ndarray, u: np.ndarray, back: np.ndarray, dt: float, out: np.ndarray,
+    start: bool,
 ) -> None:
-    """Second-order one-sided velocity (3u+ - 4u + u-)/(2 dt) at the new level."""
+    """The velocity at the new level into ``out``: the leapfrog's one-sided
+    (3u+ - 4u + u-)/(2 dt) with u- in ``back``, or at the Taylor ``start``,
+    whose ``back`` holds the data velocity v, 2 (u+ - u)/dt - v."""
+    if start:
+        np.subtract(u_new, u, out=out)
+        out *= 2.0 / dt
+        out -= back
+        return
     np.multiply(3.0, u_new, out=out)
     out -= 4.0 * u
-    out += u_prev
+    out += back
     out /= 2.0 * dt
 
 
@@ -337,7 +344,8 @@ class _Kernel:
     multiplies and four adds per node, and no division.  Node 0 is the
     ``_ghost_row`` of the same weights.  The Taylor start
     u + dt v + dt^2/2 (L u + f - v) is h = a dt^2/2 times the same update
-    with the weight T = (dt - dt^2/2)/h on v in place of D u-.
+    with the data velocity v in the back level's place and the weight
+    T = (dt - dt^2/2)/h in D's.
 
     Holds the ``powers``, the A and B tiles, a ``scratch`` array and, for
     k > 1, the ``forcing`` buffer of the gather, for ``copies`` blocks of k
@@ -356,7 +364,7 @@ class _Kernel:
         copies: int = 1,
     ):
         k = self.k = p.k
-        self.dt, self.d, self.n, self.dr, self.p = dt, d, grid.n, grid.dr, p.p
+        self.d, self.n, self.dr, self.p = d, grid.n, grid.dr, p.p
         self.a = a = 1.0 / dt**2 + 1.0 / (2.0 * dt)
         self.C = (2.0 / dt**2 - 2.0 / grid.dr**2) / a
         self.D = (1.0 / (2.0 * dt) - 1.0 / dt**2) / a
@@ -385,15 +393,14 @@ class _Kernel:
         self.A[...] = self.r[:, None]
         _weights(self.dr, self.d, self.a, self.A, self.B)
 
-    def prefix(self, m: int, *arrays: np.ndarray | None) -> list[_Prefix | None]:
+    def prefix(self, m: int, *arrays: np.ndarray) -> list[_Prefix]:
         """Step nodes [0, m) from now on: form the kernel's own views on
-        them, and return those of the node-major ``arrays`` (None stays
-        None)."""
+        them, and return those of the node-major ``arrays``."""
         hi = min(m, self.n)
         self.A_mid, self.B_mid, self.w = self.A[1:hi], self.B[1:hi], self.scratch[1:hi]
         self.powers_m = self.powers[:m]
         self.gather = None if self.forcing is None else self._views(self.forcing, m, hi)
-        return [None if a is None else self._views(a, m, hi) for a in arrays]
+        return [self._views(a, m, hi) for a in arrays]
 
     @staticmethod
     def _views(a: np.ndarray, m: int, hi: int) -> _Prefix:
@@ -423,31 +430,14 @@ class _Kernel:
             up, centre = self.ghost
             out.a[0] = up * u.a[1] + centre * u.a[0] + weight * back.a[0] + self.E * f.a[0]
 
-    def advance(
-        self, u: _Prefix, u_prev: _Prefix | None, v: _Prefix | None, f: _Prefix, out: _Prefix,
-        v_out: _Prefix | None = None,
-    ) -> None:
-        """Write the next level on the prefix into ``out``, and its velocity
-        into ``v_out`` when given; ``f`` is the forcing there.
-
-        Without ``u_prev`` (the initial level) this is the Taylor start, whose
-        velocity is v+ = 2 (u+ - u)/dt - v; otherwise the leapfrog, which
-        reads no ``v``.  ``out`` must not share memory with ``u``, ``u_prev``
-        or ``f``; ``v_out`` may be ``v``.
-        """
-        if u_prev is not None:
-            self._stencil(u, self.D, u_prev, f, out)
-            if v_out is not None:
-                _velocity(out.head, u.head, u_prev.head, self.dt, v_out.head)
-            return
-        self._stencil(u, self.T, v, f, out)
-        new = out.head
-        np.multiply(new, self.h, out=new)
-        if v_out is not None:
-            vel = self.scratch[: len(new)]
-            np.subtract(new, u.head, out=vel)
-            np.multiply(vel, 2.0 / self.dt, out=vel)
-            np.subtract(vel, v.head, out=v_out.head)
+    def advance(self, u: _Prefix, back: _Prefix, f: _Prefix, out: _Prefix, start: bool) -> None:
+        """Write the next level on the prefix into ``out``; ``f`` is the
+        forcing there and ``back`` the level before ``u``, or at the Taylor
+        ``start`` the data velocity.  ``out`` must not share memory with
+        ``u``, ``back`` or ``f``."""
+        self._stencil(u, self.T if start else self.D, back, f, out)
+        if start:
+            np.multiply(out.head, self.h, out=out.head)
 
 
 @lru_cache(maxsize=8)
@@ -493,11 +483,12 @@ def step(
         f = np.zeros(state.u.shape).T
     if source is not None:
         f = f + source(state.t).T
+    start = state.u_prev is None
+    back = state.v if start else state.u_prev
     u_new = np.zeros_like(state.u)  # +0.0 on the pinned nodes, which advance skips
+    kernel.advance(*kernel.prefix(grid.n + 1, state.u.T, back.T, f, u_new.T), start)
     v_new = np.empty_like(state.u)
-    u_prev = None if state.u_prev is None else state.u_prev.T
-    views = kernel.prefix(grid.n + 1, state.u.T, u_prev, state.v.T, f, u_new.T, v_new.T)
-    kernel.advance(*views)
+    _velocity(u_new, state.u, back, dt, v_new, start)
     new = RadialState(t=state.t + dt, u=u_new, v=v_new, u_prev=state.u.copy())
     return apply_boundary(new, bc)
 
@@ -563,10 +554,13 @@ class SolverConfig:
             raise ValueError("d must be >= 1")
         if not 0 < self.T_end < math.inf:
             raise ValueError(f"T_end must be positive and finite, got {self.T_end!r}")
-        self.bc.require_dissipative()
         limit = _cfl_limit(self.grid.dr, self.bc)
         if not 0 < self.cfl <= limit:
             raise ValueError(f"cfl must lie in (0, {limit:.6g}] at dr = {self.grid.dr:.6g}")
+        if not self.T_end < self.dt * sys.float_info.max:  # dt may underflow to 0
+            raise ValueError(
+                f"T_end = {self.T_end!r} spans more steps of dt = {self.dt!r} than a float counts"
+            )
         if self.history_snapshots < 0:
             raise ValueError(f"history_snapshots must be >= 0, got {self.history_snapshots}")
         if self.data.support_outer >= self.grid.r_max:
@@ -717,13 +711,14 @@ def run_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunRecord
     peak above it has passed every threshold.  The Taylor start takes the
     same rule: its data lie below 1e8, so below the guard its velocity
     2 (u+ - u)/dt - v cannot overflow either, and where the guard trips the
-    check reads that velocity, which the start has written.  A record's
+    check forms it from the data velocity still in the back level.  A record's
     ``wall_s`` is the time from this call to the step at which its run left
     the batch.
     """
     return _step_ladder(base, epsilons)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a run may overflow: it then leaves
 def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunRecord, ...]:
     """The body of ``run_ladder``."""
     t_start = time.perf_counter()
@@ -740,11 +735,11 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
     stride = max(1, n_steps // base.history_snapshots) if base.history_snapshots > 0 else 0
     # (u0, u1) of every epsilon as blocks of ks columns; zero on both pinned nodes
     width = len(configs) * ks
-    u_cur, v = np.empty((n + 1, width)), np.empty((n + 1, width))
+    u_cur, back = np.empty((n + 1, width)), np.empty((n + 1, width))
     rungs = []
     for i, c in enumerate(configs):
         u0, u1 = c.data.build(grid, ks)
-        u_cur[:, i * ks : (i + 1) * ks], v[:, i * ks : (i + 1) * ks] = u0.T, u1.T
+        u_cur[:, i * ks : (i + 1) * ks], back[:, i * ks : (i + 1) * ks] = u0.T, u1.T
         pos = weighted_data_integral(grid.r, u0[0], u1[0], base.d, bc)
         if c.data.epsilon > 0 and not pos > 0.0:
             raise DataPositivityError(f"int (u0 + u1) Psi dx = {pos:.3e} must be positive")
@@ -754,10 +749,10 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
         warnings.warn(
             "r_max < 1 + support + T_end: the outer wall can influence the "
             "solution before the horizon",
-            # run and run_ladder both call this directly: name their caller
-            stacklevel=3,
+            # run and run_ladder both call this through its errstate: name their caller
+            stacklevel=4,
         )
-    live = np.flatnonzero(np.any(u_cur != 0.0, axis=1) | np.any(v != 0.0, axis=1))
+    live = np.flatnonzero(np.any(u_cur != 0.0, axis=1) | np.any(back != 0.0, axis=1))
     front = (int(live[-1]) if live.size else 0) + 2  # step s needs m >= front + s
     # below this new peak, with the older levels at most 1e10 (see run_ladder),
     # neither (3u+ - 4u + u-)/(2 dt) nor the Taylor start's velocity can overflow
@@ -765,11 +760,11 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
     batch = list(rungs)
     kernel = _Kernel(dt, stepped, base.d, bc, grid, copies=len(batch))
     m = min(n + 1, front + _CHUNK)
-    # the time levels, |u| of the newest one (zero beyond the prefix; _forcing
-    # may power it in place) and the data's velocity, which only the Taylor
-    # start reads
-    u_prev, u_cur, u_new, absu, v = kernel.prefix(
-        m, None, u_cur, np.zeros_like(u_cur), np.abs(u_cur), v
+    # the time levels, the back one holding the data's velocity for the Taylor
+    # start, and |u| of the newest one (zero beyond the prefix; _forcing may
+    # power it in place)
+    u_prev, u_cur, u_new, absu = kernel.prefix(
+        m, back, u_cur, np.zeros_like(u_cur), np.abs(u_cur)
     )
     watch = SENSITIVITY_THRESHOLDS[0]
     next_event = _next_event(batch, 0, stride, n_steps)
@@ -778,12 +773,10 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
     for istep in range(1, n_steps + 1):
         if m <= n and front + istep > m:  # the next chunk of the prefix
             m = min(n + 1, m + _CHUNK)
-            u_prev, u_cur, u_new, absu, v = kernel.prefix(
-                m, *(None if x is None else x.a for x in (u_prev, u_cur, u_new, absu, v))
+            u_prev, u_cur, u_new, absu = kernel.prefix(
+                m, *(x.a for x in (u_prev, u_cur, u_new, absu))
             )
-        starting = u_prev is None
-        # the Taylor start writes the velocity over the data's, which only it reads
-        kernel.advance(u_cur, u_prev, v, kernel.force(absu), u_new, v)
+        kernel.advance(u_cur, u_prev, kernel.force(absu), u_new, istep == 1)
         t = t + dt
         np.abs(u_new.head, out=absu.head)
         top = float(absu.head.max())
@@ -797,12 +790,11 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
                 finite = math.isfinite(peak_now)
                 if finite and peak_now > v_guard:
                     # no pin needed: at the pinned nodes every input is 0, so v is 0
-                    vel = v.head[:, block] if starting else np.empty((m, ks))
-                    if not starting:
-                        _velocity(
-                            u_new.head[:, block], u_cur.head[:, block],
-                            u_prev.head[:, block], dt, vel,
-                        )
+                    vel = np.empty((m, ks))
+                    _velocity(
+                        u_new.head[:, block], u_cur.head[:, block],
+                        u_prev.head[:, block], dt, vel, istep == 1,
+                    )
                     finite = bool(np.all(np.isfinite(vel)))
                 if not finite:  # the run leaves on this step
                     rec.nan_encountered = True
@@ -834,8 +826,6 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
             next_event = _next_event(batch, istep, stride, n_steps)
         if not batch:
             break
-        if starting:  # nothing reads the data's velocity again: recycle it
-            u_prev, v = v, None
         # rotate the time levels; the recycled buffer is zero beyond the prefix
         u_prev, u_cur, u_new = u_cur, u_new, u_prev
         if left:  # close up the remaining blocks in place, bits unchanged
@@ -844,7 +834,7 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
             u_prev, u_cur, u_new, absu = kernel.prefix(
                 m, *(_keep_columns(x.a, sel, m) for x in (u_prev, u_cur, u_new, absu))
             )
-    del u_prev, u_cur, u_new, absu, v, kernel  # free the step buffers before the records
+    del u_prev, u_cur, u_new, absu, kernel  # free the step buffers before the records
     wall_s = time.perf_counter() - t_start
     for rung in batch:  # the runs that reached the horizon
         rung.record.t_final, rung.record.wall_s = t, wall_s

@@ -507,6 +507,8 @@ def sup_ratio_rows(
     sups = defaultdict(_RunningSup)
 
     n_samples, blocks = _shell_blocks(nt, nr, SUP_RATIO_BLOCK_ROWS)
+    if not any(rows.size for rows, *_ in blocks):
+        raise ValueError(f"the sample grid {grid} holds no sample in the shell 1/2 < rho < 1")
     with np.errstate(under="ignore"):
         for rows, cols, phi, dphi, ddphi in blocks:
             tau_s, sigma_s = tau[rows], sigma[cols]

@@ -261,6 +261,21 @@ EPS_AT_THRESHOLD = (
 )
 
 
+# epsilon rows that `exwave fit` refuses under either law instead of dropping
+# them or failing inside the solve
+BAD_FIT_EPSILONS = {"neg_eps": "-0.1", "zero_eps": "0", "nan_eps": "nan", "inf_eps": "inf"}
+FIT_EPS_REFUSALS = tuple(
+    f"fit {name}.csv{model}" for name in BAD_FIT_EPSILONS for model in ("", " --model power-log")
+)
+# the start of the reason of each refusal that names one
+REASONS = {
+    **dict.fromkeys(EPS_AT_THRESHOLD, "epsilon "),
+    **dict.fromkeys(FIT_EPS_REFUSALS, "every epsilon must be finite and positive"),
+    "simulate huge_t_end.ini --out out": "T_end = 1e+308 spans more steps of dt",
+    "verify-lemma --grid 3": "the sample grid (3, 3) holds no sample",
+}
+
+
 def _no_step(*args):
     raise AssertionError("refused input reached the solver's step")
 
@@ -318,6 +333,9 @@ def _no_step(*args):
         "verify-lemma --dim -3 --bc neumann --grid 8 --R 4,8",
         "verify-lemma --lam 1e300",
         *EPS_AT_THRESHOLD,
+        *FIT_EPS_REFUSALS,
+        "simulate huge_t_end.ini --out out",
+        "verify-lemma --grid 3",
     ],
 )
 def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, argv):
@@ -334,9 +352,11 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     tables read, ``stiff_robin.ini`` sets ``alpha = 0.01``, whose Robin
     stability limit at this dr is cfl 0.467 < 0.9, ``no_epsilon.csv`` has a
     ``t_blow`` but no ``epsilon`` column, ``points.csv`` holds
-    five blow-up points and ``eps_1e8.ini`` sets ``epsilon = 1e8``.  No
-    refused input steps the solver, and an epsilon at or above the blow-up
-    threshold is refused by name."""
+    five blow-up points, ``eps_1e8.ini`` sets ``epsilon = 1e8``,
+    ``huge_t_end.ini`` sets ``r_max = 10`` and ``t_end = 1e308`` (too many
+    steps to count), and each ``<name>.csv`` of ``BAD_FIT_EPSILONS`` adds one
+    row with that epsilon to ``points.csv``.  No refused input steps the
+    solver, and each refusal in ``REASONS`` is made for its reason."""
     root = config_file.parent
     monkeypatch.chdir(root)
     (root / "empty").mkdir()
@@ -358,9 +378,14 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     (root / "no_epsilon.csv").write_text("eps,t_blow\n0.8,5.0\n")
     (root / "points.csv").write_text(FIT_CSV)
     (root / "eps_1e8.ini").write_text(CONFIG_TEXT.replace("epsilon = 0.8", "epsilon = 1e8"))
+    (root / "huge_t_end.ini").write_text(
+        CONFIG_TEXT.replace("r_max = auto", "r_max = 10").replace("t_end = 30.0", "t_end = 1e308")
+    )
+    for name, eps in BAD_FIT_EPSILONS.items():
+        (root / f"{name}.csv").write_text(f"{FIT_CSV}{eps},40,60,blew-up\n")
     inputs = sorted(root.rglob("*"))
     monkeypatch.setattr(solver._Kernel, "advance", _no_step)
-    reason = "epsilon " if argv in EPS_AT_THRESHOLD else ""
+    reason = REASONS.get(argv, "")
     argv = argv.split()
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -391,11 +416,33 @@ FUZZ_CALLS = {
 FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "", "abc"]
 
 
+def _ini_fuzz_calls(root):
+    """``simulate`` calls (``sweep`` for the ``[sweep]`` key) on CONFIG_TEXT
+    with one of its keys, all numeric, set to each of FUZZ_VALUES and 1e308,
+    once under ``r_max = auto`` and once under ``r_max = 33.5``.  33.5 is what
+    auto gives CONFIG_TEXT: it meets the domain-of-dependence rule, whose
+    warning is an error in Tier-1, and ``t_end = 1e308`` then meets a fixed
+    ``dr``."""
+    parser = configparser.ConfigParser()
+    parser.read_string(CONFIG_TEXT)
+    calls = []
+    for r_max in ("auto", "33.5"):
+        text = CONFIG_TEXT.replace("r_max = auto", f"r_max = {r_max}")
+        for section in parser.sections():
+            for key in parser[section]:
+                for value in [*FUZZ_VALUES, "1e308"]:
+                    path = root / f"fuzz{len(calls)}.ini"
+                    path.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text))
+                    calls.append(["sweep" if section == "sweep" else "simulate", path.name])
+    return calls
+
+
 def test_cli_never_ends_in_a_traceback(config_file, monkeypatch, capsys):
     """Every flag above, given each of FUZZ_VALUES, runs, fails a check or
     is refused: ``main`` returns 0, 1 or 2 (argparse's refusal leaves
-    through SystemExit(2)), and no other exception escapes it.  So do an R
-    whose R^4 overflows and an epsilon at the blow-up threshold."""
+    through SystemExit(2)), and no other exception escapes it.  So do every
+    INI key of ``_ini_fuzz_calls``, an R whose R^4 overflows and an epsilon
+    at the blow-up threshold."""
     root = config_file.parent
     monkeypatch.chdir(root)
     (root / "points.csv").write_text(FIT_CSV)
@@ -405,6 +452,7 @@ def test_cli_never_ends_in_a_traceback(config_file, monkeypatch, capsys):
         for flag in flags
         for value in FUZZ_VALUES
     ]
+    calls += _ini_fuzz_calls(root)
     calls.append(["verify-lemma", "--R=1e300", "--grid", "8"])
     calls.append(["simulate", "run.ini", "--eps=1e8"])
     for argv in calls:

@@ -24,9 +24,9 @@ def test_boundary_condition_kinds():
     assert BoundaryCondition(2.0, 1.0).kind is BoundaryKind.ROBIN
     with pytest.raises(ValueError):
         BoundaryCondition(0.0, 0.0)
-    with pytest.raises(ValueError):
-        BoundaryCondition(1.0, -1.0).require_dissipative()
-    BoundaryCondition(2.0, 3.0).require_dissipative()
+    with pytest.raises(ValueError, match=r"alpha\*beta = -1.0 < 0 is outside the validity"):
+        BoundaryCondition(1.0, -1.0)
+    assert BoundaryCondition(2.0, 3.0).kind is BoundaryKind.ROBIN
 
 
 @pytest.mark.parametrize(

@@ -743,6 +743,12 @@ GATE_CASES = {
         p=ExponentVector.of(1.5, 2.0), d=3, bc=DIRICHLET, n=400, T_end=30.0,
         data=InitialData(epsilon=2.0), history_snapshots=32, cfl=0.5,
     ),
+    # d = 1 Neumann at p = 1.05: the peak crosses 1e8 at t = 24.90 and never
+    # reaches 1e10, so the run ends on its last grace step
+    "grace-d1": lambda: SolverConfig.with_auto_domain(
+        p=ExponentVector.of(1.05), d=1, bc=NEUMANN, n=2000, T_end=30.0,
+        data=InitialData(epsilon=1.0), history_snapshots=64,
+    ),
 }
 
 
@@ -812,6 +818,8 @@ LADDERS = {
     # crosses 1e6 on the first step of a chunk, the third survives on the
     # full grid (see test_ladder_rows_bit_identical_to_step_loop)
     "edge": ("edge", (2.0, 1.23, 0.5)),
+    # both rows end on their last grace step, 85 steps apart
+    "grace-d1": ("grace-d1", (1.0, 0.5)),
 }
 
 
@@ -862,6 +870,18 @@ def test_ladder_rows_bit_identical_to_step_loop(ladder, monkeypatch):
         assert first["last_step"] < edge and first["last_step"] not in chunk_starts
         assert set(second["crossing_steps"].values()) & set(chunk_starts)
         assert third["verdict"] is Verdict.SURVIVED
+
+
+def test_a_run_between_1e8_and_1e10_ends_200_steps_after_its_crossing():
+    """The grace is 200 steps, written here as a literal: the run and its
+    step loop end 200 steps after the step that crossed 1e8, never having
+    crossed 1e10."""
+    cfg = GATE_CASES["grace-d1"]()
+    rec, ref = run(cfg), _reference(cfg)
+    assert set(ref["crossing_steps"]) == {1e6, BLOWUP_THRESHOLD}
+    assert ref["last_step"] == ref["crossing_steps"][BLOWUP_THRESHOLD] + 200
+    assert rec.t_final == ref["t_final"] and rec.t_final < cfg.T_end
+    assert rec.t_blow == pytest.approx(24.90, abs=0.005)
 
 
 @pytest.mark.parametrize(

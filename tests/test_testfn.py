@@ -143,8 +143,7 @@ def test_harmonicity_and_boundary_identity(d, bc):
     lap, boundary = psi_identities(r, d, bc)
     assert np.max(np.abs(lap)) <= 1e-10
     assert abs(boundary) <= 1e-12
-    if bc.is_dissipative:
-        assert np.all(np.asarray(psi(r, d, bc)) >= -1e-15)
+    assert np.all(np.asarray(psi(r, d, bc)) >= -1e-15)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

@@ -50,7 +50,8 @@ class BoundaryCondition:
             raise ValueError(f"alpha and beta must be finite, got ({self.alpha!r}, {self.beta!r})")
         if self.alpha == 0.0 and self.beta == 0.0:
             raise ValueError("boundary condition (alpha, beta) = (0, 0) is not allowed")
-        if self.alpha * self.beta < 0.0:
+        # the signs, not the product, which underflows for (1e-200, -1e-200)
+        if self.alpha < 0.0 < self.beta or self.beta < 0.0 < self.alpha:
             raise ValueError(
                 f"alpha*beta = {self.alpha * self.beta} < 0 is outside the "
                 "validity region of the well-posedness theory"

@@ -115,6 +115,8 @@ class RadialGrid:
             raise ValueError(f"r_max must be finite and exceed 1, got {self.r_max!r}")
         if self.n < 16:
             raise ValueError("need at least 16 cells")
+        if self.n > sys.float_info.max:  # an exact comparison; float(n) would overflow
+            raise ValueError(f"n must be at most {sys.float_info.max:.6e}, the largest float")
 
     @property
     def dr(self) -> float:

@@ -273,6 +273,7 @@ REASONS = {
     **dict.fromkeys(FIT_EPS_REFUSALS, "every epsilon must be finite and positive"),
     "simulate huge_t_end.ini --out out": "T_end = 1e+308 spans more steps of dt",
     "verify-lemma --grid 3": "the sample grid (3, 3) holds no sample",
+    "simulate huge_n.ini --out out": "n must be at most 1.797693e+308",
 }
 
 
@@ -336,6 +337,7 @@ def _no_step(*args):
         *FIT_EPS_REFUSALS,
         "simulate huge_t_end.ini --out out",
         "verify-lemma --grid 3",
+        "simulate huge_n.ini --out out",
     ],
 )
 def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, argv):
@@ -354,7 +356,8 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     ``t_blow`` but no ``epsilon`` column, ``points.csv`` holds
     five blow-up points, ``eps_1e8.ini`` sets ``epsilon = 1e8``,
     ``huge_t_end.ini`` sets ``r_max = 10`` and ``t_end = 1e308`` (too many
-    steps to count), and each ``<name>.csv`` of ``BAD_FIT_EPSILONS`` adds one
+    steps to count), ``huge_n.ini`` sets ``n`` to 1 followed by 400 zeros
+    (more cells than a float holds), and each ``<name>.csv`` of ``BAD_FIT_EPSILONS`` adds one
     row with that epsilon to ``points.csv``.  No refused input steps the
     solver, and each refusal in ``REASONS`` is made for its reason."""
     root = config_file.parent
@@ -381,6 +384,7 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     (root / "huge_t_end.ini").write_text(
         CONFIG_TEXT.replace("r_max = auto", "r_max = 10").replace("t_end = 30.0", "t_end = 1e308")
     )
+    (root / "huge_n.ini").write_text(CONFIG_TEXT.replace("n = 400", "n = 1" + "0" * 400))
     for name, eps in BAD_FIT_EPSILONS.items():
         (root / f"{name}.csv").write_text(f"{FIT_CSV}{eps},40,60,blew-up\n")
     inputs = sorted(root.rglob("*"))

@@ -29,6 +29,19 @@ def test_boundary_condition_kinds():
     assert BoundaryCondition(2.0, 3.0).kind is BoundaryKind.ROBIN
 
 
+@pytest.mark.parametrize("alpha, beta", [(1e-200, -1e-200), (-1e-200, 1e-200)])
+def test_opposite_signs_are_refused_when_their_product_underflows(alpha, beta):
+    """alpha * beta is -0.0 here, so only the signs show that the pair lies
+    outside alpha*beta >= 0."""
+    assert alpha * beta == 0.0
+    with pytest.raises(ValueError, match=r"alpha\*beta = -0.0 < 0 is outside the validity"):
+        BoundaryCondition(alpha, beta)
+
+
+def test_a_negative_alpha_with_zero_beta_stays_neumann():
+    assert BoundaryCondition(-1.0, 0.0).kind is BoundaryKind.NEUMANN
+
+
 @pytest.mark.parametrize(
     "refused, match",
     [

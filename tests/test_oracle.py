@@ -10,10 +10,9 @@ from exwave.exponents import ExponentVector
 from exwave.oracle import (
     OdeOrder,
     OdeSystem,
+    _list_attempt,
     _list_step,
-    _richardson_list,
-    _richardson_scalar,
-    _scalar_rhs,
+    _scalar_attempt,
     _scalar_step,
     integrate_adaptive,
     solve_first_order_exact,
@@ -190,21 +189,20 @@ def test_list_step_drives_each_component_by_its_predecessor():
 
 
 def test_list_step_matches_scalar_step_on_one_equation():
-    """On y' = |y|^p the float-state step and Richardson helper give the
-    bits of the list-state ones on the 1-element list."""
+    """On y' = |y|^p the float-state step and attempt give the bits of the
+    list-state ones on the 1-element list."""
     p = 1.4
-    scalar = _scalar_step(p)
-    listed = _list_step(OdeSystem(OdeOrder.FIRST, ExponentVector.of(p)))
+    scalar, scalar_attempt = _scalar_step(p), _scalar_attempt(p)
+    system = OdeSystem(OdeOrder.FIRST, ExponentVector.of(p))
+    listed, listed_attempt = _list_step(system), _list_attempt(system)
     y_s, y_l = 0.3, [0.3]
     errors = []
     for h in (1e-3, 0.05, 0.4, 1.0):
-        half_s = scalar(scalar(y_s, 0.5 * h), 0.5 * h)
-        half_l = listed(listed(y_l, 0.5 * h), 0.5 * h)
-        y_s, y_l = scalar(y_s, h), listed(y_l, h)
-        assert type(y_s) is float and [y_s] == y_l and [half_s] == half_l
-        err_s, new_s = _richardson_scalar(half_s, y_s)
-        err_l, new_l = _richardson_list(half_l, y_l)
+        err_s, new_s = scalar_attempt(y_s, h)
+        err_l, new_l = listed_attempt(y_l, h)
         assert err_s == err_l and [new_s] == new_l
+        y_s, y_l = scalar(y_s, h), listed(y_l, h)
+        assert type(y_s) is float and [y_s] == y_l
         errors.append(err_s)
     assert max(errors) > 0.0
 
@@ -224,31 +222,35 @@ def _separate_step(y, h, p):
 
 @pytest.mark.parametrize("p", [1.4, 2.0, 3.0])
 def test_shared_first_stage_gives_the_bits_of_separate_steps(p):
-    """The full step and the first half step of a step-doubling pair share
-    the first stage k1 = y^p, as the adaptive loop forms them; the pair
-    holds the bits of three separate single steps, overflow (None)
-    included."""
-    step, stage = _scalar_step(p), _scalar_rhs(p)
+    """The scalar attempt shares the first stage k1 = y^p between the full
+    step and the first half step and inlines all three; its Richardson pair
+    holds the bits of three separate single steps and the written-out
+    extrapolation, overflow (None) included.  The scalar step map, which the
+    crossing bisection calls with k1 formed once, gives a separate step's
+    bits too."""
+    attempt, step = _scalar_attempt(p), _scalar_step(p)
     overflowed = set()
     for y in (1e-9, 0.3, 1.0, 7.5, 1e40, 1e100, 1e160, 1e200):
         for h in (1e-12, 1e-3, 0.05, 0.7, 3.0, 1e10):
+            full = _separate_step(y, h, p)
+            mid = _separate_step(y, 0.5 * h, p)
+            half = None if mid is None else _separate_step(mid, 0.5 * h, p)
+            if full is None or half is None:
+                alone = None
+            else:
+                err = abs(half - full) / (1.0 + abs(half)) / 15.0
+                alone = (err.hex(), (half + (half - full) / 15.0).hex())
+            pair = attempt(y, h)
+            assert (None if pair is None else (pair[0].hex(), pair[1].hex())) == alone
             try:
-                k1 = stage(y)
+                k1 = y**p
             except OverflowError:
                 k1 = None
-            full, mid = step(y, h, k1), step(y, 0.5 * h, k1)
-            half = None if mid is None else step(mid, 0.5 * h)
-            mid_alone = _separate_step(y, 0.5 * h, p)
-            alone = (
-                _separate_step(y, h, p),
-                mid_alone,
-                None if mid_alone is None else _separate_step(mid_alone, 0.5 * h, p),
-            )
-            pair = (full, mid, half)
-            assert [None if v is None else v.hex() for v in pair] == [
-                None if v is None else v.hex() for v in alone
-            ]
-            overflowed.add(full is None)
+            for by_step in (step(y, h), step(y, h, k1)):
+                assert (None if by_step is None else by_step.hex()) == (
+                    None if full is None else full.hex()
+                )
+            overflowed.add(pair is None)
     assert overflowed == {False, True}
 
 

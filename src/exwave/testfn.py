@@ -497,16 +497,15 @@ def sup_ratio_rows(
     a1, a2, a3, a4 = rhs_r_powers
     # the mesh columns r = 1 + R sigma; per (R, d): (d-1)/r, 2 Psi' and Psi per
     # bc, None where Psi is identically 1 (beta = 0).  Psi' does not depend on
-    # alpha/beta (beta != 0), so those bcs share one 2 Psi' (None if none is
-    # in the batch)
+    # alpha/beta (beta != 0), so those bcs share the first one's 2 Psi' (None
+    # if none is in the batch)
     r_cols = [1.0 + np.linspace(0.0, R, nr) for R in R_list]
-    weighted = any(bc.beta != 0.0 for bc in bc_list)
-    dirichlet = BoundaryCondition.dirichlet()
+    weighted = next((bc for bc in bc_list if bc.beta != 0.0), None)
     by_d = [
         [
             (
                 (d - 1.0) / r,
-                2.0 * psi_prime(r, d, dirichlet) if weighted else None,
+                None if weighted is None else 2.0 * psi_prime(r, d, weighted),
                 [None if bc.beta == 0.0 else psi(r, d, bc) for bc in bc_list],
             )
             for d in d_list

@@ -133,7 +133,8 @@ def _oracle_cases() -> dict:
         cases[f"{order.value} watch=1"] = (order, (1.5, 3.0), 0.4, {"watch": 1})
     cases["scalar t_horizon"] = (first, (2.0,), 0.1, {"t_horizon": 3.0})
     cases["second-damped t_horizon"] = (second, (2.0, 3.0), 0.05, {"t_horizon": 2.5})
-    # near M^p = max float/6 one step in 13,328 overflows and is retried at h/4
+    # M^3 is about max float / 6: one of the 13,328 attempts overflows and is
+    # retried at h/4
     cases["scalar overflow retry"] = (first, (3.0,), 1.0, {"M": 3.1e102})
     cases["list overflow retry"] = (first, (3.0, 3.0), 1.0, {"M": 3.1e102})
     out = {}

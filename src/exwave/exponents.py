@@ -53,8 +53,8 @@ class BoundaryCondition:
         # the signs, not the product, which underflows for (1e-200, -1e-200)
         if self.alpha < 0.0 < self.beta or self.beta < 0.0 < self.alpha:
             raise ValueError(
-                f"alpha*beta = {self.alpha * self.beta} < 0 is outside the "
-                "validity region of the well-posedness theory"
+                f"alpha = {self.alpha} and beta = {self.beta} have opposite signs, outside "
+                "the validity region alpha*beta >= 0 of the well-posedness theory"
             )
 
     @property
@@ -248,6 +248,7 @@ def classify_regime(p: ExponentVector, d: int, bc: BoundaryCondition) -> Lifespa
     report = compute_gamma(p, d)
     gmax = report.gamma_max
     neumann = bc.kind is BoundaryKind.NEUMANN
+    label = "beta=0" if neumann else "beta!=0"
 
     if d == 1:
         threshold = 0.5 if neumann else 1.0
@@ -256,51 +257,35 @@ def classify_regime(p: ExponentVector, d: int, bc: BoundaryCondition) -> Lifespa
             return LifespanBound(
                 BoundForm.POLYNOMIAL,
                 exponent=1.0 / excess,
-                notes=f"d=1, beta{'=0' if neumann else '!=0'}, gamma_max > {threshold}",
+                notes=f"d=1, {label}, gamma_max > {threshold}",
             )
         return LifespanBound(
             BoundForm.NO_BLOWUP_CLAIM,
-            notes=f"d=1: no claim for gamma_max <= {threshold}"
-            f" (beta{'=0' if neumann else '!=0'})",
+            notes=f"d=1: no claim for gamma_max <= {threshold} ({label})",
         )
 
     excess = report.Gamma_excess
+    # the row of the polynomial-log and double-exponential bounds
+    log_row = d == 2 and not neumann
     if excess > TOL_CRIT:
-        if d == 2 and not neumann:
-            return LifespanBound(
-                BoundForm.POLYNOMIAL_LOG,
-                exponent=1.0 / (gmax - 1.0),
-                notes="beta!=0, d=2, subcritical",
-            )
-        return LifespanBound(
-            BoundForm.POLYNOMIAL,
-            exponent=1.0 / excess,
-            notes=f"beta{'=0' if neumann else '!=0'}, d={d}, subcritical",
+        form, exponent = (
+            (BoundForm.POLYNOMIAL_LOG, 1.0 / (gmax - 1.0)) if log_row
+            else (BoundForm.POLYNOMIAL, 1.0 / excess)
         )
+        return LifespanBound(form, exponent, notes=f"{label}, d={d}, subcritical")
     if abs(excess) <= TOL_CRIT:
-        if d == 2 and not neumann:
-            if p.all_equal:
-                return LifespanBound(
-                    BoundForm.DOUBLE_EXPONENTIAL,
-                    exponent=1.0,
-                    notes="beta!=0, d=2, critical, equal exponents",
-                )
+        if log_row and not p.all_equal:
             return LifespanBound(
                 BoundForm.OPEN_PROBLEM,
                 notes="beta!=0, d=2, critical with unequal exponents: the lifespan "
                 "bound is an open problem",
             )
-        if p.all_equal:
-            return LifespanBound(
-                BoundForm.EXPONENTIAL,
-                exponent=p.p[0] - 1.0,
-                notes=f"beta{'=0' if neumann else '!=0'}, d={d}, critical, equal exponents",
-            )
-        return LifespanBound(
-            BoundForm.EXPONENTIAL,
-            exponent=p.product - 1.0,
-            notes=f"beta{'=0' if neumann else '!=0'}, d={d}, critical, unequal exponents",
+        form, exponent = (
+            (BoundForm.DOUBLE_EXPONENTIAL, 1.0) if log_row
+            else (BoundForm.EXPONENTIAL, (p.p[0] if p.all_equal else p.product) - 1.0)
         )
+        equal = "equal" if p.all_equal else "unequal"
+        return LifespanBound(form, exponent, notes=f"{label}, d={d}, critical, {equal} exponents")
     return LifespanBound(
         BoundForm.NO_BLOWUP_CLAIM,
         notes=f"gamma_max < d/2 (Gamma_excess = {excess:.6g})",

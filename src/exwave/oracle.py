@@ -18,18 +18,17 @@ infinity.
 The integrator runs on Python floats: numpy's per-call overhead on states
 of at most 2k numbers made each step about 20 times slower.  The state of
 y' = |y|^p is a bare float, that of any other system a list.  Each state
-type has its right side, its RK4 step map, its step attempt and its
-amplitude, and one adaptive loop drives either.  An attempt is one Python
-call per step-doubling pair: the full step, two half steps and the
-Richardson error estimate and extrapolation, or None when a step overflows
-(the loop then shrinks the step).  The scalar attempt inlines its three RK4
-steps, forming h/2 and h/4 once, with the float operations of three calls
-of the step map in the same order; per pass of the benchmark's oracle grid
-that is 18,376 calls where five were made per attempt.  The full step and
-the first half step start from the same state, so they share its first
-RK4 stage k1 = f(y); the crossing bisection forms k1 once too.  The scalar
-state stays positive (epsilon > 0, and every stage adds a nonnegative term
-to y), so its stages take no abs.
+type has its RK4 step map, its step attempt and its amplitude, and one
+adaptive loop drives either; the crossing bisection calls the step map.  An
+attempt is one Python call per step-doubling pair: the full step, two half
+steps and the Richardson error estimate and extrapolation, or None when a
+step overflows (the loop then shrinks the step).  The full step and the
+first half step start from the same state, so they share its first RK4
+stage k1 = f(y).  The scalar attempt inlines its three RK4 steps, forming
+h/2 and h/4 once, with the float operations of three calls of the step map
+in the same order; per pass of the benchmark's oracle grid that is 18,376
+calls.  The scalar state stays positive (epsilon > 0, and every stage adds
+a nonnegative term to y), so its stages take no abs.
 """
 
 from __future__ import annotations
@@ -90,32 +89,22 @@ class OdeBlowupResult:
 
 # A step map advances the state (a float for the scalar map, a list
 # otherwise) by one RK4 step of length h, or returns None when the step
-# leaves the floats (a stage overflows or the result is not finite).  ``k1``
-# is the first stage f(y) when the caller already has it.  An attempt makes
-# one step of length h and two of length h/2 from the state and returns the
-# Richardson pair (error estimate, extrapolated state), or None when a step
-# leaves the floats; the caller then shrinks h.
+# leaves the floats (a stage overflows or the result is not finite); the list
+# map takes the first stage k1 = f(y) when its attempt already has it.  An
+# attempt makes one step of length h and two of length h/2 from the state and
+# returns the Richardson pair (error estimate, extrapolated state), or None
+# when a step leaves the floats; the caller then shrinks h.
 Step = Callable[..., float | list | None]
 Attempt = Callable[[float | list, float], tuple[float, float | list] | None]
-
-
-def _scalar_rhs(p: float) -> Callable[[float], float]:
-    """f(y) = y^p, the right side of y' = |y|^p on a positive state."""
-
-    def f(y: float) -> float:
-        return y ** p
-
-    return f
 
 
 def _scalar_step(p: float) -> Step:
     """RK4 for the single first-order equation y' = |y|^p, on a positive
     float (so the stages need no abs)."""
 
-    def step(y0: float, h: float, k1: float | None = None) -> float | None:
+    def step(y0: float, h: float) -> float | None:
         try:
-            if k1 is None:
-                k1 = y0 ** p
+            k1 = y0 ** p
             k2 = (y0 + 0.5 * h * k1) ** p
             k3 = (y0 + 0.5 * h * k2) ** p
             k4 = (y0 + h * k3) ** p
@@ -130,7 +119,7 @@ def _scalar_step(p: float) -> Step:
 def _scalar_attempt(p: float) -> Attempt:
     """The step-doubling attempt on a positive float: ``_scalar_step`` at h,
     then at h/2 twice (the first sharing k1), inlined, and the Richardson
-    pair of ``_richardson_list`` on floats.  y_half is positive, so it takes
+    pair of ``_list_attempt`` on floats.  y_half is positive, so it takes
     no abs."""
 
     def attempt(y: float, h: float) -> tuple[float, float] | None:
@@ -205,17 +194,11 @@ def _list_step(sys: OdeSystem) -> Step:
     return step
 
 
-def _richardson_list(y_half: list, y_full: list) -> tuple[float, list]:
-    """(error estimate, extrapolated state) of a full step against two half
-    steps: the largest componentwise |y_half - y_full| / (1 + |y_half|) / 15
-    and the componentwise y_half + (y_half - y_full) / 15."""
-    err = max(abs(a - b) / (1.0 + abs(a)) for a, b in zip(y_half, y_full)) / 15.0
-    return err, [a + (a - b) / 15.0 for a, b in zip(y_half, y_full)]
-
-
 def _list_attempt(sys: OdeSystem) -> Attempt:
     """The step-doubling attempt on a list: ``_list_step`` at h, then at h/2
-    twice (the first sharing k1), and ``_richardson_list``."""
+    twice (the first sharing k1), and the Richardson pair: the largest
+    componentwise |y_half - y_full| / (1 + |y_half|) / 15 as the error
+    estimate and the componentwise y_half + (y_half - y_full) / 15."""
     f, step = _list_rhs(sys), _list_step(sys)
 
     def attempt(y: list, h: float) -> tuple[float, list] | None:
@@ -227,7 +210,10 @@ def _list_attempt(sys: OdeSystem) -> Attempt:
         y_full = step(y, h, k1)
         y_mid = None if y_full is None else step(y, half, k1)
         y_half = None if y_mid is None else step(y_mid, half)
-        return None if y_half is None else _richardson_list(y_half, y_full)
+        if y_half is None:
+            return None
+        err = max(abs(a - b) / (1.0 + abs(a)) for a, b in zip(y_half, y_full)) / 15.0
+        return err, [a + (a - b) / 15.0 for a, b in zip(y_half, y_full)]
 
     return attempt
 
@@ -245,26 +231,28 @@ def integrate_adaptive(
     STEP_TOL * (1 + |y|) componentwise, and the extrapolated value is kept.
     On crossing, the step is refined by bisection in the step length; for a
     single first-order equation the analytic tail from the crossing amplitude
-    removes the threshold bias entirely.  An M whose power M^max(p) leaves
-    the floats is refused (every step near it would overflow); running out
-    of max_steps before t_horizon raises RuntimeError.
+    removes the threshold bias entirely.  An M for which 6 M^max(p) leaves
+    the floats is refused: near M the RK4 sum k1 + 2k2 + 2k3 + k4 is at
+    least that, so every step would overflow.  Running out of max_steps
+    before t_horizon raises RuntimeError.
     """
+    M = float(M)
     if not M >= 1e6:
         raise ValueError(f"threshold must be at least 1e6, got {M!r}")
     try:
-        reachable = math.isfinite(M ** max(sys.p.p))
+        reachable = math.isfinite(6.0 * M ** max(sys.p.p))
     except OverflowError:
         reachable = False
     if not reachable:
-        raise ValueError(f"M = {M!r} is out of reach for p = {sys.p.p}: M ** max(p) overflows")
+        raise ValueError(f"M = {M!r} is out of reach for p = {sys.p.p}: 6 * M ** max(p) overflows")
     k = sys.p.k
     tail_applies = sys.order is OdeOrder.FIRST and k == 1
     if tail_applies:
         p = sys.p.p[0]
-        stage, step, attempt, amplitude = _scalar_rhs(p), _scalar_step(p), _scalar_attempt(p), abs
+        step, attempt, amplitude = _scalar_step(p), _scalar_attempt(p), abs
         y = sys.epsilon
     else:
-        stage, step, attempt = _list_rhs(sys), _list_step(sys), _list_attempt(sys)
+        step, attempt = _list_step(sys), _list_attempt(sys)
         watch = sys.watch if k > 1 else 0
 
         def amplitude(y: list) -> float:
@@ -290,14 +278,12 @@ def integrate_adaptive(
             h *= max(0.2, 0.9 * (tol / err) ** 0.2)
             continue
         if amplitude(y_new) >= M:
-            # bisect the step length for the crossing; f(y) is finite, since
-            # the attempt from y succeeded
-            k1 = stage(y)
+            # bisect the step length for the crossing
             lo, hi = 0.0, h
             y_lo = y
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                y_mid = step(y, mid, k1)
+                y_mid = step(y, mid)
                 if y_mid is not None and amplitude(y_mid) < M:
                     lo, y_lo = mid, y_mid
                 else:

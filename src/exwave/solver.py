@@ -254,14 +254,6 @@ def _laplacian(u: np.ndarray, grid: RadialGrid, d: int, bc: BoundaryCondition) -
     return out
 
 
-def _pin(bc: BoundaryCondition, *fields: np.ndarray) -> None:
-    """Zero the strongly imposed nodes: r = 1 under Dirichlet, and the outer edge."""
-    for a in fields:
-        if bc.kind is BoundaryKind.DIRICHLET:
-            a[:, 0] = 0.0
-        a[:, -1] = 0.0
-
-
 def apply_boundary(state: RadialState, bc: BoundaryCondition) -> RadialState:
     """Enforce the strong part of the boundary conditions on a state.
 
@@ -269,9 +261,11 @@ def apply_boundary(state: RadialState, bc: BoundaryCondition) -> RadialState:
     ghost-node Laplacian and need no strong enforcement.  The outer edge is
     always pinned to zero.
     """
-    _pin(bc, state.u, state.v)
-    if state.u_prev is not None:
-        _pin(bc, state.u_prev)
+    for a in (state.u, state.v, state.u_prev):
+        if a is not None:
+            if bc.kind is BoundaryKind.DIRICHLET:
+                a[:, 0] = 0.0
+            a[:, -1] = 0.0
     return state
 
 
@@ -415,12 +409,16 @@ class _Kernel:
         _forcing(absu.head, self.sources, self.powers_m, gather)
         return absu if self.gather is None else self.gather
 
-    def _stencil(
-        self, u: _Prefix, weight: float, back: _Prefix, f: _Prefix, out: _Prefix
-    ) -> None:
-        """Write A_j u_{j+1} + B_j u_{j-1} + C u_j + ``weight`` back_j + E f_j,
-        summed left to right, at the prefix's nodes but the pinned ones
-        into ``out``: at every node the bits of the whole grid's."""
+    def advance(self, u: _Prefix, back: _Prefix, f: _Prefix, out: _Prefix, start: bool) -> None:
+        """Write the five-term update A_j u_{j+1} + B_j u_{j-1} + C u_j +
+        W back_j + E f_j on the prefix into ``out``, with ``f`` the forcing
+        there and ``back`` the level before ``u`` (W = D), or at the Taylor
+        ``start`` the data velocity (W = T, and the sum times h).  Summed
+        left to right at the prefix's nodes but the pinned ones, each node
+        takes the whole grid's ufunc sequence on its own inputs, so it gets
+        the whole grid's bits.  ``out`` must not share memory with ``u``,
+        ``back`` or ``f``."""
+        weight = self.T if start else self.D
         inner, w = out.mid, self.w
         np.multiply(self.A_mid, u.up, out=inner)
         np.multiply(self.B_mid, u.down, out=w)
@@ -431,13 +429,6 @@ class _Kernel:
         if self.ghost is not None:
             up, centre = self.ghost
             out.a[0] = up * u.a[1] + centre * u.a[0] + weight * back.a[0] + self.E * f.a[0]
-
-    def advance(self, u: _Prefix, back: _Prefix, f: _Prefix, out: _Prefix, start: bool) -> None:
-        """Write the next level on the prefix into ``out``; ``f`` is the
-        forcing there and ``back`` the level before ``u``, or at the Taylor
-        ``start`` the data velocity.  ``out`` must not share memory with
-        ``u``, ``back`` or ``f``."""
-        self._stencil(u, self.T if start else self.D, back, f, out)
         if start:
             np.multiply(out.head, self.h, out=out.head)
 

@@ -7,6 +7,7 @@ import exwave
 from exwave.exponents import BoundForm
 
 SRC = Path(exwave.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -151,3 +152,56 @@ def test_every_process_wide_memo_is_bounded():
                 ):
                     found.append(f"{path.name}:{dec.lineno}: lru_cache without a finite maxsize")
     assert found == []
+
+
+def _traced_names():
+    """The dotted names of ``perfbench/tracer.py``'s ``TRACED``, read
+    without importing it."""
+    for node in ast.parse(TRACER.read_text(), filename=str(TRACER)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError(f"{TRACER} assigns no TRACED")
+
+
+def _private_definitions(tree):
+    """(qualified name, node) of every private function, method and class."""
+    found = []
+
+    def visit(parent, prefix):
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.endswith("__"):
+                    found.append((prefix + name, node))
+                visit(node, f"{prefix}{name}.")
+            else:
+                visit(node, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_every_private_helper_is_named_by_its_module():
+    """A private function, method or class that its own module never names
+    outside its own body is dead code, unless the benchmark's tracer
+    patches it by name."""
+    traced = _traced_names()
+    orphans = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, definition in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            name = definition.name
+            named = any(
+                id(node) not in inside
+                and (
+                    (isinstance(node, ast.Name) and node.id == name)
+                    or (isinstance(node, ast.Attribute) and node.attr == name)
+                )
+                for node in ast.walk(tree)
+            )
+            if not named and f"{path.stem}.{qualname}" not in traced:
+                orphans.append(f"{path.name}: {qualname}")
+    assert orphans == []

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from sys import float_info
 
 import numpy as np
 import pytest
@@ -128,13 +129,16 @@ def test_step_limit_raises_instead_of_reporting_no_blowup():
         (OdeOrder.FIRST, 2.0, 1.0, 1e300),
         (OdeOrder.FIRST, 3.0, 1.0, 1e150),
         (OdeOrder.SECOND_DAMPED, 2.0, 1.0, math.inf),
+        # numpy's power would warn on overflow where Python's raises
+        pytest.param(OdeOrder.FIRST, 1.2, 1e-4, np.float64(1e300), id="first-1.2-numpy-1e+300"),
     ],
 )
 def test_a_threshold_whose_power_overflows_is_refused(order, p, y0, M):
     """Every step near such an M overflows: refused before the first step,
     not after max_steps."""
     sys = OdeSystem(order, ExponentVector.of(p), epsilon=y0)
-    with pytest.raises(ValueError, match=re.escape(f"M = {M!r} is out of reach for p = ({p!r},)")):
+    message = f"M = {float(M)!r} is out of reach for p = ({p!r},)"
+    with pytest.raises(ValueError, match=re.escape(message)):
         integrate_adaptive(sys, M=M, max_steps=10)
 
 
@@ -142,6 +146,24 @@ def test_a_threshold_whose_power_is_finite_is_still_reached():
     sys = OdeSystem(OdeOrder.FIRST, ExponentVector.of(1.2), epsilon=1e-4)
     res = integrate_adaptive(sys, M=1e250)
     assert (res.t_blow, res.steps) == (31.54786868448067, 15755)
+
+
+@pytest.mark.parametrize("order, p, t_blow", [
+    (OdeOrder.FIRST, (3.0,), 0.49999999981845195),
+    (OdeOrder.FIRST, (3.0, 3.0), 0.49999999981845195),
+    (OdeOrder.SECOND_DAMPED, (3.0, 3.0), 1.5144809007953706),
+])
+def test_a_threshold_whose_rk4_sum_overflows_is_refused(order, p, t_blow):
+    """At M = 0.6 (max float)^(1/3), M^3 is finite but 6 M^3 is not: every
+    RK4 sum near M overflowed until h shrank to 0.0.  0.55 times that M is
+    still reached."""
+    edge = 0.6 * float_info.max ** (1.0 / 3.0)
+    assert math.isfinite(edge**3)
+    system = OdeSystem(order, ExponentVector.of(*p), epsilon=1.0)
+    message = f"M = {edge!r} is out of reach for p = {p!r}: 6 * M ** max(p) overflows"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate_adaptive(system, M=edge, max_steps=20000)
+    assert integrate_adaptive(system, M=0.55 * edge, max_steps=20000).t_blow == t_blow
 
 
 def test_a_nan_threshold_is_refused():
@@ -171,6 +193,9 @@ def test_step_maps_return_none_on_overflow():
     coupled = _list_step(OdeSystem(OdeOrder.FIRST, ExponentVector.of(2.0, 3.0)))
     assert coupled([1.0, 1e200], 1e-3) is None
     assert second([1.0, 1.0], 1e-3) is not None
+    # the list attempt forms the first stage itself
+    attempt = _list_attempt(OdeSystem(OdeOrder.FIRST, ExponentVector.of(2.0, 2.0)))
+    assert attempt([1e200, 1.0], 1e-3) is None
 
 
 def test_list_step_drives_each_component_by_its_predecessor():
@@ -226,8 +251,7 @@ def test_shared_first_stage_gives_the_bits_of_separate_steps(p):
     step and the first half step and inlines all three; its Richardson pair
     holds the bits of three separate single steps and the written-out
     extrapolation, overflow (None) included.  The scalar step map, which the
-    crossing bisection calls with k1 formed once, gives a separate step's
-    bits too."""
+    crossing bisection calls, gives a separate step's bits too."""
     attempt, step = _scalar_attempt(p), _scalar_step(p)
     overflowed = set()
     for y in (1e-9, 0.3, 1.0, 7.5, 1e40, 1e100, 1e160, 1e200):
@@ -242,14 +266,10 @@ def test_shared_first_stage_gives_the_bits_of_separate_steps(p):
                 alone = (err.hex(), (half + (half - full) / 15.0).hex())
             pair = attempt(y, h)
             assert (None if pair is None else (pair[0].hex(), pair[1].hex())) == alone
-            try:
-                k1 = y**p
-            except OverflowError:
-                k1 = None
-            for by_step in (step(y, h), step(y, h, k1)):
-                assert (None if by_step is None else by_step.hex()) == (
-                    None if full is None else full.hex()
-                )
+            by_step = step(y, h)
+            assert (None if by_step is None else by_step.hex()) == (
+                None if full is None else full.hex()
+            )
             overflowed.add(pair is None)
     assert overflowed == {False, True}
 

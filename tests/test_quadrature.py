@@ -144,7 +144,7 @@ def test_measure_refuses_alpha_beta_below_zero(alpha):
     """alpha*beta < 0 is refused for its own reason, as the solver refuses
     it: at alpha = -2 the integral is negative, and at -0.3 Psi changes sign
     on the shell while the rule still converges."""
-    with pytest.raises(ValueError, match=r"alpha\*beta = .* < 0"):
+    with pytest.raises(ValueError, match=r"alpha = .* and beta = .* have opposite signs"):
         measure_QRstar_psi(4.0, 3, BoundaryCondition(alpha, 1.0))
 
 

@@ -251,6 +251,25 @@ def test_dirichlet_pins_boundary():
     assert np.all(rec.history.u[:, :, -1] == 0.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_laplacian_is_exact_on_quadratics(d):
+    """Centred differences and the ghost row are exact on quadratics:
+    L r^2 = 2d at every node the scheme writes, (r - 1)^2 has Laplacian 2 at
+    r = 1 under Neumann, and r^2 meets Robin(1, 2), d_r u = 2u at r = 1.
+    Node 0 under Dirichlet and the outer node are left at 0."""
+    grid = RadialGrid(r_max=11.0, n=1000)
+    r = grid.r[None, :]
+    dirichlet = solver._laplacian(r**2, grid, d, DIRICHLET)
+    neumann = solver._laplacian((r - 1.0) ** 2, grid, d, NEUMANN)
+    robin = solver._laplacian(r**2, grid, d, BoundaryCondition.robin(1.0, 2.0))
+    for out in (dirichlet, robin):
+        assert np.max(np.abs(out[:, 1:-1] - 2.0 * d)) < 1e-8
+    assert abs(neumann[0, 0] - 2.0) < 1e-8
+    assert abs(robin[0, 0] - 2.0 * d) < 1e-8
+    assert dirichlet[0, 0] == 0.0
+    assert dirichlet[0, -1] == neumann[0, -1] == robin[0, -1] == 0.0
+
+
 def _psi_extended(r, d, bc):
     # analytic formula continued below r = 1
     return 1.0 - r ** (2.0 - d) + (bc.alpha / bc.beta) * (d - 2.0)

@@ -1,26 +1,4 @@
 """Numerical laboratory for blow-up and lifespan scaling of weakly coupled
 damped wave systems on the exterior of the unit ball."""
 
-from .exponents import (
-    BoundaryCondition,
-    BoundaryKind,
-    BoundForm,
-    ExponentVector,
-    GammaReport,
-    LifespanBound,
-    classify_regime,
-    compute_gamma,
-)
-
-__all__ = [
-    "BoundaryCondition",
-    "BoundaryKind",
-    "BoundForm",
-    "ExponentVector",
-    "GammaReport",
-    "LifespanBound",
-    "classify_regime",
-    "compute_gamma",
-]
-
 __version__ = "0.1.0"

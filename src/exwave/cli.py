@@ -114,6 +114,12 @@ def _ini_overrides(args) -> dict:
     return {key: getattr(args, flag, None) for flag, key in _FLAG_KEYS.items()}
 
 
+def _refuse_file_out(out: str | None) -> None:
+    """An ``--out`` that names an existing file is refused before any step."""
+    if out and Path(out).exists() and not Path(out).is_dir():
+        raise FileExistsError(f"--out {out} exists and is not a directory")
+
+
 def cmd_simulate(args) -> int:
     config = solver_config_from_ini(args.config, _ini_overrides(args))
     if args.dump_history and (not args.out or config.history_snapshots == 0):
@@ -121,6 +127,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--dump-history needs {need}")
     if not args.dump_history:  # store no snapshots that nothing writes
         config = replace(config, history_snapshots=0)
+    _refuse_file_out(args.out)
     rec = run(config)
     summary = record_to_dict(rec)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -135,6 +142,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = sweep_spec_from_ini(args.config, _ini_overrides(args))
+    _refuse_file_out(args.out)
     result = sweep(spec)
     for rec in result.runs:
         row = sweep_row(record_to_dict(rec))
@@ -246,12 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Input a command refuses (a ValueError or a missing file) prints
-    ``<command>: <reason>`` to stderr and exits 2."""
+    """Input a command refuses (a ValueError, or an OSError such as a missing
+    file) prints ``<command>: <reason>`` to stderr and exits 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

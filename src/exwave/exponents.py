@@ -94,6 +94,8 @@ class ExponentVector:
         for q in self.p:
             if not math.isfinite(q) or q <= 1.0:
                 raise ValueError(f"every exponent must be finite and > 1, got {q}")
+        if not math.isfinite(math.prod(self.p)):
+            raise ValueError(f"the product of the exponents {self.p} overflows")
 
     @classmethod
     def of(cls, *p: float) -> "ExponentVector":

@@ -22,13 +22,13 @@ type has its RK4 step map, its step attempt and its amplitude, and one
 adaptive loop drives either; the crossing bisection calls the step map.  An
 attempt is one Python call per step-doubling pair: the full step, two half
 steps and the Richardson error estimate and extrapolation, or None when a
-step overflows (the loop then shrinks the step).  The full step and the
-first half step start from the same state, so they share its first RK4
-stage k1 = f(y).  The scalar attempt inlines its three RK4 steps, forming
-h/2 and h/4 once, with the float operations of three calls of the step map
-in the same order; per pass of the benchmark's oracle grid that is 18,376
-calls.  The scalar state stays positive (epsilon > 0, and every stage adds
-a nonnegative term to y), so its stages take no abs.
+step overflows (the loop then shrinks the step).  The scalar attempt
+inlines its three RK4 steps, forming h/2 and h/4 once and sharing the first
+RK4 stage k1 = y^p of the full step and the first half step, with the float
+operations of three calls of the step map in the same order; per pass of
+the benchmark's oracle grid that is 18,376 calls.  The scalar state stays
+positive (epsilon > 0, and every stage adds a nonnegative term to y), so
+its stages take no abs.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def solve_first_order_exact(p: float, y0: float) -> float:
 
 @dataclass(frozen=True)
 class OdeBlowupResult:
-    t_blow: float | None  # None: no blow-up before the horizon
+    t_blow: float
     uncertainty: float
     t_final: float
     steps: int
@@ -89,12 +89,11 @@ class OdeBlowupResult:
 
 # A step map advances the state (a float for the scalar map, a list
 # otherwise) by one RK4 step of length h, or returns None when the step
-# leaves the floats (a stage overflows or the result is not finite); the list
-# map takes the first stage k1 = f(y) when its attempt already has it.  An
+# leaves the floats (a stage overflows or the result is not finite).  An
 # attempt makes one step of length h and two of length h/2 from the state and
 # returns the Richardson pair (error estimate, extrapolated state), or None
 # when a step leaves the floats; the caller then shrinks h.
-Step = Callable[..., float | list | None]
+Step = Callable[[float | list, float], float | list | None]
 Attempt = Callable[[float | list, float], tuple[float, float | list] | None]
 
 
@@ -175,11 +174,10 @@ def _list_step(sys: OdeSystem) -> Step:
     """RK4 for any system, on a list (``_list_rhs``)."""
     f = _list_rhs(sys)
 
-    def step(y: list, h: float, k1: list | None = None) -> list | None:
+    def step(y: list, h: float) -> list | None:
         half, sixth = 0.5 * h, h / 6.0
         try:
-            if k1 is None:
-                k1 = f(y)
+            k1 = f(y)
             k2 = f([a + half * b for a, b in zip(y, k1)])
             k3 = f([a + half * b for a, b in zip(y, k2)])
             k4 = f([a + h * b for a, b in zip(y, k3)])
@@ -196,19 +194,15 @@ def _list_step(sys: OdeSystem) -> Step:
 
 def _list_attempt(sys: OdeSystem) -> Attempt:
     """The step-doubling attempt on a list: ``_list_step`` at h, then at h/2
-    twice (the first sharing k1), and the Richardson pair: the largest
-    componentwise |y_half - y_full| / (1 + |y_half|) / 15 as the error
-    estimate and the componentwise y_half + (y_half - y_full) / 15."""
-    f, step = _list_rhs(sys), _list_step(sys)
+    twice, and the Richardson pair: the largest componentwise
+    |y_half - y_full| / (1 + |y_half|) / 15 as the error estimate and the
+    componentwise y_half + (y_half - y_full) / 15."""
+    step = _list_step(sys)
 
     def attempt(y: list, h: float) -> tuple[float, list] | None:
-        try:
-            k1 = f(y)
-        except OverflowError:
-            return None
         half = 0.5 * h
-        y_full = step(y, h, k1)
-        y_mid = None if y_full is None else step(y, half, k1)
+        y_full = step(y, h)
+        y_mid = None if y_full is None else step(y, half)
         y_half = None if y_mid is None else step(y_mid, half)
         if y_half is None:
             return None
@@ -221,7 +215,6 @@ def _list_attempt(sys: OdeSystem) -> Attempt:
 def integrate_adaptive(
     sys: OdeSystem,
     M: float = 1e8,
-    t_horizon: float = math.inf,
     max_steps: int = 2_000_000,
 ) -> OdeBlowupResult:
     """Integrate to the threshold M with RK4 + step-doubling error control.
@@ -234,7 +227,7 @@ def integrate_adaptive(
     removes the threshold bias entirely.  An M for which 6 M^max(p) leaves
     the floats is refused: near M the RK4 sum k1 + 2k2 + 2k3 + k4 is at
     least that, so every step would overflow.  Running out of max_steps
-    before t_horizon raises RuntimeError.
+    before M raises RuntimeError.
     """
     M = float(M)
     if not M >= 1e6:
@@ -263,11 +256,7 @@ def integrate_adaptive(
     t = 0.0
     h = 1e-3 * (1.0 + amplitude(y)) ** (1.0 - max(sys.p.p))
     steps = 0
-    # the default infinite horizon skips the per-step min(), which alone made
-    # the acceptance-07 oracle grid 35-55% slower
-    clip = math.isfinite(t_horizon)
-    while steps < max_steps and t < t_horizon:
-        h = min(h, t_horizon - t) if clip else h
+    while steps < max_steps:
         pair = attempt(y, h)
         steps += 1
         if pair is None:
@@ -299,9 +288,6 @@ def integrate_adaptive(
         y = y_new
         if err < 0.1 * tol:
             h *= min(5.0, 0.9 * (tol / max(err, 1e-300)) ** 0.2)
-    if t < t_horizon:
-        raise RuntimeError(
-            f"integrate_adaptive hit max_steps={steps} before the horizon "
-            f"at t={t!r} with h={h!r}"
-        )
-    return OdeBlowupResult(t_blow=None, uncertainty=h, t_final=t, steps=steps)
+    raise RuntimeError(
+        f"integrate_adaptive hit max_steps={steps} before M={M!r} at t={t!r} with h={h!r}"
+    )

@@ -19,7 +19,6 @@ half-lines).  Three consumers:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,7 +67,6 @@ class QuadratureConvergenceError(RuntimeError):
     pass
 
 
-@functools.lru_cache(maxsize=2)
 def _shell_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes sigma and weights, n per panel, of the rule for
     int_0^1 L(sigma) f(sigma) dsigma in ``measure_QRstar_psi``."""

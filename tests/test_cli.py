@@ -274,6 +274,12 @@ REASONS = {
     "simulate huge_t_end.ini --out out": "T_end = 1e+308 spans more steps of dt",
     "verify-lemma --grid 3": "the sample grid (3, 3) holds no sample",
     "simulate huge_n.ini --out out": "n must be at most 1.797693e+308",
+    "gamma --p 1e200,3e200 --dim 3": "the product of the exponents (1e+200, 3e+200) overflows",
+    "classify --p 1e200,1e200 --dim 3 --json": "the product of the exponents (1e+200, 1e+200)",
+    "sweep run.ini --out points.csv": "--out points.csv exists and is not a directory",
+    "simulate run.ini --out points.csv": "--out points.csv exists and is not a directory",
+    "report points.csv": "[Errno 20] Not a directory",
+    "fit empty": "[Errno 21] Is a directory",
 }
 
 
@@ -338,6 +344,12 @@ def _no_step(*args):
         "simulate huge_t_end.ini --out out",
         "verify-lemma --grid 3",
         "simulate huge_n.ini --out out",
+        "gamma --p 1e200,3e200 --dim 3",
+        "classify --p 1e200,1e200 --dim 3 --json",
+        "sweep run.ini --out points.csv",
+        "simulate run.ini --out points.csv",
+        "report points.csv",
+        "fit empty",
     ],
 )
 def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, argv):
@@ -358,8 +370,10 @@ def test_cli_refuses_bad_input_with_exit_2(config_file, monkeypatch, capsys, arg
     ``huge_t_end.ini`` sets ``r_max = 10`` and ``t_end = 1e308`` (too many
     steps to count), ``huge_n.ini`` sets ``n`` to 1 followed by 400 zeros
     (more cells than a float holds), and each ``<name>.csv`` of ``BAD_FIT_EPSILONS`` adds one
-    row with that epsilon to ``points.csv``.  No refused input steps the
-    solver, and each refusal in ``REASONS`` is made for its reason."""
+    row with that epsilon to ``points.csv``.  ``points.csv`` is a file where
+    ``--out`` and ``report`` need a directory, and ``empty`` a directory
+    where ``fit`` needs a file.  No refused input steps the solver, and each
+    refusal in ``REASONS`` is made for its reason."""
     root = config_file.parent
     monkeypatch.chdir(root)
     (root / "empty").mkdir()

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,15 @@ def test_exponent_vector_validation():
     p = ExponentVector.of(2, 3)
     assert p.k == 2 and p.product == 6.0 and not p.all_equal
     assert ExponentVector.of(1.4, 1.4).all_equal
+
+
+@pytest.mark.parametrize("p", [(1e200, 3e200), (1e200, 1e200), (1e150, 1e150, 1e10)])
+def test_exponents_whose_product_overflows_are_refused(p):
+    """Refused when built, without numpy's overflow warning; a product just
+    below the largest float is kept."""
+    with pytest.raises(ValueError, match=re.escape(f"the product of the exponents {p} overflows")):
+        ExponentVector(p)
+    assert math.isfinite(ExponentVector.of(1e154, 1e154).product)
 
 
 def test_matrix_layout():

@@ -47,6 +47,26 @@ def test_no_module_imports_a_process_or_thread_pool():
     assert found == []
 
 
+def test_every_imported_name_is_used_by_its_module():
+    """A module imports a name only to use it: no re-export, no dead
+    import.  A name counts as used where the module's code reads it, so
+    listing it in ``__all__`` does not count."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.name}:{node.lineno}: {name}"
+                    for alias in node.names
+                    if (name := alias.asname or alias.name.split(".")[0]) not in used
+                ]
+    assert found == []
+
+
 def _is_cyclic_neighbour(node):
     """``(x - 1) % k`` or ``(x + 1) % k``: the cyclic coupling's index rule,
     read in either direction."""

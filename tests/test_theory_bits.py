@@ -117,8 +117,7 @@ def _chain_cases() -> dict:
 
 
 def _result(res) -> list:
-    t_blow = None if res.t_blow is None else _hex(res.t_blow)
-    return [t_blow, _hex(res.t_final), _hex(res.uncertainty), res.steps]
+    return [_hex(res.t_blow), _hex(res.t_final), _hex(res.uncertainty), res.steps]
 
 
 def _oracle_cases() -> dict:
@@ -131,8 +130,6 @@ def _oracle_cases() -> dict:
         for p in ((1.5, 2.0), (2.0, 2.0)):
             cases[f"{order.value} p={p}"] = (order, p, 0.4, {})
         cases[f"{order.value} watch=1"] = (order, (1.5, 3.0), 0.4, {"watch": 1})
-    cases["scalar t_horizon"] = (first, (2.0,), 0.1, {"t_horizon": 3.0})
-    cases["second-damped t_horizon"] = (second, (2.0, 3.0), 0.05, {"t_horizon": 2.5})
     # M^3 is about max float / 6: one of the 13,328 attempts overflows and is
     # retried at h/4
     cases["scalar overflow retry"] = (first, (3.0,), 1.0, {"M": 3.1e102})

@@ -94,7 +94,7 @@ class ExponentVector:
         for q in self.p:
             if not math.isfinite(q) or q <= 1.0:
                 raise ValueError(f"every exponent must be finite and > 1, got {q}")
-        if not math.isfinite(math.prod(self.p)):
+        if not math.isfinite(self.product):
             raise ValueError(f"the product of the exponents {self.p} overflows")
 
     @classmethod
@@ -107,16 +107,12 @@ class ExponentVector:
 
     @property
     def product(self) -> float:
-        return float(np.prod(self.p))
+        return math.prod(self.p)
 
     @property
     def all_equal(self) -> bool:
         # Exact comparison of the values as given; no arithmetic precedes it.
         return all(q == self.p[0] for q in self.p)
-
-    @property
-    def p_min(self) -> float:
-        return min(self.p)
 
     @property
     def sources(self) -> tuple[int, ...]:

@@ -31,11 +31,11 @@ without a pin.  The three time levels and |u| of the newest level live in
 buffers allocated once per ladder, and only the displacement is stored in
 the history.
 ``step`` is the allocating full-grid reference that the bit-identity gates
-compare against: it forms its own forcing (optionally linear, plus an
-optional external source for the manufactured-solution tests), pins the
-boundary and returns the velocity too.  ``step``, ``apply_boundary`` and
-``_laplacian`` stay in this module because ``perfbench/tracer.py`` traces
-them by name (``TRACED``).
+compare against: each call builds a kernel of its own and forms its own
+forcing (optionally linear, plus an optional external source for the
+manufactured-solution tests), pins the boundary and returns the velocity
+too.  ``step``, ``apply_boundary`` and ``_laplacian`` stay in this module
+because ``perfbench/tracer.py`` traces them by name (``TRACED``).
 
 A ladder is one config at several epsilons, which share the grid, ``dt`` and
 horizon, so ``run_ladder`` steps them in lockstep as column blocks of one
@@ -81,7 +81,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -143,10 +143,6 @@ class RadialState:
     v: np.ndarray  # (k, n+1)
     u_prev: np.ndarray | None = field(default=None, repr=False)
 
-    def peak(self) -> np.ndarray:
-        """Per-component max norm."""
-        return np.max(np.abs(self.u), axis=1)
-
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v)))
 
@@ -194,13 +190,6 @@ class InitialData:
         bump = self.epsilon * self.profile(grid.r)
         u0 = np.tile(bump, (k, 1))
         return u0, u0.copy()
-
-
-def weighted_data_integral(
-    r: np.ndarray, u0: np.ndarray, u1: np.ndarray, d: int, bc: BoundaryCondition
-) -> float:
-    """omega * int (u0 + u1) Psi r^(d-1) dr for arbitrary data arrays."""
-    return radial_integral(np.asarray(r, float), (u0 + u1) * psi(r, d, bc), d)
 
 
 def _weights(dr: float, d: int, a: float, up: np.ndarray, down: np.ndarray) -> None:
@@ -351,8 +340,7 @@ class _Kernel:
     once per chunk rather than once per step.  The strongly imposed nodes
     (r = 1 under Dirichlet, and the outer edge) are never written, so
     ``out`` must hold +0.0 there, as every level of a ladder does.  ``step``
-    forms its own forcing and advances through the same kernel, one per
-    (dt, p, d, bc, grid).
+    forms its own forcing and advances through a kernel of its own.
     """
 
     def __init__(
@@ -433,14 +421,6 @@ class _Kernel:
             np.multiply(out.head, self.h, out=out.head)
 
 
-@lru_cache(maxsize=8)
-def _step_kernel(
-    dt: float, p: ExponentVector, d: int, bc: BoundaryCondition, grid: RadialGrid
-) -> _Kernel:
-    """The kernel ``step`` advances through, built once per (dt, p, d, bc, grid)."""
-    return _Kernel(dt, p, d, bc, grid)
-
-
 def step(
     state: RadialState,
     dt: float,
@@ -458,9 +438,7 @@ def step(
     (the initial level) is started with the second-order Taylor step
     u1 = u0 + dt v0 + dt^2/2 (L u0 + f - v0); subsequent levels use the
     three-level leapfrog with semi-implicit damping.  The same dt must be used
-    along a trajectory, and dt/dr must not exceed ``_cfl_limit``.  Calls
-    with the same (dt, p, d, bc, grid) share one kernel and so its scratch
-    buffers: two threads must not step such calls at once.
+    along a trajectory, and dt/dr must not exceed ``_cfl_limit``.
     """
     limit = _cfl_limit(grid.dr, bc)
     if dt > limit * grid.dr * (1.0 + 1e-12):
@@ -469,7 +447,7 @@ def step(
         )
     if not state.is_finite():
         raise FloatingPointError("non-finite state; blow-up should have been flagged")
-    kernel = _step_kernel(dt, p, d, bc, grid)
+    kernel = _Kernel(dt, p, d, bc, grid)
     if nonlinear:
         f = _forcing(np.abs(state.u).T, kernel.sources, kernel.powers, kernel.forcing)
     else:
@@ -733,7 +711,7 @@ def _step_ladder(base: SolverConfig, epsilons: Sequence[float]) -> tuple[RunReco
     for i, c in enumerate(configs):
         u0, u1 = c.data.build(grid, ks)
         u_cur[:, i * ks : (i + 1) * ks], back[:, i * ks : (i + 1) * ks] = u0.T, u1.T
-        pos = weighted_data_integral(grid.r, u0[0], u1[0], base.d, bc)
+        pos = radial_integral(grid.r, (u0[0] + u1[0]) * psi(grid.r, base.d, bc), base.d)
         if c.data.epsilon > 0 and not pos > 0.0:
             raise DataPositivityError(f"int (u0 + u1) Psi dx = {pos:.3e} must be positive")
         record = RunRecord(c, t_final=0.0, threshold_crossings={}, data_positivity=pos)

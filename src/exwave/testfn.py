@@ -151,7 +151,7 @@ class CutoffProfile:
 
     @staticmethod
     def floor_for(p: ExponentVector) -> float:
-        return 2.0 / (p.p_min - 1.0)
+        return 2.0 / (min(p.p) - 1.0)
 
     def admissible_for(self, p: ExponentVector) -> bool:
         return self.lam >= self.floor_for(p) - 1e-12
@@ -368,10 +368,6 @@ class SupRatioSweep:
     ratios: tuple[float, float, float, float]
     n_samples: int
     violations: tuple[str, ...] = field(default=())
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ def test_lambda_floor_rule():
     assert not CutoffProfile(lam=1.0).admissible_for(p)
     # paper's equivalent statement of the rule: min(p) * lam/(lam+2) >= 1
     lam = prof.lam
-    assert p.p_min * lam / (lam + 2.0) >= 1.0 - 1e-12
+    assert min(p.p) * lam / (lam + 2.0) >= 1.0 - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def test_sup_ratio_ratios_uniform_in_R():
     bc = BoundaryCondition.dirichlet()
     a = cutoff_estimate_sup_ratios(4.0, 2.0, 3, bc, grid=(256, 256))
     b = cutoff_estimate_sup_ratios(16.0, 2.0, 3, bc, grid=(256, 256))
-    assert a.ok and b.ok
+    assert not a.violations and not b.violations
     for x, y in zip(a.ratios, b.ratios):
         assert max(x, y) / min(x, y) < 2.0
 
@@ -256,7 +256,7 @@ def test_sup_ratio_ratios_lambda_sweep_finite():
     bc = BoundaryCondition.neumann()
     for lam in (2.0, 5.0, 10.0):
         res = cutoff_estimate_sup_ratios(4.0, lam, 2, bc, grid=(128, 128))
-        assert res.ok and all(np.isfinite(res.ratios)) and res.ratios[0] > 0
+        assert not res.violations and all(np.isfinite(res.ratios)) and res.ratios[0] > 0
 
 
 def test_sup_ratio_neumann_iv_equals_iii():

@@ -115,9 +115,14 @@ def _ini_overrides(args) -> dict:
 
 
 def _refuse_file_out(out: str | None) -> None:
-    """An ``--out`` that names an existing file is refused before any step."""
-    if out and Path(out).exists() and not Path(out).is_dir():
-        raise FileExistsError(f"--out {out} exists and is not a directory")
+    """An ``--out`` whose nearest existing path (itself or an ancestor) is
+    not a directory is refused before any step."""
+    if not out:
+        return
+    existing = next(path for path in (Path(out), *Path(out).parents) if path.exists())
+    if not existing.is_dir():
+        name = out if existing == Path(out) else f"{out} lies under {existing}, which"
+        raise NotADirectoryError(f"--out {name} exists and is not a directory")
 
 
 def cmd_simulate(args) -> int:

@@ -362,9 +362,20 @@ def write_tables(records: Sequence[dict], outdir: str | Path) -> list[Path]:
     with the classifier's exponent, through the first blow-up point where
     the law is defined.  It is nan for the forms without a law and at the
     points where the abscissa is undefined.  Records that lack a field the
-    tables read are refused with a ValueError before any file is opened.
+    tables read, or whose point the log-log table cannot draw (an epsilon,
+    or a blow-up's t_blow, that is not finite and positive), are refused
+    with a ValueError before any file is opened.
     """
     try:
+        for index, rec in enumerate(records):
+            drawn = {"epsilon": rec["config"]["data"]["epsilon"]}
+            if rec["verdict"] == Verdict.BLEW_UP.value:
+                drawn["t_blow"] = rec["t_blow"]
+            for name, value in drawn.items():
+                if value is None or not 0.0 < value < math.inf:
+                    raise ValueError(
+                        f"records[{index}]: {name} must be finite and positive, got {value!r}"
+                    )
         rows = [sweep_row(rec) for rec in records]
         lines = _loglog_lines(records)
     except KeyError as exc:
@@ -390,7 +401,7 @@ def _loglog_lines(records: Sequence[dict]) -> list[str]:
     pts = [
         (rec["config"]["data"]["epsilon"], rec["t_blow"])
         for rec in records
-        if rec["verdict"] == Verdict.BLEW_UP.value and rec["t_blow"] is not None
+        if rec["verdict"] == Verdict.BLEW_UP.value
     ]
     if pts:
         cfg = records[0]["config"]

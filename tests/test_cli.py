@@ -2,8 +2,10 @@ import configparser
 import functools
 import itertools
 import json
+import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -278,6 +280,10 @@ REASONS = {
     "classify --p 1e200,1e200 --dim 3 --json": "the product of the exponents (1e+200, 1e+200)",
     "sweep run.ini --out points.csv": "--out points.csv exists and is not a directory",
     "simulate run.ini --out points.csv": "--out points.csv exists and is not a directory",
+    "sweep run.ini --out points.csv/sub": "--out points.csv/sub lies under points.csv, which",
+    "simulate run.ini --out points.csv/sub/run": (
+        "--out points.csv/sub/run lies under points.csv, which exists and is not a directory"
+    ),
     "report points.csv": "[Errno 20] Not a directory",
     "fit empty": "[Errno 21] Is a directory",
 }
@@ -348,6 +354,8 @@ def _no_step(*args):
         "classify --p 1e200,1e200 --dim 3 --json",
         "sweep run.ini --out points.csv",
         "simulate run.ini --out points.csv",
+        "sweep run.ini --out points.csv/sub",
+        "simulate run.ini --out points.csv/sub/run",
         "report points.csv",
         "fit empty",
     ],
@@ -773,6 +781,47 @@ def test_cli_report_reproduces_sweep_tables(config_file, tmp_path):
         assert (out / name).read_bytes() == written[name], name
     # the theory column survives the round trip
     assert written["sweep_loglog.dat"].splitlines()[1].split()[2] != b"nan"
+
+
+@pytest.fixture(scope="module")
+def swept(tmp_path_factory):
+    """The report directory of a two-epsilon sweep, both runs blown up."""
+    out = tmp_path_factory.mktemp("swept") / "sweepdir"
+    config = out.parent / "run.ini"
+    config.write_text(CONFIG_TEXT)
+    assert main(["sweep", str(config), "--eps-list", "0.8,0.6", "--out", str(out)]) == 0
+    return out
+
+
+UNDRAWABLE = [
+    ("epsilon", 0.0), ("epsilon", -0.5), ("epsilon", math.inf),
+    ("t_blow", 0.0), ("t_blow", -1.0), ("t_blow", math.nan),
+]
+
+
+@pytest.mark.parametrize("field, value", UNDRAWABLE, ids=[f"{f}={v}" for f, v in UNDRAWABLE])
+def test_report_refuses_a_record_it_cannot_draw(swept, tmp_path, capsys, field, value):
+    """A record whose epsilon, or whose blow-up's t_blow, is not finite and
+    positive has no point on the log-log axes: ``report`` names the record
+    and the field, exits 2 and leaves the tables the sweep wrote."""
+    out = tmp_path / "sweepdir"
+    shutil.copytree(swept, out)
+    records = json.loads((out / "records.json").read_text())
+    assert [rec["verdict"] for rec in records] == ["blew-up", "blew-up"]
+    if field == "epsilon":
+        records[1]["config"]["data"]["epsilon"] = value
+    else:
+        records[1]["t_blow"] = value
+    (out / "records.json").write_text(json.dumps(records))
+    tables = {name: (out / name).read_bytes() for name in ("sweep.csv", "sweep_loglog.dat")}
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"report: records[1]: {field} must be finite and positive, got {value!r}\n"
+    )
+    assert {name: (out / name).read_bytes() for name in tables} == tables
 
 
 @pytest.mark.parametrize(

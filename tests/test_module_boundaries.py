@@ -7,7 +7,8 @@ import exwave
 from exwave.exponents import BoundForm
 
 SRC = Path(exwave.__file__).resolve().parent
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -225,3 +226,34 @@ def test_every_private_helper_is_named_by_its_module():
             if not named and f"{path.stem}.{qualname}" not in traced:
                 orphans.append(f"{path.name}: {qualname}")
     assert orphans == []
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    """A public method or property of an exwave class is read somewhere in
+    ``src/exwave`` outside its own body, or by the benchmark in
+    ``perfbench/``: a member that only tests read is surface no command,
+    config or workload needs."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
+    bench = [ast.parse(path.read_text(), filename=str(path)) for path in PERFBENCH.glob("*.py")]
+    read_by_bench = {
+        node.attr for tree in bench for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    reads = [
+        (id(node), node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    ]
+    unread = []
+    for path, tree in sorted(trees.items()):
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for member in cls.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = member.name
+                if name.startswith("_") or name in read_by_bench:
+                    continue
+                inside = {id(node) for node in ast.walk(member)}
+                if not any(attr == name and key not in inside for key, attr in reads):
+                    unread.append(f"{path.name}: {cls.name}.{name}")
+    assert unread == []

@@ -240,6 +240,82 @@ def test_manufactured_solution_second_order():
         assert 3.2 <= ratio <= 4.8
 
 
+def _polynomial_bump(r):
+    """(1 - s)^6 with s = ((r - 1.6)/0.5)^2, zero outside |r - 1.6| < 0.5."""
+    return np.clip(1.0 - ((r - 1.6) / 0.5) ** 2, 0.0, None) ** 6
+
+
+def _exact_linear(x, t, data, sign):
+    """The linear damped wave u_tt - u_xx + u_t = 0 on the line at time t,
+    from u(0) = u_t(0) = ``data``, where ``data`` is the extension
+    data(1 + y) + sign data(1 - y) of a function supported on r in [1.1, 2.1].
+
+    u = e^(-t/2) w turns it into w_tt - w_xx - w/4 = 0, with w(0) = f = u(0)
+    and w_t(0) = g = u_t(0) + u(0)/2 = 3f/2.  Riemann's method gives
+    w = [f(x - t) + f(x + t)]/2 + (1/2) int [g I0(rho/2) + f t I1(rho/2)/(2 rho)] dy
+    over |x - y| < t, rho = sqrt(t^2 - (x - y)^2).  I0(z) and I1(z)/z are
+    smooth in rho^2, so 200-point Gauss-Legendre on each piece of the data's
+    support, clipped to [x - t, x + t], integrates the polynomial bump to
+    round-off."""
+    from scipy.special import i0, i1
+
+    def f(y):
+        return data(1.0 + y) + sign * data(1.0 - y)
+
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    w = 0.5 * (f(x - t) + f(x + t))
+    for a, b in ((0.1, 1.1), (-1.1, -0.1)):
+        lo, hi = np.clip(a, x - t, x + t), np.clip(b, x - t, x + t)
+        on = hi > lo
+        half, mid = 0.5 * (hi[on] - lo[on]), 0.5 * (hi[on] + lo[on])
+        y = mid[:, None] + half[:, None] * nodes
+        rho = np.sqrt(t * t - (x[on, None] - y) ** 2)
+        kernel = 1.5 * i0(rho / 2.0) + t * i1(rho / 2.0) / (2.0 * rho)
+        w[on] += 0.5 * half * ((f(y) * kernel) @ weights)
+    return np.exp(-t / 2.0) * w
+
+
+def _linear_error(n, d, bc, sign, T=3.0):
+    """Max error over r < 4 of linear step() runs from u0 = u1 = the
+    polynomial bump against the exact solution, at cfl 0.5 on r_max = 8.
+    In d = 3, v = r u solves the 1-D equation; with x = r - 1, the odd
+    extension of the data gives Dirichlet at r = 1 and the even one Neumann."""
+    grid = RadialGrid(r_max=8.0, n=n)
+    r = grid.r
+    u0 = _polynomial_bump(r)[None, :]
+    state = apply_boundary(RadialState(t=0.0, u=u0, v=u0.copy()), bc)
+    dt = T / np.ceil(T / (0.5 * grid.dr))
+    for _ in range(int(round(T / dt))):
+        state = step(state, dt, ExponentVector.of(2.0), d, bc, grid, nonlinear=False)
+    m = (d - 1) // 2  # u = v / r^m
+
+    def data(s):
+        return s**m * _polynomial_bump(s)
+
+    near = r < 4.0
+    exact = _exact_linear(r[near] - 1.0, state.t, data, sign) / r[near] ** m
+    return float(np.max(np.abs(state.u[0, near] - exact)))
+
+
+EXACT_LINEAR = {
+    "d1-dirichlet": (1, DIRICHLET, -1.0, 2e-4),
+    "d1-neumann": (1, NEUMANN, 1.0, 2e-4),
+    "d3-dirichlet": (3, DIRICHLET, -1.0, 1e-4),
+}
+
+
+@pytest.mark.parametrize("setup", list(EXACT_LINEAR))
+def test_linear_step_converges_to_the_exact_damped_wave(setup):
+    """Waves that move and reflect off r = 1 up to T = 3, against Riemann's
+    exact solution: second order (error ratios in [3.2, 4.8], the band of
+    acceptance 06), and the finest error below a fixed bound."""
+    d, bc, sign, bound = EXACT_LINEAR[setup]
+    errors = [_linear_error(n, d, bc, sign) for n in (350, 700, 1400)]
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert all(3.2 <= ratio <= 4.8 for ratio in ratios), (errors, ratios)
+    assert errors[-1] < bound, errors
+
+
 def test_dirichlet_pins_boundary():
     cfg = SolverConfig(
         p=P14, d=3, bc=DIRICHLET, grid=RadialGrid(r_max=8.0, n=256), T_end=1.0,
@@ -715,6 +791,16 @@ def _robin(**kw):
     )
 
 
+def _science(p, d, bc):
+    """A setup the science items run: ROADMAP items 4, 11, 16 and 23."""
+    return SolverConfig.with_auto_domain(
+        p=ExponentVector.of(*p), d=d, bc=bc, n=800, T_end=40.0,
+        data=InitialData(epsilon=0.8), history_snapshots=64,
+    )
+
+
+ROBIN_12 = BoundaryCondition.robin(1.0, 2.0)
+
 GATE_CASES = {
     "subcritical-0.8": lambda: _subcritical(0.8),
     "subcritical-0.4": lambda: _subcritical(0.4),
@@ -766,6 +852,13 @@ GATE_CASES = {
         p=ExponentVector.of(1.05), d=1, bc=NEUMANN, n=2000, T_end=30.0,
         data=InitialData(epsilon=1.0), history_snapshots=64,
     ),
+    # d = 1, 2 and 4 under Dirichlet and Robin at eps = 0.8: each blows up
+    # and crosses 1e10
+    "d1-dirichlet": lambda: _science((1.5, 1.5), 1, DIRICHLET),
+    "d1-robin": lambda: _science((1.5, 2.0), 1, ROBIN_12),
+    "d2-dirichlet": lambda: _science((1.4, 1.4), 2, DIRICHLET),
+    "d2-robin": lambda: _science((2.0, 1.2), 2, ROBIN_12),
+    "d4-dirichlet": lambda: _science((1.3, 1.3), 4, DIRICHLET),
 }
 
 
@@ -837,6 +930,8 @@ LADDERS = {
     "edge": ("edge", (2.0, 1.23, 0.5)),
     # both rows end on their last grace step, 85 steps apart
     "grace-d1": ("grace-d1", (1.0, 0.5)),
+    # d = 2 Robin with unequal exponents
+    "d2-robin": ("d2-robin", (0.8, 0.5)),
 }
 
 
